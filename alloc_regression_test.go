@@ -2,6 +2,7 @@ package diva_test
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"diva/internal/cluster"
@@ -30,6 +31,8 @@ func TestColorPhaseAllocsWithoutLearning(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
 	}
+	// sync.Pool keeps per-P caches, so the pinned counts hold only on one P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rel := dataset.Census().Generate(2000, 42)
 	// Same workload as BenchmarkColorPhase: census relation, benchSigma's
 	// generator seed, K = 10.
@@ -85,6 +88,8 @@ func TestColorPhaseAllocsWithFlightRecorder(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
 	}
+	// sync.Pool keeps per-P caches, so the pinned counts hold only on one P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rel := dataset.Census().Generate(2000, 42)
 	sigma, err := constraint.Proportional(rel, constraint.GenOptions{
 		Count: 8,

@@ -10,19 +10,24 @@ import (
 )
 
 func BenchmarkPartitioners(b *testing.B) {
-	for _, rows := range []int{1000, 5000} {
+	for _, rows := range []int{1000, 5000, 60000} {
 		rel := dataset.Census().Generate(rows, 7)
 		all := make([]int, rel.Len())
 		for i := range all {
 			all[i] = i
 		}
-		ps := []Partitioner{
-			&KMember{Rng: rand.New(rand.NewPCG(1, 2)), SampleCap: 256},
-			&OKA{Rng: rand.New(rand.NewPCG(1, 2))},
-			&Mondrian{},
+		var ps []Partitioner
+		if rows <= 5000 {
+			// k-member and OKA take seconds per call at 60,000 rows.
+			ps = append(ps, &KMember{Rng: rand.New(rand.NewPCG(1, 2)), SampleCap: 256}, &OKA{Rng: rand.New(rand.NewPCG(1, 2))})
 		}
+		ps = append(ps, &Mondrian{}, &Mondrian{Parallelism: 1})
 		for _, p := range ps {
-			b.Run(fmt.Sprintf("%s/rows=%d", p.Name(), rows), func(b *testing.B) {
+			name := p.Name()
+			if m, ok := p.(*Mondrian); ok && m.Parallelism == 1 {
+				name += "-seq"
+			}
+			b.Run(fmt.Sprintf("%s/rows=%d", name, rows), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					parts, err := p.Partition(context.Background(), rel, all, 10)
