@@ -8,7 +8,7 @@ GO ?= go
 BENCH_OLD ?= /tmp/bench_old.txt
 BENCH_NEW ?= /tmp/bench_new.txt
 
-.PHONY: all build fmt-check vet test race bench bench-color bench-compare bench-baseline baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke nogood-smoke verify fuzz-smoke ci
+.PHONY: all build fmt-check vet test race bench-check bench bench-color bench-compare bench-baseline baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke nogood-smoke verify fuzz-smoke ci
 
 # Minimum statement coverage for the verification subsystem itself — the
 # checker that everything else leans on must stay tested.
@@ -37,6 +37,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench-check builds and tests the repository benchmark (bench/). It is its
+# own Go module, so the root `go test ./...` never compiles it; this target
+# catches a signature change in cluster/search/core that would break it.
+bench-check:
+	cd bench && $(GO) test .
+
 # bench emits benchstat-compatible output including the per-phase
 # "<phase>-ns/op" columns; pipe two runs into benchstat to diff phases.
 bench:
@@ -44,7 +50,8 @@ bench:
 
 # bench-color runs the allocation-sensitive coloring benchmarks (the
 # BenchmarkColor family at the root plus the search package's coloring
-# benchmarks) with enough repetitions for benchstat.
+# benchmarks, including the census-scale BenchmarkColoringCensus) with
+# enough repetitions for benchstat.
 bench-color:
 	$(GO) test -bench 'BenchmarkColorPhase' -count 5 -run '^$$' .
 	$(GO) test -bench 'BenchmarkColoring' -count 5 -run '^$$' ./internal/search/
@@ -348,4 +355,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzAnonymizeEndToEnd' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz 'FuzzBruteForceOracle' -fuzztime $(FUZZTIME) ./internal/verify/
 
-ci: fmt-check vet build test race verify obs-smoke live-smoke profile-smoke baseline-smoke shard-smoke history-smoke nogood-smoke
+ci: fmt-check vet build test race bench-check verify obs-smoke live-smoke profile-smoke baseline-smoke shard-smoke history-smoke nogood-smoke

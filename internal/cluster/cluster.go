@@ -34,9 +34,13 @@ import (
 	"diva/internal/rowset"
 )
 
-// Clustering is a set of disjoint clusters, each a sorted slice of row
-// indexes into the underlying relation — the sorted-slice view at the API
-// edge of the engine's bitset row-set core.
+// Clustering is a set of disjoint clusters, each a slice of row indexes into
+// the underlying relation. A cluster is a row *set*: clusters returned by
+// Enumerator.Candidates hold their rows in enumeration (QI-similarity)
+// order, and every consumer inside the engine — Fingerprint, the rowset
+// operations, privacy criteria — is order-independent. The coloring search
+// sorts a cluster once when it becomes active, so the merged clustering SΣ
+// it returns is sorted at the API edge.
 type Clustering [][]int
 
 // Tuples returns the total number of tuples across all clusters.
@@ -68,9 +72,9 @@ func (s Clustering) RowSet(n int) *rowset.Set {
 	return set
 }
 
-// Fingerprint returns the canonical 64-bit identity of one sorted cluster,
-// used for the "disjoint unless equal" consistency rule and for SΣ
-// deduplication. It is the rowset Zobrist fingerprint: allocation-free,
+// Fingerprint returns the canonical 64-bit identity of one cluster, in any
+// row order, used for the "disjoint unless equal" consistency rule and for
+// SΣ deduplication. It is the rowset Zobrist fingerprint: allocation-free,
 // equal for equal row sets, colliding with probability ~2⁻⁶⁴.
 func Fingerprint(c []int) uint64 { return rowset.Fingerprint(c) }
 
@@ -211,6 +215,13 @@ func (a *resultArena) clustering(n int) Clustering {
 // is included (first) iff the constraint's lower bound is zero. An empty
 // result means no clustering within the enumeration budget satisfies the
 // constraint on the available rows.
+//
+// Each returned cluster is a row set in enumeration order (a window of the
+// QI-sorted target rows), not sorted by row index: most candidates are only
+// counted or fingerprinted, never read in order, so sorting is left to the
+// caller that keeps one (the coloring search sorts a cluster on
+// activation). The clusterings are owned by the caller, which may reorder
+// the rows of any cluster in place.
 //
 // ctx bounds the enumeration: when it is canceled, Candidates returns early
 // with whatever was enumerated so far (the coloring search re-checks the
@@ -512,10 +523,11 @@ func (e *Enumerator) baseWindows(sc *scratch, m int, cost func(lo, hi int) int) 
 	return ws
 }
 
+// materialize copies the window avail[lo:hi] into the arena, in enumeration
+// order (see Candidates).
 func materialize(ar *resultArena, avail []int, lo, hi int) []int {
 	c := ar.rows(hi - lo)
 	copy(c, avail[lo:hi])
-	sort.Ints(c)
 	return c
 }
 

@@ -10,8 +10,13 @@ import (
 // sets. It is 0 when the sets are disjoint (no interaction) and 1 when they
 // coincide. Two constraints with empty target sets have conflict 0.
 func PairConflict(rel *relation.Relation, bi, bj *Bound) float64 {
-	si := bi.TargetSet(rel)
-	sj := bj.TargetSet(rel)
+	return Jaccard(bi.TargetSet(rel), bj.TargetSet(rel))
+}
+
+// Jaccard returns |si ∩ sj| / |si ∪ sj|, or 0 when both sets are empty. It
+// is PairConflict over precomputed target sets, for callers (the constraint
+// graph) that already hold them.
+func Jaccard(si, sj *rowset.Set) float64 {
 	inter := si.IntersectionCount(sj)
 	union := si.Len() + sj.Len() - inter
 	if union == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"diva/internal/relation"
+	"diva/internal/rowset"
 )
 
 func TestPairConflict(t *testing.T) {
@@ -41,6 +42,28 @@ func TestPairConflict(t *testing.T) {
 	none := bind(New("ETH", "Martian", 0, 3))
 	if cf := PairConflict(rel, none, none); cf != 0 {
 		t.Errorf("empty cf = %v, want 0", cf)
+	}
+}
+
+func TestJaccard(t *testing.T) {
+	set := func(rows ...int) *rowset.Set { return rowset.FromSlice(10, rows) }
+	for _, tc := range []struct {
+		name   string
+		si, sj *rowset.Set
+		want   float64
+	}{
+		{"disjoint", set(1, 2), set(3, 4, 5), 0},
+		{"equal", set(2, 4, 6), set(2, 4, 6), 1},
+		{"both empty", set(), set(), 0},
+		{"one empty", set(), set(7), 0},
+		{"partial", set(1, 2, 3), set(2, 3, 4), 0.5},
+	} {
+		if got := Jaccard(tc.si, tc.sj); got != tc.want {
+			t.Errorf("%s: Jaccard = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := Jaccard(tc.sj, tc.si); got != tc.want {
+			t.Errorf("%s (swapped): Jaccard = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

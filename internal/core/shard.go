@@ -289,9 +289,6 @@ func partitionShards(ctx context.Context, e *runEnv, shards [][]int) ([][]int, e
 		}
 		return parts, nil
 	}
-	// NumericValue grows a cache shared across every relation deriving from
-	// e.rel; warm it once so the concurrent partitioners only read.
-	e.rel.WarmNumericCache()
 	str := trace.Synchronized(e.tr)
 	shardParts := make([][][]int, len(shards))
 	errs := make([]error, len(shards))

@@ -3,6 +3,8 @@ package relation
 import (
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 )
 
 // Relation is a dictionary-encoded tuple store over a fixed schema.
@@ -23,15 +25,23 @@ type Relation struct {
 }
 
 // numericCache holds the lazily parsed numeric interpretation of dictionary
-// codes: vals[attr][code] is the parsed value when ok[attr][code] is true.
-// Parsing depends only on the dictionaries, which Derive and Clone share, so
-// the cache is one object per relation family referenced by pointer — slice
-// headers must not be copied between relations, or growth in one would
-// silently leave the other behind the shared dictionaries. Like the rest of
-// Relation it is not safe for concurrent mutation.
+// codes, one immutable numericTable per attribute. Parsing depends only on
+// the dictionaries, which Derive and Clone share, so the cache is one object
+// per relation family referenced by pointer — growth through any member
+// stays coherent with the shared dictionaries for all of them. Readers load
+// a table atomically; growth builds a larger table under mu and publishes
+// it, so concurrent readers of one relation (runs sharing an input, shard
+// workers) never race.
 type numericCache struct {
-	vals [][]float64
-	ok   [][]bool
+	mu     sync.Mutex
+	tables []atomic.Pointer[numericTable]
+}
+
+// numericTable is one attribute's parse table: vals[code] is the parsed
+// value when ok[code] is true. A published table is never written again.
+type numericTable struct {
+	vals []float64
+	ok   []bool
 }
 
 // New returns an empty relation with the given schema and fresh
@@ -40,10 +50,7 @@ func New(schema *Schema) *Relation {
 	r := &Relation{
 		schema: schema,
 		dicts:  make([]*Dictionary, schema.Len()),
-		num: &numericCache{
-			vals: make([][]float64, schema.Len()),
-			ok:   make([][]bool, schema.Len()),
-		},
+		num:    &numericCache{tables: make([]atomic.Pointer[numericTable], schema.Len())},
 	}
 	for i := range r.dicts {
 		r.dicts[i] = NewDictionary()
@@ -171,49 +178,41 @@ func (r *Relation) AppendRowsFrom(src *Relation, rows []int) {
 
 // NumericValue returns the numeric interpretation of code for a numeric
 // attribute, and whether the value parses as a number. Results are cached
-// per (attribute, code).
+// per (attribute, code) and safe for concurrent use.
 func (r *Relation) NumericValue(attr int, code uint32) (float64, bool) {
-	d := r.dicts[attr]
-	nc := r.num
-	if int(code) >= len(nc.vals[attr]) {
-		// Grow caches to dictionary size.
-		grown := make([]float64, d.Len())
-		copy(grown, nc.vals[attr])
-		nc.vals[attr] = grown
-		grownOK := make([]bool, d.Len())
-		copy(grownOK, nc.ok[attr])
-		nc.ok[attr] = grownOK
-		// Parse all newly covered codes.
-		for c := 0; c < d.Len(); c++ {
-			if nc.ok[attr][c] {
-				continue
-			}
-			if v, err := strconv.ParseFloat(d.Value(uint32(c)), 64); err == nil {
-				nc.vals[attr][c] = v
-				nc.ok[attr][c] = true
-			}
-		}
+	t := r.num.tables[attr].Load()
+	if t == nil || int(code) >= len(t.ok) {
+		t = r.num.grow(attr, r.dicts[attr])
 	}
-	if int(code) >= len(nc.ok[attr]) || !nc.ok[attr][code] {
+	if int(code) >= len(t.ok) || !t.ok[code] {
 		return 0, false
 	}
-	return nc.vals[attr][code], true
+	return t.vals[code], true
 }
 
-// WarmNumericCache pre-parses every dictionary code of every numeric
-// attribute into the shared numeric cache. NumericValue grows that cache
-// lazily, which is a data race when relations sharing dictionaries are read
-// from several goroutines; warming once before fan-out makes subsequent
-// NumericValue calls read-only.
-func (r *Relation) WarmNumericCache() {
-	for a := 0; a < r.schema.Len(); a++ {
-		if r.schema.Attr(a).Kind != Numeric {
-			continue
-		}
-		if d := r.dicts[a]; d.Len() > 0 {
-			r.NumericValue(a, uint32(d.Len()-1))
+// grow publishes attr's parse table extended to the dictionary's current
+// size, parsing only the codes the previous table did not cover.
+func (nc *numericCache) grow(attr int, d *Dictionary) *numericTable {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	old := nc.tables[attr].Load()
+	n := d.Len()
+	if old != nil && len(old.ok) >= n {
+		return old // another reader grew it first
+	}
+	t := &numericTable{vals: make([]float64, n), ok: make([]bool, n)}
+	start := 0
+	if old != nil {
+		start = copy(t.vals, old.vals)
+		copy(t.ok, old.ok)
+	}
+	for c := start; c < n; c++ {
+		if v, err := strconv.ParseFloat(d.Value(uint32(c)), 64); err == nil {
+			t.vals[c], t.ok[c] = v, true
 		}
 	}
+	nc.tables[attr].Store(t)
+	return t
 }
 
 // NumericRange returns the min and max numeric values present in attribute

@@ -4,6 +4,7 @@ import (
 	"diva/internal/testutil"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -191,10 +192,36 @@ func TestDeriveSharesNumericCache(t *testing.T) {
 	if v, ok := d.NumericValue(1, code88); !ok || v != 88 {
 		t.Fatalf("sibling NumericValue(88) = %v, %t", v, ok)
 	}
-	if len(d.num.vals[1]) != d.Dict(1).Len() || len(d.num.ok[1]) != d.Dict(1).Len() {
+	if tab := d.num.tables[1].Load(); len(tab.vals) != d.Dict(1).Len() || len(tab.ok) != d.Dict(1).Len() {
 		t.Fatalf("cache len %d/%d behind dictionary len %d",
-			len(d.num.vals[1]), len(d.num.ok[1]), d.Dict(1).Len())
+			len(tab.vals), len(tab.ok), d.Dict(1).Len())
 	}
+}
+
+// TestNumericValueConcurrent: readers sharing one relation family grow the
+// numeric cache lazily from several goroutines; under -race this pins the
+// cache's goroutine safety, and every reader sees the parsed values.
+func TestNumericValueConcurrent(t *testing.T) {
+	r := testRelation(t)
+	d := r.Derive()
+	d.MustAppendValues("F", "77", "Calgary", "Flu")
+	code77 := d.Code(0, 1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < r.Len(); i++ {
+				if _, ok := r.NumericValue(1, r.Code(i, 1)); !ok {
+					t.Errorf("row %d: numeric value did not parse", i)
+				}
+			}
+			if v, ok := d.NumericValue(1, code77); !ok || v != 77 {
+				t.Errorf("NumericValue(77) = %v, %t", v, ok)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestAppendRowsFrom(t *testing.T) {

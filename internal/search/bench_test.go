@@ -65,6 +65,42 @@ func BenchmarkColoringScale(b *testing.B) {
 	}
 }
 
+// BenchmarkColoringCensus colors a census-scale instance — 60,000 rows,
+// proportional Σ with |Σ| = 8, k = 10, MinChoice — where candidate windows
+// hold thousands of rows, so per-candidate work such as materializing (or
+// sorting) every enumerated window shows up; BenchmarkColoring's 5,000-row
+// windows are too small to show it. Each iteration starts from a fresh
+// candidate cache, as a run does.
+func BenchmarkColoringCensus(b *testing.B) {
+	const rows, k = 60000, 10
+	rel := dataset.CensusSized(rows).Generate(rows, 5)
+	sigma, err := constraint.Proportional(rel, constraint.GenOptions{
+		Count:     8,
+		K:         k,
+		Rng:       rand.New(rand.NewPCG(2, 4)),
+		UpperFrac: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bounds, err := sigma.Bind(rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := BuildGraph(rel, bounds, cluster.Options{K: k})
+	accept := func(used int) bool {
+		rest := rows - used
+		return rest == 0 || rest >= k
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, found := g.Color(Options{Strategy: MinChoice, Accept: accept}); !found {
+			b.Fatal("no coloring")
+		}
+	}
+}
+
 func BenchmarkColorPortfolio(b *testing.B) {
 	g, _ := benchGraph(b, 5000, 8, 10)
 	for _, workers := range []int{1, 3, 6} {

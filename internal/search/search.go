@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,6 +89,10 @@ type Node struct {
 type Graph struct {
 	Nodes []*Node
 	rel   *relation.Relation
+	// targets[i] is node i's full target set Iσ, computed once by
+	// BuildGraph for the Neighbors relation and reused by Describe's
+	// conflict-edge weights.
+	targets []*rowset.Set
 	// poolNbrs is the pool-intersection relation: j is a pool neighbor of i
 	// when the constraints' QI target pools (TargetQIRows — the rows
 	// candidate enumeration draws from) overlap. It is a superset of the
@@ -121,8 +126,8 @@ func (g *Graph) buildPoolNeighbors() {
 // BuildGraph constructs the constraint graph for the bound constraints over
 // rel, preparing candidate enumeration per node with the given options.
 func BuildGraph(rel *relation.Relation, bounds []*constraint.Bound, opts cluster.Options) *Graph {
-	g := &Graph{rel: rel, Nodes: make([]*Node, len(bounds))}
 	targets := make([]*rowset.Set, len(bounds))
+	g := &Graph{rel: rel, Nodes: make([]*Node, len(bounds)), targets: targets}
 	for i, b := range bounds {
 		targets[i] = b.TargetSet(rel)
 		g.Nodes[i] = &Node{
@@ -177,7 +182,7 @@ func (g *Graph) DescribeMapped(tr trace.Tracer, index []int) {
 				Kind:     trace.KindEdge,
 				Node:     id(n.Index),
 				N:        id(j),
-				Conflict: constraint.PairConflict(g.rel, n.Bound, g.Nodes[j].Bound),
+				Conflict: constraint.Jaccard(g.targets[n.Index], g.targets[j]),
 			})
 		}
 	}
@@ -331,13 +336,28 @@ const DefaultHeartbeatEvery = 256
 // diverse clustering SΣ and search statistics. found is false when no
 // consistent coloring exists within the step budget.
 func (g *Graph) Color(opts Options) (sigma cluster.Clustering, stats Stats, found bool) {
+	st := g.newState(opts)
+	ok := st.color()
+	// The final heartbeat carries the search's exact totals; tracers such as
+	// trace.Recorder use it to converge their running counters, and the run
+	// registry uses it to show the search's last known state.
+	st.emitProgress()
+	if !ok {
+		return nil, st.stats, false
+	}
+	return st.sigma(), st.stats, true
+}
+
+// newState prepares one search over g with opts' defaults applied. It
+// returns the state by value so Color's copy stays on the stack.
+func (g *Graph) newState(opts Options) state {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 1_000_000
 	}
 	if opts.HeartbeatEvery == 0 {
 		opts.HeartbeatEvery = DefaultHeartbeatEvery
 	}
-	st := &state{
+	st := state{
 		g:          g,
 		assigned:   make([]cluster.Clustering, len(g.Nodes)),
 		colored:    make([]bool, len(g.Nodes)),
@@ -370,16 +390,14 @@ func (g *Graph) Color(opts Options) (sigma cluster.Clustering, stats Stats, foun
 	if opts.Ctx != nil {
 		st.done = opts.Ctx.Done()
 	}
-	ok := st.color()
-	// The final heartbeat carries the search's exact totals; tracers such as
-	// trace.Recorder use it to converge their running counters, and the run
-	// registry uses it to show the search's last known state.
-	st.emitProgress()
-	stats = st.stats
-	if !ok {
-		return nil, stats, false
-	}
-	// Merge distinct clusters into SΣ.
+	return st
+}
+
+// sigma merges the assignment's distinct clusters into SΣ, in node order.
+// The rows come from the active entry, which assign sorted: a node sharing
+// an identical cluster may hold a different, unsorted slice of the same set.
+func (st *state) sigma() cluster.Clustering {
+	var sigma cluster.Clustering
 	seen := make(map[uint64]bool)
 	for _, s := range st.assigned {
 		for _, c := range s {
@@ -388,15 +406,15 @@ func (g *Graph) Color(opts Options) (sigma cluster.Clustering, stats Stats, foun
 				continue
 			}
 			seen[fp] = true
-			sigma = append(sigma, c)
+			sigma = append(sigma, st.active[fp].rows)
 		}
 	}
-	return sigma, stats, true
+	return sigma
 }
 
 // activeCluster tracks one distinct cluster currently used by the partial
 // assignment, with a reference count (several nodes may share an identical
-// cluster).
+// cluster). rows is sorted ascending (see assign).
 type activeCluster struct {
 	rows []int
 	refs int
@@ -609,7 +627,9 @@ func (st *state) sharedCandidates(node *Node) []cluster.Clustering {
 			usable = append(usable, shared{rows: ac.rows, preserved: p})
 		}
 	}
-	// Map iteration order is random; keep the search deterministic.
+	// Map iteration order is random; keep the search deterministic. Active
+	// clusters are sorted and pairwise disjoint, so rows[0] — each cluster's
+	// smallest row — is a unique key.
 	sort.Slice(usable, func(i, j int) bool { return usable[i].rows[0] < usable[j].rows[0] })
 	var out []cluster.Clustering
 	// Single shared clusters.
@@ -1025,6 +1045,10 @@ func (st *state) assign(v int, cand cluster.Clustering) {
 			ac.refs++
 			continue
 		}
+		// Candidates arrive in enumeration order; sort once, on activation.
+		// The slice belongs to this search's candidate cache (enumeration
+		// arenas are per call), so sorting in place is private to it.
+		slices.Sort(c)
 		st.active[fp] = &activeCluster{rows: c, refs: 1}
 		st.used.AddSlice(c) // incremental fingerprint update
 		for j, node := range st.g.Nodes {
