@@ -49,12 +49,14 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
 # bench-color runs the allocation-sensitive coloring benchmarks (the
-# BenchmarkColor family at the root plus the search package's coloring
-# benchmarks, including the census-scale BenchmarkColoringCensus) with
-# enough repetitions for benchstat.
+# BenchmarkColor family at the root, the search package's coloring
+# benchmarks, including the census-scale BenchmarkColoringCensus, and the
+# cluster package's enumerator construction and enumeration) with enough
+# repetitions for benchstat.
 bench-color:
 	$(GO) test -bench 'BenchmarkColorPhase' -count 5 -run '^$$' .
 	$(GO) test -bench 'BenchmarkColoring' -count 5 -run '^$$' ./internal/search/
+	$(GO) test -bench 'BenchmarkNewEnumerator|BenchmarkCandidates' -count 5 -run '^$$' ./internal/cluster/
 
 # bench-compare diffs two benchmark snapshots with benchstat:
 #

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"diva/internal/constraint"
@@ -57,6 +58,37 @@ func BenchmarkCandidatesWithExclusions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(e.Candidates(nil, used)) == 0 {
 			b.Fatal("no candidates")
+		}
+	}
+}
+
+// BenchmarkNewEnumerator prepares the enumerators of a census-scale graph —
+// 60,000 rows, proportional Σ with |Σ| = 8, k = 10, as BenchmarkColoringCensus
+// in package search — so each iteration gathers and sorts eight candidate
+// pools, thousands of rows each.
+func BenchmarkNewEnumerator(b *testing.B) {
+	const rows, k = 60000, 10
+	rel := dataset.CensusSized(rows).Generate(rows, 5)
+	sigma, err := constraint.Proportional(rel, constraint.GenOptions{
+		Count:     8,
+		K:         k,
+		Rng:       rand.New(rand.NewPCG(2, 4)),
+		UpperFrac: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bounds, err := sigma.Bind(rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bound := range bounds {
+			if NewEnumerator(rel, bound, Options{K: k}).TargetSize() == 0 {
+				b.Fatal("empty pool")
+			}
 		}
 	}
 }

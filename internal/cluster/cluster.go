@@ -12,7 +12,10 @@
 // bound, candidates are enumerated as contiguous windows over Iσ sorted by
 // QI similarity, plus pairwise compositions of disjoint windows, capped at a
 // configurable budget and ordered by increasing suppression cost so the
-// search tries cheap clusterings first.
+// search tries cheap clusterings first. The QI-similarity order is computed
+// once per constraint by stable counting passes over a compact key table of
+// the pool's QI codes, not by comparison, and every enumeration afterwards
+// reads only that table.
 //
 // The coloring search recomputes candidates as rows are claimed by other
 // constraints ("we update the candidate clusterings for their neighbors",
@@ -107,44 +110,143 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Enumerator produces candidate clusterings for one constraint. The target
-// rows are sorted once by QI similarity at construction; every Candidates
-// call filters them against the rows currently in use and enumerates windows
-// over the remainder.
+// Enumerator produces candidate clusterings for one constraint. It reads
+// the relation once, at construction: the pool rows' QI codes and target
+// matches go into a key table of its own, and the pool is sorted by QI
+// similarity with one stable counting pass per QI attribute, not by
+// comparison. Every Candidates call filters the sorted pool against the
+// rows currently in use and enumerates windows over the remainder, reading
+// only the key table.
 type Enumerator struct {
 	rel  *relation.Relation
 	b    *constraint.Bound
 	opts Options
-	qi   []int
-	// sorted is Iσ ordered lexicographically by QI code vector, so similar
-	// tuples are adjacent and contiguous windows are cheap clusters.
-	sorted []int
+	// q is the number of QI attributes; a key-table row is q+1 words wide.
+	q int
+	// pool is the rows matching the target's QI components, in row order:
+	// a cluster preserves occurrences iff it is uniform on those (mixed
+	// targets count their sensitive components per row within the
+	// cluster). Pool position p stands for row pool[p].
+	pool []int
+	// keys is the row-major key table by pool position: keys[p*(q+1)+ai] is
+	// the code of QI attribute ai in row pool[p], and keys[p*(q+1)+q] is 1
+	// iff that row holds the complete target (QI and sensitive components).
+	keys []uint32
+	// order is the pool positions sorted lexicographically by QI code
+	// vector, ties by row index, so similar tuples are adjacent and
+	// contiguous windows are cheap clusters.
+	order []int32
 }
 
 // NewEnumerator prepares candidate enumeration for b over rel.
 func NewEnumerator(rel *relation.Relation, b *constraint.Bound, opts Options) *Enumerator {
-	opts = opts.withDefaults()
-	e := &Enumerator{rel: rel, b: b, opts: opts, qi: rel.Schema().QIIndexes()}
-	// The pool is the rows matching the target's QI components: a cluster
-	// preserves occurrences iff it is uniform on those (mixed targets
-	// count their sensitive components per row within the cluster).
-	target := b.TargetQIRows(rel)
-	e.sorted = make([]int, len(target))
-	copy(e.sorted, target)
-	sort.Slice(e.sorted, func(x, y int) bool {
-		rx, ry := rel.Row(e.sorted[x]), rel.Row(e.sorted[y])
-		for _, a := range e.qi {
-			if rx[a] != ry[a] {
-				return rx[a] < ry[a]
-			}
+	qi := rel.Schema().QIIndexes()
+	q, w := len(qi), len(qi)+1
+	pool := b.TargetQIRows(rel)
+	e := &Enumerator{
+		rel:   rel,
+		b:     b,
+		opts:  opts.withDefaults(),
+		q:     q,
+		pool:  pool,
+		keys:  make([]uint32, len(pool)*w),
+		order: make([]int32, len(pool)),
+	}
+	for p, row := range pool {
+		codes, key := rel.Row(row), e.keys[p*w:(p+1)*w]
+		for ai, a := range qi {
+			key[ai] = codes[a]
 		}
-		return e.sorted[x] < e.sorted[y]
-	})
+		if b.Matches(codes) {
+			key[q] = 1
+		}
+		e.order[p] = int32(p)
+	}
+	e.sortPool(rel, qi)
 	return e
 }
 
-// TargetSize returns |Iσ|.
-func (e *Enumerator) TargetSize() int { return len(e.sorted) }
+// radixScratch is sortPool's working memory: the second buffer of the
+// ping-pong pair and the bucket counts. Instances cycle through a sync.Pool
+// so building a graph allocates only what each enumerator keeps.
+type radixScratch struct {
+	tmp   []int32
+	count []int32
+}
+
+var radixPool = sync.Pool{New: func() any { return new(radixScratch) }}
+
+// sortPool sorts e.order by the key table with one stable counting pass per
+// QI attribute, last attribute first. order starts in pool-position order,
+// which is row order, and a stable pass keeps the order of equal keys, so
+// after the pass on attribute 0 the positions are ordered by codes
+// lexicographically with row index breaking ties — the order a comparison
+// sort on (codes, row) gives. A pass costs O(m + |dom|) for m pool rows and
+// the attribute's dictionary size; a pass whose rows all hold one code is
+// skipped, since it would leave the order unchanged.
+func (e *Enumerator) sortPool(rel *relation.Relation, qi []int) {
+	m, w := len(e.order), e.q+1
+	if m < 2 {
+		return
+	}
+	rs := radixPool.Get().(*radixScratch)
+	defer radixPool.Put(rs)
+	if cap(rs.tmp) < m {
+		rs.tmp = make([]int32, m)
+	}
+	src, dst := e.order, rs.tmp[:m]
+	for ai := e.q - 1; ai >= 0; ai-- {
+		n := rel.Dict(qi[ai]).Len()
+		if cap(rs.count) < n+1 {
+			rs.count = make([]int32, n+1)
+		}
+		// count[c+1] counts code c; the prefix sums turn count[c] into the
+		// first output slot of bucket c.
+		count := rs.count[:n+1]
+		clear(count)
+		for _, p := range src {
+			count[e.keys[int(p)*w+ai]+1]++
+		}
+		if int(count[e.keys[int(src[0])*w+ai]+1]) == m {
+			continue
+		}
+		for c := 1; c <= n; c++ {
+			count[c] += count[c-1]
+		}
+		for _, p := range src {
+			c := e.keys[int(p)*w+ai]
+			dst[count[c]] = p
+			count[c]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &e.order[0] {
+		copy(e.order, src)
+	}
+}
+
+// TargetSize returns the number of rows in the candidate pool: |Iσ| for
+// targets without sensitive components, the rows matching the QI components
+// otherwise.
+func (e *Enumerator) TargetSize() int { return len(e.pool) }
+
+// Pool returns the candidate pool — the rows matching the target's QI
+// components (constraint.Bound.TargetQIRows) — in row order. The slice is
+// shared with the enumerator and must not be modified.
+func (e *Enumerator) Pool() []int { return e.pool }
+
+// TargetSet returns Iσ, the rows holding the complete target, as a bitset
+// over rel's rows. It equals the bound's TargetSet over rel, read from the
+// key table's match flags instead of a scan of rel.
+func (e *Enumerator) TargetSet() *rowset.Set {
+	s, w := rowset.New(e.rel.Len()), e.q+1
+	for p, row := range e.pool {
+		if e.keys[p*w+e.q] != 0 {
+			s.Add(row)
+		}
+	}
+	return s
+}
 
 // scored is one enumerated candidate before materialization: a window
 // [lo1, hi1) and optionally a second disjoint window (hi2 == 0 means
@@ -165,7 +267,7 @@ type scoredWindow struct {
 // the steady-state enumeration allocates only its returned clusterings.
 // Nothing in a scratch may be referenced by the returned value.
 type scratch struct {
-	avail []int
+	avail []int32
 	fm    []int
 	chg   [][]int32
 	cands []scored
@@ -251,18 +353,20 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 
-	avail := e.sorted
+	// avail is the sorted pool positions whose rows are not in use.
+	avail := e.order
 	if used != nil {
 		sc.avail = sc.avail[:0]
-		for _, row := range e.sorted {
-			if !used.Contains(row) {
-				sc.avail = append(sc.avail, row)
+		for _, p := range e.order {
+			if !used.Contains(e.pool[p]) {
+				sc.avail = append(sc.avail, p)
 			}
 		}
 		avail = sc.avail
 	}
 
-	m := len(avail)
+	m, q, w := len(avail), e.q, e.q+1
+	keyAt := func(i int) []uint32 { p := int(avail[i]) * w; return e.keys[p : p+w] }
 
 	// Prefix full-match counts: fm[i] counts rows in avail[:i] holding the
 	// complete target (QI and sensitive components). A window [lo, hi)
@@ -273,11 +377,8 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 	}
 	fm := sc.fm[:m+1]
 	fm[0] = 0
-	for i, row := range avail {
-		fm[i+1] = fm[i]
-		if e.b.Matches(e.rel.Row(row)) {
-			fm[i+1]++
-		}
+	for i := range avail {
+		fm[i+1] = fm[i] + int(keyAt(i)[q])
 	}
 	mixed := fm[m] < m
 	preserved := func(lo, hi int) int { return fm[hi] - fm[lo] }
@@ -304,34 +405,35 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 	// avail[j] and avail[j-1] differ on QI attribute a. A window [lo, hi)
 	// is uniform on a iff chg[a][hi-1] == chg[a][lo]. This makes window
 	// suppression costs O(|QI|) each after an O(m·|QI|) scan.
-	if cap(sc.chg) < len(e.qi) {
-		sc.chg = make([][]int32, len(e.qi))
+	if cap(sc.chg) < q {
+		sc.chg = make([][]int32, q)
 	}
-	chg := sc.chg[:len(e.qi)]
-	for ai, a := range e.qi {
-		col := chg[ai]
-		if cap(col) < m {
-			col = make([]int32, m)
+	chg := sc.chg[:q]
+	for ai := range chg {
+		if cap(chg[ai]) < m {
+			chg[ai] = make([]int32, m)
 		}
-		col = col[:m]
+		chg[ai] = chg[ai][:m]
 		if m > 0 {
-			col[0] = 0
+			chg[ai][0] = 0
 		}
-		for i := 1; i < m; i++ {
+	}
+	for i := 1; i < m; i++ {
+		prev, cur := keyAt(i-1), keyAt(i)
+		for ai, col := range chg {
 			col[i] = col[i-1]
-			if e.rel.Code(avail[i], a) != e.rel.Code(avail[i-1], a) {
+			if cur[ai] != prev[ai] {
 				col[i]++
 			}
 		}
-		chg[ai] = col
 	}
-	sc.chg = chg[:len(e.qi)]
+	sc.chg = chg
 	// cost of window [lo, hi): per non-uniform QI attribute the whole
 	// cluster loses that column.
 	cost := func(lo, hi int) int {
 		size := hi - lo
 		c := 0
-		for ai := range e.qi {
+		for ai := range chg {
 			if chg[ai][hi-1] != chg[ai][lo] {
 				c += size
 			}
@@ -468,9 +570,9 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 			nc = 2
 		}
 		s := ar.clustering(nc)
-		s[0] = materialize(&ar, avail, c.lo1, c.hi1)
+		s[0] = e.materialize(&ar, avail, c.lo1, c.hi1)
 		if c.hi2 > 0 {
-			s[1] = materialize(&ar, avail, c.lo2, c.hi2)
+			s[1] = e.materialize(&ar, avail, c.lo2, c.hi2)
 		}
 		if crit := e.opts.Criterion; crit != nil && !clusteringHolds(e.rel, crit, s) {
 			continue
@@ -523,11 +625,13 @@ func (e *Enumerator) baseWindows(sc *scratch, m int, cost func(lo, hi int) int) 
 	return ws
 }
 
-// materialize copies the window avail[lo:hi] into the arena, in enumeration
-// order (see Candidates).
-func materialize(ar *resultArena, avail []int, lo, hi int) []int {
+// materialize copies the rows of the window avail[lo:hi] of pool positions
+// into the arena, in enumeration order (see Candidates).
+func (e *Enumerator) materialize(ar *resultArena, avail []int32, lo, hi int) []int {
 	c := ar.rows(hi - lo)
-	copy(c, avail[lo:hi])
+	for i, p := range avail[lo:hi] {
+		c[i] = e.pool[p]
+	}
 	return c
 }
 

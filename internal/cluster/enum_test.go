@@ -1,0 +1,172 @@
+package cluster
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"strconv"
+	"testing"
+
+	"diva/internal/constraint"
+	"diva/internal/privacy"
+	"diva/internal/relation"
+	"diva/internal/rowset"
+)
+
+// diffRelation draws a relation exercising every branch of the key-table
+// enumerator: nq QI attributes with small domains and ★ cells in every QI
+// column, and two sensitive columns for mixed targets and l-diversity. When
+// derived is set, the relation is Derived from a much larger parent, so its
+// dictionaries dwarf its rows and its codes are scattered across them.
+func diffRelation(rng *rand.Rand, n, nq int, derived bool) *relation.Relation {
+	var attrs []relation.Attribute
+	for a := 0; a < nq; a++ {
+		attrs = append(attrs, relation.Attribute{Name: "Q" + strconv.Itoa(a), Role: relation.QI})
+	}
+	attrs = append(attrs,
+		relation.Attribute{Name: "S0", Role: relation.Sensitive},
+		relation.Attribute{Name: "S1", Role: relation.Sensitive})
+	rel := relation.New(relation.MustSchema(attrs...))
+	values := make([]string, nq+2)
+	if derived {
+		for i := 0; i < 4000; i++ {
+			for a := range values {
+				values[a] = "v" + strconv.Itoa(rng.IntN(3000))
+			}
+			rel.MustAppendValues(values...)
+		}
+		rel = rel.Derive()
+	}
+	domain := make([]int, nq+2)
+	for a := range domain {
+		domain[a] = 1 + rng.IntN(5)
+	}
+	for i := 0; i < n; i++ {
+		for a := range values {
+			values[a] = "v" + strconv.Itoa(rng.IntN(domain[a]))
+		}
+		row := rel.MustAppendValues(values...)
+		for a := 0; a < nq; a++ {
+			if rng.IntN(20) == 0 {
+				rel.Suppress(row, a)
+			}
+		}
+	}
+	return rel
+}
+
+// diffBound draws a bound over rel: one or two QI components, a QI and a
+// sensitive component (a mixed target), a sensitive component alone, or an
+// unseen value in either role, with bounds around the target's frequency.
+func diffBound(t *testing.T, rng *rand.Rand, rel *relation.Relation, nq int) *constraint.Bound {
+	t.Helper()
+	value := func() string {
+		if rng.IntN(8) == 0 {
+			return "unseen"
+		}
+		return "v" + strconv.Itoa(rng.IntN(5))
+	}
+	qi := "Q" + strconv.Itoa(rng.IntN(nq))
+	var c constraint.Constraint
+	switch rng.IntN(4) {
+	case 0:
+		c = constraint.NewMulti([]string{qi}, []string{value()}, 0, 0)
+	case 1:
+		other := "Q" + strconv.Itoa(rng.IntN(nq))
+		if other == qi {
+			other = "S1"
+		}
+		c = constraint.NewMulti([]string{qi, other}, []string{value(), value()}, 0, 0)
+	case 2:
+		c = constraint.NewMulti([]string{qi, "S0"}, []string{value(), value()}, 0, 0)
+	default:
+		c = constraint.NewMulti([]string{"S" + strconv.Itoa(rng.IntN(2))}, []string{value()}, 0, 0)
+	}
+	b, err := c.Bound(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := b.CountIn(rel)
+	b.Lower = rng.IntN(n + 2)
+	if rng.IntN(4) == 0 {
+		b.Lower = 0
+	}
+	b.Upper = b.Lower + rng.IntN(n+3)
+	return b
+}
+
+// usedSets returns the in-use row sets a Candidates call is checked under:
+// none, an empty set, about a third of the pool plus unrelated rows, and the
+// whole pool.
+func usedSets(rng *rand.Rand, rel *relation.Relation, pool []int) []*rowset.Set {
+	third, all := rowset.New(rel.Len()), rowset.FromSlice(rel.Len(), pool)
+	for _, row := range pool {
+		if rng.IntN(3) == 0 {
+			third.Add(row)
+		}
+	}
+	for row := 0; row < rel.Len(); row += 7 {
+		third.Add(row)
+	}
+	return []*rowset.Set{nil, rowset.New(rel.Len()), third, all}
+}
+
+// TestEnumeratorMatchesReference differentially checks the key-table
+// enumerator against the comparison-sort reference it replaced: identical
+// candidate clusterings, in identical order and with identical row order
+// inside each cluster, and identical target sizes, over random relations,
+// bounds, in-use sets, k values and an l-diversity criterion.
+func TestEnumeratorMatchesReference(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewPCG(uint64(trial), 0xe17))
+		nq := 2 + trial%3 // odd and even QI widths
+		n := rng.IntN(120)
+		if trial%10 == 0 {
+			n = 300 + rng.IntN(300)
+		}
+		rel := diffRelation(rng, n, nq, trial%4 == 3)
+		for bi := 0; bi < 4; bi++ {
+			b := diffBound(t, rng, rel, nq)
+			for _, k := range []int{1, 2, 10} {
+				for _, crit := range []privacy.Criterion{nil, privacy.DistinctLDiversity{L: 2}} {
+					opts := Options{K: k, Criterion: crit}
+					if rng.IntN(3) == 0 {
+						opts.MaxCandidates, opts.MaxWindowSizes = 1+rng.IntN(10), 1+rng.IntN(4)
+					}
+					got, want := NewEnumerator(rel, b, opts), newRefEnumerator(rel, b, opts)
+					if got.TargetSize() != want.TargetSize() {
+						t.Fatalf("trial %d %s: TargetSize %d, reference %d", trial, b, got.TargetSize(), want.TargetSize())
+					}
+					for ui, used := range usedSets(rng, rel, got.Pool()) {
+						g, w := got.Candidates(nil, used), want.Candidates(nil, used)
+						if !reflect.DeepEqual(g, w) {
+							t.Fatalf("trial %d n=%d %s k=%d crit=%v used#%d: candidates diverged from the reference\ngot:  %v\nwant: %v",
+								trial, rel.Len(), b, k, crit, ui, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEnumeratorTargetSet pins the enumerator's pool and its match-flag
+// target set — what BuildGraph and the learning path read instead of
+// rescanning the relation — to the bound's own TargetQIRows and TargetSet,
+// for random bounds including mixed, sensitive-only and unseen targets.
+func TestEnumeratorTargetSet(t *testing.T) {
+	for trial := 0; trial < 100; trial++ {
+		rng := rand.New(rand.NewPCG(uint64(trial), 0x7a5))
+		nq := 2 + trial%3
+		rel := diffRelation(rng, rng.IntN(200), nq, trial%4 == 3)
+		for bi := 0; bi < 8; bi++ {
+			b := diffBound(t, rng, rel, nq)
+			e := NewEnumerator(rel, b, Options{K: 2})
+			if got, want := e.TargetSet(), b.TargetSet(rel); !got.Equal(want) {
+				t.Fatalf("trial %d %s: TargetSet %v, bound's %v", trial, b, got.Slice(), want.Slice())
+			}
+			if got, want := e.Pool(), b.TargetQIRows(rel); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %s: Pool %v, TargetQIRows %v", trial, b, got, want)
+			}
+		}
+	}
+}

@@ -89,12 +89,12 @@ type Node struct {
 type Graph struct {
 	Nodes []*Node
 	rel   *relation.Relation
-	// targets[i] is node i's full target set Iσ, computed once by
-	// BuildGraph for the Neighbors relation and reused by Describe's
-	// conflict-edge weights.
+	// targets[i] is node i's full target set Iσ, read once by BuildGraph
+	// from the node's enumerator for the Neighbors relation and reused by
+	// Describe's conflict-edge weights.
 	targets []*rowset.Set
 	// poolNbrs is the pool-intersection relation: j is a pool neighbor of i
-	// when the constraints' QI target pools (TargetQIRows — the rows
+	// when the constraints' QI target pools (Enumerator.Pool — the rows
 	// candidate enumeration draws from) overlap. It is a superset of the
 	// Neighbors relation, which intersects the narrower full-target sets,
 	// and it is the dependency closure conflict-driven learning blames: a
@@ -110,7 +110,7 @@ type Graph struct {
 func (g *Graph) buildPoolNeighbors() {
 	pools := make([]*rowset.Set, len(g.Nodes))
 	for i, n := range g.Nodes {
-		pools[i] = rowset.FromSlice(g.rel.Len(), n.Bound.TargetQIRows(g.rel))
+		pools[i] = rowset.FromSlice(g.rel.Len(), n.Enum.Pool())
 	}
 	g.poolNbrs = make([][]int, len(g.Nodes))
 	for i := range g.Nodes {
@@ -129,12 +129,12 @@ func BuildGraph(rel *relation.Relation, bounds []*constraint.Bound, opts cluster
 	targets := make([]*rowset.Set, len(bounds))
 	g := &Graph{rel: rel, Nodes: make([]*Node, len(bounds)), targets: targets}
 	for i, b := range bounds {
-		targets[i] = b.TargetSet(rel)
 		g.Nodes[i] = &Node{
 			Index: i,
 			Bound: b,
 			Enum:  cluster.NewEnumerator(rel, b, opts),
 		}
+		targets[i] = g.Nodes[i].Enum.TargetSet()
 	}
 	for i := range g.Nodes {
 		for j := i + 1; j < len(g.Nodes); j++ {
