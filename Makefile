@@ -8,7 +8,7 @@ GO ?= go
 BENCH_OLD ?= /tmp/bench_old.txt
 BENCH_NEW ?= /tmp/bench_new.txt
 
-.PHONY: all build fmt-check vet test race bench-check bench bench-color bench-compare bench-baseline baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke nogood-smoke verify fuzz-smoke ci
+.PHONY: all build fmt-check vet test race bench-check bench bench-color bench-store bench-compare bench-baseline baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke nogood-smoke verify fuzz-smoke ci
 
 # Minimum statement coverage for the verification subsystem itself — the
 # checker that everything else leans on must stay tested.
@@ -57,6 +57,13 @@ bench-color:
 	$(GO) test -bench 'BenchmarkColorPhase' -count 5 -run '^$$' .
 	$(GO) test -bench 'BenchmarkColoring' -count 5 -run '^$$' ./internal/search/
 	$(GO) test -bench 'BenchmarkNewEnumerator|BenchmarkCandidates' -count 5 -run '^$$' ./internal/cluster/
+
+# bench-store runs the tuple-store benchmarks — chunked annotated-CSV
+# loading and the in-place rendering of a census sample's Mondrian partition
+# — with allocation counts and enough repetitions for benchstat.
+bench-store:
+	$(GO) test -bench 'BenchmarkReadAnnotatedCSV' -count 5 -run '^$$' ./internal/relation/
+	$(GO) test -bench 'BenchmarkSuppressGeneralize' -count 5 -run '^$$' ./internal/core/
 
 # bench-compare diffs two benchmark snapshots with benchstat:
 #

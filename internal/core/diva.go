@@ -153,6 +153,11 @@ type Result struct {
 	Diverse *relation.Relation
 	// Rest is Rk, the anonymization of the remaining tuples, after the
 	// Integrate repair.
+	//
+	// Output, Diverse and Rest share storage: Diverse and Rest are views
+	// (relation.Slice) of Output's first and remaining rows, so a cell
+	// written through one is seen through the others. Clone a relation
+	// before modifying it.
 	Rest *relation.Relation
 	// Clustering is SΣ.
 	Clustering cluster.Clustering
@@ -390,27 +395,28 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	}
 
 	// Suppress (Algorithm 2) on SΣ gives RΣ (generalized rendering when
-	// hierarchies are supplied).
-	diverse, rest, err := env.suppressPhase(sigmaClustering)
+	// hierarchies are supplied), the first rows of R′.
+	out, rest, err := env.suppressPhase(sigmaClustering)
 	if err != nil {
 		return finish(nil, err)
 	}
+	d := out.Len()
 
-	// Anonymize the remaining tuples with the off-the-shelf algorithm.
-	var restRel *relation.Relation
+	// Anonymize the remaining tuples with the off-the-shelf algorithm; their
+	// rendering Rk completes R′.
 	err = phase(trace.PhaseBaseline, func(c context.Context) error {
 		parts, err := opts.Anonymizer.Partition(c, rel, rest, opts.K)
 		if err != nil {
 			return fmt.Errorf("diva: anonymizing %d remaining tuples: %w", len(rest), err)
 		}
-		restRel = SuppressGeneralize(rel, parts, opts.Hierarchies)
+		suppressInto(out, rel, parts, opts.Hierarchies)
 		return nil
 	})
 	if err != nil {
 		return finish(nil, err)
 	}
 
-	return finish(env.integrateVerify(diverse, restRel, sigmaClustering))
+	return finish(env.integrateVerify(out, d, sigmaClustering))
 }
 
 // runEnv bundles the per-run state the monolithic and sharded drivers share:
@@ -428,13 +434,16 @@ type runEnv struct {
 }
 
 // suppressPhase runs the suppress phase: render RΣ from the diverse
-// clustering and compute the complement row set Rk will anonymize.
+// clustering into out, a relation presized for all of R′ (the baseline phase
+// appends Rk to it), and compute the complement row set Rk will anonymize.
 func (e *runEnv) suppressPhase(sigmaClustering cluster.Clustering) (*relation.Relation, []int, error) {
-	var diverse *relation.Relation
+	var out *relation.Relation
 	var rest []int
 	n := e.rel.Len()
 	err := e.phase(trace.PhaseSuppress, func(context.Context) error {
-		diverse = SuppressGeneralize(e.rel, sigmaClustering, e.opts.Hierarchies)
+		out = e.rel.Derive()
+		out.Grow(n)
+		suppressInto(out, e.rel, sigmaClustering, e.opts.Hierarchies)
 		used := sigmaClustering.RowSet(n)
 		rest = make([]int, 0, n-used.Len())
 		for i := 0; i < n; i++ {
@@ -444,12 +453,15 @@ func (e *runEnv) suppressPhase(sigmaClustering cluster.Clustering) (*relation.Re
 		}
 		return nil
 	})
-	return diverse, rest, err
+	return out, rest, err
 }
 
-// integrateVerify runs the integrate and verify phases over RΣ and Rk and
-// assembles the Result (finish() adds Stats and Metrics).
-func (e *runEnv) integrateVerify(diverse, restRel *relation.Relation, sigmaClustering cluster.Clustering) (*Result, error) {
+// integrateVerify runs the integrate and verify phases over R′ = out, whose
+// first d rows are RΣ and whose remaining rows are Rk, and assembles the
+// Result (finish() adds Stats and Metrics). Integrate repairs Rk through a
+// view, so its suppressions land in R′ directly.
+func (e *runEnv) integrateVerify(out *relation.Relation, d int, sigmaClustering cluster.Clustering) (*Result, error) {
+	diverse, restRel := out.Slice(0, d), out.Slice(d, out.Len())
 	var repaired int
 	err := e.phase(trace.PhaseIntegrate, func(context.Context) error {
 		var err error
@@ -459,12 +471,9 @@ func (e *runEnv) integrateVerify(diverse, restRel *relation.Relation, sigmaClust
 	if err != nil {
 		return nil, err
 	}
-	var output *relation.Relation
 	err = e.phase(trace.PhaseVerify, func(context.Context) error {
-		output = diverse.Clone()
-		output.AppendRowsFrom(restRel, allRows(restRel))
 		if e.opts.Criterion != nil {
-			if ok, group := privacy.Satisfies(output, e.opts.Criterion); !ok {
+			if ok, group := privacy.Satisfies(out, e.opts.Criterion); !ok {
 				return fmt.Errorf("diva: output QI-group of %d tuples violates %s: %w", len(group), e.opts.Criterion.Name(), ErrNoDiverseClustering)
 			}
 		}
@@ -474,7 +483,7 @@ func (e *runEnv) integrateVerify(diverse, restRel *relation.Relation, sigmaClust
 		return nil, err
 	}
 	return &Result{
-		Output:        output,
+		Output:        out,
 		Diverse:       diverse,
 		Rest:          restRel,
 		Clustering:    sigmaClustering,
@@ -488,45 +497,7 @@ func (e *runEnv) integrateVerify(diverse, restRel *relation.Relation, sigmaClust
 // suppressed. Sensitive attributes are kept verbatim. The output relation
 // shares the input's dictionaries; its rows follow cluster order.
 func Suppress(rel *relation.Relation, clusters [][]int) *relation.Relation {
-	schema := rel.Schema()
-	qi := schema.QIIndexes()
-	var ids []int
-	for i := 0; i < schema.Len(); i++ {
-		if schema.Attr(i).Role == relation.Identifier {
-			ids = append(ids, i)
-		}
-	}
-	out := rel.Derive()
-	row := make([]uint32, schema.Len())
-	for _, c := range clusters {
-		if len(c) == 0 {
-			continue
-		}
-		// Which QI attributes disagree within the cluster?
-		suppress := make([]bool, len(qi))
-		first := rel.Row(c[0])
-		for qidx, a := range qi {
-			for _, t := range c[1:] {
-				if rel.Code(t, a) != first[a] {
-					suppress[qidx] = true
-					break
-				}
-			}
-		}
-		for _, t := range c {
-			copy(row, rel.Row(t))
-			for qidx, a := range qi {
-				if suppress[qidx] {
-					row[a] = relation.StarCode
-				}
-			}
-			for _, a := range ids {
-				row[a] = relation.StarCode
-			}
-			out.AppendCodes(row)
-		}
-	}
-	return out
+	return SuppressGeneralize(rel, clusters, nil)
 }
 
 // RunBaseline anonymizes all of rel with a baseline partitioner and

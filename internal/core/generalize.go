@@ -23,6 +23,21 @@ import (
 // variant; generalized outputs satisfy the weaker ancestor-or-value
 // relation inherent to generalization.
 func SuppressGeneralize(rel *relation.Relation, clusters [][]int, hs hierarchy.Set) *relation.Relation {
+	out := rel.Derive()
+	size := 0
+	for _, c := range clusters {
+		size += len(c)
+	}
+	out.Grow(size)
+	suppressInto(out, rel, clusters, hs)
+	return out
+}
+
+// suppressInto appends the rendering of clusters (SuppressGeneralize's
+// output rows, in cluster order) to out, which must share rel's
+// dictionaries. The drivers render RΣ and then Rk into one presized out, so
+// R′ is assembled in place.
+func suppressInto(out, rel *relation.Relation, clusters [][]int, hs hierarchy.Set) {
 	schema := rel.Schema()
 	qi := schema.QIIndexes()
 	var ids []int
@@ -31,18 +46,21 @@ func SuppressGeneralize(rel *relation.Relation, clusters [][]int, hs hierarchy.S
 			ids = append(ids, i)
 		}
 	}
-	out := rel.Derive()
-	row := make([]uint32, schema.Len())
+	// Per cluster: the (attribute, code) overrides every tuple receives —
+	// the replacement of each QI attribute the cluster disagrees on, and ★
+	// for every identifier.
+	type override struct {
+		attr int
+		code uint32
+	}
+	overrides := make([]override, 0, len(qi)+len(ids))
 	for _, c := range clusters {
 		if len(c) == 0 {
 			continue
 		}
-		// Per QI attribute: the replacement code, or the attribute's own
-		// value when the cluster agrees.
-		replace := make([]uint32, len(qi))
-		needReplace := make([]bool, len(qi))
+		overrides = overrides[:0]
 		first := rel.Row(c[0])
-		for qidx, a := range qi {
+		for _, a := range qi {
 			uniform := true
 			for _, t := range c[1:] {
 				if rel.Code(t, a) != first[a] {
@@ -53,36 +71,30 @@ func SuppressGeneralize(rel *relation.Relation, clusters [][]int, hs hierarchy.S
 			if uniform {
 				continue
 			}
-			needReplace[qidx] = true
-			replace[qidx] = relation.StarCode
-			h, ok := hs.For(schema.Attr(a).Name)
-			if !ok {
-				continue
-			}
-			// LCA over the cluster's values.
-			lca := rel.Value(c[0], a)
-			for _, t := range c[1:] {
-				lca = h.LCA(lca, rel.Value(t, a))
-				if lca == relation.Star {
-					break
+			code := relation.StarCode
+			if h, ok := hs.For(schema.Attr(a).Name); ok {
+				// LCA over the cluster's values.
+				lca := rel.Value(c[0], a)
+				for _, t := range c[1:] {
+					lca = h.LCA(lca, rel.Value(t, a))
+					if lca == relation.Star {
+						break
+					}
+				}
+				if lca != relation.Star {
+					code = out.Dict(a).Code(lca)
 				}
 			}
-			if lca != relation.Star {
-				replace[qidx] = out.Dict(a).Code(lca)
-			}
+			overrides = append(overrides, override{a, code})
+		}
+		for _, a := range ids {
+			overrides = append(overrides, override{a, relation.StarCode})
 		}
 		for _, t := range c {
-			copy(row, rel.Row(t))
-			for qidx, a := range qi {
-				if needReplace[qidx] {
-					row[a] = replace[qidx]
-				}
+			row := out.Row(out.AppendCodes(rel.Row(t)))
+			for _, o := range overrides {
+				row[o.attr] = o.code
 			}
-			for _, a := range ids {
-				row[a] = relation.StarCode
-			}
-			out.AppendCodes(row)
 		}
 	}
-	return out
 }

@@ -197,17 +197,17 @@ func runSharded(ctx context.Context, e *runEnv, shards int) (*Result, error) {
 		return nil, err
 	}
 
-	diverse, rest, err := e.suppressPhase(sigmaClustering)
+	out, rest, err := e.suppressPhase(sigmaClustering)
 	if err != nil {
 		return nil, err
 	}
+	d := out.Len()
 	if len(rest) > 0 && len(rest) < opts.K {
 		// The monolithic Accept hook would have steered the search away from
 		// this clustering; redo the run with the global view.
 		return nil, errShardFallback
 	}
 
-	var restRel *relation.Relation
 	err = e.phase(trace.PhaseBaseline, func(c context.Context) error {
 		restShards := planRestShards(e.rel, rest, shards, opts.K)
 		for si, rows := range restShards {
@@ -217,14 +217,14 @@ func runSharded(ctx context.Context, e *runEnv, shards int) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("diva: anonymizing %d remaining tuples: %w", len(rest), err)
 		}
-		restRel = SuppressGeneralize(e.rel, parts, opts.Hierarchies)
+		suppressInto(out, e.rel, parts, opts.Hierarchies)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	return e.integrateVerify(diverse, restRel, sigmaClustering)
+	return e.integrateVerify(out, d, sigmaClustering)
 }
 
 // planRestShards splits the rest rows into at most want QI-local shards:

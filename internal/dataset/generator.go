@@ -37,6 +37,7 @@ func (g *Generator) Schema() *relation.Schema {
 // seeds produce equal relations.
 func (g *Generator) Generate(n int, seed uint64) *relation.Relation {
 	rel := relation.New(g.Schema())
+	rel.Grow(n)
 	g.EachRow(n, seed, func(_ int, values []string) error {
 		rel.MustAppendValues(values...)
 		return nil

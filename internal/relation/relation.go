@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -9,15 +10,21 @@ import (
 
 // Relation is a dictionary-encoded tuple store over a fixed schema.
 //
-// Rows are stored as []uint32 code vectors, one code per attribute, drawn
-// from per-attribute dictionaries. The suppression marker ★ is code 0 in
-// every dictionary. A Relation is not safe for concurrent mutation; all of
-// the anonymization algorithms in this repository treat their input relation
-// as read-only and produce fresh output relations.
+// Tuples are stored row-major in one flat code array: tuple i occupies
+// codes[i*w : i*w+w], one code per attribute in schema order (w is the
+// schema's width), drawn from per-attribute dictionaries. The suppression
+// marker ★ is code 0 in every dictionary. A Relation is not safe for
+// concurrent mutation; the anonymization algorithms in this repository
+// treat their input relation as read-only and write their outputs to
+// relations of their own.
 type Relation struct {
 	schema *Schema
 	dicts  []*Dictionary
-	rows   [][]uint32
+	codes  []uint32
+	width  int
+	// n is the tuple count, kept apart from len(codes) so a relation over
+	// a zero-attribute schema still counts its tuples.
+	n int
 
 	// num is the numeric-parse cache, shared by pointer across every
 	// relation derived from the same dictionaries.
@@ -50,6 +57,7 @@ func New(schema *Schema) *Relation {
 	r := &Relation{
 		schema: schema,
 		dicts:  make([]*Dictionary, schema.Len()),
+		width:  schema.Len(),
 		num:    &numericCache{tables: make([]atomic.Pointer[numericTable], schema.Len())},
 	}
 	for i := range r.dicts {
@@ -67,6 +75,7 @@ func (r *Relation) Derive() *Relation {
 	return &Relation{
 		schema: r.schema,
 		dicts:  r.dicts,
+		width:  r.width,
 		num:    r.num,
 	}
 }
@@ -78,20 +87,39 @@ func (r *Relation) Schema() *Schema { return r.schema }
 func (r *Relation) Dict(attr int) *Dictionary { return r.dicts[attr] }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.rows) }
+func (r *Relation) Len() int { return r.n }
+
+// Grow reserves storage for rows more tuples, so the next rows appends do
+// not reallocate.
+func (r *Relation) Grow(rows int) {
+	r.codes = slices.Grow(r.codes, rows*r.width)
+}
+
+// Slice returns the tuples [lo, hi) as a view: a relation sharing this
+// relation's dictionaries and storage. SetCode and Suppress on the view
+// write through to r (and vice versa); the view's capacity ends at hi, so
+// appending to it copies the view first and never overwrites tuple hi of r.
+func (r *Relation) Slice(lo, hi int) *Relation {
+	if lo < 0 || hi < lo || hi > r.n {
+		panic(fmt.Sprintf("relation: Slice(%d, %d) of %d tuples", lo, hi, r.n))
+	}
+	v := r.Derive()
+	v.codes = r.codes[lo*r.width : hi*r.width : hi*r.width]
+	v.n = hi - lo
+	return v
+}
 
 // AppendValues appends one tuple given as strings in schema order and
 // returns its row index.
 func (r *Relation) AppendValues(values ...string) (int, error) {
-	if len(values) != r.schema.Len() {
-		return 0, fmt.Errorf("relation: tuple has %d values, schema has %d attributes", len(values), r.schema.Len())
+	if len(values) != r.width {
+		return 0, fmt.Errorf("relation: tuple has %d values, schema has %d attributes", len(values), r.width)
 	}
-	row := make([]uint32, len(values))
 	for i, v := range values {
-		row[i] = r.dicts[i].Code(v)
+		r.codes = append(r.codes, r.dicts[i].Code(v))
 	}
-	r.rows = append(r.rows, row)
-	return len(r.rows) - 1, nil
+	r.n++
+	return r.n - 1, nil
 }
 
 // MustAppendValues is AppendValues that panics on arity mismatch.
@@ -107,32 +135,41 @@ func (r *Relation) MustAppendValues(values ...string) int {
 // The codes must have been issued by this relation's dictionaries. The row
 // slice is copied.
 func (r *Relation) AppendCodes(codes []uint32) int {
-	if len(codes) != r.schema.Len() {
-		panic(fmt.Sprintf("relation: tuple has %d codes, schema has %d attributes", len(codes), r.schema.Len()))
+	if len(codes) != r.width {
+		panic(fmt.Sprintf("relation: tuple has %d codes, schema has %d attributes", len(codes), r.width))
 	}
-	row := make([]uint32, len(codes))
-	copy(row, codes)
-	r.rows = append(r.rows, row)
-	return len(r.rows) - 1
+	r.codes = append(r.codes, codes...)
+	r.n++
+	return r.n - 1
 }
 
 // Row returns the code vector of tuple i. The returned slice aliases the
-// relation's storage; callers must not modify it unless they own the
-// relation.
-func (r *Relation) Row(i int) []uint32 { return r.rows[i] }
+// relation's storage until the relation next grows (an append may move the
+// storage, after which writes through the slice no longer reach the
+// relation); callers must not modify it unless they own the relation. Its
+// capacity ends with the tuple, so appending to it copies rather than
+// overwriting tuple i+1. It panics when i is not in [0, Len()), also when
+// spare capacity (after Grow or Truncate) lies past the last tuple.
+func (r *Relation) Row(i int) []uint32 {
+	if uint(i) >= uint(r.n) {
+		panic(rangeError{"row", i, r.n})
+	}
+	lo := i * r.width
+	return r.codes[lo : lo+r.width : lo+r.width]
+}
 
 // Code returns the code of attribute attr in tuple i.
-func (r *Relation) Code(i, attr int) uint32 { return r.rows[i][attr] }
+func (r *Relation) Code(i, attr int) uint32 { return r.Row(i)[attr] }
 
 // Value returns the string value of attribute attr in tuple i, with ★ for
 // suppressed cells.
 func (r *Relation) Value(i, attr int) string {
-	return r.dicts[attr].Value(r.rows[i][attr])
+	return r.dicts[attr].Value(r.Code(i, attr))
 }
 
 // Values returns tuple i rendered as strings in schema order.
 func (r *Relation) Values(i int) []string {
-	row := r.rows[i]
+	row := r.Row(i)
 	out := make([]string, len(row))
 	for a, c := range row {
 		out[a] = r.dicts[a].Value(c)
@@ -141,39 +178,37 @@ func (r *Relation) Values(i int) []string {
 }
 
 // SetCode overwrites the code of attribute attr in tuple i.
-func (r *Relation) SetCode(i, attr int, code uint32) { r.rows[i][attr] = code }
+func (r *Relation) SetCode(i, attr int, code uint32) { r.Row(i)[attr] = code }
 
 // Suppress replaces the cell (i, attr) with the suppression marker.
-func (r *Relation) Suppress(i, attr int) { r.rows[i][attr] = StarCode }
+func (r *Relation) Suppress(i, attr int) { r.SetCode(i, attr, StarCode) }
 
 // IsSuppressed reports whether cell (i, attr) holds the suppression marker.
-func (r *Relation) IsSuppressed(i, attr int) bool { return r.rows[i][attr] == StarCode }
+func (r *Relation) IsSuppressed(i, attr int) bool { return r.Code(i, attr) == StarCode }
 
 // Truncate discards all tuples, keeping the schema, dictionaries and row
 // storage capacity. It lets enumeration loops (e.g. the brute-force verifier)
 // rebuild candidate outputs without reallocating; codes already issued stay
 // valid.
-func (r *Relation) Truncate() { r.rows = r.rows[:0] }
+func (r *Relation) Truncate() { r.codes, r.n = r.codes[:0], 0 }
 
 // Clone returns a deep copy of the relation: dictionaries are shared (they
-// are append-only), rows are copied.
+// are append-only), the code array is copied.
 func (r *Relation) Clone() *Relation {
 	nr := r.Derive()
-	nr.rows = make([][]uint32, len(r.rows))
-	for i, row := range r.rows {
-		nrow := make([]uint32, len(row))
-		copy(nrow, row)
-		nr.rows[i] = nrow
-	}
+	nr.codes = slices.Clone(r.codes)
+	nr.n = r.n
 	return nr
 }
 
 // AppendRowsFrom appends copies of the given rows (by index) of src, which
 // must share dictionaries with r (i.e. one must derive from the other).
 func (r *Relation) AppendRowsFrom(src *Relation, rows []int) {
+	r.Grow(len(rows))
 	for _, i := range rows {
-		r.AppendCodes(src.rows[i])
+		r.codes = append(r.codes, src.Row(i)...)
 	}
+	r.n += len(rows)
 }
 
 // NumericValue returns the numeric interpretation of code for a numeric
@@ -219,8 +254,7 @@ func (nc *numericCache) grow(attr int, d *Dictionary) *numericTable {
 // attr over the given rows (all rows if rows is nil), ignoring suppressed
 // and non-numeric cells. ok is false when no numeric value is present.
 func (r *Relation) NumericRange(attr int, rows []int) (lo, hi float64, ok bool) {
-	scan := func(i int) {
-		c := r.rows[i][attr]
+	scan := func(c uint32) {
 		if c == StarCode {
 			return
 		}
@@ -240,12 +274,13 @@ func (r *Relation) NumericRange(attr int, rows []int) (lo, hi float64, ok bool) 
 		}
 	}
 	if rows == nil {
-		for i := range r.rows {
-			scan(i)
+		r.checkAttr(attr)
+		for p := attr; p < len(r.codes); p += r.width {
+			scan(r.codes[p])
 		}
 	} else {
 		for _, i := range rows {
-			scan(i)
+			scan(r.Code(i, attr))
 		}
 	}
 	return lo, hi, ok
@@ -253,20 +288,43 @@ func (r *Relation) NumericRange(attr int, rows []int) (lo, hi float64, ok bool) 
 
 // Count returns the number of tuples whose attribute attr holds code.
 func (r *Relation) Count(attr int, code uint32) int {
+	r.checkAttr(attr)
 	n := 0
-	for _, row := range r.rows {
-		if row[attr] == code {
+	for p := attr; p < len(r.codes); p += r.width {
+		if r.codes[p] == code {
 			n++
 		}
 	}
 	return n
 }
 
+// checkAttr panics when attr is not an attribute position. The strided
+// column scans need it: past the last attribute they would read the next
+// tuple's columns rather than fail.
+func (r *Relation) checkAttr(attr int) {
+	if uint(attr) >= uint(r.width) {
+		panic(rangeError{"attribute", attr, r.width})
+	}
+}
+
+// rangeError is the panic value for a tuple or attribute index outside
+// [0, n). Row and Code panic with a value rather than format a message, so
+// that they stay small enough to inline.
+type rangeError struct {
+	what string
+	i, n int
+}
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("relation: %s %d out of range [0, %d)", e.what, e.i, e.n)
+}
+
 // CountMatch returns the number of tuples matching all (attr, code) pairs.
 func (r *Relation) CountMatch(attrs []int, codes []uint32) int {
 	n := 0
-	for _, row := range r.rows {
-		if rowMatches(row, attrs, codes) {
+	w, data := r.width, r.codes
+	for i, lo := 0, 0; i < r.n; i, lo = i+1, lo+w {
+		if rowMatches(data[lo:lo+w:lo+w], attrs, codes) {
 			n++
 		}
 	}
@@ -277,8 +335,9 @@ func (r *Relation) CountMatch(attrs []int, codes []uint32) int {
 // pairs, in row order.
 func (r *Relation) MatchingRows(attrs []int, codes []uint32) []int {
 	var out []int
-	for i, row := range r.rows {
-		if rowMatches(row, attrs, codes) {
+	w, data := r.width, r.codes
+	for i, lo := 0, 0; i < r.n; i, lo = i+1, lo+w {
+		if rowMatches(data[lo:lo+w:lo+w], attrs, codes) {
 			out = append(out, i)
 		}
 	}
@@ -313,7 +372,7 @@ func (r *Relation) GroupBy(attrs []int, rows []int) [][]int {
 	byKey := make(map[string]int)
 	var groups [][]int
 	add := func(i int) {
-		key := groupKey(r.rows[i], attrs)
+		key := groupKey(r.Row(i), attrs)
 		g, ok := byKey[key]
 		if !ok {
 			g = len(groups)
@@ -323,7 +382,7 @@ func (r *Relation) GroupBy(attrs []int, rows []int) [][]int {
 		groups[g] = append(groups[g], i)
 	}
 	if rows == nil {
-		for i := range r.rows {
+		for i := 0; i < r.n; i++ {
 			add(i)
 		}
 	} else {
@@ -344,8 +403,8 @@ func (r *Relation) QIGroups() [][]int {
 // combinations over the given attributes.
 func (r *Relation) DistinctCount(attrs []int) int {
 	seen := make(map[string]struct{})
-	for _, row := range r.rows {
-		seen[groupKey(row, attrs)] = struct{}{}
+	for i := 0; i < r.n; i++ {
+		seen[groupKey(r.Row(i), attrs)] = struct{}{}
 	}
 	return len(seen)
 }
@@ -354,16 +413,17 @@ func (r *Relation) DistinctCount(attrs []int) int {
 // number of tuples holding that code (the suppression marker included if
 // present).
 func (r *Relation) ValueFrequencies(attr int) map[uint32]int {
+	r.checkAttr(attr)
 	freq := make(map[uint32]int)
-	for _, row := range r.rows {
-		freq[row[attr]]++
+	for p := attr; p < len(r.codes); p += r.width {
+		freq[r.codes[p]]++
 	}
 	return freq
 }
 
 // SameOn reports whether tuples i and j agree on every attribute in attrs.
 func (r *Relation) SameOn(i, j int, attrs []int) bool {
-	ri, rj := r.rows[i], r.rows[j]
+	ri, rj := r.Row(i), r.Row(j)
 	for _, a := range attrs {
 		if ri[a] != rj[a] {
 			return false

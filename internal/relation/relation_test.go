@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"bytes"
 	"diva/internal/testutil"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -379,6 +381,223 @@ func TestGroupByPartitionProperty(t *testing.T) {
 		}
 		if len(seen) != n {
 			t.Fatalf("groups cover %d of %d rows", len(seen), n)
+		}
+	}
+}
+
+// The tests below pin the storage contract of the flat row-major layout.
+
+func TestRowAppendLeavesNextTupleUntouched(t *testing.T) {
+	r := testRelation(t)
+	next := slices.Clone(r.Row(1))
+	row := r.Row(0)
+	grown := append(row, 99)
+	if !slices.Equal(r.Row(1), next) {
+		t.Fatalf("appending to Row(0) overwrote tuple 1: %v, want %v", r.Row(1), next)
+	}
+	if len(grown) != len(row)+1 || grown[len(row)] != 99 {
+		t.Fatalf("append result %v", grown)
+	}
+}
+
+func TestRowSeesSetCodeAndSuppress(t *testing.T) {
+	r := testRelation(t)
+	row := r.Row(2)
+	female := r.Code(1, 0)
+	r.SetCode(2, 0, female)
+	r.Suppress(2, 2)
+	if row[0] != female || row[2] != StarCode {
+		t.Fatalf("earlier Row slice missed the writes: %v", row)
+	}
+}
+
+func TestSliceViewWritesThrough(t *testing.T) {
+	r := testRelation(t)
+	v := r.Slice(1, 3)
+	if v.Len() != 2 || !slices.Equal(v.Row(0), r.Row(1)) || !slices.Equal(v.Row(1), r.Row(2)) {
+		t.Fatalf("Slice(1, 3) = %v / %v", v.Values(0), v.Values(1))
+	}
+	if v.Dict(0) != r.Dict(0) {
+		t.Fatal("view does not share dictionaries")
+	}
+	v.Suppress(1, 0)
+	if !r.IsSuppressed(2, 0) {
+		t.Fatal("Suppress on the view did not reach the parent")
+	}
+	r.SetCode(1, 2, StarCode)
+	if !v.IsSuppressed(0, 2) {
+		t.Fatal("SetCode on the parent is not visible through the view")
+	}
+	if got := v.Count(0, StarCode); got != 1 {
+		t.Fatalf("view Count(★) = %d, want 1", got)
+	}
+
+	after := slices.Clone(r.Row(3))
+	v.MustAppendValues("F", "60", "Calgary", "Flu")
+	if !slices.Equal(r.Row(3), after) {
+		t.Fatalf("appending to the view overwrote parent tuple 3: %v", r.Values(3))
+	}
+	if v.Len() != 3 || r.Len() != 5 || v.Value(2, 1) != "60" {
+		t.Fatalf("after append: view %d rows, parent %d rows", v.Len(), r.Len())
+	}
+	// The append copied the view: it no longer writes through.
+	v.Suppress(0, 0)
+	if r.IsSuppressed(1, 0) {
+		t.Fatal("view still aliases the parent after an append")
+	}
+}
+
+func TestSliceBounds(t *testing.T) {
+	r := testRelation(t)
+	if e := r.Slice(5, 5); e.Len() != 0 || e.DistinctCount(r.Schema().QIIndexes()) != 0 {
+		t.Fatalf("empty view has %d rows", e.Len())
+	}
+	for _, b := range [][2]int{{-1, 2}, {3, 2}, {0, 6}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Slice(%d, %d) did not panic", b[0], b[1])
+				}
+			}()
+			r.Slice(b[0], b[1])
+		}()
+	}
+}
+
+func TestGrowKeepsStorageInPlace(t *testing.T) {
+	const k = 100
+	r := New(testSchema())
+	r.Grow(k)
+	r.MustAppendValues("M", "30", "Calgary", "Flu")
+	first := &r.Row(0)[0]
+	for i := 1; i < k; i++ {
+		r.MustAppendValues("F", strconv.Itoa(i), "Toronto", "Cold")
+		if &r.Row(0)[0] != first {
+			t.Fatalf("append %d after Grow(%d) moved the storage", i, k)
+		}
+	}
+	if r.Len() != k {
+		t.Fatalf("Len = %d, want %d", r.Len(), k)
+	}
+}
+
+func TestZeroAttributeSchemaCountsRows(t *testing.T) {
+	r := New(MustSchema())
+	r.MustAppendValues()
+	r.MustAppendValues()
+	r.AppendCodes(nil)
+	if r.Len() != 3 || len(r.Row(2)) != 0 {
+		t.Fatalf("Len = %d, len(Row(2)) = %d", r.Len(), len(r.Row(2)))
+	}
+	if got := r.CountMatch(nil, nil); got != 3 {
+		t.Fatalf("CountMatch = %d, want 3", got)
+	}
+	if got := r.QIGroups(); len(got) != 1 || len(got[0]) != 3 {
+		t.Fatalf("QIGroups = %v", got)
+	}
+	if r.Clone().Len() != 3 || r.Slice(1, 3).Len() != 2 {
+		t.Fatal("Clone or Slice lost the row count")
+	}
+	d := r.Derive()
+	d.AppendRowsFrom(r, []int{0, 2})
+	if d.Len() != 2 {
+		t.Fatalf("AppendRowsFrom: Len = %d, want 2", d.Len())
+	}
+}
+
+func TestTruncateThenAppend(t *testing.T) {
+	r := testRelation(t)
+	r.Truncate()
+	if r.Len() != 0 || r.CountMatch(nil, nil) != 0 {
+		t.Fatalf("Truncate left %d rows", r.Len())
+	}
+	r.MustAppendValues("F", "40", "Toronto", "Cold")
+	r.MustAppendValues("M", "50", "Calgary", "Flu")
+	if r.Len() != 2 || !reflect.DeepEqual(r.Values(1), []string{"M", "50", "Calgary", "Flu"}) {
+		t.Fatalf("after Truncate and appends: %d rows, %v", r.Len(), r.Values(1))
+	}
+	cold, _ := r.Dict(3).Lookup("Cold")
+	if got := r.Count(3, cold); got != 1 {
+		t.Fatalf("Count(Cold) = %d, want 1", got)
+	}
+}
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestOutOfRangeTuplePanics checks that an index past the last tuple panics
+// even when spare capacity lies there, after Grow or Truncate.
+func TestOutOfRangeTuplePanics(t *testing.T) {
+	grown := testRelation(t)
+	grown.Grow(4)
+	truncated := testRelation(t)
+	truncated.Truncate()
+	zero := New(MustSchema())
+	zero.MustAppendValues()
+	for name, r := range map[string]*Relation{"grown": grown, "truncated": truncated, "zero-width": zero} {
+		n := r.Len()
+		mustPanic(t, name+" Row(Len())", func() { r.Row(n) })
+		mustPanic(t, name+" Row(-1)", func() { r.Row(-1) })
+		if r.Schema().Len() == 0 {
+			continue
+		}
+		mustPanic(t, name+" Code(Len(), 0)", func() { r.Code(n, 0) })
+		mustPanic(t, name+" SetCode(Len(), 0, ★)", func() { r.SetCode(n, 0, StarCode) })
+		mustPanic(t, name+" Suppress(Len(), 0)", func() { r.Suppress(n, 0) })
+		mustPanic(t, name+" IsSuppressed(Len(), 0)", func() { r.IsSuppressed(n, 0) })
+	}
+}
+
+// TestColumnScanRejectsBadAttribute checks that the strided column scans
+// panic on an attribute past the schema rather than read another column.
+func TestColumnScanRejectsBadAttribute(t *testing.T) {
+	r := testRelation(t)
+	w := r.Schema().Len()
+	mustPanic(t, "Count", func() { r.Count(w, 1) })
+	mustPanic(t, "ValueFrequencies", func() { r.ValueFrequencies(w) })
+	mustPanic(t, "NumericRange(nil rows)", func() { r.NumericRange(w, nil) })
+	mustPanic(t, "NumericRange(rows)", func() { r.NumericRange(w, []int{0}) })
+	mustPanic(t, "Count(-1)", func() { r.Count(-1, 1) })
+}
+
+// TestReadAllMatchesAppendValues checks the chunked ReadAll against a
+// row-by-row build, codes and dictionaries included, around the chunk
+// boundary.
+func TestReadAllMatchesAppendValues(t *testing.T) {
+	for _, n := range []int{0, 1, readAllChunk - 1, readAllChunk, readAllChunk + 1, 20000} {
+		src := benchRelation(n)
+		var buf bytes.Buffer
+		if err := WriteAnnotatedCSV(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadAnnotatedCSV(&buf)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want := New(got.Schema())
+		for i := 0; i < n; i++ {
+			want.MustAppendValues(src.Values(i)...)
+		}
+		if got.Len() != n {
+			t.Fatalf("n=%d: ReadAll read %d rows", n, got.Len())
+		}
+		for i := 0; i < n; i++ {
+			if !slices.Equal(got.Row(i), want.Row(i)) {
+				t.Fatalf("n=%d: row %d codes %v, want %v", n, i, got.Row(i), want.Row(i))
+			}
+		}
+		for a := 0; a < got.Schema().Len(); a++ {
+			if !slices.Equal(got.Dict(a).Values(), want.Dict(a).Values()) {
+				t.Fatalf("n=%d: dictionary %d differs", n, a)
+			}
 		}
 	}
 }

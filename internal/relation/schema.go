@@ -8,7 +8,8 @@
 // replaced by the suppression marker ★. To make frequency counting and
 // QI-group detection cheap on relations with hundreds of thousands of
 // tuples, every attribute owns a dictionary mapping attribute values to
-// dense uint32 codes; tuples are stored as []uint32 rows. Code 0 is
+// dense uint32 codes, and a relation's tuples live row-major in one flat
+// []uint32 code array (Row returns a capped view of one tuple). Code 0 is
 // reserved for ★ in every dictionary.
 package relation
 

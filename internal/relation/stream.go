@@ -145,20 +145,33 @@ func (s *CSVStream) ReadChunk(maxRows int) (*Relation, error) {
 	return chunk, nil
 }
 
-// ReadAll drains the stream into its base relation and returns it.
+// readAllChunk is the chunk size ReadAll drains the stream in.
+const readAllChunk = 8192
+
+// ReadAll drains the stream into its base relation and returns it. The
+// tuples are read in bounded chunks and copied into the base relation once,
+// at their final size, rather than through the doubling growth of one array
+// as large as the relation.
 func (s *CSVStream) ReadAll() (*Relation, error) {
+	var chunks []*Relation
+	rows := 0
 	for {
-		vals, err := s.Next()
+		chunk, err := s.ReadChunk(readAllChunk)
 		if err == io.EOF {
-			return s.base, nil
+			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.base.AppendValues(vals...); err != nil {
-			return nil, fmt.Errorf("relation: CSV line %d: %w", s.line, err)
-		}
+		chunks = append(chunks, chunk)
+		rows += chunk.Len()
 	}
+	s.base.Grow(rows)
+	for _, c := range chunks {
+		s.base.codes = append(s.base.codes, c.codes...)
+		s.base.n += c.n
+	}
+	return s.base, nil
 }
 
 // LoadCSVStream reads CSV data row by row, invoking fn with each tuple's
