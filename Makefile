@@ -262,12 +262,16 @@ profile-smoke:
 # dataset fingerprint), `divahist diff` confirming the pair compares as
 # noise, `divahist gate` passing on the honest ledger, and — after awk
 # inflates the last record's coloring phase to 9s, far past the noise
-# floor — the gate exiting non-zero.
+# floor — the gate exiting non-zero. Finally a small divabench run writes a
+# bench snapshot and its ledger record: the table's phase_seconds (summed
+# from the diva_phase_duration_seconds histograms) must show coloring time,
+# and `divahist gate -baseline` must pass the ledger against the snapshot.
 history-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/diva ./cmd/diva; \
 	$(GO) build -o $$tmp/divahist ./cmd/divahist; \
+	$(GO) build -o $$tmp/divabench ./cmd/divabench; \
 	$$tmp/diva -in testdata/patients.csv -constraints testdata/patients.sigma \
 		-k 2 -seed 42 -verify -history-dir $$tmp/hist >$$tmp/a.csv || { \
 		echo "history-smoke: first ledgered run failed"; exit 1; }; \
@@ -299,7 +303,18 @@ history-smoke:
 	grep -q 'regression' $$tmp/gate-bad.txt || { \
 		echo "history-smoke: failing gate did not name the regression:"; \
 		cat $$tmp/gate-bad.txt; exit 1; }; \
-	echo "history-smoke: ok (2 ledgered runs, diff noise-clean, gate trips on inflated color phase)"
+	$$tmp/divabench -exp fig4a -scale 0.01 -quiet -bench-out $$tmp/b.json \
+		-history-dir $$tmp/hb >$$tmp/bench.txt || { \
+		echo "history-smoke: divabench failed"; cat $$tmp/bench.txt; exit 1; }; \
+	awk '/"phase_seconds"/ {in_ps = 1} \
+		in_ps && /"color":/ {v = $$2; sub(/,$$/, "", v); if (v + 0 > 0) ok = 1} \
+		in_ps && /}/ {in_ps = 0} END {exit !ok}' $$tmp/b.json || { \
+		echo "history-smoke: bench table has no positive phase_seconds.color:"; \
+		cat $$tmp/b.json; exit 1; }; \
+	$$tmp/divahist -dir $$tmp/hb gate -baseline $$tmp/b.json >$$tmp/gate-bench.txt || { \
+		echo "history-smoke: gate failed on the bench ledger vs its own snapshot:"; \
+		cat $$tmp/gate-bench.txt; exit 1; }; \
+	echo "history-smoke: ok (2 ledgered runs, diff noise-clean, gate trips on inflated color phase, bench snapshot gates clean)"
 
 # nogood-smoke exercises conflict-driven nogood learning at the CLI level: a
 # dense-conflict census fixture (testdata/census-dense.sigma — four

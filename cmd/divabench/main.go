@@ -15,9 +15,9 @@
 // text mode the same breakdown appears as a note under each table.
 //
 // -bench-out writes a BENCH_*.json snapshot — the reproduction command, the
-// harness configuration, and every table with its phase seconds and engine
-// counter deltas — the format the repo's BENCH_* trajectory files use for
-// cross-PR performance comparisons. When a run-history ledger is configured
+// harness configuration, and every table with its phase seconds — the
+// format the repo's BENCH_* trajectory files use for cross-commit performance
+// comparisons. When a run-history ledger is configured
 // (-history-dir, default $DIVA_HISTORY_DIR), the same tables also append to
 // it as one record per experiment, putting the bench trajectory on the
 // ledger `divahist diff`/`gate` compare.
@@ -31,10 +31,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"diva/internal/bench"
 	"diva/internal/history"
+	"diva/internal/obs"
 	"diva/internal/trace"
 )
 
@@ -49,7 +49,7 @@ func main() {
 		csvOut   = flag.Bool("csv", false, "emit CSV series instead of aligned text")
 		jsonOut  = flag.Bool("json", false, "emit one JSON document with every table and its phase breakdown")
 		outDir   = flag.String("out", "", "additionally write one <id>.csv per experiment into this directory")
-		benchOut = flag.String("bench-out", "", "write a BENCH_*.json snapshot (every table with its phase seconds and engine counter deltas) to this file")
+		benchOut = flag.String("bench-out", "", "write a BENCH_*.json snapshot (every table with its phase seconds) to this file")
 		histDir  = flag.String("history-dir", os.Getenv(history.EnvDir), "with -bench-out, additionally append one record per table to the run-history ledger in this directory (default $DIVA_HISTORY_DIR)")
 		quiet    = flag.Bool("quiet", false, "suppress per-point progress on stderr")
 	)
@@ -88,26 +88,25 @@ func main() {
 		// The engine folds every run's phase timings into the process-wide
 		// metrics registry; the delta across e.Run is this experiment's
 		// phase breakdown.
-		before := trace.GlobalTotals()
+		before := obs.PhaseSeconds()
 		table, err := e.Run(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "divabench: %s: %v\n", e.ID, err)
 			exit = 1
 			continue
 		}
-		phases := trace.PhaseSecondsSince(before)
+		phases := make(map[trace.Phase]float64)
+		for ph, s := range obs.PhaseSeconds() {
+			if d := s - before[ph]; d > 0 {
+				phases[ph] = d
+			}
+		}
 		if len(phases) > 0 {
 			table.PhaseSeconds = make(map[string]float64, len(phases))
 			for ph, s := range phases {
 				table.PhaseSeconds[string(ph)] = s
 			}
 			table.Notes = append(table.Notes, "engine phases: "+trace.FormatPhaseSeconds(phases))
-		}
-		// Per-config engine counters: the registry delta across this
-		// experiment (runs, search effort, candidate-cache traffic).
-		delta := trace.GlobalTotals().Delta(before)
-		if delta.Runs > 0 {
-			table.Engine = &delta
 		}
 		if collect {
 			tables = append(tables, table)
@@ -146,9 +145,8 @@ func main() {
 }
 
 // benchSnapshot is the BENCH_*.json schema: the reproduction command, the
-// harness configuration, and every table with its per-phase seconds and
-// engine counter deltas — the bench trajectory a later PR's snapshot is
-// compared against.
+// harness configuration, and every table with its per-phase seconds — the
+// bench trajectory a later snapshot is compared against.
 type benchSnapshot struct {
 	Description string         `json:"description"`
 	Command     string         `json:"command"`
@@ -191,18 +189,9 @@ func appendHistory(dir string, cfg bench.Config, tables []*bench.Table) error {
 		return err
 	}
 	for _, tbl := range tables {
-		if len(tbl.PhaseSeconds) == 0 {
+		m := tbl.PhaseMetrics()
+		if m == nil {
 			continue
-		}
-		m := &trace.RunMetrics{Accuracy: -1}
-		for _, ph := range trace.Phases() {
-			sec, ok := tbl.PhaseSeconds[string(ph)]
-			if !ok {
-				continue
-			}
-			d := time.Duration(sec * float64(time.Second))
-			m.Phases = append(m.Phases, trace.PhaseTiming{Phase: ph, Duration: d})
-			m.Total += d
 		}
 		rec := &history.Record{
 			Outcome: "ok",

@@ -44,7 +44,6 @@ import (
 
 	"diva/internal/bench"
 	"diva/internal/history"
-	"diva/internal/trace"
 )
 
 func main() {
@@ -352,20 +351,8 @@ func benchSnapshotRecords(data []byte, name string) ([]*history.Record, error) {
 	}
 	var out []*history.Record
 	for _, tbl := range snap.Tables {
-		if len(tbl.PhaseSeconds) == 0 {
-			continue
-		}
-		m := &trace.RunMetrics{}
-		for _, ph := range trace.Phases() {
-			sec, ok := tbl.PhaseSeconds[string(ph)]
-			if !ok {
-				continue
-			}
-			d := time.Duration(sec * float64(time.Second))
-			m.Phases = append(m.Phases, trace.PhaseTiming{Phase: ph, Duration: d})
-			m.Total += d
-		}
-		if len(m.Phases) == 0 {
+		m := tbl.PhaseMetrics()
+		if m == nil {
 			continue
 		}
 		out = append(out, &history.Record{

@@ -32,10 +32,7 @@
 // at search-step granularity (the coloring) and split granularity (the
 // baseline partitioners), returning an error wrapping both ErrCanceled and
 // the context's own error; the Result returned alongside it is non-nil and
-// carries the partial RunMetrics. Anonymize and AnonymizeBaseline are
-// deprecated thin wrappers over context.Background() kept for existing
-// callers — migrating is a mechanical ctx-first argument insertion, no
-// other call-site change.
+// carries the partial RunMetrics.
 //
 // # Baseline partitioners
 //
@@ -55,10 +52,10 @@
 // events, candidate-cache hits and the portfolio's winning worker stream as
 // typed Events. NewWriterTracer renders them as text; any Tracer
 // implementation works. Whether or not a tracer is set, every Result
-// carries aggregated RunMetrics (per-phase wall times, step/backtrack
-// counts, cache statistics), each phase runs under a runtime/pprof
-// "diva_phase" label, and process-wide totals accumulate in expvar under
-// the "diva." prefix.
+// carries RunMetrics (per-phase wall times, step/backtrack counts, cache
+// statistics) and each phase runs under a runtime/pprof "diva_phase"
+// label. Process-wide totals are Prometheus metrics (internal/obs), served
+// at /metrics by cmd/diva -listen.
 package diva
 
 import (
@@ -170,8 +167,8 @@ type (
 	RunMetrics = trace.RunMetrics
 	// PhaseTiming is one phase's measured wall time.
 	PhaseTiming = trace.PhaseTiming
-	// Recorder is a goroutine-safe Tracer aggregating a run's events into
-	// a RunMetrics.
+	// Recorder is a goroutine-safe Tracer rebuilding a run's RunMetrics
+	// from its events.
 	Recorder = trace.Recorder
 )
 
@@ -288,10 +285,10 @@ func CompareHistory(old, new []*HistoryRecord, t HistoryThresholds) *HistoryRepo
 // dashboards: "ok", "canceled", "infeasible" or "error".
 func RunOutcome(err error) string { return core.RunOutcome(err) }
 
-// NewRecorder returns a Recorder. Feed it to Options.Tracer to aggregate a
-// run's events independently of the engine's own Result.Metrics; the two
-// end up identical (the final search heartbeat carries the authoritative
-// counters, in sequential and portfolio mode alike).
+// NewRecorder returns a Recorder. Fed to Options.Tracer, it rebuilds the
+// run's phases, search counters, shard plan and portfolio winner from the
+// event stream alone, matching Result.Metrics on those fields (the final
+// search heartbeat carries the exact counters, in every execution mode).
 func NewRecorder() *Recorder { return trace.NewRecorder() }
 
 // NewSchema builds a schema from attributes; names must be unique.
@@ -553,17 +550,6 @@ func AnonymizeContext(ctx context.Context, rel *Relation, sigma Constraints, opt
 	})
 }
 
-// Anonymize runs DIVA without cancellation.
-//
-// Deprecated: use AnonymizeContext, which cancels the run at search-step
-// and split granularity and reports partial metrics on abort; pass
-// context.Background() for the exact behavior of this function. Anonymize
-// is kept so existing callers compile, and is exercised only by its own
-// compatibility tests.
-func Anonymize(rel *Relation, sigma Constraints, opts Options) (*Result, error) {
-	return AnonymizeContext(context.Background(), rel, sigma, opts)
-}
-
 // NewIntervalHierarchy builds a numeric generalization hierarchy over
 // [lo, hi]: level ℓ groups values into intervals of width base^ℓ, topped by
 // ★. See the hierarchy package for details.
@@ -609,16 +595,6 @@ func AnonymizeBaselineContext(ctx context.Context, rel *Relation, baseline Basel
 		}
 	}
 	return core.RunBaseline(ctx, rel, p, opts.K, opts.Tracer)
-}
-
-// AnonymizeBaseline runs a classical k-anonymizer without cancellation.
-//
-// Deprecated: use AnonymizeBaselineContext, which cancels the partitioner
-// at split granularity; pass context.Background() for the exact behavior
-// of this function. AnonymizeBaseline is kept so existing callers compile,
-// and is exercised only by its own compatibility tests.
-func AnonymizeBaseline(rel *Relation, baseline Baseline, opts Options) (*Relation, error) {
-	return AnonymizeBaselineContext(context.Background(), rel, baseline, opts)
 }
 
 // UnknownBaselineError reports an unrecognized baseline name.

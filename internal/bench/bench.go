@@ -115,11 +115,27 @@ type Table struct {
 	// breakdown accumulated while the experiment ran (from the process-wide
 	// metrics registry), keyed by phase name.
 	PhaseSeconds map[string]float64 `json:"phase_seconds,omitempty"`
-	// Engine, when set by the caller, is the delta of the process-wide
-	// engine counters (runs, steps, backtracks, candidate-cache traffic)
-	// bracketing this experiment — the per-config metrics snapshot emitted
-	// into divabench's JSON output.
-	Engine *trace.Totals `json:"engine,omitempty"`
+}
+
+// PhaseMetrics converts the table's PhaseSeconds into the RunMetrics of a
+// run-history record: one PhaseTiming per known phase in execution order,
+// Total their sum, and Accuracy −1 (a table publishes no relation). It
+// returns nil when the table carries no known phase.
+func (t *Table) PhaseMetrics() *trace.RunMetrics {
+	m := &trace.RunMetrics{Accuracy: -1}
+	for _, ph := range trace.Phases() {
+		sec, ok := t.PhaseSeconds[string(ph)]
+		if !ok {
+			continue
+		}
+		d := time.Duration(sec * float64(time.Second))
+		m.Phases = append(m.Phases, trace.PhaseTiming{Phase: ph, Duration: d})
+		m.Total += d
+	}
+	if len(m.Phases) == 0 {
+		return nil
+	}
+	return m
 }
 
 // Print renders the table as aligned text.

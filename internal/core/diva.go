@@ -133,8 +133,8 @@ type Options struct {
 	Hierarchies hierarchy.Set
 	// Tracer, when non-nil, receives the run's typed events: phase
 	// boundaries, per-node search activity, candidate-cache hits and
-	// portfolio outcomes. The engine always aggregates the same events into
-	// Result.Metrics regardless.
+	// portfolio outcomes. Result.Metrics does not depend on it: the engine
+	// builds the metrics from its own phase timings and search statistics.
 	Tracer trace.Tracer
 	// HistoryDir, when non-empty, appends one history.Record per run (every
 	// outcome, not just success) to the run ledger rooted there. Empty falls
@@ -165,11 +165,12 @@ type Result struct {
 	Stats search.Stats
 	// RepairedCells counts QI cells additionally suppressed by Integrate.
 	RepairedCells int
-	// Metrics aggregates the run's observability data: per-phase wall
-	// times, search effort, candidate-cache effectiveness and the portfolio
-	// outcome. It is non-nil on success and on the ErrNoDiverseClustering
-	// and ErrCanceled error paths (a failed run's Result carries Metrics
-	// and Stats only; its relations are nil).
+	// Metrics summarizes the run: per-phase wall times, the search effort
+	// of Stats, the shard plan and the portfolio winner. It is non-nil on
+	// success and on every error path (a failed run's Result carries
+	// Metrics and Stats only; its relations are nil). A trace.Recorder
+	// passed as Options.Tracer rebuilds the same phase, search, shard and
+	// winner fields from the event stream.
 	Metrics *trace.RunMetrics
 }
 
@@ -183,7 +184,7 @@ type Result struct {
 //
 // Every run is decomposed into timed phases (bind, build-graph, color,
 // suppress, baseline, integrate, verify) reported through opts.Tracer and
-// aggregated into Result.Metrics; each phase executes under a
+// recorded in Result.Metrics; each phase executes under a
 // runtime/pprof "diva_phase" label so CPU profiles attribute time to
 // coloring vs. baseline partitioning. On error the returned Result is still
 // non-nil and carries the partial Metrics (its relations are nil).
@@ -192,7 +193,6 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 		ctx = context.Background()
 	}
 	start := time.Now()
-	rec := trace.NewRecorder()
 	// Register with the process-wide run registry: the run is visible at
 	// /debug/diva/runs (current phase, heartbeat liveness) from here until
 	// finish moves it to the completed ring.
@@ -201,71 +201,42 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	// stream; finish deposits the reconstructed profile into obs.Profiles for
 	// /debug/diva/profile/{runID}.
 	var prof *profile.Profiler
-	tr := trace.Tee(opts.Tracer, rec, run)
+	tr := trace.Tee(opts.Tracer, run)
 	if obs.ProfilingEnabled() {
 		prof = profile.New()
 		prof.SetRunID(run.ID())
 		tr = trace.Tee(tr, prof)
 	}
-	var stats search.Stats
+	env := &runEnv{ctx: ctx, rel: rel, opts: &opts, tr: tr}
 
-	// finish stamps the run's metrics onto the result (building an
+	// finish stamps the run's stats and metrics onto the result (building an
 	// otherwise-empty one on error paths), normalizes context errors to
-	// ErrCanceled, and folds the run into the process-wide registries
-	// (expvar totals, Prometheus exposition, run registry).
+	// ErrCanceled, and reports the run, classified once, to the Prometheus
+	// collector, the run registry, the profile ring and the history ledger.
 	finish := func(res *Result, err error) (*Result, error) {
 		if err != nil && !errors.Is(err, ErrCanceled) &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			err = fmt.Errorf("%w: %w", ErrCanceled, err)
 		}
-		m := rec.Snapshot()
-		m.RunID = run.ID()
-		m.Total = time.Since(start)
-		m.Steps, m.Backtracks, m.CandidatesTried = stats.Steps, stats.Backtracks, stats.CandidatesTried
-		m.CandidateCacheHits, m.CandidateCacheMisses = stats.CacheHits, stats.CacheMisses
-		m.NogoodsLearned, m.NogoodHits = stats.NogoodsLearned, stats.NogoodHits
-		m.Backjumps, m.MaxBackjump = stats.Backjumps, stats.MaxBackjump
-		m.PortfolioWorkers = opts.Parallel
-		m.Canceled = errors.Is(err, ErrCanceled)
+		outcome := RunOutcome(err)
 		if res == nil {
 			res = &Result{}
 		}
-		if res.Output != nil {
-			m.SuppressedCells = metrics.SuppressionLoss(res.Output)
-			m.Accuracy = metrics.Accuracy(res.Output)
-		} else {
-			m.Accuracy = -1 // no published relation
-		}
-		res.Stats = stats
+		m := env.runMetrics(run.ID(), time.Since(start), res.Output, err)
+		res.Stats = env.stats
 		res.Metrics = m
-		trace.RecordGlobal(m, err)
-		run.End(m, err)
+		obs.Collect(m, outcome)
+		run.End(m, outcome, err)
 		if prof != nil {
 			errText := ""
 			if err != nil {
 				errText = err.Error()
 			}
-			prof.Finish(RunOutcome(err), errText)
+			prof.Finish(outcome, errText)
 			obs.Profiles.Add(prof.Profile())
 		}
-		depositHistory(rel, sigma, opts, m, err, run)
+		depositHistory(rel, sigma, opts, m, outcome, err, run)
 		return res, err
-	}
-	// phase runs one stage under its trace events and pprof label. It
-	// short-circuits with the context's error when the run is already
-	// canceled, so no phase starts after cancellation.
-	phase := func(ph trace.Phase, f func(context.Context) error) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tr.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: ph})
-		pstart := time.Now()
-		var err error
-		pprof.Do(ctx, pprof.Labels("diva_phase", string(ph)), func(c context.Context) {
-			err = f(c)
-		})
-		tr.Trace(trace.Event{Kind: trace.KindPhaseEnd, Phase: ph, Elapsed: time.Since(pstart)})
-		return err
 	}
 
 	if opts.K < 1 {
@@ -288,7 +259,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	// search.
 	schema := rel.Schema()
 	var bounds, searchable []*constraint.Bound
-	err := phase(trace.PhaseBind, func(context.Context) error {
+	err := env.phase(trace.PhaseBind, func(context.Context) error {
 		if err := sigma.Validate(); err != nil {
 			return err
 		}
@@ -319,16 +290,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 		return finish(nil, err)
 	}
 
-	env := &runEnv{
-		rel:        rel,
-		opts:       &opts,
-		tr:         tr,
-		stats:      &stats,
-		phase:      phase,
-		schema:     schema,
-		bounds:     bounds,
-		searchable: searchable,
-	}
+	env.schema, env.bounds, env.searchable = schema, bounds, searchable
 
 	// Shard-and-merge: decompose Σ into pool-disjoint components, color them
 	// concurrently, and partition the rest rows shard-wise. Soundness of the
@@ -345,7 +307,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	// DiverseClustering (Algorithm 3): build the constraint graph and color
 	// it.
 	var graph *search.Graph
-	err = phase(trace.PhaseBuildGraph, func(context.Context) error {
+	err = env.phase(trace.PhaseBuildGraph, func(context.Context) error {
 		copts := opts.Cluster
 		copts.K = opts.K
 		copts.Criterion = opts.Criterion
@@ -361,7 +323,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 
 	n := rel.Len()
 	var sigmaClustering cluster.Clustering
-	err = phase(trace.PhaseColor, func(c context.Context) error {
+	err = env.phase(trace.PhaseColor, func(c context.Context) error {
 		searchOpts := search.Options{
 			Strategy: opts.Strategy,
 			Rng:      opts.Rng,
@@ -378,15 +340,15 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 		}
 		var found bool
 		if opts.Parallel > 0 {
-			sigmaClustering, stats, found = graph.ColorPortfolio(searchOpts, opts.Parallel, opts.Rng.Uint64())
+			sigmaClustering, env.stats, found = graph.ColorPortfolio(searchOpts, opts.Parallel, opts.Rng.Uint64())
 		} else {
-			sigmaClustering, stats, found = graph.Color(searchOpts)
+			sigmaClustering, env.stats, found = graph.Color(searchOpts)
 		}
-		if !found {
-			if stats.Err != nil {
-				return fmt.Errorf("diva: coloring interrupted after %d steps (%d backtracks): %w", stats.Steps, stats.Backtracks, stats.Err)
+		if st := &env.stats; !found {
+			if st.Err != nil {
+				return fmt.Errorf("diva: coloring interrupted after %d steps (%d backtracks): %w", st.Steps, st.Backtracks, st.Err)
 			}
-			return fmt.Errorf("diva: coloring failed after %d steps (%d backtracks): %w", stats.Steps, stats.Backtracks, ErrNoDiverseClustering)
+			return fmt.Errorf("diva: coloring failed after %d steps (%d backtracks): %w", st.Steps, st.Backtracks, ErrNoDiverseClustering)
 		}
 		return nil
 	})
@@ -404,7 +366,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 
 	// Anonymize the remaining tuples with the off-the-shelf algorithm; their
 	// rendering Rk completes R′.
-	err = phase(trace.PhaseBaseline, func(c context.Context) error {
+	err = env.phase(trace.PhaseBaseline, func(c context.Context) error {
 		parts, err := opts.Anonymizer.Partition(c, rel, rest, opts.K)
 		if err != nil {
 			return fmt.Errorf("diva: anonymizing %d remaining tuples: %w", len(rest), err)
@@ -420,17 +382,83 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 }
 
 // runEnv bundles the per-run state the monolithic and sharded drivers share:
-// the bound constraints, the timed-phase runner, the run's tracer and the
-// search-stats accumulator that finish() stamps into RunMetrics.
+// the bound constraints, the run's tracer, and the three sources finish()
+// builds RunMetrics from — the timings the phase runner records, the search
+// statistics, and the shard plan's component and rest-shard counts.
 type runEnv struct {
+	ctx        context.Context
 	rel        *relation.Relation
 	opts       *Options
 	tr         trace.Tracer
-	stats      *search.Stats
-	phase      func(trace.Phase, func(context.Context) error) error
 	schema     *relation.Schema
 	bounds     []*constraint.Bound
 	searchable []*constraint.Bound
+
+	phases     []trace.PhaseTiming
+	stats      search.Stats
+	components int
+	restShards int
+}
+
+// phase runs one stage under its trace events and pprof label and records
+// its timing, on the error path too. It short-circuits with the context's
+// error when the run is already canceled, so no phase starts after
+// cancellation.
+func (e *runEnv) phase(ph trace.Phase, f func(context.Context) error) error {
+	if err := e.ctx.Err(); err != nil {
+		return err
+	}
+	d, err := runPhase(e.ctx, e.tr, ph, f)
+	e.phases = append(e.phases, trace.PhaseTiming{Phase: ph, Duration: d})
+	return err
+}
+
+// runPhase runs f as phase ph: bracketed by KindPhaseStart/KindPhaseEnd
+// events on tr and executed under a runtime/pprof "diva_phase" label. It
+// returns the phase's wall time and f's error.
+func runPhase(ctx context.Context, tr trace.Tracer, ph trace.Phase, f func(context.Context) error) (time.Duration, error) {
+	tr.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: ph})
+	start := time.Now()
+	var err error
+	pprof.Do(ctx, pprof.Labels("diva_phase", string(ph)), func(c context.Context) {
+		err = f(c)
+	})
+	d := time.Since(start)
+	tr.Trace(trace.Event{Kind: trace.KindPhaseEnd, Phase: ph, Elapsed: d})
+	return d, err
+}
+
+// runMetrics assembles the run's RunMetrics — the one place they are built —
+// from the recorded phase timings, the search statistics and the shard plan.
+// out is the published relation, nil on error paths.
+func (e *runEnv) runMetrics(runID uint64, total time.Duration, out *relation.Relation, err error) *trace.RunMetrics {
+	s := &e.stats
+	m := &trace.RunMetrics{
+		RunID:                runID,
+		Total:                total,
+		Phases:               e.phases,
+		Steps:                s.Steps,
+		Backtracks:           s.Backtracks,
+		CandidatesTried:      s.CandidatesTried,
+		CandidateCacheHits:   s.CacheHits,
+		CandidateCacheMisses: s.CacheMisses,
+		NogoodsLearned:       s.NogoodsLearned,
+		NogoodHits:           s.NogoodHits,
+		Backjumps:            s.Backjumps,
+		MaxBackjump:          s.MaxBackjump,
+		SigmaComponents:      e.components,
+		RestShards:           e.restShards,
+		PortfolioWorkers:     e.opts.Parallel,
+		WinnerWorker:         s.WinnerWorker,
+		WinnerStrategy:       s.WinnerStrategy,
+		Canceled:             errors.Is(err, ErrCanceled),
+		Accuracy:             -1, // no published relation
+	}
+	if out != nil {
+		m.SuppressedCells = metrics.SuppressionLoss(out)
+		m.Accuracy = metrics.Accuracy(out)
+	}
+	return m
 }
 
 // suppressPhase runs the suppress phase: render RΣ from the diverse
@@ -515,18 +543,8 @@ func RunBaseline(ctx context.Context, rel *relation.Relation, p anon.Partitioner
 	} else if ts, ok := p.(anon.TraceSink); ok {
 		ts.SetTracer(tr)
 	}
-	phase := func(ph trace.Phase, f func(context.Context) error) error {
-		tr.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: ph})
-		pstart := time.Now()
-		var err error
-		pprof.Do(ctx, pprof.Labels("diva_phase", string(ph)), func(c context.Context) {
-			err = f(c)
-		})
-		tr.Trace(trace.Event{Kind: trace.KindPhaseEnd, Phase: ph, Elapsed: time.Since(pstart)})
-		return err
-	}
 	var parts [][]int
-	err := phase(trace.PhaseBaseline, func(c context.Context) error {
+	_, err := runPhase(ctx, tr, trace.PhaseBaseline, func(c context.Context) error {
 		var err error
 		parts, err = p.Partition(c, rel, allRows(rel), k)
 		return err
@@ -538,7 +556,7 @@ func RunBaseline(ctx context.Context, rel *relation.Relation, p anon.Partitioner
 		return nil, err
 	}
 	var out *relation.Relation
-	phase(trace.PhaseSuppress, func(context.Context) error {
+	runPhase(ctx, tr, trace.PhaseSuppress, func(context.Context) error {
 		out = Suppress(rel, parts)
 		return nil
 	})

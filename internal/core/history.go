@@ -35,15 +35,15 @@ func historyConfig(sigma constraint.Set, opts Options) history.Config {
 	return c
 }
 
-// depositHistory builds the finished run's record, emits the canonical
-// wide-event log line when a canonical logger is installed (obs.LogRun), and
-// appends the record to the history ledger when one is configured
+// depositHistory builds the finished run's record (outcome is
+// RunOutcome(runErr)), emits the canonical wide-event log line when a
+// canonical logger is installed (obs.LogRun), and appends the record to the history ledger when one is configured
 // (Options.HistoryDir, falling back to DIVA_HISTORY_DIR). On error and
 // infeasible outcomes the record carries the run's flight-recorder tail, so
 // the trail into the failure outlives the process. It is called on every
 // outcome and never fails the run: ledger errors are logged and counted on
 // the Ledger, nothing more.
-func depositHistory(rel *relation.Relation, sigma constraint.Set, opts Options, m *trace.RunMetrics, runErr error, run *obs.Run) {
+func depositHistory(rel *relation.Relation, sigma constraint.Set, opts Options, m *trace.RunMetrics, outcome string, runErr error, run *obs.Run) {
 	dir := opts.HistoryDir
 	if dir == "" {
 		dir = os.Getenv(history.EnvDir)
@@ -54,7 +54,7 @@ func depositHistory(rel *relation.Relation, sigma constraint.Set, opts Options, 
 	}
 	rec := &history.Record{
 		RunID:   m.RunID,
-		Outcome: RunOutcome(runErr),
+		Outcome: outcome,
 		Config:  historyConfig(sigma, opts),
 		Metrics: m,
 	}

@@ -93,6 +93,7 @@ func runSharded(ctx context.Context, e *runEnv, shards int) (*Result, error) {
 	var graphs []*search.Graph
 	err := e.phase(trace.PhaseBuildGraph, func(context.Context) error {
 		comps = constraint.Components(e.rel, e.searchable)
+		e.components = len(comps)
 		copts := opts.Cluster
 		copts.K = opts.K
 		copts.Criterion = opts.Criterion
@@ -210,6 +211,7 @@ func runSharded(ctx context.Context, e *runEnv, shards int) (*Result, error) {
 
 	err = e.phase(trace.PhaseBaseline, func(c context.Context) error {
 		restShards := planRestShards(e.rel, rest, shards, opts.K)
+		e.restShards = len(restShards)
 		for si, rows := range restShards {
 			e.tr.Trace(trace.Event{Kind: trace.KindShard, Label: "rest", Node: si, N: len(rows)})
 		}

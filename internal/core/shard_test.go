@@ -10,6 +10,8 @@ import (
 	"diva/internal/core"
 	"diva/internal/relation"
 	"diva/internal/search"
+	"diva/internal/testutil"
+	"diva/internal/trace"
 )
 
 // TestShardedPaperExample runs the paper's Example 3.1 through the
@@ -77,7 +79,9 @@ func TestShardedDeterministic(t *testing.T) {
 // TestShardedFallbackAgreesWithMonolithic forces the fallback path: the only
 // diverse cluster leaves a single rest tuple (< k), which the per-component
 // search cannot see but the monolithic Accept hook rejects. The sharded run
-// must fall back and end with exactly the monolithic verdict.
+// must fall back and end with exactly the monolithic verdict, and a caller's
+// Recorder must still match its metrics: the abandoned attempt's phases and
+// component, the monolithic search's totals, and no rest shards.
 func TestShardedFallbackAgreesWithMonolithic(t *testing.T) {
 	schema := relation.MustSchema(
 		relation.Attribute{Name: "A", Role: relation.QI},
@@ -89,21 +93,37 @@ func TestShardedFallbackAgreesWithMonolithic(t *testing.T) {
 	rel.MustAppendValues("a1", "s0")
 	sigma := constraint.Set{constraint.New("A", "a0", 1, 3)}
 
-	run := func(shards int) error {
-		_, err := core.Anonymize(context.Background(), rel, sigma, core.Options{
+	run := func(shards int, tr trace.Tracer) (*core.Result, error) {
+		return core.Anonymize(context.Background(), rel, sigma, core.Options{
 			K:        2,
 			Strategy: search.MinChoice,
 			Rng:      testRng(),
 			Shards:   shards,
+			Tracer:   tr,
 		})
-		return err
 	}
-	monoErr, shardErr := run(0), run(2)
+	_, monoErr := run(0, nil)
+	rec := trace.NewRecorder()
+	res, shardErr := run(2, rec)
 	if (monoErr == nil) != (shardErr == nil) {
 		t.Fatalf("verdicts disagree: monolithic %v, sharded %v", monoErr, shardErr)
 	}
 	if monoErr != nil && !errors.Is(shardErr, core.ErrNoDiverseClustering) {
 		t.Fatalf("sharded error %v, want ErrNoDiverseClustering", shardErr)
+	}
+	m := res.Metrics
+	if diff := testutil.RecorderMismatch(rec.Snapshot(), m); diff != "" {
+		t.Fatal(diff)
+	}
+	colors := 0
+	for _, pt := range m.Phases {
+		if pt.Phase == trace.PhaseColor {
+			colors++
+		}
+	}
+	if colors != 2 || m.SigmaComponents != 1 || m.RestShards != 0 {
+		t.Fatalf("fallback metrics: %d color phases, %d components, %d rest shards; want 2, 1, 0",
+			colors, m.SigmaComponents, m.RestShards)
 	}
 }
 

@@ -7,9 +7,8 @@ import (
 )
 
 // Metrics is the process-wide Prometheus registry served at /metrics. Every
-// finished engine run feeds it through the trace.RecordGlobal sink installed
-// below, so any program importing the engine exposes run metrics with no
-// further plumbing.
+// finished engine run feeds it through Collect, so any program importing the
+// engine exposes run metrics with no further plumbing.
 var Metrics = NewRegistry()
 
 // Default metric families. Durations use exponential buckets from 1ms to
@@ -18,7 +17,7 @@ var Metrics = NewRegistry()
 // over [0, 1].
 var (
 	mRuns = Metrics.NewCounterVec("diva_runs_total",
-		"Completed DIVA runs by outcome (ok, error, canceled).", "outcome")
+		"Completed DIVA runs by outcome (ok, infeasible, canceled, error).", "outcome")
 	mPhaseDur = Metrics.NewHistogramVec("diva_phase_duration_seconds",
 		"Wall time per engine phase.", "phase", ExpBuckets(0.001, 2, 17))
 	mSteps = Metrics.NewHistogram("diva_search_steps",
@@ -62,10 +61,6 @@ func init() {
 		"Engine runs currently in flight.", func() float64 {
 			return float64(Runs.LiveCount())
 		})
-	Metrics.NewGaugeFunc("diva_runs_inflight",
-		"Engine runs currently in flight (alias of diva_runs_live; dashboards standardize on this name).", func() float64 {
-			return float64(Runs.LiveCount())
-		})
 	Metrics.NewGaugeFunc("diva_run_heartbeat_age_seconds",
 		"Staleness of the most-stale live run's last trace event; 0 with no live runs.", func() float64 {
 			return Runs.MaxHeartbeatAge(time.Now()).Seconds()
@@ -74,17 +69,13 @@ func init() {
 		"Live-stream events dropped because a subscriber's buffer was full.", func() int64 {
 			return Runs.Events().Dropped()
 		})
-	trace.RegisterSink(collect)
 }
 
-// collect folds one finished run into the Prometheus registry. It runs on
-// trace.RecordGlobal's path, i.e. once per core.Anonymize call, on every
-// outcome.
-func collect(m *trace.RunMetrics, err error) {
-	mRuns.With(outcome(m, err)).Inc()
-	if m == nil {
-		return
-	}
+// Collect folds one finished run into the Prometheus registry. core.Anonymize
+// calls it once per run, on every outcome; outcome is the run's
+// core.RunOutcome classification.
+func Collect(m *trace.RunMetrics, outcome string) {
+	mRuns.With(outcome).Inc()
 	for _, pt := range m.Phases {
 		mPhaseDur.With(string(pt.Phase)).Observe(pt.Duration.Seconds())
 	}
@@ -95,7 +86,7 @@ func collect(m *trace.RunMetrics, err error) {
 	if lookups := m.CandidateCacheHits + m.CandidateCacheMisses; lookups > 0 {
 		mHitRatio.Observe(float64(m.CandidateCacheHits) / float64(lookups))
 	}
-	if err == nil && m.Accuracy >= 0 {
+	if m.Accuracy >= 0 {
 		mSuppressed.Observe(float64(m.SuppressedCells))
 		mAccuracy.Observe(m.Accuracy)
 	}
@@ -116,4 +107,17 @@ func collect(m *trace.RunMetrics, err error) {
 			mRestShards.Observe(float64(m.RestShards))
 		}
 	}
+}
+
+// PhaseSeconds returns the wall time per phase summed over every run
+// collected so far (the sums of diva_phase_duration_seconds). Subtracting two
+// readings attributes phase time to the workload run between them.
+func PhaseSeconds() map[trace.Phase]float64 {
+	mPhaseDur.mu.Lock()
+	defer mPhaseDur.mu.Unlock()
+	out := make(map[trace.Phase]float64, len(mPhaseDur.m))
+	for ph, h := range mPhaseDur.m {
+		out[trace.Phase(ph)] = h.Sum()
+	}
+	return out
 }

@@ -14,6 +14,8 @@ import (
 
 	"diva"
 	"diva/internal/obs"
+	"diva/internal/testutil"
+	"diva/internal/trace"
 )
 
 const patientsCSV = `GEN:qi,ETH:qi,AGE:qi:numeric,PRV:qi,CTY:qi,DIAG:sensitive
@@ -139,29 +141,54 @@ func TestLiveRunVisibleWhileInFlight(t *testing.T) {
 	t.Fatalf("run %d missing from completed ring", found.ID)
 }
 
-// TestCallerRecorderMatchesEngine is the satellite-1 contract: a Recorder
-// supplied as Options.Tracer sees the same event stream the engine's own
-// recorder aggregates, so its snapshot matches Result.Metrics on every
-// search counter.
+// TestCallerRecorderMatchesEngine: a Recorder supplied as Options.Tracer
+// rebuilds Result.Metrics from the event stream alone — every phase, search
+// counter, shard-plan count and the portfolio winner — in every execution
+// mode and on an infeasible Σ. A Profiler teed beside it keeps the per-node
+// activity: its node assigns and backtracks sum to the run's totals, so the
+// portfolio's replay of the winner stays checked.
 func TestCallerRecorderMatchesEngine(t *testing.T) {
-	for name, parallel := range map[string]int{"sequential": 0, "portfolio": 3} {
-		t.Run(name, func(t *testing.T) {
-			rec := diva.NewRecorder()
-			res, err := diva.AnonymizeContext(context.Background(), loadPatients(t), paperSigma(),
-				diva.Options{K: 2, Seed: 1, Parallel: parallel, Tracer: rec})
-			if err != nil {
-				t.Fatal(err)
+	infeasible := diva.Constraints{diva.NewConstraint("ETH", "Asian", 9, 12)}
+	for _, c := range []struct {
+		name  string
+		sigma diva.Constraints
+		opts  diva.Options
+	}{
+		{"sequential", paperSigma(), diva.Options{}},
+		{"portfolio", paperSigma(), diva.Options{Parallel: 3}},
+		{"sharded", paperSigma(), diva.Options{Shards: 2}},
+		{"nogoods", paperSigma(), diva.Options{Nogoods: true}},
+		{"infeasible", infeasible, diva.Options{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec, prof := diva.NewRecorder(), diva.NewProfiler()
+			opts := c.opts
+			opts.K, opts.Seed, opts.Tracer = 2, 1, trace.Tee(rec, prof)
+			res, err := diva.AnonymizeContext(context.Background(), loadPatients(t), c.sigma, opts)
+			if wantErr := c.name == "infeasible"; wantErr != errors.Is(err, diva.ErrNoDiverseClustering) || (!wantErr && err != nil) {
+				t.Fatalf("err = %v", err)
 			}
-			m := rec.Snapshot()
 			e := res.Metrics
-			if m.Steps != e.Steps || m.Backtracks != e.Backtracks ||
-				m.CandidatesTried != e.CandidatesTried ||
-				m.CandidateCacheHits != e.CandidateCacheHits ||
-				m.CandidateCacheMisses != e.CandidateCacheMisses {
-				t.Fatalf("caller recorder %+v != engine metrics %+v", m, e)
+			if diff := testutil.RecorderMismatch(rec.Snapshot(), e); diff != "" {
+				t.Fatal(diff)
 			}
-			if len(m.NodeAssigns) == 0 {
-				t.Fatal("caller recorder has no per-node assigns")
+			if len(e.Phases) == 0 || (err == nil && e.Steps == 0) {
+				t.Fatalf("engine metrics carry no work: %+v", e)
+			}
+			if c.opts.Parallel > 0 && e.WinnerStrategy == "" {
+				t.Fatal("portfolio run names no winner")
+			}
+			if c.opts.Shards > 0 && e.SigmaComponents == 0 {
+				t.Fatal("sharded run reports no Σ components")
+			}
+			assigns, backtracks := 0, 0
+			for _, n := range prof.Profile().Nodes {
+				assigns += n.Assigns
+				backtracks += n.Backtracks
+			}
+			if assigns != e.Steps || backtracks != e.Backtracks {
+				t.Fatalf("profiler nodes sum to %d assigns / %d backtracks, engine has %d / %d",
+					assigns, backtracks, e.Steps, e.Backtracks)
 			}
 		})
 	}
@@ -204,7 +231,7 @@ func TestConcurrentRunsRegistryAndMetrics(t *testing.T) {
 			case errors.Is(err, diva.ErrCanceled):
 				outcomes[i] = "canceled"
 			case errors.Is(err, diva.ErrNoDiverseClustering):
-				outcomes[i] = "error"
+				outcomes[i] = "infeasible"
 			default:
 				outcomes[i] = "unexpected: " + err.Error()
 			}
@@ -216,7 +243,7 @@ func TestConcurrentRunsRegistryAndMetrics(t *testing.T) {
 	wg.Wait()
 
 	for i, got := range outcomes {
-		want := map[int]string{0: "ok", 1: "error", 2: "canceled", 3: "ok"}[i%4]
+		want := map[int]string{0: "ok", 1: "infeasible", 2: "canceled", 3: "ok"}[i%4]
 		if got != want {
 			t.Fatalf("run %d outcome = %q, want %q", i, got, want)
 		}
@@ -242,8 +269,8 @@ func TestConcurrentRunsRegistryAndMetrics(t *testing.T) {
 			states[info.State]++
 		}
 	}
-	if states["ok"] != 4 || states["error"] != 2 || states["canceled"] != 2 {
-		t.Fatalf("completed ring outcomes = %v, want 4 ok / 2 error / 2 canceled", states)
+	if states["ok"] != 4 || states["infeasible"] != 2 || states["canceled"] != 2 {
+		t.Fatalf("completed ring outcomes = %v, want 4 ok / 2 infeasible / 2 canceled", states)
 	}
 
 	var b bytes.Buffer
@@ -251,7 +278,7 @@ func TestConcurrentRunsRegistryAndMetrics(t *testing.T) {
 	expo := b.String()
 	for _, want := range []string{
 		`diva_runs_total{outcome="ok"}`,
-		`diva_runs_total{outcome="error"}`,
+		`diva_runs_total{outcome="infeasible"}`,
 		`diva_runs_total{outcome="canceled"}`,
 		`diva_phase_duration_seconds_bucket{phase="color",le=`,
 		"diva_search_steps_bucket",

@@ -22,7 +22,8 @@ type RunInfo struct {
 	// Elapsed is time since Start for live runs, and the final wall time for
 	// completed ones.
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// State is "running", "ok", "error" or "canceled".
+	// State is "running" or the completed run's core.RunOutcome: "ok",
+	// "infeasible", "canceled" or "error".
 	State string `json:"state"`
 	// Phase is the phase the run is currently in (live) or last entered.
 	Phase string `json:"phase,omitempty"`
@@ -245,8 +246,9 @@ func (run *Run) Info() RunInfo {
 }
 
 // End moves the run from the live set into the completed ring, recording its
-// outcome. It is idempotent; only the first call takes effect.
-func (run *Run) End(m *trace.RunMetrics, err error) {
+// outcome (core.RunOutcome of err) as the run's State and the label of the
+// terminal run-end event. It is idempotent; only the first call takes effect.
+func (run *Run) End(m *trace.RunMetrics, outcome string, err error) {
 	run.mu.Lock()
 	if run.ended {
 		run.mu.Unlock()
@@ -257,7 +259,7 @@ func (run *Run) End(m *trace.RunMetrics, err error) {
 		ID:         run.id,
 		Start:      run.start,
 		Elapsed:    time.Since(run.start),
-		State:      outcome(m, err),
+		State:      outcome,
 		Phase:      string(run.phase),
 		Steps:      run.steps,
 		Depth:      run.depth,
@@ -373,17 +375,4 @@ func (r *RunRegistry) MaxHeartbeatAge(now time.Time) time.Duration {
 		}
 	}
 	return max
-}
-
-// outcome classifies a finished run for the registry and the runs-total
-// counter: "ok", "canceled" or "error".
-func outcome(m *trace.RunMetrics, err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case m != nil && m.Canceled:
-		return "canceled"
-	default:
-		return "error"
-	}
 }

@@ -36,8 +36,8 @@ func TestRunLifecycle(t *testing.T) {
 	}
 
 	m := &trace.RunMetrics{Total: 5 * time.Millisecond, Steps: 120}
-	run.End(m, nil)
-	run.End(m, errors.New("second End must be ignored"))
+	run.End(m, "ok", nil)
+	run.End(m, "error", errors.New("second End must be ignored"))
 	if reg.LiveCount() != 0 {
 		t.Fatalf("LiveCount after End = %d", reg.LiveCount())
 	}
@@ -63,7 +63,7 @@ func TestRunLifecycle(t *testing.T) {
 func TestCompletedRing(t *testing.T) {
 	reg := NewRunRegistry(2)
 	for i := 0; i < 3; i++ {
-		reg.Begin().End(nil, nil)
+		reg.Begin().End(nil, "ok", nil)
 	}
 	_, completed := reg.Snapshot()
 	if len(completed) != 2 {
@@ -84,7 +84,7 @@ func TestEvictionObservable(t *testing.T) {
 		t.Fatalf("fresh registry Evicted() = %d", reg.Evicted())
 	}
 	for i := 0; i < 5; i++ {
-		reg.Begin().End(nil, nil)
+		reg.Begin().End(nil, "ok", nil)
 	}
 	if got := reg.Evicted(); got != 3 {
 		t.Fatalf("Evicted() = %d, want 3 (5 completed, 2 kept)", got)
@@ -103,30 +103,35 @@ func evictionCounterBefore(t *testing.T) int64 {
 	return Runs.Evicted()
 }
 
+// TestOutcomeClassification: the outcome End is given — the engine's single
+// core.RunOutcome classification — is the completed run's State and the
+// label of its terminal run-end event, verbatim, for every outcome.
 func TestOutcomeClassification(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
-		m    *trace.RunMetrics
-		err  error
-		want string
+		outcome string
+		err     error
 	}{
-		{&trace.RunMetrics{}, nil, "ok"},
-		{nil, nil, "ok"},
-		{&trace.RunMetrics{Canceled: true}, boom, "canceled"},
-		{&trace.RunMetrics{}, boom, "error"},
-		{nil, boom, "error"},
+		{"ok", nil},
+		{"infeasible", boom},
+		{"canceled", boom},
+		{"error", boom},
 	}
-	for i, c := range cases {
-		if got := outcome(c.m, c.err); got != c.want {
-			t.Fatalf("case %d: outcome = %q, want %q", i, got, c.want)
+	for _, c := range cases {
+		reg := NewRunRegistry(4)
+		run := reg.Begin()
+		run.End(&trace.RunMetrics{}, c.outcome, c.err)
+		_, completed := reg.Snapshot()
+		if got := completed[0].State; got != c.outcome {
+			t.Fatalf("%s run recorded with State %q", c.outcome, got)
 		}
-	}
-	reg := NewRunRegistry(4)
-	run := reg.Begin()
-	run.End(&trace.RunMetrics{}, boom)
-	_, completed := reg.Snapshot()
-	if completed[0].State != "error" || completed[0].Err != "boom" {
-		t.Fatalf("error run recorded as %+v", completed[0])
+		if c.err != nil && completed[0].Err != "boom" {
+			t.Fatalf("%s run recorded with Err %q", c.outcome, completed[0].Err)
+		}
+		events, _, _ := reg.RunEvents(run.ID())
+		if last := events[len(events)-1].Event; last.Kind != trace.KindRunEnd || last.Label != c.outcome {
+			t.Fatalf("%s run ends with %s/%q", c.outcome, last.Kind, last.Label)
+		}
 	}
 }
 
@@ -143,6 +148,6 @@ func TestSnapshotLiveOrder(t *testing.T) {
 		}
 	}
 	for _, r := range runs {
-		r.End(nil, nil)
+		r.End(nil, "ok", nil)
 	}
 }

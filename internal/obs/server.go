@@ -16,7 +16,7 @@ import (
 // NewMux returns an http.ServeMux mounting the ops endpoints:
 //
 //	/metrics                  Prometheus text exposition of reg
-//	/debug/vars               expvar (the trace package's process-wide "diva." totals)
+//	/debug/vars               expvar (the Go runtime's cmdline and memstats)
 //	/debug/pprof/*            runtime profiles (phases carry a "diva_phase" label)
 //	/debug/diva/runs          JSON {"live": [...], "completed": [...]} from runs
 //	/debug/diva/runs/{id}/events  the run's flight-recorder dump (JSON; live

@@ -21,7 +21,7 @@ import (
 // deterministic for a fixed seed in the sense of which colorings are
 // reachable, but which worker wins a close race may vary; every returned
 // coloring satisfies the same invariants as Color's. The reported Stats
-// are the winning worker's.
+// are the winning worker's, with WinnerWorker and WinnerStrategy naming it.
 //
 // Cancellation: opts.Ctx aborts every worker at step granularity; when the
 // portfolio ends without a coloring and the context is canceled, the
@@ -106,6 +106,7 @@ func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.
 		return nil, stats, false
 	}
 	stampLearning(&best.stats)
+	best.stats.WinnerWorker, best.stats.WinnerStrategy = best.worker, best.strat.String()
 	if tr != nil {
 		// Replay the winner's per-node search activity (suppressed while the
 		// portfolio raced) as batched events, then pin the exact totals with
@@ -124,7 +125,7 @@ func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.
 			MaxBackjump: best.stats.MaxBackjump,
 			Worker:      best.worker,
 		})
-		tr.Trace(trace.Event{Kind: trace.KindWorkerWin, N: best.worker, Strategy: best.strat.String()})
+		tr.Trace(trace.Event{Kind: trace.KindWorkerWin, N: best.worker, Strategy: best.stats.WinnerStrategy})
 	}
 	return best.sigma, best.stats, true
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"diva/internal/cluster"
+	"diva/internal/profile"
 	"diva/internal/trace"
 )
 
@@ -109,14 +110,15 @@ func TestColorPortfolioForwardsWorkerHeartbeats(t *testing.T) {
 }
 
 // TestColorPortfolioReplaysIntoRecorder is the satellite contract: after a
-// portfolio win, a caller-supplied Recorder holds the winning worker's
-// per-node assign/backtrack counts and its exact scalar counters, even
-// though per-step worker events were suppressed.
+// portfolio win, a caller-supplied Recorder holds the winning worker's exact
+// scalar counters and identity, and a Profiler holds its per-node
+// assign/backtrack counts, even though per-step worker events were
+// suppressed.
 func TestColorPortfolioReplaysIntoRecorder(t *testing.T) {
 	rel := paperRelation(t)
 	g := BuildGraph(rel, paperBounds(t, rel), cluster.Options{K: 2})
-	rec := trace.NewRecorder()
-	_, stats, found := g.ColorPortfolio(Options{Tracer: rec}, 3, 42)
+	rec, prof := trace.NewRecorder(), profile.New()
+	_, stats, found := g.ColorPortfolio(Options{Tracer: trace.Tee(rec, prof)}, 3, 42)
 	if !found {
 		t.Fatal("portfolio found no coloring")
 	}
@@ -126,24 +128,23 @@ func TestColorPortfolioReplaysIntoRecorder(t *testing.T) {
 		m.CandidateCacheHits != stats.CacheHits || m.CandidateCacheMisses != stats.CacheMisses {
 		t.Fatalf("recorder counters %+v do not match winner stats %+v", m, stats)
 	}
-	if len(m.NodeAssigns) == 0 {
-		t.Fatal("NodeAssigns empty after portfolio win (replay missing)")
+	if m.WinnerStrategy == "" || m.WinnerStrategy != stats.WinnerStrategy || m.WinnerWorker != stats.WinnerWorker {
+		t.Fatalf("recorder winner %d %q, stats winner %d %q",
+			m.WinnerWorker, m.WinnerStrategy, stats.WinnerWorker, stats.WinnerStrategy)
 	}
-	totalAssigns := 0
-	for _, n := range m.NodeAssigns {
-		totalAssigns += n
+	nodes := prof.Profile().Nodes
+	if len(nodes) == 0 {
+		t.Fatal("profiler has no nodes after portfolio win (replay missing)")
+	}
+	totalAssigns, totalBacktracks := 0, 0
+	for _, n := range nodes {
+		totalAssigns += n.Assigns
+		totalBacktracks += n.Backtracks
 	}
 	if totalAssigns != stats.Steps {
 		t.Fatalf("replayed assigns sum to %d, want winner steps %d", totalAssigns, stats.Steps)
 	}
-	totalBacktracks := 0
-	for _, n := range m.NodeBacktracks {
-		totalBacktracks += n
-	}
 	if totalBacktracks != stats.Backtracks {
 		t.Fatalf("replayed backtracks sum to %d, want %d", totalBacktracks, stats.Backtracks)
-	}
-	if m.WinnerStrategy == "" {
-		t.Fatal("WinnerStrategy empty after portfolio win")
 	}
 }

@@ -214,6 +214,10 @@ type Stats struct {
 	NogoodHits     int
 	Backjumps      int
 	MaxBackjump    int
+	// WinnerWorker and WinnerStrategy identify the portfolio worker whose
+	// coloring ColorPortfolio returned; both are zero for a single search.
+	WinnerWorker   int
+	WinnerStrategy string
 	// Err records why an unsuccessful search stopped early: the context's
 	// error on cancellation or deadline expiry, nil when the search space
 	// was exhausted, the step budget ran out, or a coloring was found.
@@ -338,9 +342,9 @@ const DefaultHeartbeatEvery = 256
 func (g *Graph) Color(opts Options) (sigma cluster.Clustering, stats Stats, found bool) {
 	st := g.newState(opts)
 	ok := st.color()
-	// The final heartbeat carries the search's exact totals; tracers such as
-	// trace.Recorder use it to converge their running counters, and the run
-	// registry uses it to show the search's last known state.
+	// The final heartbeat carries the search's exact totals: trace.Recorder
+	// takes the run's counters from it, and the run registry shows it as the
+	// search's last known state.
 	st.emitProgress()
 	if !ok {
 		return nil, st.stats, false

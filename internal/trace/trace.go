@@ -1,8 +1,8 @@
 // Package trace is the observability layer of the DIVA engine: typed run
 // events (phase boundaries, per-node search activity, portfolio outcomes), a
-// Tracer interface callers implement to watch a run live, a Recorder that
-// aggregates events into per-run RunMetrics, and a process-wide expvar
-// registry (expvar.go) that accumulates totals across runs.
+// Tracer interface callers implement to watch a run live, the RunMetrics the
+// engine attaches to every result, and a Recorder that rebuilds RunMetrics'
+// phase, search and shard fields from the event stream alone.
 //
 // The paper's evaluation shows DIVA's runtime is dominated by the clustering
 // and coloring phases and varies by orders of magnitude with the conflict
@@ -136,8 +136,9 @@ const (
 	// KindRunEnd is a synthetic terminal event: the run registry appends it
 	// to a run's flight recorder and event stream when the run completes, so
 	// followers (SSE subscribers, cmd/divatop) see an authoritative outcome
-	// without polling /debug/diva/runs. Event.Label carries the outcome
-	// ("ok", "error" or "canceled") and Event.Elapsed the run's wall time.
+	// without polling /debug/diva/runs. Event.Label carries the outcome as
+	// core.RunOutcome classifies it ("ok", "infeasible", "canceled" or
+	// "error") and Event.Elapsed the run's wall time.
 	// The engine itself never emits it, so caller-supplied Tracers on the
 	// Options.Tracer path do not see it.
 	KindRunEnd
@@ -327,25 +328,12 @@ type RunMetrics struct {
 	NogoodHits     int `json:"nogood_hits,omitempty"`
 	Backjumps      int `json:"backjumps,omitempty"`
 	MaxBackjump    int `json:"max_backjump,omitempty"`
-	// NodeAssigns and NodeBacktracks count per-node search activity, keyed
-	// by constraint-graph node index (empty in portfolio mode, where worker
-	// events are suppressed).
-	NodeAssigns    map[int]int `json:"node_assigns,omitempty"`
-	NodeBacktracks map[int]int `json:"node_backtracks,omitempty"`
-	// NodeExhaustions counts candidate-exhaustion events per node: how often
-	// each constraint ran out of candidates and forced the search to retreat
-	// (empty in portfolio mode, like the per-node counters above).
-	NodeExhaustions map[int]int `json:"node_exhaustions,omitempty"`
-	// BaselineSplits and BaselineLeaves describe the baseline partitioner's
-	// recursive work: cuts made (KindSplit events carrying an attribute
-	// label) and leaf partitions emitted (KindSplit events with an empty
-	// label). Both are zero for partitioners that do not emit split events.
-	BaselineSplits int `json:"baseline_splits,omitempty"`
-	BaselineLeaves int `json:"baseline_leaves,omitempty"`
 	// SigmaComponents and RestShards describe the sharded engine's plan:
 	// independent constraint-graph components solved separately, and QI-local
 	// shards the rest rows were partitioned in. Both are zero on monolithic
-	// runs (Options.Shards off), where no KindShard events are emitted.
+	// runs (Options.Shards off). A run that fell back from sharding to the
+	// monolithic driver keeps the abandoned attempt's components and has no
+	// rest shards.
 	SigmaComponents int `json:"sigma_components,omitempty"`
 	RestShards      int `json:"rest_shards,omitempty"`
 	// PortfolioWorkers is the number of concurrent searches (0 = sequential).
@@ -405,9 +393,12 @@ func (m *RunMetrics) String() string {
 	return b.String()
 }
 
-// Recorder is a goroutine-safe Tracer that aggregates events into
-// RunMetrics. The engine attaches one to every run; callers may also use it
-// directly as Options.Tracer to collect metrics without implementing Tracer.
+// Recorder is a goroutine-safe Tracer that rebuilds a run's RunMetrics from
+// its event stream: the phase timings (KindPhaseEnd), the search totals of
+// the last KindProgress heartbeat, the portfolio winner (KindWorkerWin) and
+// the shard plan (KindShard). Used as Options.Tracer it matches the engine's
+// Result.Metrics on those fields; the engine itself builds Result.Metrics
+// directly and attaches no Recorder.
 type Recorder struct {
 	mu sync.Mutex
 	m  RunMetrics
@@ -416,53 +407,15 @@ type Recorder struct {
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Trace implements Tracer. Search-effort scalars (Steps, Backtracks,
-// CandidatesTried, cache hits/misses) are kept two ways: incrementally from
-// the per-step events (each KindAssign is one step, each KindCandidates one
-// cache miss of Event.N enumerated candidates, each KindCacheHit one hit),
-// and authoritatively from KindProgress snapshots, which overwrite the
-// running totals. The search emits a final KindProgress when it ends, so a
-// caller-supplied Recorder converges to exactly the engine-reported counters
-// (the incremental path alone undercounts shared-candidate consistency
-// checks, which have no per-step event).
+// Trace implements Tracer. Every coloring search ends with a KindProgress
+// carrying its exact totals (the portfolio and the sharded engine emit one
+// for the whole run), so the last heartbeat's counters are the run's.
 func (r *Recorder) Trace(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch ev.Kind {
 	case KindPhaseEnd:
 		r.m.Phases = append(r.m.Phases, PhaseTiming{Phase: ev.Phase, Duration: ev.Elapsed})
-	case KindAssign:
-		if r.m.NodeAssigns == nil {
-			r.m.NodeAssigns = make(map[int]int)
-		}
-		n := batch(ev.N)
-		r.m.NodeAssigns[ev.Node] += n
-		r.m.Steps += n
-	case KindBacktrack:
-		if r.m.NodeBacktracks == nil {
-			r.m.NodeBacktracks = make(map[int]int)
-		}
-		n := batch(ev.N)
-		r.m.NodeBacktracks[ev.Node] += n
-		r.m.Backtracks += n
-	case KindCandidates:
-		r.m.CandidateCacheMisses++
-		r.m.CandidatesTried += ev.N
-	case KindCacheHit:
-		r.m.CandidateCacheHits++
-		r.m.CandidatesTried += ev.N
-	case KindExhausted:
-		if r.m.NodeExhaustions == nil {
-			r.m.NodeExhaustions = make(map[int]int)
-		}
-		r.m.NodeExhaustions[ev.Node]++
-	case KindNogood:
-		r.m.NogoodsLearned += batch(ev.N)
-	case KindBackjump:
-		r.m.Backjumps += batch(ev.N)
-		if ev.Skipped > r.m.MaxBackjump {
-			r.m.MaxBackjump = ev.Skipped
-		}
 	case KindProgress:
 		r.m.Steps = ev.Steps
 		r.m.Backtracks = ev.Backtracks
@@ -472,18 +425,10 @@ func (r *Recorder) Trace(ev Event) {
 		r.m.NogoodsLearned = ev.Nogoods
 		r.m.NogoodHits = ev.NogoodHits
 		r.m.Backjumps = ev.Backjumps
-		if ev.MaxBackjump > r.m.MaxBackjump {
-			r.m.MaxBackjump = ev.MaxBackjump
-		}
+		r.m.MaxBackjump = ev.MaxBackjump
 	case KindWorkerWin:
 		r.m.WinnerWorker = ev.N
 		r.m.WinnerStrategy = ev.Strategy
-	case KindSplit:
-		if ev.Label != "" {
-			r.m.BaselineSplits++
-		} else {
-			r.m.BaselineLeaves++
-		}
 	case KindShard:
 		if ev.Label == "component" {
 			r.m.SigmaComponents++
@@ -493,37 +438,13 @@ func (r *Recorder) Trace(ev Event) {
 	}
 }
 
-// batch widens a per-node event into its replay batch size (0 means a single
-// live event).
-func batch(n int) int {
-	if n > 0 {
-		return n
-	}
-	return 1
-}
-
-// Snapshot returns a copy of the metrics aggregated so far. Map and slice
-// fields are deep-copied, so the snapshot is safe to retain.
+// Snapshot returns a copy of the metrics aggregated so far, safe to retain.
 func (r *Recorder) Snapshot() *RunMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.m
 	m.Phases = append([]PhaseTiming(nil), r.m.Phases...)
-	m.NodeAssigns = copyCounts(r.m.NodeAssigns)
-	m.NodeBacktracks = copyCounts(r.m.NodeBacktracks)
-	m.NodeExhaustions = copyCounts(r.m.NodeExhaustions)
 	return &m
-}
-
-func copyCounts(src map[int]int) map[int]int {
-	if src == nil {
-		return nil
-	}
-	dst := make(map[int]int, len(src))
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
 }
 
 // WriterTracer logs events as text lines, one per event. By default only

@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"errors"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -13,9 +12,9 @@ func TestRecorderAggregates(t *testing.T) {
 	r.Trace(Event{Kind: KindPhaseStart, Phase: PhaseBind})
 	r.Trace(Event{Kind: KindPhaseEnd, Phase: PhaseBind, Elapsed: 2 * time.Millisecond})
 	r.Trace(Event{Kind: KindPhaseEnd, Phase: PhaseColor, Elapsed: 5 * time.Millisecond})
-	r.Trace(Event{Kind: KindAssign, Node: 1})
-	r.Trace(Event{Kind: KindAssign, Node: 1})
-	r.Trace(Event{Kind: KindBacktrack, Node: 1})
+	r.Trace(Event{Kind: KindShard, Label: "component", Node: 0, N: 40})
+	r.Trace(Event{Kind: KindShard, Label: "rest", Node: 0, N: 30})
+	r.Trace(Event{Kind: KindShard, Label: "rest", Node: 1, N: 30})
 	r.Trace(Event{Kind: KindWorkerWin, N: 2, Strategy: "MaxFanOut"})
 
 	m := r.Snapshot()
@@ -28,16 +27,16 @@ func TestRecorderAggregates(t *testing.T) {
 	if got := m.PhasesTotal(); got != 7*time.Millisecond {
 		t.Fatalf("PhasesTotal = %v", got)
 	}
-	if m.NodeAssigns[1] != 2 || m.NodeBacktracks[1] != 1 {
-		t.Fatalf("node counters = %v / %v", m.NodeAssigns, m.NodeBacktracks)
+	if m.SigmaComponents != 1 || m.RestShards != 2 {
+		t.Fatalf("shard plan = %d components / %d rest shards, want 1 / 2", m.SigmaComponents, m.RestShards)
 	}
 	if m.WinnerWorker != 2 || m.WinnerStrategy != "MaxFanOut" {
 		t.Fatalf("winner = %d %q", m.WinnerWorker, m.WinnerStrategy)
 	}
 
 	// The snapshot is detached from later mutation.
-	r.Trace(Event{Kind: KindAssign, Node: 1})
-	if m.NodeAssigns[1] != 2 {
+	r.Trace(Event{Kind: KindPhaseEnd, Phase: PhaseVerify})
+	if len(m.Phases) != 2 {
 		t.Fatal("snapshot shares state with the recorder")
 	}
 	if s := m.String(); !strings.Contains(s, "winner=MaxFanOut") {
@@ -54,8 +53,8 @@ func TestTee(t *testing.T) {
 		t.Fatalf("Tee(nil, r) = %T, want the recorder itself", got)
 	}
 	r2 := NewRecorder()
-	Tee(r, r2).Trace(Event{Kind: KindAssign, Node: 3})
-	if r.Snapshot().NodeAssigns[3] != 1 || r2.Snapshot().NodeAssigns[3] != 1 {
+	Tee(r, r2).Trace(Event{Kind: KindPhaseEnd, Phase: PhaseBind})
+	if len(r.Snapshot().Phases) != 1 || len(r2.Snapshot().Phases) != 1 {
 		t.Fatal("Tee did not fan out")
 	}
 }
@@ -155,41 +154,6 @@ func TestFormatPhaseSeconds(t *testing.T) {
 	}
 }
 
-func TestGlobalRegistry(t *testing.T) {
-	before := GlobalTotals()
-	RecordGlobal(&RunMetrics{
-		Steps:      10,
-		Backtracks: 3,
-		Canceled:   true,
-		Phases: []PhaseTiming{
-			{Phase: PhaseColor, Duration: 2 * time.Second},
-			{Phase: PhaseBind, Duration: time.Second},
-		},
-	}, errors.New("search budget exhausted"))
-	RecordGlobal(nil, nil) // run that failed before metrics existed
-
-	after := GlobalTotals()
-	if d := after.Runs - before.Runs; d != 2 {
-		t.Fatalf("runs delta = %d, want 2", d)
-	}
-	if d := after.Errors - before.Errors; d != 1 {
-		t.Fatalf("errors delta = %d, want 1", d)
-	}
-	if d := after.Canceled - before.Canceled; d != 1 {
-		t.Fatalf("canceled delta = %d, want 1", d)
-	}
-	if d := after.Steps - before.Steps; d != 10 {
-		t.Fatalf("steps delta = %d, want 10", d)
-	}
-	sec := PhaseSecondsSince(before)
-	if sec[PhaseColor] < 2 || sec[PhaseBind] < 1 {
-		t.Fatalf("PhaseSecondsSince = %v", sec)
-	}
-	if s := after.String(); !strings.Contains(s, "runs=") {
-		t.Fatalf("Totals.String() = %q", s)
-	}
-}
-
 // TestFormatPhaseSecondsGolden locks the edge cases of the phase formatter:
 // empty input, a single phase, and unknown phases sorting after known ones
 // in name order.
@@ -243,82 +207,21 @@ func TestRunMetricsStringGolden(t *testing.T) {
 	}
 }
 
-// TestRecorderSearchCounters covers the Recorder's dual bookkeeping: the
-// per-event aggregation (including batched portfolio replays via Event.N)
-// and the authoritative overwrite from a KindProgress snapshot.
+// TestRecorderSearchCounters: the search totals are the last KindProgress
+// heartbeat's, which every search ends with; per-step events do not count.
 func TestRecorderSearchCounters(t *testing.T) {
 	r := NewRecorder()
+	r.Trace(Event{Kind: KindProgress, Steps: 40, Backtracks: 5, MaxBackjump: 3})
+	r.Trace(Event{Kind: KindAssign, Node: 2, N: 7})
 	r.Trace(Event{Kind: KindCandidates, Node: 1, N: 5})
-	r.Trace(Event{Kind: KindCacheHit, Node: 1, N: 5})
-	r.Trace(Event{Kind: KindAssign, Node: 1})
-	r.Trace(Event{Kind: KindAssign, Node: 2, N: 7}) // batched replay
-	r.Trace(Event{Kind: KindBacktrack, Node: 2, N: 3})
-	m := r.Snapshot()
-	if m.CandidateCacheMisses != 1 || m.CandidateCacheHits != 1 || m.CandidatesTried != 10 {
-		t.Fatalf("cache counters = %d/%d tried %d, want 1/1 tried 10",
-			m.CandidateCacheMisses, m.CandidateCacheHits, m.CandidatesTried)
-	}
-	if m.Steps != 8 || m.Backtracks != 3 {
-		t.Fatalf("steps/backtracks = %d/%d, want 8/3", m.Steps, m.Backtracks)
-	}
-	if m.NodeAssigns[2] != 7 || m.NodeBacktracks[2] != 3 {
-		t.Fatalf("batched node counts = %d/%d, want 7/3",
-			m.NodeAssigns[2], m.NodeBacktracks[2])
-	}
-	// A progress heartbeat carries the search's own cumulative counters and
-	// overwrites the incremental tallies.
 	r.Trace(Event{Kind: KindProgress, Steps: 100, Backtracks: 20,
-		Candidates: 400, CacheHits: 30, CacheMisses: 10})
-	m = r.Snapshot()
-	if m.Steps != 100 || m.Backtracks != 20 || m.CandidatesTried != 400 ||
-		m.CandidateCacheHits != 30 || m.CandidateCacheMisses != 10 {
-		t.Fatalf("after progress overwrite: %+v", m)
-	}
-}
-
-// TestTotalsDelta: Delta subtracts counters and keeps only phases that
-// advanced, giving per-experiment snapshots from the process-wide totals.
-func TestTotalsDelta(t *testing.T) {
-	before := GlobalTotals()
-	RecordGlobal(&RunMetrics{
-		Steps: 5, Backtracks: 2, CandidateCacheHits: 3, CandidateCacheMisses: 1,
-		Phases: []PhaseTiming{{Phase: PhaseSuppress, Duration: time.Second}},
-	}, nil)
-	d := GlobalTotals().Delta(before)
-	if d.Runs != 1 || d.Steps != 5 || d.Backtracks != 2 {
-		t.Fatalf("delta = %+v", d)
-	}
-	if d.CacheHits != 3 || d.CacheMiss != 1 {
-		t.Fatalf("delta cache = %d/%d, want 3/1", d.CacheHits, d.CacheMiss)
-	}
-	if d.PhaseNanos[PhaseSuppress] < int64(time.Second) {
-		t.Fatalf("delta phase nanos = %v", d.PhaseNanos)
-	}
-	for ph, ns := range d.PhaseNanos {
-		if ns == 0 {
-			t.Fatalf("zero-advance phase %q kept in delta", ph)
-		}
-	}
-}
-
-// TestRegisterSink: sinks registered on the global registry observe every
-// RecordGlobal call with the run's metrics and error.
-func TestRegisterSink(t *testing.T) {
-	var mu sync.Mutex
-	var calls int
-	var lastErr error
-	RegisterSink(func(m *RunMetrics, err error) {
-		mu.Lock()
-		calls++
-		lastErr = err
-		mu.Unlock()
-	})
-	RecordGlobal(&RunMetrics{Steps: 1}, nil)
-	sinkErr := errors.New("sink sees the error")
-	RecordGlobal(nil, sinkErr)
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 2 || lastErr != sinkErr {
-		t.Fatalf("sink calls = %d, lastErr = %v", calls, lastErr)
+		Candidates: 400, CacheHits: 30, CacheMisses: 10,
+		Nogoods: 4, NogoodHits: 6, Backjumps: 2, MaxBackjump: 2})
+	m := r.Snapshot()
+	want := RunMetrics{Steps: 100, Backtracks: 20, CandidatesTried: 400,
+		CandidateCacheHits: 30, CandidateCacheMisses: 10,
+		NogoodsLearned: 4, NogoodHits: 6, Backjumps: 2, MaxBackjump: 2}
+	if !reflect.DeepEqual(*m, want) {
+		t.Fatalf("recorder = %+v, want %+v", *m, want)
 	}
 }
