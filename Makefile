@@ -374,9 +374,12 @@ verify:
 	$(MAKE) fuzz-smoke
 
 # fuzz-smoke runs each fuzz target for a bounded wall-clock slice, starting
-# from the checked-in corpora under internal/verify/testdata/fuzz/.
+# from the checked-in corpora under internal/verify/testdata/fuzz/ and
+# internal/relation/testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzAnonymizeEndToEnd' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz 'FuzzBruteForceOracle' -fuzztime $(FUZZTIME) ./internal/verify/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadAnnotatedCSV$$' -fuzztime $(FUZZTIME) ./internal/relation/
+	$(GO) test -run '^$$' -fuzz '^FuzzCSVLoaderMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/relation/
 
 ci: fmt-check vet build test race bench-check verify obs-smoke live-smoke profile-smoke baseline-smoke shard-smoke history-smoke nogood-smoke

@@ -18,9 +18,11 @@
 // backjump counters appear in -stats, -metrics, -explain, the profile, and
 // the history ledger.
 //
-// -chunk loads the input through the streaming chunk reader (bounded
-// per-chunk decode buffers, one shared dictionary set) instead of a single
-// pass. -history-dir appends one self-describing record per run — config and
+// -chunk loads the input through the streaming chunk reader — N rows at a
+// time into chunks sharing one dictionary set, decoded on one goroutine at
+// most one 1 MiB block of input ahead — instead of a single pass, which
+// decodes a large input's blocks in parallel. Both give the same relation.
+// -history-dir appends one self-describing record per run — config and
 // dataset fingerprints, outcome, per-phase wall times — to the durable run
 // ledger read back by `divahist` and /debug/diva/history; the
 // DIVA_HISTORY_DIR environment variable is the flagless equivalent.
@@ -384,8 +386,8 @@ func fatal(err error) {
 // materialize maxRows at a time into chunks that share one dictionary set,
 // and fold into the base relation as they arrive. For a plain CLI run the
 // end state matches ReadAnnotatedCSV; the difference is that the CSV text is
-// decoded with bounded per-chunk buffers, the shape out-of-core pipelines
-// consume chunks in.
+// decoded on this goroutine with a bounded read buffer, the shape
+// out-of-core pipelines consume chunks in.
 func loadChunked(r io.Reader, maxRows int) (*diva.Relation, error) {
 	s, err := relation.NewAnnotatedCSVStream(r)
 	if err != nil {

@@ -305,7 +305,8 @@ func NewRelation(schema *Schema) *Relation { return relation.New(schema) }
 func ReadCSV(r io.Reader, schema *Schema) (*Relation, error) { return relation.ReadCSV(r, schema) }
 
 // ReadAnnotatedCSV loads a relation from CSV whose header carries
-// "name:role[:kind]" annotations.
+// "name:role[:kind]" annotations. An input cell "*" is an already-suppressed
+// ★, so a published relation loads back unchanged.
 func ReadAnnotatedCSV(r io.Reader) (*Relation, error) { return relation.ReadAnnotatedCSV(r) }
 
 // WriteCSV writes a relation as CSV with a plain header.

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"strconv"
@@ -82,23 +81,6 @@ func BenchmarkValueFrequencies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(r.ValueFrequencies(1)) == 0 {
 			b.Fatal("no frequencies")
-		}
-	}
-}
-
-func BenchmarkReadAnnotatedCSV(b *testing.B) {
-	var buf bytes.Buffer
-	if err := WriteAnnotatedCSV(&buf, benchRelation(50000)); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := ReadAnnotatedCSV(bytes.NewReader(data))
-		if err != nil || r.Len() != 50000 {
-			b.Fatalf("read %v rows: %v", r, err)
 		}
 	}
 }

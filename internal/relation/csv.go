@@ -10,8 +10,9 @@ import (
 // ReadCSV loads a relation from CSV data whose header row matches the given
 // schema's attribute names (order-insensitive: columns are matched by name,
 // extra columns are ignored, missing columns are an error). It is the
-// materializing form of NewCSVStream; use the stream (or LoadCSVStream) for
-// relations too large to hold in memory.
+// materializing form of NewCSVStream; use the stream's ReadChunk for
+// relations too large to hold in memory. As in ReadAnnotatedCSV, a cell "*"
+// is the suppression marker ★.
 func ReadCSV(r io.Reader, schema *Schema) (*Relation, error) {
 	s, err := NewCSVStream(r, schema)
 	if err != nil {
@@ -61,6 +62,11 @@ func ParseHeaderSchema(header []string) (*Schema, error) {
 // ReadAnnotatedCSV loads a relation from CSV data whose header carries
 // role/kind annotations as understood by ParseHeaderSchema. It is the
 // materializing form of NewAnnotatedCSVStream.
+//
+// An input cell "*" (Star) is read as an already-suppressed ★ — code
+// StarCode — so an anonymized relation written by WriteCSV or
+// WriteAnnotatedCSV loads back unchanged. Such cells count as suppressed
+// wherever ★ cells are counted.
 func ReadAnnotatedCSV(r io.Reader) (*Relation, error) {
 	s, err := NewAnnotatedCSVStream(r)
 	if err != nil {

@@ -36,6 +36,15 @@ func (d *Dictionary) Code(value string) uint32 {
 	return c
 }
 
+// codeBytes is Code for a value given as bytes. The lookup does not
+// allocate; only a value seen for the first time is copied into a string.
+func (d *Dictionary) codeBytes(b []byte) uint32 {
+	if c, ok := d.codes[string(b)]; ok {
+		return c
+	}
+	return d.Code(string(b))
+}
+
 // Lookup returns the code for value without interning, and whether the value
 // is present.
 func (d *Dictionary) Lookup(value string) (uint32, bool) {

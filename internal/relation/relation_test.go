@@ -568,11 +568,11 @@ func TestColumnScanRejectsBadAttribute(t *testing.T) {
 	mustPanic(t, "Count(-1)", func() { r.Count(-1, 1) })
 }
 
-// TestReadAllMatchesAppendValues checks the chunked ReadAll against a
-// row-by-row build, codes and dictionaries included, around the chunk
-// boundary.
+// TestReadAllMatchesAppendValues checks ReadAll against a row-by-row build,
+// codes and dictionaries included, on inputs that end inside the first
+// block and on ones decoded in several blocks.
 func TestReadAllMatchesAppendValues(t *testing.T) {
-	for _, n := range []int{0, 1, readAllChunk - 1, readAllChunk, readAllChunk + 1, 20000} {
+	for _, n := range []int{0, 1, 8191, 8192, 8193, 20000, 150000} {
 		src := benchRelation(n)
 		var buf bytes.Buffer
 		if err := WriteAnnotatedCSV(&buf, src); err != nil {

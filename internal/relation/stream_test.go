@@ -1,7 +1,6 @@
 package relation_test
 
 import (
-	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -126,74 +125,28 @@ func TestStreamReadChunkSharesDictionaries(t *testing.T) {
 	}
 }
 
-func TestLoadCSVStream(t *testing.T) {
-	schema := streamSchema(t)
-	var rows [][]string
-	err := relation.LoadCSVStream(strings.NewReader(streamCSV), schema, func(row int, values []string) error {
-		if row != len(rows) {
-			t.Fatalf("row index %d, want %d", row, len(rows))
-		}
-		rows = append(rows, append([]string(nil), values...))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("LoadCSVStream: %v", err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want 5", len(rows))
-	}
-	if rows[2][2] != "52" {
-		t.Fatalf("row 2 AGE: got %q, want 52", rows[2][2])
-	}
-
-	// Annotated mode via nil schema.
-	n := 0
-	err = relation.LoadCSVStream(strings.NewReader(streamAnnotatedCSV), nil, func(row int, values []string) error {
-		n++
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("LoadCSVStream annotated: %v", err)
-	}
-	if n != 5 {
-		t.Fatalf("annotated rows: got %d, want 5", n)
-	}
-
-	// Callback errors propagate verbatim.
-	sentinel := errors.New("stop here")
-	calls := 0
-	err = relation.LoadCSVStream(strings.NewReader(streamCSV), schema, func(row int, values []string) error {
-		calls++
-		if row == 1 {
-			return sentinel
-		}
-		return nil
-	})
-	if err != sentinel {
-		t.Fatalf("callback error: got %v, want sentinel", err)
-	}
-	if calls != 2 {
-		t.Fatalf("callback called %d times, want 2", calls)
-	}
-}
-
 func TestStreamErrors(t *testing.T) {
 	schema := streamSchema(t)
 	if _, err := relation.NewCSVStream(strings.NewReader("A,AGE\n"), schema); err == nil ||
 		!strings.Contains(err.Error(), `missing attribute "B"`) {
 		t.Fatalf("missing column: got %v", err)
 	}
-	s, err := relation.NewCSVStream(strings.NewReader("A,B,AGE\na0,b0,30\na1,b1\n"), schema)
+	const ragged = "A,B,AGE\na0,b0,30\na1,b1\n"
+	s, err := relation.NewCSVStream(strings.NewReader(ragged), schema)
 	if err != nil {
 		t.Fatalf("NewCSVStream: %v", err)
 	}
-	if _, err := s.Next(); err != nil {
-		t.Fatalf("first row: %v", err)
+	if chunk, err := s.ReadChunk(1); err != nil || chunk.Len() != 1 {
+		t.Fatalf("first row: got %v, %v", chunk, err)
 	}
-	if s.Line() != 2 {
-		t.Fatalf("Line after first row: got %d, want 2", s.Line())
-	}
-	if _, err := s.Next(); err == nil || !strings.Contains(err.Error(), "line 3") {
+	if _, err := s.ReadChunk(1); err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("ragged row: got %v, want line 3 error", err)
+	}
+	s, err = relation.NewCSVStream(strings.NewReader(ragged), schema)
+	if err != nil {
+		t.Fatalf("NewCSVStream: %v", err)
+	}
+	if _, err := s.ReadAll(); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("ReadAll over a ragged row: got %v, want line 3 error", err)
 	}
 }

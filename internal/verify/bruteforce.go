@@ -31,7 +31,9 @@ type Solution struct {
 	// whole solution space was enumerated.
 	Feasible bool
 	// Stars is the true minimum number of suppressed QI cells over all
-	// valid outputs (0 when Feasible is false).
+	// valid outputs (0 when Feasible is false). It counts every ★ QI cell
+	// of the output, those R already holds included, as
+	// Result.Metrics.SuppressedCells does.
 	Stars int
 	// Partition is a witness grouping achieving Stars: blocks of row
 	// indexes into the input relation, each of size ≥ k.
@@ -230,7 +232,8 @@ func (s *bruteSolver) evaluate() {
 					break
 				}
 			}
-			if p.supp[qidx] {
+			// A kept attribute still counts the ★ cells R already holds.
+			if p.supp[qidx] || first[a] == relation.StarCode {
 				baseStars += len(block)
 			}
 		}
