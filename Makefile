@@ -110,7 +110,11 @@ baseline-smoke:
 # (testdata/census-shard.sigma), solved monolithically and with -shards 4,
 # all under -verify. The two sharded runs must be byte-identical (the shard
 # plan's determinism contract); the monolithic run shares the -verify
-# verdict but may publish a different — equally valid — relation.
+# verdict but may publish a different — equally valid — relation. It also
+# pins the driver's two Options.Shards rules: -shards 1 runs the joint
+# (monolithic) pipeline, so its output equals the monolithic output, and a
+# component-wise run ignores -parallel, so -shards 4 -parallel 3 equals
+# -shards 4.
 shard-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -129,7 +133,17 @@ shard-smoke:
 	cmp -s $$tmp/shard1.csv $$tmp/shard2.csv || { \
 		echo "shard-smoke: sharded output not deterministic"; exit 1; }; \
 	[ -s $$tmp/shard1.csv ] || { echo "shard-smoke: empty output"; exit 1; }; \
-	echo "shard-smoke: ok (sharded runs byte-identical, monolithic and sharded -verify clean)"
+	$$tmp/diva -in $$tmp/census.csv -constraints testdata/census-shard.sigma \
+		-k 10 -seed 7 -shards 1 -verify >$$tmp/one.csv \
+		|| { echo "shard-smoke: -shards 1 run failed"; exit 1; }; \
+	cmp -s $$tmp/mono.csv $$tmp/one.csv || { \
+		echo "shard-smoke: -shards 1 output differs from monolithic"; exit 1; }; \
+	$$tmp/diva -in $$tmp/census.csv -constraints testdata/census-shard.sigma \
+		-k 10 -seed 7 -shards 4 -parallel 3 -verify >$$tmp/shardpar.csv \
+		|| { echo "shard-smoke: -shards 4 -parallel 3 run failed"; exit 1; }; \
+	cmp -s $$tmp/shard1.csv $$tmp/shardpar.csv || { \
+		echo "shard-smoke: -shards 4 -parallel 3 output differs from -shards 4"; exit 1; }; \
+	echo "shard-smoke: ok (sharded runs byte-identical, -shards 1 = monolithic, -parallel ignored when sharded, all -verify clean)"
 
 # obs-smoke exercises the ops layer end to end: it runs cmd/diva with
 # -listen on an ephemeral port against the paper's example (testdata/), keeps

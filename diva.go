@@ -457,8 +457,9 @@ type Options struct {
 	// from GOMAXPROCS and the relation size, and any value ≥ 2 is honored
 	// as given. Output is deterministic for a fixed shard count and seed
 	// (different counts may produce different — equally valid — outputs);
-	// Parallelism bounds the fan-out. Runs that shard infeasibly fall back
-	// to the monolithic engine transparently. Sharded runs ignore Parallel.
+	// Parallelism bounds the fan-out. When the components' colorings leave
+	// fewer than K rest tuples, Σ is colored again as one joint graph, as
+	// with Shards 0. Sharded runs ignore Parallel.
 	Shards int
 	// Hierarchies, when non-nil, renders clusters by generalization: cells
 	// a cluster disagrees on lift to the least common ancestor of its

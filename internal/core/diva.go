@@ -98,16 +98,15 @@ type Options struct {
 	// Shards selects the shard-and-merge engine: Σ is decomposed into
 	// pool-disjoint connected components (constraint.Components) colored
 	// concurrently, and the rest rows are partitioned in QI-local shards.
-	// 0 disables sharding (the monolithic driver), ShardsAuto (-1) sizes the
-	// shard count from GOMAXPROCS and the relation, and any value ≥ 2 is
-	// honored as given (values below 2 behave like 0). The shard fan-out is
-	// bounded by Parallelism. Results are deterministic for a fixed shard
-	// count, seed and strategy; when the component-wise coloring leaves a
-	// rest set smaller than K the engine transparently falls back to the
-	// monolithic driver (whose Accept hook forbids that outcome during the
-	// search). Sharded runs ignore Parallel: the portfolio races whole
-	// searches, whereas sharding splits one search into independent
-	// components.
+	// 0 disables sharding (the joint, monolithic run), ShardsAuto (-1)
+	// sizes the shard count from GOMAXPROCS and the relation, and any value
+	// ≥ 2 is honored as given (values below 2 behave like 0). The shard
+	// fan-out is bounded by Parallelism. Results are deterministic for a
+	// fixed shard count, seed and strategy; when the component-wise
+	// coloring leaves a rest set smaller than K, the driver colors Σ again
+	// jointly, under the Accept hook that forbids that outcome. Sharded
+	// runs ignore Parallel: the portfolio races whole searches, whereas
+	// sharding splits one search into independent components.
 	Shards int
 	// Nogoods enables conflict-driven learning in the coloring search: every
 	// exhausted node contributes a learned nogood (derived from blocker
@@ -292,68 +291,65 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 
 	env.schema, env.bounds, env.searchable = schema, bounds, searchable
 
-	// Shard-and-merge: decompose Σ into pool-disjoint components, color them
-	// concurrently, and partition the rest rows shard-wise. Soundness of the
-	// decomposition (and of merging the per-part results) is argued in
-	// DESIGN.md §11. The sentinel errShardFallback drops us back into the
-	// monolithic driver below; any other outcome is final.
-	if shards := shardCount(opts.Shards, rel.Len()); shards > 1 {
-		res, err := runSharded(ctx, env, shards)
-		if err == nil || !errors.Is(err, errShardFallback) {
-			return finish(res, err)
-		}
-	}
-
 	// DiverseClustering (Algorithm 3): build the constraint graph and color
-	// it.
-	var graph *search.Graph
-	err = env.phase(trace.PhaseBuildGraph, func(context.Context) error {
-		copts := opts.Cluster
-		copts.K = opts.K
-		copts.Criterion = opts.Criterion
-		graph = search.BuildGraph(rel, searchable, copts)
-		// Describe the graph's shape (node labels, conflict-edge weights) to
-		// the event stream so profiles and explanations can name constraints.
-		graph.Describe(tr)
-		return nil
-	})
-	if err != nil {
-		return finish(nil, err)
-	}
-
-	n := rel.Len()
+	// it. In joint mode there is one graph over every searchable constraint,
+	// colored under the global rest-size Accept hook. Otherwise Σ is
+	// decomposed into pool-disjoint components colored concurrently
+	// (DESIGN.md §11); a component cannot see the global rest size, so the
+	// merged clustering is judged by the same rest check afterwards, and a
+	// rejection re-enters build-graph and color in joint mode.
+	shards := shardCount(opts.Shards, rel.Len())
+	joint := shards < 2
 	var sigmaClustering cluster.Clustering
-	err = env.phase(trace.PhaseColor, func(c context.Context) error {
-		searchOpts := search.Options{
-			Strategy: opts.Strategy,
-			Rng:      opts.Rng,
-			MaxSteps: opts.MaxSteps,
-			Ctx:      c,
-			Tracer:   tr,
-			Accept: func(used int) bool {
-				rest := n - used
-				return rest == 0 || rest >= opts.K
-			},
-		}
-		if opts.Nogoods {
-			searchOpts.Nogoods = search.NewNogoodStore(opts.NogoodCapacity)
-		}
-		var found bool
-		if opts.Parallel > 0 {
-			sigmaClustering, env.stats, found = graph.ColorPortfolio(searchOpts, opts.Parallel, opts.Rng.Uint64())
-		} else {
-			sigmaClustering, env.stats, found = graph.Color(searchOpts)
-		}
-		if st := &env.stats; !found {
-			if st.Err != nil {
-				return fmt.Errorf("diva: coloring interrupted after %d steps (%d backtracks): %w", st.Steps, st.Backtracks, st.Err)
+	for {
+		comps := []constraint.Component{{Bounds: searchable}}
+		var graphs []*search.Graph
+		err = env.phase(trace.PhaseBuildGraph, func(context.Context) error {
+			if !joint {
+				comps = constraint.Components(rel, searchable)
+				env.components = len(comps)
 			}
-			return fmt.Errorf("diva: coloring failed after %d steps (%d backtracks): %w", st.Steps, st.Backtracks, ErrNoDiverseClustering)
+			copts := opts.Cluster
+			copts.K = opts.K
+			copts.Criterion = opts.Criterion
+			graphs = make([]*search.Graph, len(comps))
+			for ci, comp := range comps {
+				if !joint {
+					tr.Trace(trace.Event{
+						Kind:  trace.KindShard,
+						Label: "component",
+						Node:  ci,
+						N:     comp.Pool.Len(),
+						Depth: len(comp.Indices),
+					})
+				}
+				graphs[ci] = search.BuildGraph(rel, comp.Bounds, copts)
+				// Describe the graph's shape (node labels, conflict-edge
+				// weights) under global node ids so profiles and explanations
+				// can name constraints.
+				graphs[ci].DescribeMapped(tr, comp.Indices)
+			}
+			return nil
+		})
+		if err != nil {
+			return finish(nil, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return finish(nil, err)
+		err = env.phase(trace.PhaseColor, func(c context.Context) error {
+			var err error
+			if joint {
+				sigmaClustering, err = env.colorJoint(c, graphs[0])
+			} else {
+				sigmaClustering, err = env.colorComponents(c, comps, graphs)
+			}
+			return err
+		})
+		if err != nil {
+			return finish(nil, err)
+		}
+		if joint || env.acceptRest(sigmaClustering.Tuples()) {
+			break
+		}
+		joint = true
 	}
 
 	// Suppress (Algorithm 2) on SΣ gives RΣ (generalized rendering when
@@ -365,9 +361,19 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	d := out.Len()
 
 	// Anonymize the remaining tuples with the off-the-shelf algorithm; their
-	// rendering Rk completes R′.
+	// rendering Rk completes R′. A joint run hands them to the partitioner
+	// as one shard in index order; a component-wise run partitions them in
+	// QI-local shards.
 	err = env.phase(trace.PhaseBaseline, func(c context.Context) error {
-		parts, err := opts.Anonymizer.Partition(c, rel, rest, opts.K)
+		restShards := [][]int{rest}
+		if !joint {
+			restShards = planRestShards(rel, rest, shards, opts.K)
+			env.restShards = len(restShards)
+			for si, rows := range restShards {
+				tr.Trace(trace.Event{Kind: trace.KindShard, Label: "rest", Node: si, N: len(rows)})
+			}
+		}
+		parts, err := partitionShards(c, env, restShards)
 		if err != nil {
 			return fmt.Errorf("diva: anonymizing %d remaining tuples: %w", len(rest), err)
 		}
@@ -381,10 +387,10 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	return finish(env.integrateVerify(out, d, sigmaClustering))
 }
 
-// runEnv bundles the per-run state the monolithic and sharded drivers share:
-// the bound constraints, the run's tracer, and the three sources finish()
-// builds RunMetrics from — the timings the phase runner records, the search
-// statistics, and the shard plan's component and rest-shard counts.
+// runEnv bundles the per-run state the phases share: the bound constraints,
+// the run's tracer, and the three sources finish() builds RunMetrics from —
+// the timings the phase runner records, the search statistics, and the shard
+// plan's component and rest-shard counts.
 type runEnv struct {
 	ctx        context.Context
 	rel        *relation.Relation
@@ -459,6 +465,46 @@ func (e *runEnv) runMetrics(runID uint64, total time.Duration, out *relation.Rel
 		m.Accuracy = metrics.Accuracy(out)
 	}
 	return m
+}
+
+// acceptRest reports whether a diverse clustering covering used rows leaves
+// a rest Rk the baseline can k-anonymize: none at all, or at least K rows.
+// It is the joint search's Accept hook and the check a component-wise
+// coloring must pass.
+func (e *runEnv) acceptRest(used int) bool {
+	rest := e.rel.Len() - used
+	return rest == 0 || rest >= e.opts.K
+}
+
+// colorJoint colors the joint graph: one search on the run's Rng, or the
+// strategy portfolio when Options.Parallel > 0, under the acceptRest hook.
+func (e *runEnv) colorJoint(ctx context.Context, graph *search.Graph) (cluster.Clustering, error) {
+	opts := e.opts
+	searchOpts := search.Options{
+		Strategy: opts.Strategy,
+		Rng:      opts.Rng,
+		MaxSteps: opts.MaxSteps,
+		Ctx:      ctx,
+		Tracer:   e.tr,
+		Accept:   e.acceptRest,
+	}
+	if opts.Nogoods {
+		searchOpts.Nogoods = search.NewNogoodStore(opts.NogoodCapacity)
+	}
+	var sigmaClustering cluster.Clustering
+	var found bool
+	if opts.Parallel > 0 {
+		sigmaClustering, e.stats, found = graph.ColorPortfolio(searchOpts, opts.Parallel, opts.Rng.Uint64())
+	} else {
+		sigmaClustering, e.stats, found = graph.Color(searchOpts)
+	}
+	if st := &e.stats; !found {
+		if st.Err != nil {
+			return nil, fmt.Errorf("diva: coloring interrupted after %d steps (%d backtracks): %w", st.Steps, st.Backtracks, st.Err)
+		}
+		return nil, fmt.Errorf("diva: coloring failed after %d steps (%d backtracks): %w", st.Steps, st.Backtracks, ErrNoDiverseClustering)
+	}
+	return sigmaClustering, nil
 }
 
 // suppressPhase runs the suppress phase: render RΣ from the diverse

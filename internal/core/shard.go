@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -26,12 +25,6 @@ const ShardsAuto = -1
 // auto mode. An explicit Options.Shards ≥ 2 is honored regardless, so tests
 // can exercise the sharded path on micro-instances.
 const minShardRows = 4096
-
-// errShardFallback signals that the component-wise coloring succeeded but
-// left a rest set of fewer than K tuples — an outcome the monolithic search
-// forbids via its Accept hook but the per-component searches cannot see
-// (each knows only its own pool). Anonymize reruns the monolithic driver.
-var errShardFallback = errors.New("diva: sharded run requires monolithic fallback")
 
 // shardCount resolves Options.Shards against the relation size. It returns
 // 1 (monolithic) unless sharding is explicitly requested or auto mode finds
@@ -65,168 +58,79 @@ func shardWorkers(parallelism int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runSharded is the shard-and-merge driver. It mirrors the monolithic
-// phase sequence but decomposes the work:
-//
-//   - build-graph: Σ's searchable constraints split into pool-disjoint
-//     connected components (constraint.Components); each gets its own
-//     constraint graph, described to the tracer under global node ids.
-//   - color: the components are colored concurrently (bounded by
-//     Options.Parallelism), each with a deterministic per-component seed
-//     drawn up front in component order. Merging the clusterings is sound
-//     because pool-disjointness makes cross-component clusters row-disjoint
-//     and mutually occurrence-free (DESIGN.md §11).
-//   - suppress: unchanged (shared with the monolithic driver).
-//   - baseline: the rest rows are sorted into QI-local shards and
-//     partitioned shard-wise — concurrently for the default Mondrian.
-//   - integrate/verify: unchanged; Rk-only repair remains sufficient for
-//     cross-shard groups (DESIGN.md §11).
+// colorComponents colors every component of Σ concurrently (bounded by
+// Options.Parallelism), each with a deterministic per-component seed drawn
+// from the run Rng up front in component order, so the outcome does not
+// depend on goroutine scheduling. Merging the clusterings is sound because
+// pool-disjointness makes cross-component clusters row-disjoint and mutually
+// occurrence-free (DESIGN.md §11). There is no Accept hook: a component
+// cannot see the global rest size, so the driver checks it on the merged
+// clustering.
 //
 // Per-step search events are suppressed during the concurrent coloring
-// (their interleaving is nondeterministic) and replayed afterwards as
-// batched per-node counts in component order, so traces and profiles stay
-// deterministic for a fixed shard count and seed.
-func runSharded(ctx context.Context, e *runEnv, shards int) (*Result, error) {
+// (their interleaving is nondeterministic; heartbeats pass through a
+// synchronized tracer) and replayed afterwards as batched per-node counts in
+// component order, followed by one heartbeat carrying the summed totals, so
+// traces and profiles stay deterministic for a fixed shard count and seed.
+func (e *runEnv) colorComponents(ctx context.Context, comps []constraint.Component, graphs []*search.Graph) (cluster.Clustering, error) {
 	opts := e.opts
-
-	var comps []constraint.Component
-	var graphs []*search.Graph
-	err := e.phase(trace.PhaseBuildGraph, func(context.Context) error {
-		comps = constraint.Components(e.rel, e.searchable)
-		e.components = len(comps)
-		copts := opts.Cluster
-		copts.K = opts.K
-		copts.Criterion = opts.Criterion
-		graphs = make([]*search.Graph, len(comps))
-		for ci, comp := range comps {
-			e.tr.Trace(trace.Event{
-				Kind:  trace.KindShard,
-				Label: "component",
-				Node:  ci,
-				N:     comp.Pool.Len(),
-				Depth: len(comp.Indices),
-			})
-			g := search.BuildGraph(e.rel, comp.Bounds, copts)
-			g.DescribeMapped(e.tr, comp.Indices)
-			graphs[ci] = g
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	seeds := make([]uint64, len(comps))
+	for i := range seeds {
+		seeds[i] = opts.Rng.Uint64()
 	}
-
-	// Color every component concurrently. Seeds are drawn from the run Rng
-	// up front in component order so the outcome does not depend on
-	// goroutine scheduling; per-component searches run with per-step events
-	// suppressed (heartbeats pass through a synchronized tracer) and their
-	// activity is replayed deterministically after the barrier. No Accept
-	// hook here: a component cannot see the global rest size, so the
-	// rest ≥ K invariant is checked after suppress (fallback below).
+	clusterings := make([]cluster.Clustering, len(comps))
+	compStats := make([]search.Stats, len(comps))
+	found := make([]bool, len(comps))
+	wtr := trace.ProgressOnly(trace.Synchronized(e.tr))
+	sem := make(chan struct{}, shardWorkers(opts.Parallelism))
+	var wg sync.WaitGroup
+	for ci := range comps {
+		ci := ci
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			sopts := search.Options{
+				Strategy: opts.Strategy,
+				Rng:      rand.New(rand.NewPCG(seeds[ci], seeds[ci]^0x6c62272e07bb0142)),
+				MaxSteps: opts.MaxSteps,
+				Ctx:      ctx,
+				Tracer:   wtr,
+			}
+			if opts.Nogoods {
+				// Per-component store: node indexes and fingerprints are
+				// component-local, so sharing across components would only
+				// produce dead buckets.
+				sopts.Nogoods = search.NewNogoodStore(opts.NogoodCapacity)
+			}
+			clusterings[ci], compStats[ci], found[ci] = graphs[ci].Color(sopts)
+		}()
+	}
+	wg.Wait()
+	for ci := range comps {
+		compStats[ci].ReplayInto(e.tr, comps[ci].Indices)
+		e.stats.Merge(compStats[ci])
+	}
+	e.tr.Trace(e.stats.ProgressEvent(-1))
+	for ci := range comps {
+		if found[ci] {
+			continue
+		}
+		st := compStats[ci]
+		if st.Err != nil {
+			return nil, fmt.Errorf("diva: component %d coloring interrupted after %d steps (%d backtracks): %w", ci, st.Steps, st.Backtracks, st.Err)
+		}
+		return nil, fmt.Errorf("diva: component %d coloring failed after %d steps (%d backtracks): %w", ci, st.Steps, st.Backtracks, ErrNoDiverseClustering)
+	}
+	// Merge in component order. Clusters from different components are
+	// row-disjoint (their pools are), so concatenation is a valid clustering
+	// of the union.
 	var sigmaClustering cluster.Clustering
-	err = e.phase(trace.PhaseColor, func(c context.Context) error {
-		seeds := make([]uint64, len(comps))
-		for i := range seeds {
-			seeds[i] = opts.Rng.Uint64()
-		}
-		clusterings := make([]cluster.Clustering, len(comps))
-		compStats := make([]search.Stats, len(comps))
-		found := make([]bool, len(comps))
-		wtr := trace.ProgressOnly(trace.Synchronized(e.tr))
-		sem := make(chan struct{}, shardWorkers(opts.Parallelism))
-		var wg sync.WaitGroup
-		for ci := range comps {
-			ci := ci
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				sopts := search.Options{
-					Strategy: opts.Strategy,
-					Rng:      rand.New(rand.NewPCG(seeds[ci], seeds[ci]^0x6c62272e07bb0142)),
-					MaxSteps: opts.MaxSteps,
-					Ctx:      c,
-					Tracer:   wtr,
-				}
-				if opts.Nogoods {
-					// Per-component store: node indexes and fingerprints are
-					// component-local, so sharing across components would only
-					// produce dead buckets.
-					sopts.Nogoods = search.NewNogoodStore(opts.NogoodCapacity)
-				}
-				clusterings[ci], compStats[ci], found[ci] = graphs[ci].Color(sopts)
-			}()
-		}
-		wg.Wait()
-		for ci := range comps {
-			compStats[ci].ReplayInto(e.tr, comps[ci].Indices)
-			e.stats.Merge(compStats[ci])
-		}
-		e.tr.Trace(trace.Event{
-			Kind:        trace.KindProgress,
-			Steps:       e.stats.Steps,
-			Backtracks:  e.stats.Backtracks,
-			Candidates:  e.stats.CandidatesTried,
-			CacheHits:   e.stats.CacheHits,
-			CacheMisses: e.stats.CacheMisses,
-			Nogoods:     e.stats.NogoodsLearned,
-			NogoodHits:  e.stats.NogoodHits,
-			Backjumps:   e.stats.Backjumps,
-			MaxBackjump: e.stats.MaxBackjump,
-			Worker:      -1,
-		})
-		for ci := range comps {
-			if found[ci] {
-				continue
-			}
-			st := compStats[ci]
-			if st.Err != nil {
-				return fmt.Errorf("diva: component %d coloring interrupted after %d steps (%d backtracks): %w", ci, st.Steps, st.Backtracks, st.Err)
-			}
-			return fmt.Errorf("diva: component %d coloring failed after %d steps (%d backtracks): %w", ci, st.Steps, st.Backtracks, ErrNoDiverseClustering)
-		}
-		// Merge in component order. Clusters from different components are
-		// row-disjoint (their pools are), so concatenation is a valid
-		// clustering of the union.
-		for ci := range comps {
-			sigmaClustering = append(sigmaClustering, clusterings[ci]...)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for ci := range comps {
+		sigmaClustering = append(sigmaClustering, clusterings[ci]...)
 	}
-
-	out, rest, err := e.suppressPhase(sigmaClustering)
-	if err != nil {
-		return nil, err
-	}
-	d := out.Len()
-	if len(rest) > 0 && len(rest) < opts.K {
-		// The monolithic Accept hook would have steered the search away from
-		// this clustering; redo the run with the global view.
-		return nil, errShardFallback
-	}
-
-	err = e.phase(trace.PhaseBaseline, func(c context.Context) error {
-		restShards := planRestShards(e.rel, rest, shards, opts.K)
-		e.restShards = len(restShards)
-		for si, rows := range restShards {
-			e.tr.Trace(trace.Event{Kind: trace.KindShard, Label: "rest", Node: si, N: len(rows)})
-		}
-		parts, err := partitionShards(c, e, restShards)
-		if err != nil {
-			return fmt.Errorf("diva: anonymizing %d remaining tuples: %w", len(rest), err)
-		}
-		suppressInto(out, e.rel, parts, opts.Hierarchies)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	return e.integrateVerify(out, d, sigmaClustering)
+	return sigmaClustering, nil
 }
 
 // planRestShards splits the rest rows into at most want QI-local shards:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"diva/internal/constraint"
@@ -80,8 +81,8 @@ func TestShardedDeterministic(t *testing.T) {
 // diverse cluster leaves a single rest tuple (< k), which the per-component
 // search cannot see but the monolithic Accept hook rejects. The sharded run
 // must fall back and end with exactly the monolithic verdict, and a caller's
-// Recorder must still match its metrics: the abandoned attempt's phases and
-// component, the monolithic search's totals, and no rest shards.
+// Recorder must still match its metrics: the rejected attempt's phases and
+// component, the joint search's totals, and no rest shards.
 func TestShardedFallbackAgreesWithMonolithic(t *testing.T) {
 	schema := relation.MustSchema(
 		relation.Attribute{Name: "A", Role: relation.QI},
@@ -124,6 +125,68 @@ func TestShardedFallbackAgreesWithMonolithic(t *testing.T) {
 	if colors != 2 || m.SigmaComponents != 1 || m.RestShards != 0 {
 		t.Fatalf("fallback metrics: %d color phases, %d components, %d rest shards; want 2, 1, 0",
 			colors, m.SigmaComponents, m.RestShards)
+	}
+}
+
+// TestShardedFallbackSucceeds forces a fallback that ends feasible: Σ splits
+// into two components whose colorings together leave one rest tuple (< k),
+// so the driver re-enters build-graph and color jointly, and the joint
+// search's Accept hook finds a clustering that leaves no rest at all. The
+// sharded run must publish exactly the monolithic relation, keep the
+// component count of its first attempt, plan no rest shards, and run no
+// suppress phase for the rejected component-wise clustering.
+func TestShardedFallbackSucceeds(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Attribute{Name: "A", Role: relation.QI},
+		relation.Attribute{Name: "B", Role: relation.QI},
+		relation.Attribute{Name: "S", Role: relation.Sensitive},
+	)
+	rel := relation.New(schema)
+	rel.MustAppendValues("a0", "b0", "s0")
+	rel.MustAppendValues("a0", "b0", "s1")
+	rel.MustAppendValues("a1", "b1", "s0")
+	rel.MustAppendValues("a1", "b1", "s1")
+	rel.MustAppendValues("a0", "b1", "s0")
+	sigma := constraint.Set{constraint.New("A", "a0", 2, 3), constraint.New("A", "a1", 2, 2)}
+
+	run := func(shards int) (*core.Result, []byte) {
+		res, err := core.Anonymize(context.Background(), rel, sigma, core.Options{
+			K:        2,
+			Strategy: search.MinChoice,
+			Rng:      testRng(),
+			Shards:   shards,
+		})
+		if err != nil {
+			t.Fatalf("Anonymize shards=%d: %v", shards, err)
+		}
+		var buf bytes.Buffer
+		if err := relation.WriteCSV(&buf, res.Output); err != nil {
+			t.Fatalf("WriteCSV: %v", err)
+		}
+		return res, buf.Bytes()
+	}
+	_, mono := run(0)
+	res, sharded := run(2)
+	if !bytes.Equal(mono, sharded) {
+		t.Fatalf("fallback output differs from monolithic:\n--- monolithic\n%s--- sharded\n%s", mono, sharded)
+	}
+	if err := core.Verify(rel, res, sigma, 2); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	m := res.Metrics
+	if m.SigmaComponents != 2 || m.RestShards != 0 {
+		t.Fatalf("fallback metrics: %d components, %d rest shards; want 2, 0", m.SigmaComponents, m.RestShards)
+	}
+	want := []trace.Phase{
+		trace.PhaseBind, trace.PhaseBuildGraph, trace.PhaseColor, trace.PhaseBuildGraph, trace.PhaseColor,
+		trace.PhaseSuppress, trace.PhaseBaseline, trace.PhaseIntegrate, trace.PhaseVerify,
+	}
+	var got []trace.Phase
+	for _, pt := range m.Phases {
+		got = append(got, pt.Phase)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("phases = %v, want %v", got, want)
 	}
 }
 

@@ -88,7 +88,8 @@ func SmallestQIGroup(rel *relation.Relation) int {
 // relation must have the same cardinality as the original and admit a
 // perfect matching between original and anonymized tuples where each
 // anonymized tuple equals its original on every non-suppressed cell and
-// only QI cells are suppressed. Identifier attributes are ignored.
+// only QI cells are suppressed (a ★ already in the original tuple may sit
+// on any attribute). Identifier attributes are ignored.
 //
 // The check runs a greedy bipartite matching with backtracking; relations in
 // this repository produce matchings quickly because anonymized tuples retain
@@ -156,7 +157,9 @@ func couldSuppressTo(orig *relation.Relation, i int, anon *relation.Relation, j 
 	for _, a := range attrs {
 		ca := anon.Code(j, a)
 		if ca == relation.StarCode {
-			if schema.Attr(a).Role != relation.QI {
+			// Only QI cells may be suppressed, but a ★ the original
+			// already holds is kept wherever it is.
+			if schema.Attr(a).Role != relation.QI && orig.Code(i, a) != relation.StarCode {
 				return false
 			}
 			continue

@@ -159,13 +159,14 @@ func TestCallerRecorderMatchesEngine(t *testing.T) {
 		{"sharded", paperSigma(), diva.Options{Shards: 2}},
 		{"nogoods", paperSigma(), diva.Options{Nogoods: true}},
 		{"infeasible", infeasible, diva.Options{}},
+		{"infeasible-portfolio", infeasible, diva.Options{Parallel: 3}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rec, prof := diva.NewRecorder(), diva.NewProfiler()
 			opts := c.opts
 			opts.K, opts.Seed, opts.Tracer = 2, 1, trace.Tee(rec, prof)
 			res, err := diva.AnonymizeContext(context.Background(), loadPatients(t), c.sigma, opts)
-			if wantErr := c.name == "infeasible"; wantErr != errors.Is(err, diva.ErrNoDiverseClustering) || (!wantErr && err != nil) {
+			if wantErr := strings.HasPrefix(c.name, "infeasible"); wantErr != errors.Is(err, diva.ErrNoDiverseClustering) || (!wantErr && err != nil) {
 				t.Fatalf("err = %v", err)
 			}
 			e := res.Metrics
@@ -175,7 +176,7 @@ func TestCallerRecorderMatchesEngine(t *testing.T) {
 			if len(e.Phases) == 0 || (err == nil && e.Steps == 0) {
 				t.Fatalf("engine metrics carry no work: %+v", e)
 			}
-			if c.opts.Parallel > 0 && e.WinnerStrategy == "" {
+			if c.opts.Parallel > 0 && err == nil && e.WinnerStrategy == "" {
 				t.Fatal("portfolio run names no winner")
 			}
 			if c.opts.Shards > 0 && e.SigmaComponents == 0 {

@@ -88,8 +88,27 @@ func WriteCSV(w io.Writer, rel *Relation) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
+	return writeRows(w, cw, rel)
+}
+
+// writeRows writes rel's tuples through cw and flushes it. encoding/csv
+// writes a record holding one empty field as an empty line, which every
+// reader skips, so such a tuple is written as a quoted empty field instead
+// and survives a round trip.
+func writeRows(w io.Writer, cw *csv.Writer, rel *Relation) error {
 	for i := 0; i < rel.Len(); i++ {
-		if err := cw.Write(rel.Values(i)); err != nil {
+		vals := rel.Values(i)
+		if len(vals) == 1 && vals[0] == "" {
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return err
+			}
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := cw.Write(vals); err != nil {
 			return err
 		}
 	}
@@ -128,11 +147,5 @@ func WriteAnnotatedCSV(w io.Writer, rel *Relation) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for i := 0; i < rel.Len(); i++ {
-		if err := cw.Write(rel.Values(i)); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeRows(w, cw, rel)
 }

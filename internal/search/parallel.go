@@ -35,7 +35,8 @@ import (
 // opts.Tracer as batched KindAssign/KindBacktrack events (Event.N carries
 // the count), emits a final authoritative KindProgress with the winner's
 // totals, and closes with the KindWorkerWin event identifying the winner and
-// its strategy.
+// its strategy. A portfolio that finds no coloring still ends with an
+// authoritative KindProgress (Worker −1) carrying the returned Stats.
 func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.Clustering, Stats, bool) {
 	if workers <= 0 {
 		workers = 3
@@ -103,6 +104,11 @@ func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.
 		if opts.Ctx != nil {
 			stats.Err = opts.Ctx.Err() // nil unless canceled
 		}
+		if tr != nil {
+			// No winner: the heartbeat still pins the run's totals (the
+			// summed learning counters), superseding the last worker's.
+			tr.Trace(stats.ProgressEvent(-1))
+		}
 		return nil, stats, false
 	}
 	stampLearning(&best.stats)
@@ -112,19 +118,7 @@ func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.
 		// portfolio raced) as batched events, then pin the exact totals with
 		// a final heartbeat before announcing the winner.
 		best.stats.ReplayInto(tr, nil)
-		tr.Trace(trace.Event{
-			Kind:        trace.KindProgress,
-			Steps:       best.stats.Steps,
-			Backtracks:  best.stats.Backtracks,
-			Candidates:  best.stats.CandidatesTried,
-			CacheHits:   best.stats.CacheHits,
-			CacheMisses: best.stats.CacheMisses,
-			Nogoods:     best.stats.NogoodsLearned,
-			NogoodHits:  best.stats.NogoodHits,
-			Backjumps:   best.stats.Backjumps,
-			MaxBackjump: best.stats.MaxBackjump,
-			Worker:      best.worker,
-		})
+		tr.Trace(best.stats.ProgressEvent(best.worker))
 		tr.Trace(trace.Event{Kind: trace.KindWorkerWin, N: best.worker, Strategy: best.stats.WinnerStrategy})
 	}
 	return best.sigma, best.stats, true

@@ -91,7 +91,7 @@ type Graph struct {
 	rel   *relation.Relation
 	// targets[i] is node i's full target set Iσ, read once by BuildGraph
 	// from the node's enumerator for the Neighbors relation and reused by
-	// Describe's conflict-edge weights.
+	// DescribeMapped's conflict-edge weights.
 	targets []*rowset.Set
 	// poolNbrs is the pool-intersection relation: j is a pool neighbor of i
 	// when the constraints' QI target pools (Enumerator.Pool — the rows
@@ -147,19 +147,16 @@ func BuildGraph(rel *relation.Relation, bounds []*constraint.Bound, opts cluster
 	return g
 }
 
-// Describe emits the graph's shape into tr: one KindNode event per node
-// (index, constraint label, neighbor count) and one KindEdge event per edge
-// with the endpoints' target-set Jaccard overlap. Consumers such as the
+// DescribeMapped emits the graph's shape into tr: one KindNode event per
+// node (index, constraint label, neighbor count) and one KindEdge event per
+// edge with the endpoints' target-set Jaccard overlap. Consumers such as the
 // search profiler use these to label search-tree spans with constraints and
 // to weight conflict-edge heat in infeasibility explanations; the engine
-// calls it once during the build-graph phase.
-func (g *Graph) Describe(tr trace.Tracer) { g.DescribeMapped(tr, nil) }
-
-// DescribeMapped is Describe for a graph built over a subset of a larger
-// constraint set: index maps this graph's node indexes to positions in the
-// original set, so a per-component graph's events carry globally meaningful
-// node ids (profilers and explainers key constraints by them). A nil index
-// is the identity.
+// calls it once per graph during the build-graph phase. index maps this
+// graph's node indexes to positions in a larger constraint set, so a
+// per-component graph's events carry globally meaningful node ids
+// (profilers and explainers key constraints by them). A nil index is the
+// identity.
 func (g *Graph) DescribeMapped(tr trace.Tracer, index []int) {
 	if tr == nil || tr == trace.Nop {
 		return
@@ -253,6 +250,26 @@ func (s *Stats) Merge(o Stats) {
 	}
 	if s.Err == nil {
 		s.Err = o.Err
+	}
+}
+
+// ProgressEvent returns a KindProgress heartbeat carrying s's cumulative
+// counters, stamped with the emitting worker (−1 for a coordinator that
+// reports a whole run's totals). A trace.Recorder takes the run's search
+// totals from the last such event.
+func (s *Stats) ProgressEvent(worker int) trace.Event {
+	return trace.Event{
+		Kind:        trace.KindProgress,
+		Steps:       s.Steps,
+		Backtracks:  s.Backtracks,
+		Candidates:  s.CandidatesTried,
+		CacheHits:   s.CacheHits,
+		CacheMisses: s.CacheMisses,
+		Nogoods:     s.NogoodsLearned,
+		NogoodHits:  s.NogoodHits,
+		Backjumps:   s.Backjumps,
+		MaxBackjump: s.MaxBackjump,
+		Worker:      worker,
 	}
 }
 
@@ -926,20 +943,9 @@ func (st *state) emitProgress() {
 	if st.opts.Tracer == nil {
 		return
 	}
-	st.opts.Tracer.Trace(trace.Event{
-		Kind:        trace.KindProgress,
-		Steps:       st.stats.Steps,
-		Backtracks:  st.stats.Backtracks,
-		Candidates:  st.stats.CandidatesTried,
-		CacheHits:   st.stats.CacheHits,
-		CacheMisses: st.stats.CacheMisses,
-		Nogoods:     st.stats.NogoodsLearned,
-		NogoodHits:  st.stats.NogoodHits,
-		Backjumps:   st.stats.Backjumps,
-		MaxBackjump: st.stats.MaxBackjump,
-		Depth:       st.nColored,
-		Worker:      st.opts.worker - 1,
-	})
+	ev := st.stats.ProgressEvent(st.opts.worker - 1)
+	ev.Depth = st.nColored
+	st.opts.Tracer.Trace(ev)
 }
 
 // nextNode implements NextNode for the three strategies.

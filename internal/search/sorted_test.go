@@ -121,7 +121,7 @@ func TestColorSigmaAscending(t *testing.T) {
 	assertAscending(t, sigma)
 }
 
-// TestDescribeConflictMatchesPairConflict pins Describe's reuse of the
+// TestDescribeConflictMatchesPairConflict pins DescribeMapped's reuse of the
 // graph's target sets: every edge weight equals constraint.PairConflict
 // bit for bit, and every graph edge is described exactly once.
 func TestDescribeConflictMatchesPairConflict(t *testing.T) {
@@ -156,7 +156,7 @@ func TestDescribeConflictMatchesPairConflict(t *testing.T) {
 		}
 		g := BuildGraph(rel, bounds, cluster.Options{K: 2})
 		var tr collectTracer
-		g.Describe(&tr)
+		g.DescribeMapped(&tr, nil)
 		want := 0
 		for _, node := range g.Nodes {
 			want += len(node.Neighbors)

@@ -159,7 +159,7 @@ func TestDescribe(t *testing.T) {
 	rel := paperRelation(t)
 	g := BuildGraph(rel, paperBounds(t, rel), cluster.Options{K: 2})
 	var tr collectTracer
-	g.Describe(&tr)
+	g.DescribeMapped(&tr, nil)
 
 	nodes := map[int]trace.Event{}
 	type edge struct{ a, b int }
@@ -196,7 +196,7 @@ func TestDescribe(t *testing.T) {
 		}
 	}
 
-	// Describe must be a no-op on nil and Nop tracers.
-	g.Describe(nil)
-	g.Describe(trace.Nop)
+	// DescribeMapped must be a no-op on nil and Nop tracers.
+	g.DescribeMapped(nil, nil)
+	g.DescribeMapped(trace.Nop, nil)
 }

@@ -331,9 +331,9 @@ type RunMetrics struct {
 	// SigmaComponents and RestShards describe the sharded engine's plan:
 	// independent constraint-graph components solved separately, and QI-local
 	// shards the rest rows were partitioned in. Both are zero on monolithic
-	// runs (Options.Shards off). A run that fell back from sharding to the
-	// monolithic driver keeps the abandoned attempt's components and has no
-	// rest shards.
+	// runs (Options.Shards off). A run whose component-wise coloring was
+	// rejected and redone jointly keeps the rejected attempt's components
+	// and has no rest shards.
 	SigmaComponents int `json:"sigma_components,omitempty"`
 	RestShards      int `json:"rest_shards,omitempty"`
 	// PortfolioWorkers is the number of concurrent searches (0 = sequential).

@@ -43,14 +43,14 @@ func runDivaSharded(t *testing.T, inst verify.Instance, strat diva.Strategy, see
 }
 
 // TestDifferentialSharded puts the shard-and-merge engine under the same
-// oracle contract as the monolithic driver: on every random micro-instance,
+// oracle contract as the monolithic run: on every random micro-instance,
 // for shard counts 2 and 4, an engine success must validate against the
 // independent checker and never beat the brute-force optimum, and the
 // feasibility verdict must agree with the oracle. The verdict assertion is
 // strict because component-wise search is no more pruned than the monolithic
 // one (each component's search sees the same candidate clusters, minus the
-// global rest ≥ k Accept hook, whose violations trigger monolithic
-// fallback), so the sharded engine succeeds whenever the monolithic engine
+// global rest ≥ k Accept hook, whose violations trigger a joint
+// re-coloring), so the sharded engine succeeds whenever the monolithic engine
 // does — and the monolithic engine matches the oracle within the
 // completeness envelope (see TestDifferentialAgainstOracle).
 func TestDifferentialSharded(t *testing.T) {
