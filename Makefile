@@ -188,8 +188,9 @@ obs-smoke:
 
 # live-smoke exercises the live-telemetry stack end to end against a held
 # run: the SSE endpoint must replay at least one progress event and the
-# terminal run-end event to a follower that connects after the run finished,
-# the flight-recorder dump must validate with tracecheck -flight, divatop
+# terminal run-end event, carrying the run's metrics, to a follower that
+# connects after the run finished, the flight-recorder dump (run-end
+# metrics included) must validate with tracecheck -flight, divatop
 # -once must render the finished run, and the canonical "diva run" log
 # record's experiment key must round-trip into the divahist ledger.
 live-smoke:
@@ -217,6 +218,9 @@ live-smoke:
 		cat $$tmp/sse.txt; exit 1; }; \
 	grep -q '^event: run-end' $$tmp/sse.txt || { \
 		echo "live-smoke: SSE stream carried no terminal run-end event:"; \
+		cat $$tmp/sse.txt; exit 1; }; \
+	grep -A1 '^event: run-end' $$tmp/sse.txt | grep -q '"metrics"' || { \
+		echo "live-smoke: SSE run-end frame carried no metrics:"; \
 		cat $$tmp/sse.txt; exit 1; }; \
 	curl -sf "http://$$addr/debug/diva/runs/1/events" >$$tmp/flight.json || { \
 		echo "live-smoke: flight-recorder dump unavailable"; exit 1; }; \

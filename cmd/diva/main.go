@@ -297,11 +297,6 @@ func main() {
 		// Finalize the profile before bailing on error: -explain exists
 		// precisely for the infeasible exit path.
 		if prof != nil {
-			errText := ""
-			if err != nil {
-				errText = err.Error()
-			}
-			prof.Finish(diva.RunOutcome(err), errText)
 			p := prof.Profile()
 			if *profileOut != "" {
 				if werr := writeProfile(*profileOut, p); werr != nil {

@@ -203,8 +203,8 @@ func (b *board) apply(f frame) {
 	case trace.KindRunEnd:
 		row.state = ev.Label
 		row.elapsed = ev.Elapsed
-		if ev.Steps > row.steps {
-			row.steps = ev.Steps
+		if m := ev.Metrics; m != nil {
+			row.steps, row.backtracks, row.nogoods = m.Steps, m.Backtracks, m.NogoodsLearned
 		}
 	}
 }

@@ -63,8 +63,13 @@ func TestBoardRender(t *testing.T) {
 		Seq: 2, Event: trace.Event{Kind: trace.KindProgress, Steps: 1234, Depth: 9, Backtracks: 3, Nogoods: 2, Worker: -1}}})
 	b.apply(frame{event: "phase-start", run: 1, entry: trace.FlightEntry{
 		Seq: 1, Event: trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseBind}}})
+	b.apply(frame{event: "progress", run: 1, entry: trace.FlightEntry{
+		Seq: 2, Event: trace.Event{Kind: trace.KindProgress, Steps: 9000, Backtracks: 800, Worker: 1}}})
+	// The run-end metrics are authoritative over a portfolio loser's larger
+	// heartbeat counts.
 	b.apply(frame{event: "run-end", run: 1, entry: trace.FlightEntry{
-		Seq: 2, Event: trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: 42 * time.Millisecond}}})
+		Seq: 3, Event: trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: 42 * time.Millisecond,
+			Metrics: &trace.RunMetrics{Total: 42 * time.Millisecond, Steps: 4321, Backtracks: 765, NogoodsLearned: 17}}}})
 	out := b.render()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
@@ -74,8 +79,8 @@ func TestBoardRender(t *testing.T) {
 		t.Fatalf("missing header: %q", lines[0])
 	}
 	// Runs render in ID order: run 1 (finished) before run 2 (live).
-	if !strings.Contains(lines[1], "ok") || !strings.Contains(lines[1], "42ms") {
-		t.Fatalf("run 1 line = %q, want outcome ok and elapsed 42ms", lines[1])
+	if f := strings.Fields(lines[1]); len(f) != 9 || f[3] != "4321" || f[4] != "765" || f[5] != "17" || f[7] != "ok" || f[8] != "42ms" {
+		t.Fatalf("run 1 line = %q, want 4321 steps, 765 backtracks, 17 nogoods, outcome ok, elapsed 42ms", lines[1])
 	}
 	if !strings.Contains(lines[2], "color") || !strings.Contains(lines[2], "1234") || !strings.Contains(lines[2], "running") {
 		t.Fatalf("run 2 line = %q, want phase color, 1234 steps, running", lines[2])

@@ -15,7 +15,8 @@
 // ops server serves at /debug/diva/runs/{id}/events): every event kind must
 // parse, sequence numbers must be consecutive and ascending, offsets
 // monotone non-decreasing, and the seen total must match the newest retained
-// entry.
+// entry. A run-end entry must carry the run's metrics, with a total equal to
+// the entry's elapsed time and at least one phase.
 //
 // Usage:
 //
@@ -75,8 +76,8 @@ type flightDoc struct {
 }
 
 // checkFlight validates a flight-recorder dump: parseable kinds, consecutive
-// ascending sequence numbers, monotone offsets, and a seen total matching
-// the newest retained entry.
+// ascending sequence numbers, monotone offsets, a seen total matching the
+// newest retained entry, and well-formed run-end metrics.
 func checkFlight(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -109,6 +110,11 @@ func checkFlight(path string) error {
 		if e.At < 0 {
 			return fmt.Errorf("%s: event %d has a negative offset", path, i)
 		}
+		if e.Event.Kind == trace.KindRunEnd {
+			if err := checkRunEnd(e.Event); err != nil {
+				return fmt.Errorf("%s: run-end event %d: %w", path, i, err)
+			}
+		}
 		kinds[e.Event.Kind.String()]++
 	}
 	if last := doc.Events[len(doc.Events)-1].Seq; doc.Seen != last {
@@ -128,6 +134,21 @@ func checkFlight(path string) error {
 		fmt.Printf("%d %s", kinds[k.String()], k)
 	}
 	fmt.Println(")")
+	return nil
+}
+
+// checkRunEnd asserts a run-end event carries the run's metrics: present,
+// totaling the event's elapsed time, with at least one phase.
+func checkRunEnd(ev trace.Event) error {
+	m := ev.Metrics
+	switch {
+	case m == nil:
+		return fmt.Errorf("no metrics")
+	case m.Total != ev.Elapsed:
+		return fmt.Errorf("metrics.total_ns %d differs from elapsed_ns %d", m.Total, ev.Elapsed)
+	case len(m.Phases) == 0:
+		return fmt.Errorf("metrics.phases is empty")
+	}
 	return nil
 }
 

@@ -50,7 +50,8 @@
 // Set Options.Tracer to observe a run: phase boundaries (bind, build-graph,
 // color, suppress, baseline, integrate, verify), per-node assign/backtrack
 // events, candidate-cache hits and the portfolio's winning worker stream as
-// typed Events. NewWriterTracer renders them as text; any Tracer
+// typed Events, and the run ends with a KindRunEnd event carrying
+// Result.Metrics. NewWriterTracer renders them as text; any Tracer
 // implementation works. Whether or not a tracer is set, every Result
 // carries RunMetrics (per-phase wall times, step/backtrack counts, cache
 // statistics) and each phase runs under a runtime/pprof "diva_phase"
@@ -167,8 +168,8 @@ type (
 	RunMetrics = trace.RunMetrics
 	// PhaseTiming is one phase's measured wall time.
 	PhaseTiming = trace.PhaseTiming
-	// Recorder is a goroutine-safe Tracer rebuilding a run's RunMetrics
-	// from its events.
+	// Recorder is a goroutine-safe Tracer keeping the RunMetrics of a
+	// run's KindRunEnd event.
 	Recorder = trace.Recorder
 )
 
@@ -207,6 +208,10 @@ const (
 	// landing node, Skipped the levels jumped over (each still emits its
 	// KindBacktrack), Depth the coloring depth at the landing.
 	KindBackjump = trace.KindBackjump
+	// KindRunEnd is every run's last event: Metrics carries Result.Metrics,
+	// Label the outcome (RunOutcome), Elapsed the wall time and Err a failed
+	// run's error text.
+	KindRunEnd = trace.KindRunEnd
 )
 
 // Run phases, in execution order.
@@ -227,7 +232,8 @@ func NewWriterTracer(w io.Writer) Tracer { return trace.NewWriter(w) }
 // Search profiling, re-exported from the profile layer. A Profiler is a
 // Tracer that reconstructs the coloring search tree live; set it on
 // Options.Tracer (trace.Tee it with other tracers as needed), then call
-// Finish and Profile once the run ends. The resulting Profile exports Chrome
+// Profile once the run ends; the run's KindRunEnd event gives the profile
+// its metrics, outcome and error. The resulting Profile exports Chrome
 // trace-event JSON (Perfetto), pprof-style folded stacks, a text summary,
 // and the infeasibility Explanation — see `diva -profile` and `diva
 // -explain`.
@@ -281,14 +287,14 @@ func CompareHistory(old, new []*HistoryRecord, t HistoryThresholds) *HistoryRepo
 	return history.Compare(old, new, t)
 }
 
-// RunOutcome classifies an Anonymize error for Profiler.Finish and
-// dashboards: "ok", "canceled", "infeasible" or "error".
+// RunOutcome classifies an Anonymize error for dashboards and the run-end
+// event's Label: "ok", "canceled", "infeasible" or "error".
 func RunOutcome(err error) string { return core.RunOutcome(err) }
 
-// NewRecorder returns a Recorder. Fed to Options.Tracer, it rebuilds the
-// run's phases, search counters, shard plan and portfolio winner from the
-// event stream alone, matching Result.Metrics on those fields (the final
-// search heartbeat carries the exact counters, in every execution mode).
+// NewRecorder returns a Recorder. Fed to Options.Tracer, it keeps a copy of
+// the metrics of the run's terminal KindRunEnd event, so its Snapshot equals
+// Result.Metrics; on AnonymizeBaselineContext it reports the two phases and
+// the total.
 func NewRecorder() *Recorder { return trace.NewRecorder() }
 
 // NewSchema builds a schema from attributes; names must be unique.
@@ -469,8 +475,9 @@ type Options struct {
 	// with IsKAnonymous, Constraints.SatisfiedBy and NCP instead.
 	Hierarchies Hierarchies
 	// Tracer, when non-nil, receives the run's Events: phase boundaries,
-	// per-node search steps and portfolio outcomes. Run metrics are
-	// collected on Result.Metrics whether or not a Tracer is set.
+	// per-node search steps and portfolio outcomes, and last a KindRunEnd
+	// carrying Result.Metrics. Run metrics are collected on Result.Metrics
+	// whether or not a Tracer is set.
 	Tracer Tracer
 	// HistoryDir, when non-empty, appends one HistoryRecord per run (every
 	// outcome) to the durable run ledger rooted in that directory — the

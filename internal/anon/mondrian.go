@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"diva/internal/privacy"
@@ -73,14 +72,16 @@ func (m *Mondrian) Partition(ctx context.Context, rel *relation.Relation, rows [
 	if m.Criterion != nil && !m.Criterion.Holds(rel, rows) {
 		return nil, fmt.Errorf("anon: the input itself violates %s; no partitioning can satisfy it", m.Criterion.Name())
 	}
-	var tr *lockedTracer
+	var tr trace.Tracer
 	if m.Tracer != nil {
-		tr = &lockedTracer{tr: m.Tracer}
+		// Workers emit split events concurrently; a caller's tracer is only
+		// contractually goroutine-safe for KindProgress.
+		tr = trace.Synchronized(m.Tracer)
 	}
 	if len(rows) < 2*k {
 		// No cut can leave k rows on both sides: skip the per-call tables.
 		if tr != nil {
-			tr.split("", len(rows), 0, 0)
+			tr.Trace(trace.Event{Kind: trace.KindSplit, N: len(rows)})
 		}
 		part := make([]int, len(rows))
 		copy(part, rows)
@@ -113,19 +114,6 @@ func (m *Mondrian) Partition(ctx context.Context, rel *relation.Relation, rows [
 	return r.clusters(), nil
 }
 
-// lockedTracer serializes concurrent split events onto a caller-supplied
-// tracer, which is only contractually goroutine-safe for KindProgress.
-type lockedTracer struct {
-	mu sync.Mutex
-	tr trace.Tracer
-}
-
-func (lt *lockedTracer) split(attr string, size, depth int, elapsed time.Duration) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	lt.tr.Trace(trace.Event{Kind: trace.KindSplit, Label: attr, N: size, Depth: depth, Elapsed: elapsed})
-}
-
 // mondrianRun is the state of one Partition call.
 //
 // The recursion works on input positions — indexes into rows — whose QI
@@ -151,7 +139,7 @@ type mondrianRun struct {
 	bufs      [2][]int
 	leafStart []bool
 	idle      chan *mondrianScratch
-	tr        *lockedTracer
+	tr        trace.Tracer
 }
 
 // mondrianAttr is what a Partition call precomputes for one QI attribute.
@@ -284,7 +272,7 @@ func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
 		start := time.Now()
 		if cut, ai := r.findCut(s, src, dst); cut > 0 {
 			if r.tr != nil {
-				r.tr.split(r.rel.Schema().Attr(r.qi[ai]).Name, len(src), depth, time.Since(start))
+				r.tr.Trace(trace.Event{Kind: trace.KindSplit, Label: r.rel.Schema().Attr(r.qi[ai]).Name, N: len(src), Depth: depth, Elapsed: time.Since(start)})
 			}
 			mid := lo + cut
 			if r.idle != nil && cut >= spawnGrain {
@@ -322,7 +310,7 @@ func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
 	}
 	r.leafStart[lo] = true
 	if r.tr != nil {
-		r.tr.split("", len(src), depth, 0)
+		r.tr.Trace(trace.Event{Kind: trace.KindSplit, N: len(src), Depth: depth})
 	}
 	return nil
 }

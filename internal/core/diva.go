@@ -132,8 +132,9 @@ type Options struct {
 	Hierarchies hierarchy.Set
 	// Tracer, when non-nil, receives the run's typed events: phase
 	// boundaries, per-node search activity, candidate-cache hits and
-	// portfolio outcomes. Result.Metrics does not depend on it: the engine
-	// builds the metrics from its own phase timings and search statistics.
+	// portfolio outcomes, and last a KindRunEnd carrying Result.Metrics.
+	// Result.Metrics does not depend on it: the engine builds the metrics
+	// from its own phase timings and search statistics.
 	Tracer trace.Tracer
 	// HistoryDir, when non-empty, appends one history.Record per run (every
 	// outcome, not just success) to the run ledger rooted there. Empty falls
@@ -167,9 +168,8 @@ type Result struct {
 	// Metrics summarizes the run: per-phase wall times, the search effort
 	// of Stats, the shard plan and the portfolio winner. It is non-nil on
 	// success and on every error path (a failed run's Result carries
-	// Metrics and Stats only; its relations are nil). A trace.Recorder
-	// passed as Options.Tracer rebuilds the same phase, search, shard and
-	// winner fields from the event stream.
+	// Metrics and Stats only; its relations are nil). The run's terminal
+	// KindRunEnd event carries the same pointer to every tracer.
 	Metrics *trace.RunMetrics
 }
 
@@ -194,7 +194,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	start := time.Now()
 	// Register with the process-wide run registry: the run is visible at
 	// /debug/diva/runs (current phase, heartbeat liveness) from here until
-	// finish moves it to the completed ring.
+	// its run-end event moves it to the completed ring.
 	run := obs.Runs.Begin()
 	// When ops profiling is on, tee a search profiler into the run's event
 	// stream; finish deposits the reconstructed profile into obs.Profiles for
@@ -203,38 +203,34 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	tr := trace.Tee(opts.Tracer, run)
 	if obs.ProfilingEnabled() {
 		prof = profile.New()
-		prof.SetRunID(run.ID())
 		tr = trace.Tee(tr, prof)
 	}
 	env := &runEnv{ctx: ctx, rel: rel, opts: &opts, tr: tr}
 
 	// finish stamps the run's stats and metrics onto the result (building an
 	// otherwise-empty one on error paths), normalizes context errors to
-	// ErrCanceled, and reports the run, classified once, to the Prometheus
-	// collector, the run registry, the profile ring and the history ledger.
+	// ErrCanceled, and reports the run, classified once: to the Prometheus
+	// collector, then as the terminal run-end event to every tracer (the
+	// caller's, the run registry, the profiler), then to the profile ring and
+	// the history ledger.
 	finish := func(res *Result, err error) (*Result, error) {
 		if err != nil && !errors.Is(err, ErrCanceled) &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			err = fmt.Errorf("%w: %w", ErrCanceled, err)
 		}
-		outcome := RunOutcome(err)
 		if res == nil {
 			res = &Result{}
 		}
 		m := env.runMetrics(run.ID(), time.Since(start), res.Output, err)
 		res.Stats = env.stats
 		res.Metrics = m
-		obs.Collect(m, outcome)
-		run.End(m, outcome, err)
+		end := runEndEvent(m, err)
+		obs.Collect(m, end.Label)
+		tr.Trace(end)
 		if prof != nil {
-			errText := ""
-			if err != nil {
-				errText = err.Error()
-			}
-			prof.Finish(outcome, errText)
 			obs.Profiles.Add(prof.Profile())
 		}
-		depositHistory(rel, sigma, opts, m, outcome, err, run)
+		depositHistory(rel, sigma, opts, m, end.Label, err, run)
 		return res, err
 	}
 
@@ -461,10 +457,25 @@ func (e *runEnv) runMetrics(runID uint64, total time.Duration, out *relation.Rel
 		Accuracy:             -1, // no published relation
 	}
 	if out != nil {
+		// One scan of R′ counts the ★s; accuracy follows from the count
+		// exactly as metrics.Accuracy computes it.
 		m.SuppressedCells = metrics.SuppressionLoss(out)
-		m.Accuracy = metrics.Accuracy(out)
+		m.Accuracy = 1
+		if cells := out.Len() * len(out.Schema().QIIndexes()); cells > 0 {
+			m.Accuracy = 1 - float64(m.SuppressedCells)/float64(cells)
+		}
 	}
 	return m
+}
+
+// runEndEvent is a run's terminal event: its metrics, its outcome as
+// RunOutcome classifies err, and the error text of a failed run.
+func runEndEvent(m *trace.RunMetrics, err error) trace.Event {
+	ev := trace.Event{Kind: trace.KindRunEnd, Label: RunOutcome(err), Elapsed: m.Total, Metrics: m}
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	return ev
 }
 
 // acceptRest reports whether a diverse clustering covering used rows leaves
@@ -579,7 +590,8 @@ func Suppress(rel *relation.Relation, clusters [][]int) *relation.Relation {
 // the paper's §4.2 study. A nil ctx is treated as context.Background() and
 // a nil tr as trace.Nop; cancellation is honored at the partitioner's
 // split granularity and reported as ErrCanceled wrapping the context's
-// error.
+// error. Like Anonymize, the run ends with one KindRunEnd event on tr whose
+// metrics carry the phase timings and the total wall time.
 func RunBaseline(ctx context.Context, rel *relation.Relation, p anon.Partitioner, k int, tr trace.Tracer) (*relation.Relation, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -589,24 +601,31 @@ func RunBaseline(ctx context.Context, rel *relation.Relation, p anon.Partitioner
 	} else if ts, ok := p.(anon.TraceSink); ok {
 		ts.SetTracer(tr)
 	}
+	start := time.Now()
+	m := &trace.RunMetrics{}
+	phase := func(ph trace.Phase, f func(context.Context) error) error {
+		d, err := runPhase(ctx, tr, ph, f)
+		m.Phases = append(m.Phases, trace.PhaseTiming{Phase: ph, Duration: d})
+		return err
+	}
 	var parts [][]int
-	_, err := runPhase(ctx, tr, trace.PhaseBaseline, func(c context.Context) error {
+	err := phase(trace.PhaseBaseline, func(c context.Context) error {
 		var err error
 		parts, err = p.Partition(c, rel, allRows(rel), k)
 		return err
 	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
-		return nil, err
-	}
 	var out *relation.Relation
-	runPhase(ctx, tr, trace.PhaseSuppress, func(context.Context) error {
-		out = Suppress(rel, parts)
-		return nil
-	})
-	return out, nil
+	if err == nil {
+		phase(trace.PhaseSuppress, func(context.Context) error {
+			out = Suppress(rel, parts)
+			return nil
+		})
+	} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		err = fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	m.Total, m.Canceled = time.Since(start), errors.Is(err, ErrCanceled)
+	tr.Trace(runEndEvent(m, err))
+	return out, err
 }
 
 // integrate verifies RΣ ∪ Rk against every constraint and repairs upper-

@@ -7,6 +7,7 @@ import (
 
 	"diva/internal/constraint"
 	"diva/internal/core"
+	"diva/internal/metrics"
 	"diva/internal/search"
 )
 
@@ -62,6 +63,9 @@ func TestResultPartsShareOutput(t *testing.T) {
 			}
 			if err := core.Verify(rel, res, sigma, 5); err != nil {
 				t.Fatal(err)
+			}
+			if got, want := res.Metrics.Accuracy, metrics.Accuracy(out); got != want {
+				t.Fatalf("Metrics.Accuracy = %v, metrics.Accuracy(Output) = %v", got, want)
 			}
 		})
 	}

@@ -70,8 +70,8 @@ func shardWorkers(parallelism int) int {
 // Per-step search events are suppressed during the concurrent coloring
 // (their interleaving is nondeterministic; heartbeats pass through a
 // synchronized tracer) and replayed afterwards as batched per-node counts in
-// component order, followed by one heartbeat carrying the summed totals, so
-// traces and profiles stay deterministic for a fixed shard count and seed.
+// component order, so traces and profiles stay deterministic for a fixed
+// shard count and seed. The summed totals go into e.stats.
 func (e *runEnv) colorComponents(ctx context.Context, comps []constraint.Component, graphs []*search.Graph) (cluster.Clustering, error) {
 	opts := e.opts
 	seeds := make([]uint64, len(comps))
@@ -112,7 +112,6 @@ func (e *runEnv) colorComponents(ctx context.Context, comps []constraint.Compone
 		compStats[ci].ReplayInto(e.tr, comps[ci].Indices)
 		e.stats.Merge(compStats[ci])
 	}
-	e.tr.Trace(e.stats.ProgressEvent(-1))
 	for ci := range comps {
 		if found[ci] {
 			continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -11,7 +12,6 @@ import (
 	"diva/internal/core"
 	"diva/internal/relation"
 	"diva/internal/search"
-	"diva/internal/testutil"
 	"diva/internal/trace"
 )
 
@@ -113,8 +113,8 @@ func TestShardedFallbackAgreesWithMonolithic(t *testing.T) {
 		t.Fatalf("sharded error %v, want ErrNoDiverseClustering", shardErr)
 	}
 	m := res.Metrics
-	if diff := testutil.RecorderMismatch(rec.Snapshot(), m); diff != "" {
-		t.Fatal(diff)
+	if got := rec.Snapshot(); !reflect.DeepEqual(*got, *m) {
+		t.Fatalf("caller recorder %+v\n != engine metrics %+v", *got, *m)
 	}
 	colors := 0
 	for _, pt := range m.Phases {

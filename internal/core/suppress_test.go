@@ -1,11 +1,16 @@
 package core_test
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
+	"diva/internal/anon"
 	"diva/internal/core"
 	"diva/internal/metrics"
 	"diva/internal/relation"
+	"diva/internal/trace"
 )
 
 func TestSuppressFormsQIGroups(t *testing.T) {
@@ -93,3 +98,61 @@ func TestRunBaselineIsKAnonymous(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBaselineEndsWithRunEnd: a baseline-only run ends, like Anonymize,
+// with exactly one KindRunEnd, last, whose metrics carry the baseline and
+// suppress phase timings and the total — so a Recorder reports phases — and
+// a canceled run's run-end says so.
+func TestRunBaselineEndsWithRunEnd(t *testing.T) {
+	rel := paperRelation(t)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name    string
+		ctx     context.Context
+		phases  []trace.Phase
+		outcome string
+	}{
+		{"ok", context.Background(), []trace.Phase{trace.PhaseBaseline, trace.PhaseSuppress}, "ok"},
+		{"canceled", canceled, []trace.Phase{trace.PhaseBaseline}, "canceled"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var events []trace.Event
+			rec := trace.NewRecorder()
+			log := traceFunc(func(ev trace.Event) { events = append(events, ev) })
+			_, err := core.RunBaseline(c.ctx, rel, &anon.Mondrian{Parallelism: 1}, 3, trace.Tee(log, rec))
+			if got := core.RunOutcome(err); got != c.outcome {
+				t.Fatalf("outcome %q (err %v), want %q", got, err, c.outcome)
+			}
+			ends := 0
+			for _, ev := range events {
+				if ev.Kind == trace.KindRunEnd {
+					ends++
+				}
+			}
+			last := events[len(events)-1]
+			if ends != 1 || last.Kind != trace.KindRunEnd || last.Label != c.outcome || last.Metrics == nil {
+				t.Fatalf("%d run-end events, last event %+v; want one run-end/%s, last, with metrics", ends, last, c.outcome)
+			}
+			m := last.Metrics
+			var phases []trace.Phase
+			for _, pt := range m.Phases {
+				phases = append(phases, pt.Phase)
+			}
+			if !reflect.DeepEqual(phases, c.phases) || m.Total != last.Elapsed || m.Total < m.PhasesTotal() {
+				t.Fatalf("run-end metrics %+v (elapsed %v), want phases %v within the total", m, last.Elapsed, c.phases)
+			}
+			if m.Canceled != errors.Is(err, core.ErrCanceled) {
+				t.Fatalf("Canceled = %v for err %v", m.Canceled, err)
+			}
+			if got := rec.Snapshot(); !reflect.DeepEqual(*got, *m) {
+				t.Fatalf("recorder %+v != run-end metrics %+v", *got, *m)
+			}
+		})
+	}
+}
+
+// traceFunc adapts a function to trace.Tracer.
+type traceFunc func(trace.Event)
+
+func (f traceFunc) Trace(ev trace.Event) { f(ev) }

@@ -151,7 +151,7 @@ type Record struct {
 	Metrics *trace.RunMetrics `json:"metrics,omitempty"`
 	// Events, set on error and infeasible outcomes, is the run's
 	// flight-recorder tail — the recent trace events leading into the
-	// failure, ending with the synthetic run-end event — so a post-mortem
+	// failure, ending with the run-end event — so a post-mortem
 	// survives the process that hit the failure.
 	Events []trace.FlightEntry `json:"events,omitempty"`
 }

@@ -8,13 +8,13 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"diva"
 	"diva/internal/obs"
-	"diva/internal/testutil"
 	"diva/internal/trace"
 )
 
@@ -141,40 +141,110 @@ func TestLiveRunVisibleWhileInFlight(t *testing.T) {
 	t.Fatalf("run %d missing from completed ring", found.ID)
 }
 
-// TestCallerRecorderMatchesEngine: a Recorder supplied as Options.Tracer
-// rebuilds Result.Metrics from the event stream alone — every phase, search
-// counter, shard-plan count and the portfolio winner — in every execution
-// mode and on an infeasible Σ. A Profiler teed beside it keeps the per-node
-// activity: its node assigns and backtracks sum to the run's totals, so the
-// portfolio's replay of the winner stays checked.
+// endLog is a goroutine-safe Tracer counting a run's events and noting
+// where its run-end events fell and which metrics the last one carried.
+type endLog struct {
+	mu      sync.Mutex
+	n       int
+	ends    []int
+	metrics *diva.RunMetrics
+}
+
+func (l *endLog) Trace(ev diva.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if ev.Kind == diva.KindRunEnd {
+		l.ends = append(l.ends, l.n)
+		l.metrics = ev.Metrics
+	}
+	l.n++
+}
+
+// fallbackInstance makes a two-component Σ whose component-wise coloring
+// leaves one rest row at k = 2, so a Shards run re-colors Σ jointly.
+func fallbackInstance(t *testing.T) (*diva.Relation, diva.Constraints) {
+	t.Helper()
+	rel, err := diva.ReadAnnotatedCSV(strings.NewReader("A:qi,B:qi,S:sensitive\na0,b0,s0\na0,b0,s1\na1,b1,s0\na1,b1,s1\na0,b1,s0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel, diva.Constraints{diva.NewConstraint("A", "a0", 2, 3), diva.NewConstraint("A", "a1", 2, 2)}
+}
+
+// TestCallerRecorderMatchesEngine: every tracer on a run — the caller's
+// Options.Tracer, the run registry's flight recorder and the engine's
+// profiler — sees exactly one KindRunEnd, as its last event, carrying
+// Result.Metrics itself, in every execution mode and on every outcome; a
+// caller's Recorder therefore snapshots the engine's metrics exactly. A
+// Profiler teed beside it keeps the per-node activity: its node assigns and
+// backtracks sum to the run's totals, so the replay of portfolio winners and
+// components stays checked.
 func TestCallerRecorderMatchesEngine(t *testing.T) {
+	obs.EnableProfiling(true)
+	defer obs.EnableProfiling(false)
 	infeasible := diva.Constraints{diva.NewConstraint("ETH", "Asian", 9, 12)}
+	fbRel, fbSigma := fallbackInstance(t)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, c := range []struct {
-		name  string
-		sigma diva.Constraints
-		opts  diva.Options
+		name    string
+		ctx     context.Context
+		rel     *diva.Relation
+		sigma   diva.Constraints
+		opts    diva.Options
+		outcome string
 	}{
-		{"sequential", paperSigma(), diva.Options{}},
-		{"portfolio", paperSigma(), diva.Options{Parallel: 3}},
-		{"sharded", paperSigma(), diva.Options{Shards: 2}},
-		{"nogoods", paperSigma(), diva.Options{Nogoods: true}},
-		{"infeasible", infeasible, diva.Options{}},
-		{"infeasible-portfolio", infeasible, diva.Options{Parallel: 3}},
+		{"sequential", nil, nil, paperSigma(), diva.Options{K: 2}, "ok"},
+		{"portfolio", nil, nil, paperSigma(), diva.Options{K: 2, Parallel: 3}, "ok"},
+		{"sharded", nil, nil, paperSigma(), diva.Options{K: 2, Shards: 2}, "ok"},
+		{"fallback", nil, fbRel, fbSigma, diva.Options{K: 2, Shards: 2, Strategy: diva.MinChoice}, "ok"},
+		{"nogoods", nil, nil, paperSigma(), diva.Options{K: 2, Nogoods: true}, "ok"},
+		{"infeasible", nil, nil, infeasible, diva.Options{K: 2}, "infeasible"},
+		{"infeasible-portfolio", nil, nil, infeasible, diva.Options{K: 2, Parallel: 3}, "infeasible"},
+		{"canceled", canceled, nil, paperSigma(), diva.Options{K: 2}, "canceled"},
+		{"k0", nil, nil, paperSigma(), diva.Options{}, "error"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rec, prof := diva.NewRecorder(), diva.NewProfiler()
+			ctx, rel := c.ctx, c.rel
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			if rel == nil {
+				rel = loadPatients(t)
+			}
+			log, rec, prof := &endLog{}, diva.NewRecorder(), diva.NewProfiler()
 			opts := c.opts
-			opts.K, opts.Seed, opts.Tracer = 2, 1, trace.Tee(rec, prof)
-			res, err := diva.AnonymizeContext(context.Background(), loadPatients(t), c.sigma, opts)
-			if wantErr := strings.HasPrefix(c.name, "infeasible"); wantErr != errors.Is(err, diva.ErrNoDiverseClustering) || (!wantErr && err != nil) {
-				t.Fatalf("err = %v", err)
+			opts.Seed, opts.Tracer = 1, trace.Tee(log, rec, prof)
+			res, err := diva.AnonymizeContext(ctx, rel, c.sigma, opts)
+			if got := diva.RunOutcome(err); got != c.outcome {
+				t.Fatalf("outcome %q (err %v), want %q", got, err, c.outcome)
 			}
 			e := res.Metrics
-			if diff := testutil.RecorderMismatch(rec.Snapshot(), e); diff != "" {
-				t.Fatal(diff)
+			if len(log.ends) != 1 || log.ends[0] != log.n-1 || log.metrics != e {
+				t.Fatalf("caller tracer saw run-ends at %v of %d events, last carrying %p; want one, last, carrying Result.Metrics %p",
+					log.ends, log.n, log.metrics, e)
 			}
-			if len(e.Phases) == 0 || (err == nil && e.Steps == 0) {
-				t.Fatalf("engine metrics carry no work: %+v", e)
+			events, _, ok := obs.Runs.RunEvents(e.RunID)
+			if !ok {
+				t.Fatalf("run %d unknown to the registry", e.RunID)
+			}
+			for i, fe := range events {
+				if last := i == len(events)-1; (fe.Event.Kind == diva.KindRunEnd) != last || (last && fe.Event.Metrics != e) {
+					t.Fatalf("registry flight event %d of %d is %s; want run-end carrying Result.Metrics last only", i, len(events), fe.Event.Kind)
+				}
+			}
+			if p := obs.Profiles.Get(e.RunID); p == nil || p.Metrics != e || p.Outcome != c.outcome {
+				t.Fatalf("engine profile = %+v, want Result.Metrics and outcome %q", p, c.outcome)
+			}
+			if got := rec.Snapshot(); !reflect.DeepEqual(*got, *e) {
+				t.Fatalf("caller recorder %+v\n != engine metrics %+v", *got, *e)
+			}
+			p := prof.Profile()
+			if p.Metrics != e || p.Outcome != c.outcome {
+				t.Fatalf("caller profile carries %p/%q, want Result.Metrics %p/%q", p.Metrics, p.Outcome, e, c.outcome)
+			}
+			if c.outcome == "ok" && e.Steps == 0 {
+				t.Fatalf("engine metrics carry no search work: %+v", e)
 			}
 			if c.opts.Parallel > 0 && err == nil && e.WinnerStrategy == "" {
 				t.Fatal("portfolio run names no winner")
@@ -182,8 +252,22 @@ func TestCallerRecorderMatchesEngine(t *testing.T) {
 			if c.opts.Shards > 0 && e.SigmaComponents == 0 {
 				t.Fatal("sharded run reports no Σ components")
 			}
+			if c.name == "fallback" {
+				// The rejected component-wise attempt's replayed activity is
+				// in the profile; the totals are the joint search's alone.
+				colors := 0
+				for _, pt := range e.Phases {
+					if pt.Phase == diva.PhaseColor {
+						colors++
+					}
+				}
+				if colors != 2 {
+					t.Fatalf("fallback phases = %v, want two color phases", e.Phases)
+				}
+				return
+			}
 			assigns, backtracks := 0, 0
-			for _, n := range prof.Profile().Nodes {
+			for _, n := range p.Nodes {
 				assigns += n.Assigns
 				backtracks += n.Backtracks
 			}
@@ -316,8 +400,8 @@ func TestEngineProfilingDepositsProfile(t *testing.T) {
 	if p.Root == nil || len(p.Root.Children) == 0 {
 		t.Fatal("profile has no search tree")
 	}
-	if p.Totals.Steps != res.Metrics.Steps {
-		t.Fatalf("profile steps = %d, engine steps = %d", p.Totals.Steps, res.Metrics.Steps)
+	if p.Metrics != res.Metrics {
+		t.Fatalf("profile metrics %+v, want the run's %+v", p.Metrics, res.Metrics)
 	}
 	if len(p.Nodes) != 3 || p.Nodes[0].Label == "" {
 		t.Fatalf("graph description missing: nodes = %+v", p.Nodes)

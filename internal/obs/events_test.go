@@ -71,8 +71,8 @@ func TestBroadcasterDropAllClosesSubscribers(t *testing.T) {
 
 // TestRunTraceFeedsFlightAndBus is the registry wiring contract: a run's
 // trace events land in its flight recorder and on the broadcaster even when
-// the engine caller set no tracer, and End appends the synthetic run-end
-// event and preserves the snapshot past completion.
+// the engine caller set no tracer, and the run-end event is recorded last
+// and the snapshot preserved past completion.
 func TestRunTraceFeedsFlightAndBus(t *testing.T) {
 	reg := NewRunRegistry(4)
 	sub := reg.Events().Subscribe(0, 16)
@@ -80,7 +80,7 @@ func TestRunTraceFeedsFlightAndBus(t *testing.T) {
 	run := reg.Begin()
 	run.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
 	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 10, Depth: 3, Worker: -1})
-	run.End(nil, "ok", nil)
+	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 
 	events, seen, ok := reg.RunEvents(run.ID())
 	if !ok {
@@ -105,7 +105,7 @@ func TestRunEventsEndpoint(t *testing.T) {
 	reg := NewRunRegistry(4)
 	run := reg.Begin()
 	run.Trace(trace.Event{Kind: trace.KindAssign, Node: 7, Depth: 1})
-	run.End(nil, "ok", nil)
+	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	srv := httptest.NewServer(NewMux(NewRegistry(), reg, profile.NewRing(4), NewIncidentStore(4)))
 	defer srv.Close()
 
@@ -154,7 +154,7 @@ func TestSSEEndpointReplaysAndStreams(t *testing.T) {
 	reg := NewRunRegistry(4)
 	done := reg.Begin()
 	done.Trace(trace.Event{Kind: trace.KindProgress, Steps: 5, Worker: -1})
-	done.End(nil, "ok", nil)
+	done.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	live := reg.Begin()
 	live.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
 
@@ -180,7 +180,7 @@ func TestSSEEndpointReplaysAndStreams(t *testing.T) {
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		live.Trace(trace.Event{Kind: trace.KindProgress, Steps: 42, Depth: 2, Worker: -1})
-		live.End(nil, "ok", nil)
+		live.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	}()
 
 	type got struct {

@@ -1,7 +1,6 @@
 // Engine-level tests of the live-telemetry layer: flight recorder + SSE
 // broadcaster wiring under real runs, the stall watchdog against a genuinely
-// wedged search, recorder/engine reconciliation of the learning counters,
-// and the canonical run log. External test package: obs cannot import the
+// wedged search, and the canonical run log. External test package: obs cannot import the
 // engine (core imports obs).
 package obs_test
 
@@ -23,57 +22,7 @@ import (
 	"diva/internal/history"
 	"diva/internal/obs"
 	"diva/internal/relation"
-	"diva/internal/testutil"
-	"diva/internal/verify"
 )
-
-// TestCallerRecorderReconcilesNogoods extends TestCallerRecorderMatchesEngine
-// to dense-conflict instances with learning on: a caller-supplied Recorder
-// must match the engine's metrics — learning counters included — on every
-// execution mode (sequential, portfolio, sharded), because each mode's
-// driver emits a final KindProgress carrying the run's totals.
-func TestCallerRecorderReconcilesNogoods(t *testing.T) {
-	rng := testutil.Rng(t)
-	var insts []verify.Instance
-	for id := 0; id < 6; id++ {
-		insts = append(insts, verify.DenseConflictInstance(rng, id, 0))
-	}
-	learned := 0
-	for _, mode := range []struct {
-		name     string
-		parallel int
-		shards   int
-	}{
-		{"sequential", 0, 0},
-		{"portfolio", 3, 0},
-		{"sharded", 0, 2},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			for _, inst := range insts {
-				rec := diva.NewRecorder()
-				res, err := diva.AnonymizeContext(context.Background(), inst.Rel, inst.Sigma, diva.Options{
-					K:             inst.K,
-					Seed:          rng.Uint64(),
-					MaxCandidates: 256,
-					Parallel:      mode.parallel,
-					Shards:        mode.shards,
-					Nogoods:       true,
-					Tracer:        rec,
-				})
-				if err != nil && !errors.Is(err, diva.ErrNoDiverseClustering) {
-					t.Fatalf("%s: %v", inst.Name, err)
-				}
-				if diff := testutil.RecorderMismatch(rec.Snapshot(), res.Metrics); diff != "" {
-					t.Fatalf("%s: %s", inst.Name, diff)
-				}
-				learned += res.Metrics.NogoodsLearned
-			}
-		})
-	}
-	if learned == 0 {
-		t.Fatal("no mode learned a single nogood — the reconciliation above was vacuous")
-	}
-}
 
 // blockingCriterion wedges the coloring search: the first Holds call
 // signals entered and then blocks until released — the "sleeping hook" the
@@ -194,7 +143,7 @@ func TestNeverReadingSSESubscriberDropsNotBlocks(t *testing.T) {
 // TestCanonicalRunLog asserts the wide-event contract: one slog record per
 // run carrying the cross-run comparison key that matches the history
 // ledger's record exactly, and — on infeasible outcomes — a ledgered
-// flight-recorder snapshot ending in the synthetic run-end event.
+// flight-recorder snapshot ending in the run-end event.
 func TestCanonicalRunLog(t *testing.T) {
 	var buf bytes.Buffer
 	logger, err := obs.NewLogger(&buf, "json", slog.LevelInfo)

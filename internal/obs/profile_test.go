@@ -16,7 +16,6 @@ import (
 // the listing, the full profile document, and every export format.
 func TestProfileEndpoint(t *testing.T) {
 	prof := profile.New()
-	prof.SetRunID(7)
 	prof.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
 	prof.Trace(trace.Event{Kind: trace.KindNode, Node: 0, Label: "ETH[Asian], 2, 5", N: 1})
 	prof.Trace(trace.Event{Kind: trace.KindAssign, Node: 0, Span: 1, Depth: 1})
@@ -24,7 +23,8 @@ func TestProfileEndpoint(t *testing.T) {
 	prof.Trace(trace.Event{Kind: trace.KindBacktrack, Node: 0, Span: 1, Depth: 1})
 	prof.Trace(trace.Event{Kind: trace.KindProgress, Steps: 1, Backtracks: 1, Worker: -1})
 	prof.Trace(trace.Event{Kind: trace.KindPhaseEnd, Phase: trace.PhaseColor})
-	prof.Finish("infeasible", "no diverse clustering")
+	prof.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "infeasible", Err: "no diverse clustering",
+		Metrics: &trace.RunMetrics{RunID: 7, Steps: 1, Backtracks: 1}})
 
 	ring := profile.NewRing(4)
 	ring.Add(prof.Profile())
@@ -55,7 +55,7 @@ func TestProfileEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("profile is not JSON: %v", err)
 	}
-	for _, key := range []string{"run_id", "outcome", "duration_ns", "phases", "root", "nodes", "totals", "span_count", "last_exhaustion"} {
+	for _, key := range []string{"metrics", "outcome", "duration_ns", "phases", "root", "nodes", "span_count", "last_exhaustion"} {
 		if _, ok := doc[key]; !ok {
 			t.Fatalf("profile document missing %q:\n%s", key, body)
 		}

@@ -30,7 +30,7 @@ type RunInfo struct {
 	// Steps, Depth and Worker mirror the run's last KindProgress heartbeat:
 	// the search's step count (the max over portfolio workers), its current
 	// coloring depth, and which worker sent the last heartbeat (−1
-	// sequential).
+	// sequential). A completed run's Steps is its run-end Metrics.Steps.
 	Steps  int `json:"steps"`
 	Depth  int `json:"depth"`
 	Worker int `json:"worker"`
@@ -84,8 +84,7 @@ func (r *RunRegistry) Events() *Broadcaster { return r.bus }
 
 // Begin registers a new live run and returns its handle. The handle is a
 // trace.Tracer: tee it into the run's event stream so phase changes and
-// heartbeats reach the registry, and call End exactly once when the run
-// finishes.
+// heartbeats reach the registry; the run's KindRunEnd event completes it.
 func (r *RunRegistry) Begin() *Run {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -164,9 +163,10 @@ func (r *RunRegistry) finish(info RunInfo) {
 }
 
 // Run is the registry's handle for one in-flight engine run. It implements
-// trace.Tracer: phase-start events update the current phase and KindProgress
-// heartbeats update the search liveness fields. All methods are
-// goroutine-safe (portfolio workers heartbeat concurrently).
+// trace.Tracer: phase-start events update the current phase, KindProgress
+// heartbeats update the search liveness fields, and KindRunEnd completes
+// the run. All methods are goroutine-safe (portfolio workers heartbeat
+// concurrently).
 type Run struct {
 	reg    *RunRegistry
 	id     uint64
@@ -197,6 +197,10 @@ func (run *Run) ID() uint64 { return run.id }
 // registry's broadcaster, so the run is observable even when the caller set
 // no tracer of its own.
 func (run *Run) Trace(ev trace.Event) {
+	if ev.Kind == trace.KindRunEnd {
+		run.end(ev)
+		return
+	}
 	entry := run.flight.Record(ev)
 	run.lastEvent.Store(time.Now().UnixNano())
 	run.stalled.Store(false)
@@ -245,48 +249,36 @@ func (run *Run) Info() RunInfo {
 	}
 }
 
-// End moves the run from the live set into the completed ring, recording its
-// outcome (core.RunOutcome of err) as the run's State and the label of the
-// terminal run-end event. It is idempotent; only the first call takes effect.
-func (run *Run) End(m *trace.RunMetrics, outcome string, err error) {
+// end handles the run's KindRunEnd event: it seals the flight recorder with
+// the event and moves the run from the live set into the completed ring,
+// with the event's outcome as State and its metrics as the final counters.
+// Only the first run-end event takes effect.
+func (run *Run) end(ev trace.Event) {
 	run.mu.Lock()
 	if run.ended {
 		run.mu.Unlock()
 		return
 	}
 	run.ended = true
+	entry := run.flight.Record(ev)
 	info := RunInfo{
 		ID:         run.id,
 		Start:      run.start,
-		Elapsed:    time.Since(run.start),
-		State:      outcome,
+		Elapsed:    ev.Elapsed,
+		State:      ev.Label,
 		Phase:      string(run.phase),
 		Steps:      run.steps,
 		Depth:      run.depth,
 		Worker:     run.worker,
 		Heartbeats: run.heartbeats,
-		Metrics:    m,
+		Err:        ev.Err,
+		Metrics:    ev.Metrics,
+		flight:     run.flight.Snapshot(),
+		flightSeen: run.flight.Seen(),
 	}
-	if err != nil {
-		info.Err = err.Error()
+	if ev.Metrics != nil {
+		info.Steps = ev.Metrics.Steps
 	}
-	if m != nil {
-		info.Elapsed = m.Total
-		if m.Steps > info.Steps {
-			info.Steps = m.Steps
-		}
-	}
-	// Seal the flight recorder with a synthetic terminal event so dumps and
-	// SSE subscribers see how — and when — the run ended.
-	entry := run.flight.Record(trace.Event{
-		Kind:    trace.KindRunEnd,
-		Label:   info.State,
-		Elapsed: info.Elapsed,
-		Steps:   info.Steps,
-		Depth:   info.Depth,
-	})
-	info.flight = run.flight.Snapshot()
-	info.flightSeen = run.flight.Seen()
 	reg := run.reg
 	run.mu.Unlock()
 	reg.finish(info)

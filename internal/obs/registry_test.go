@@ -35,15 +35,20 @@ func TestRunLifecycle(t *testing.T) {
 		t.Fatalf("snapshot: %d live, %d completed", len(live), len(completed))
 	}
 
-	m := &trace.RunMetrics{Total: 5 * time.Millisecond, Steps: 120}
-	run.End(m, "ok", nil)
-	run.End(m, "error", errors.New("second End must be ignored"))
+	// The run-end metrics are authoritative: a portfolio loser may have
+	// heartbeated more steps than the winner the run reports.
+	m := &trace.RunMetrics{Total: 5 * time.Millisecond, Steps: 50}
+	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: m.Total, Metrics: m})
+	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "error", Err: "a second run-end must be ignored"})
 	if reg.LiveCount() != 0 {
-		t.Fatalf("LiveCount after End = %d", reg.LiveCount())
+		t.Fatalf("LiveCount after run-end = %d", reg.LiveCount())
 	}
 	live, completed = reg.Snapshot()
 	if len(live) != 0 || len(completed) != 1 {
-		t.Fatalf("snapshot after End: %d live, %d completed", len(live), len(completed))
+		t.Fatalf("snapshot after run-end: %d live, %d completed", len(live), len(completed))
+	}
+	if events, seen, _ := reg.RunEvents(run.ID()); seen != 4 || events[len(events)-1].Event.Metrics != m {
+		t.Fatalf("flight recorder saw %d events ending %+v; want 4 ending with the first run-end", seen, events[len(events)-1].Event)
 	}
 	done := completed[0]
 	if done.State != "ok" || done.Err != "" {
@@ -52,8 +57,8 @@ func TestRunLifecycle(t *testing.T) {
 	if done.Elapsed != m.Total {
 		t.Fatalf("Elapsed = %v, want metrics total %v", done.Elapsed, m.Total)
 	}
-	if done.Steps != 120 {
-		t.Fatalf("Steps = %d, want final metrics value 120", done.Steps)
+	if done.Steps != 50 {
+		t.Fatalf("Steps = %d, want run-end metrics value 50", done.Steps)
 	}
 	if done.Metrics != m {
 		t.Fatal("completed info must carry the run's metrics")
@@ -63,7 +68,7 @@ func TestRunLifecycle(t *testing.T) {
 func TestCompletedRing(t *testing.T) {
 	reg := NewRunRegistry(2)
 	for i := 0; i < 3; i++ {
-		reg.Begin().End(nil, "ok", nil)
+		reg.Begin().Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	}
 	_, completed := reg.Snapshot()
 	if len(completed) != 2 {
@@ -84,7 +89,7 @@ func TestEvictionObservable(t *testing.T) {
 		t.Fatalf("fresh registry Evicted() = %d", reg.Evicted())
 	}
 	for i := 0; i < 5; i++ {
-		reg.Begin().End(nil, "ok", nil)
+		reg.Begin().Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	}
 	if got := reg.Evicted(); got != 3 {
 		t.Fatalf("Evicted() = %d, want 3 (5 completed, 2 kept)", got)
@@ -103,9 +108,10 @@ func evictionCounterBefore(t *testing.T) int64 {
 	return Runs.Evicted()
 }
 
-// TestOutcomeClassification: the outcome End is given — the engine's single
-// core.RunOutcome classification — is the completed run's State and the
-// label of its terminal run-end event, verbatim, for every outcome.
+// TestOutcomeClassification: the run-end event's outcome — the engine's
+// single core.RunOutcome classification — and error text are the completed
+// run's State and Err, and the event itself is the run's last flight entry,
+// verbatim, for every outcome.
 func TestOutcomeClassification(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
@@ -120,7 +126,11 @@ func TestOutcomeClassification(t *testing.T) {
 	for _, c := range cases {
 		reg := NewRunRegistry(4)
 		run := reg.Begin()
-		run.End(&trace.RunMetrics{}, c.outcome, c.err)
+		ev := trace.Event{Kind: trace.KindRunEnd, Label: c.outcome, Metrics: &trace.RunMetrics{}}
+		if c.err != nil {
+			ev.Err = c.err.Error()
+		}
+		run.Trace(ev)
 		_, completed := reg.Snapshot()
 		if got := completed[0].State; got != c.outcome {
 			t.Fatalf("%s run recorded with State %q", c.outcome, got)
@@ -148,6 +158,6 @@ func TestSnapshotLiveOrder(t *testing.T) {
 		}
 	}
 	for _, r := range runs {
-		r.End(nil, "ok", nil)
+		r.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	}
 }

@@ -44,11 +44,12 @@ func TestMuxEndpoints(t *testing.T) {
 	live := runs.Begin()
 	live.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
 	live.Trace(trace.Event{Kind: trace.KindProgress, Steps: 77, Depth: 5, Worker: -1})
-	runs.Begin().End(&trace.RunMetrics{Total: time.Millisecond}, "ok", nil)
+	runs.Begin().Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: time.Millisecond,
+		Metrics: &trace.RunMetrics{Total: time.Millisecond}})
 
 	srv := httptest.NewServer(NewMux(Metrics, runs, profile.NewRing(4), NewIncidentStore(4)))
 	defer srv.Close()
-	defer live.End(nil, "ok", nil)
+	defer live.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 
 	code, body, hdr := get(t, srv, "/metrics")
 	if code != http.StatusOK {

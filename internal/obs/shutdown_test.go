@@ -24,7 +24,7 @@ func TestShutdownUnblocksSSEStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := runs.Begin()
-	defer run.End(nil, "ok", nil)
+	defer run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	run.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
 
 	base := "http://" + srv.Addr().String()

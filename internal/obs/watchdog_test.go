@@ -66,7 +66,7 @@ func TestWatchdogFlagsStalledRun(t *testing.T) {
 	if store.Total() != 2 {
 		t.Fatalf("incidents = %d, want 2", store.Total())
 	}
-	run.End(nil, "ok", nil)
+	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 }
 
 func TestWatchdogTickerLoop(t *testing.T) {
@@ -76,7 +76,7 @@ func TestWatchdogTickerLoop(t *testing.T) {
 	run := reg.Begin()
 	run.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseBind})
 	wd.Start()
-	defer run.End(nil, "ok", nil)
+	defer run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	deadline := time.Now().Add(5 * time.Second)
 	for wd.Flagged() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

@@ -86,16 +86,17 @@ type NogoodOwner struct {
 // recorded exhaustion the verdict is empty and only the search totals are
 // populated.
 func (p *Profile) Explain() *Explanation {
+	m := p.runMetrics()
 	ex := &Explanation{
-		RunID:       p.RunID,
+		RunID:       m.RunID,
 		Outcome:     p.Outcome,
-		Steps:       p.Totals.Steps,
-		Backtracks:  p.Totals.Backtracks,
+		Steps:       m.Steps,
+		Backtracks:  m.Backtracks,
 		Wall:        p.Duration,
-		Nogoods:     p.Totals.Nogoods,
-		NogoodHits:  p.Totals.NogoodHits,
-		Backjumps:   p.Totals.Backjumps,
-		MaxBackjump: p.Totals.MaxBackjump,
+		Nogoods:     m.NogoodsLearned,
+		NogoodHits:  m.NogoodHits,
+		Backjumps:   m.Backjumps,
+		MaxBackjump: m.MaxBackjump,
 	}
 	for i := range p.Nodes {
 		ns := &p.Nodes[i]

@@ -60,9 +60,10 @@ func (p *Profile) WriteChromeTrace(w io.Writer) error {
 		return err
 	}
 	enc := newChromeEncoder(bw)
+	m := p.runMetrics()
 	name := "diva search"
-	if p.RunID != 0 {
-		name = fmt.Sprintf("diva run %d", p.RunID)
+	if m.RunID != 0 {
+		name = fmt.Sprintf("diva run %d", m.RunID)
 	}
 	enc.emit(chromeEvent{Name: "process_name", Ph: "M", Pid: 1, Args: map[string]any{"name": name}})
 	enc.emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: chromeTidPhases, Args: map[string]any{"name": "phases"}})
@@ -79,12 +80,12 @@ func (p *Profile) WriteChromeTrace(w io.Writer) error {
 			"rest_rows":      ss.RestRows,
 		}})
 	}
-	if t := p.Totals; t.Nogoods > 0 || t.NogoodHits > 0 || t.Backjumps > 0 {
+	if m.NogoodsLearned > 0 || m.NogoodHits > 0 || m.Backjumps > 0 {
 		enc.emit(chromeEvent{Name: "nogood learning", Ph: "i", Ts: p.phaseStart("color"), Pid: 1, Tid: chromeTidSearch, Cat: "nogood", Args: map[string]any{
-			"nogoods":      t.Nogoods,
-			"nogood_hits":  t.NogoodHits,
-			"backjumps":    t.Backjumps,
-			"max_backjump": t.MaxBackjump,
+			"nogoods":      m.NogoodsLearned,
+			"nogood_hits":  m.NogoodHits,
+			"backjumps":    m.Backjumps,
+			"max_backjump": m.MaxBackjump,
 		}})
 	}
 	if bs := p.Baseline; bs != nil {
@@ -211,9 +212,10 @@ func (p *Profile) foldSpan(s *Span, frames []string, agg map[string]int64) {
 // available as JSON by marshaling the Profile itself.
 func (p *Profile) WriteSummary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	m := p.runMetrics()
 	fmt.Fprintf(bw, "search profile")
-	if p.RunID != 0 {
-		fmt.Fprintf(bw, " (run %d)", p.RunID)
+	if m.RunID != 0 {
+		fmt.Fprintf(bw, " (run %d)", m.RunID)
 	}
 	if p.Outcome != "" {
 		fmt.Fprintf(bw, " — outcome: %s", p.Outcome)
@@ -229,16 +231,15 @@ func (p *Profile) WriteSummary(w io.Writer) error {
 		}
 		fmt.Fprintln(bw)
 	}
-	t := p.Totals
 	hitRatio := 0.0
-	if t.CacheHits+t.CacheMisses > 0 {
-		hitRatio = float64(t.CacheHits) / float64(t.CacheHits+t.CacheMisses)
+	if lookups := m.CandidateCacheHits + m.CandidateCacheMisses; lookups > 0 {
+		hitRatio = float64(m.CandidateCacheHits) / float64(lookups)
 	}
 	fmt.Fprintf(bw, "search: steps=%d backtracks=%d candidates=%d cache-hit-ratio=%.2f max-depth=%d spans=%d\n",
-		t.Steps, t.Backtracks, t.Candidates, hitRatio, p.MaxDepth, p.SpanCount)
-	if t.Nogoods > 0 || t.NogoodHits > 0 || t.Backjumps > 0 {
+		m.Steps, m.Backtracks, m.CandidatesTried, hitRatio, p.MaxDepth, p.SpanCount)
+	if m.NogoodsLearned > 0 || m.NogoodHits > 0 || m.Backjumps > 0 {
 		fmt.Fprintf(bw, "learning: nogoods=%d hits=%d backjumps=%d max-backjump=%d\n",
-			t.Nogoods, t.NogoodHits, t.Backjumps, t.MaxBackjump)
+			m.NogoodsLearned, m.NogoodHits, m.Backjumps, m.MaxBackjump)
 	}
 	if p.Flat {
 		fmt.Fprintln(bw, "note: portfolio run — per-node aggregates only, no span tree")
@@ -246,8 +247,8 @@ func (p *Profile) WriteSummary(w io.Writer) error {
 	if p.Truncated {
 		fmt.Fprintln(bw, "note: span cap reached — tree truncated, aggregates stay exact")
 	}
-	if p.WinnerStrategy != "" {
-		fmt.Fprintf(bw, "portfolio winner: worker %d (%s)\n", p.WinnerWorker, p.WinnerStrategy)
+	if m.WinnerStrategy != "" {
+		fmt.Fprintf(bw, "portfolio winner: worker %d (%s)\n", m.WinnerWorker, m.WinnerStrategy)
 	}
 	if ss := p.Shards; ss != nil {
 		fmt.Fprintf(bw, "sharded: components=%d component-rows=%d rest-shards=%d rest-rows=%d\n",

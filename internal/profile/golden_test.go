@@ -70,20 +70,21 @@ func paperSigma() diva.Constraints {
 func seededProfile(t *testing.T, sigma diva.Constraints, k int) *profile.Profile {
 	t.Helper()
 	prof := profile.New(profile.WithClock(tickClock()))
-	_, err := diva.AnonymizeContext(context.Background(), paperRelation(t), sigma, diva.Options{
+	diva.AnonymizeContext(context.Background(), paperRelation(t), sigma, diva.Options{
 		K:        k,
 		Strategy: diva.MinChoice,
 		Seed:     42,
 		Tracer:   prof,
 	})
-	prof.Finish(diva.RunOutcome(err), "")
 	p := prof.Profile()
 	// The baseline partitioner stamps real cut wall times into its split
-	// events (they bypass the injected clock); pin the aggregate so the
-	// goldens stay byte-stable across machines.
+	// events (they bypass the injected clock), and the run ID depends on how
+	// many runs the process made before; pin both so the goldens stay
+	// byte-stable across machines and test orders.
 	if p.Baseline != nil {
 		p.Baseline.CutWall = 42 * time.Microsecond
 	}
+	p.Metrics.RunID = 0
 	return p
 }
 

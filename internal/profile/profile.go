@@ -195,34 +195,17 @@ type ShardStats struct {
 	RestRows      int `json:"rest_rows"`
 }
 
-// Totals are the search's authoritative cumulative counters, taken from the
-// final KindProgress heartbeat.
-type Totals struct {
-	Steps       int `json:"steps"`
-	Backtracks  int `json:"backtracks"`
-	Candidates  int `json:"candidates"`
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-	// Nogood-learning counters (zero unless Options.Nogoods was on): learned
-	// conflicts, store-probe prunings, conflict-directed backjumps and the
-	// deepest single backjump in levels.
-	Nogoods     int `json:"nogoods,omitempty"`
-	NogoodHits  int `json:"nogood_hits,omitempty"`
-	Backjumps   int `json:"backjumps,omitempty"`
-	MaxBackjump int `json:"max_backjump,omitempty"`
-}
-
 // Profile is a finalized search profile: the reconstructed tree, flat
 // per-node aggregates, the constraint graph's shape, and the run's outcome.
 type Profile struct {
-	// RunID is the process-wide run-registry identifier (0 when the run
-	// never registered or the profiler was attached manually).
-	RunID uint64 `json:"run_id,omitempty"`
-	// Outcome classifies the run: "ok", "infeasible", "canceled", "error",
-	// or "" when Finish was never called.
-	Outcome string `json:"outcome,omitempty"`
-	// Err is the run's error text for non-ok outcomes.
-	Err string `json:"error,omitempty"`
+	// Metrics, Outcome and Err come from the run's terminal KindRunEnd
+	// event: the engine's RunMetrics (run ID, search totals, portfolio
+	// winner), the outcome ("ok", "infeasible", "canceled" or "error") and
+	// the error text of a failed run. Metrics is nil and Outcome "" when no
+	// run-end event was observed.
+	Metrics *trace.RunMetrics `json:"metrics,omitempty"`
+	Outcome string            `json:"outcome,omitempty"`
+	Err     string            `json:"error,omitempty"`
 	// Duration is the profile's total observed time (last event).
 	Duration time.Duration `json:"duration_ns"`
 	Phases   []PhaseSpan   `json:"phases,omitempty"`
@@ -232,11 +215,9 @@ type Profile struct {
 	Root  *Span      `json:"root,omitempty"`
 	Nodes []NodeStat `json:"nodes,omitempty"`
 	Edges []Edge     `json:"edges,omitempty"`
-	// Totals mirrors the final search heartbeat; MaxDepth is the deepest
-	// assignment observed (heartbeat depths included, so portfolio runs
-	// report it too).
-	Totals   Totals `json:"totals"`
-	MaxDepth int    `json:"max_depth"`
+	// MaxDepth is the deepest assignment observed (heartbeat depths
+	// included, so portfolio runs report it too).
+	MaxDepth int `json:"max_depth"`
 	// SpanCount is the number of materialized spans; Truncated reports that
 	// the MaxSpans cap was hit and deeper activity was folded into the flat
 	// aggregates only. Flat reports that batched portfolio replay events
@@ -254,10 +235,15 @@ type Profile struct {
 	Shards *ShardStats `json:"shards,omitempty"`
 	// LastExhaustion is the final exhaustion before the search gave up.
 	LastExhaustion *Exhaustion `json:"last_exhaustion,omitempty"`
-	// WinnerWorker and WinnerStrategy identify the portfolio winner
-	// (sequential runs leave WinnerStrategy empty).
-	WinnerWorker   int    `json:"winner_worker,omitempty"`
-	WinnerStrategy string `json:"winner_strategy,omitempty"`
+}
+
+// runMetrics returns the run-end metrics, or zero metrics when the profile
+// saw no run-end event.
+func (p *Profile) runMetrics() *trace.RunMetrics {
+	if p.Metrics != nil {
+		return p.Metrics
+	}
+	return &trace.RunMetrics{}
 }
 
 // Option configures a Profiler.
@@ -281,8 +267,7 @@ func WithMaxSpans(n int) Option {
 
 // Profiler is a goroutine-safe trace.Tracer that reconstructs the search
 // tree live. Attach one to a run via Options.Tracer (or let the engine do
-// it when ops profiling is enabled), then call Finish and Profile once the
-// run ends.
+// it when ops profiling is enabled), then call Profile once the run ends.
 type Profiler struct {
 	mu       sync.Mutex
 	now      func() time.Duration
@@ -306,13 +291,6 @@ func New(opts ...Option) *Profiler {
 	return p
 }
 
-// SetRunID stamps the run-registry identifier onto the resulting Profile.
-func (p *Profiler) SetRunID(id uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.prof.RunID = id
-}
-
 // node returns the NodeStat for index v, growing the table as needed.
 func (p *Profiler) node(v int) *NodeStat {
 	for v >= len(p.nodes) {
@@ -334,6 +312,13 @@ func (p *Profiler) Trace(ev trace.Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.finalized {
+		return
+	}
+	if ev.Kind == trace.KindRunEnd {
+		// The run's outcome, not a point on its timeline: reading the clock
+		// here would stretch Duration and the open spans past the run's
+		// last real event.
+		p.prof.Metrics, p.prof.Outcome, p.prof.Err = ev.Metrics, ev.Label, ev.Err
 		return
 	}
 	at := p.now()
@@ -455,35 +440,10 @@ func (p *Profiler) Trace(ev trace.Event) {
 		p.node(ev.Node).Nogoods += batch(ev.N)
 	case trace.KindBackjump:
 		p.node(ev.Node).Backjumps += batch(ev.N)
-		if ev.Skipped > p.prof.Totals.MaxBackjump {
-			p.prof.Totals.MaxBackjump = ev.Skipped
-		}
 	case trace.KindProgress:
-		// The final heartbeat carries exact totals; en route, keep the
-		// largest seen so concurrent portfolio workers never roll them back.
-		if ev.Steps >= p.prof.Totals.Steps {
-			maxBJ := p.prof.Totals.MaxBackjump
-			if ev.MaxBackjump > maxBJ {
-				maxBJ = ev.MaxBackjump
-			}
-			p.prof.Totals = Totals{
-				Steps:       ev.Steps,
-				Backtracks:  ev.Backtracks,
-				Candidates:  ev.Candidates,
-				CacheHits:   ev.CacheHits,
-				CacheMisses: ev.CacheMisses,
-				Nogoods:     ev.Nogoods,
-				NogoodHits:  ev.NogoodHits,
-				Backjumps:   ev.Backjumps,
-				MaxBackjump: maxBJ,
-			}
-		}
 		if ev.Depth > p.prof.MaxDepth {
 			p.prof.MaxDepth = ev.Depth
 		}
-	case trace.KindWorkerWin:
-		p.prof.WinnerWorker = ev.N
-		p.prof.WinnerStrategy = ev.Strategy
 	case trace.KindSplit:
 		bs := p.prof.Baseline
 		if bs == nil {
@@ -533,16 +493,6 @@ func (p *Profiler) root() *Span {
 		p.prof.Root = &Span{ID: 0, Node: -1, Depth: 0, Start: p.now(), End: -1}
 	}
 	return p.prof.Root
-}
-
-// Finish records the run's outcome. outcome should be one of "ok",
-// "infeasible", "canceled" or "error" (core.RunOutcome classifies engine
-// errors); errText carries the error message for non-ok outcomes.
-func (p *Profiler) Finish(outcome, errText string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.prof.Outcome = outcome
-	p.prof.Err = errText
 }
 
 // Profile finalizes and returns the collected profile: open spans and

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -33,7 +34,8 @@ func feed(p *Profiler) {
 func TestProfilerTree(t *testing.T) {
 	p := New(WithClock(testClock()))
 	feed(p)
-	p.Finish("ok", "")
+	m := &trace.RunMetrics{Steps: 3, Backtracks: 1}
+	p.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Metrics: m})
 	prof := p.Profile()
 
 	if prof.Root == nil {
@@ -64,8 +66,15 @@ func TestProfilerTree(t *testing.T) {
 	if prof.MaxDepth != 2 || prof.SpanCount != 3 {
 		t.Fatalf("max depth %d spans %d, want 2/3", prof.MaxDepth, prof.SpanCount)
 	}
-	if prof.Totals.Steps != 3 || prof.Totals.Backtracks != 1 {
-		t.Fatalf("totals = %+v", prof.Totals)
+	if prof.Metrics != m || prof.Outcome != "ok" {
+		t.Fatalf("metrics/outcome = %+v/%q, want the run-end's", prof.Metrics, prof.Outcome)
+	}
+	// The run-end event is not a point on the timeline: the profile's
+	// duration is the same as without it.
+	bare := New(WithClock(testClock()))
+	feed(bare)
+	if d := bare.Profile().Duration; prof.Duration != d {
+		t.Fatalf("run-end moved Duration to %v, want %v", prof.Duration, d)
 	}
 	// Wall accounting: every span closed at the last event, self never
 	// negative, parent wall covers children.
@@ -125,6 +134,8 @@ func TestProfilerFlatPortfolio(t *testing.T) {
 	p.Trace(trace.Event{Kind: trace.KindBacktrack, Node: 0, N: 2})
 	p.Trace(trace.Event{Kind: trace.KindWorkerWin, N: 1, Strategy: "MaxFanOut"})
 	p.Trace(trace.Event{Kind: trace.KindProgress, Steps: 7, Backtracks: 2, Worker: 1})
+	p.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Metrics: &trace.RunMetrics{
+		Steps: 5, Backtracks: 2, WinnerWorker: 1, WinnerStrategy: "MaxFanOut"}})
 	prof := p.Profile()
 	if !prof.Flat {
 		t.Fatal("batched events did not mark the profile flat")
@@ -135,8 +146,14 @@ func TestProfilerFlatPortfolio(t *testing.T) {
 	if prof.Nodes[0].Assigns != 5 || prof.Nodes[0].Backtracks != 2 {
 		t.Fatalf("flat node stats = %+v", prof.Nodes[0])
 	}
-	if prof.WinnerWorker != 1 || prof.WinnerStrategy != "MaxFanOut" {
-		t.Fatalf("winner = %d/%q", prof.WinnerWorker, prof.WinnerStrategy)
+	var sum strings.Builder
+	if err := prof.WriteSummary(&sum); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"steps=5 backtracks=2", "portfolio winner: worker 1 (MaxFanOut)"} {
+		if !strings.Contains(sum.String(), want) {
+			t.Fatalf("summary lacks %q:\n%s", want, sum.String())
+		}
 	}
 	// Exports must degrade gracefully, not panic, on a treeless profile.
 	ex := prof.Explain()
@@ -148,7 +165,7 @@ func TestProfilerFlatPortfolio(t *testing.T) {
 func TestRing(t *testing.T) {
 	r := NewRing(2)
 	for id := uint64(1); id <= 3; id++ {
-		r.Add(&Profile{RunID: id})
+		r.Add(&Profile{Metrics: &trace.RunMetrics{RunID: id}})
 	}
 	if r.Get(1) != nil {
 		t.Fatal("evicted profile still retrievable")
@@ -161,7 +178,7 @@ func TestRing(t *testing.T) {
 		t.Fatalf("IDs = %v, want [2 3]", ids)
 	}
 	// Replacing an existing ID must not evict.
-	r.Add(&Profile{RunID: 3, Outcome: "ok"})
+	r.Add(&Profile{Metrics: &trace.RunMetrics{RunID: 3}, Outcome: "ok"})
 	if got := r.Get(3); got == nil || got.Outcome != "ok" {
 		t.Fatal("re-Add did not replace")
 	}

@@ -21,21 +21,23 @@ func NewRing(capacity int) *Ring {
 }
 
 // Add inserts a finished profile, evicting the oldest when full. Profiles
-// without a run ID are ignored.
+// without a run ID (no run-end metrics, or metrics of an unregistered run)
+// are ignored.
 func (r *Ring) Add(p *Profile) {
-	if p == nil || p.RunID == 0 {
+	if p == nil || p.Metrics == nil || p.Metrics.RunID == 0 {
 		return
 	}
+	id := p.Metrics.RunID
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.byID[p.RunID]; !ok {
+	if _, ok := r.byID[id]; !ok {
 		for len(r.fifo) >= r.cap {
 			delete(r.byID, r.fifo[0])
 			r.fifo = r.fifo[1:]
 		}
-		r.fifo = append(r.fifo, p.RunID)
+		r.fifo = append(r.fifo, id)
 	}
-	r.byID[p.RunID] = p
+	r.byID[id] = p
 }
 
 // Get returns the profile for a run ID, or nil.

@@ -33,10 +33,9 @@ import (
 // stays observable while the portfolio races. When a worker wins, the
 // coordinator replays the winner's per-node assign/backtrack counts into
 // opts.Tracer as batched KindAssign/KindBacktrack events (Event.N carries
-// the count), emits a final authoritative KindProgress with the winner's
-// totals, and closes with the KindWorkerWin event identifying the winner and
-// its strategy. A portfolio that finds no coloring still ends with an
-// authoritative KindProgress (Worker −1) carrying the returned Stats.
+// the count) and closes with the KindWorkerWin event identifying the winner
+// and its strategy. The run's totals are the returned Stats, which the
+// engine reports in its run-end event.
 func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.Clustering, Stats, bool) {
 	if workers <= 0 {
 		workers = 3
@@ -104,21 +103,14 @@ func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.
 		if opts.Ctx != nil {
 			stats.Err = opts.Ctx.Err() // nil unless canceled
 		}
-		if tr != nil {
-			// No winner: the heartbeat still pins the run's totals (the
-			// summed learning counters), superseding the last worker's.
-			tr.Trace(stats.ProgressEvent(-1))
-		}
 		return nil, stats, false
 	}
 	stampLearning(&best.stats)
 	best.stats.WinnerWorker, best.stats.WinnerStrategy = best.worker, best.strat.String()
 	if tr != nil {
 		// Replay the winner's per-node search activity (suppressed while the
-		// portfolio raced) as batched events, then pin the exact totals with
-		// a final heartbeat before announcing the winner.
+		// portfolio raced) as batched events before announcing the winner.
 		best.stats.ReplayInto(tr, nil)
-		tr.Trace(best.stats.ProgressEvent(best.worker))
 		tr.Trace(trace.Event{Kind: trace.KindWorkerWin, N: best.worker, Strategy: best.stats.WinnerStrategy})
 	}
 	return best.sigma, best.stats, true

@@ -109,28 +109,20 @@ func TestColorPortfolioForwardsWorkerHeartbeats(t *testing.T) {
 	}
 }
 
-// TestColorPortfolioReplaysIntoRecorder is the satellite contract: after a
-// portfolio win, a caller-supplied Recorder holds the winning worker's exact
-// scalar counters and identity, and a Profiler holds its per-node
-// assign/backtrack counts, even though per-step worker events were
-// suppressed.
-func TestColorPortfolioReplaysIntoRecorder(t *testing.T) {
+// TestColorPortfolioReplaysIntoProfiler is the replay contract: after a
+// portfolio win, the returned Stats name the winning worker, and a Profiler
+// holds its per-node assign/backtrack counts even though per-step worker
+// events were suppressed.
+func TestColorPortfolioReplaysIntoProfiler(t *testing.T) {
 	rel := paperRelation(t)
 	g := BuildGraph(rel, paperBounds(t, rel), cluster.Options{K: 2})
-	rec, prof := trace.NewRecorder(), profile.New()
-	_, stats, found := g.ColorPortfolio(Options{Tracer: trace.Tee(rec, prof)}, 3, 42)
+	prof := profile.New()
+	_, stats, found := g.ColorPortfolio(Options{Tracer: prof}, 3, 42)
 	if !found {
 		t.Fatal("portfolio found no coloring")
 	}
-	m := rec.Snapshot()
-	if m.Steps != stats.Steps || m.Backtracks != stats.Backtracks ||
-		m.CandidatesTried != stats.CandidatesTried ||
-		m.CandidateCacheHits != stats.CacheHits || m.CandidateCacheMisses != stats.CacheMisses {
-		t.Fatalf("recorder counters %+v do not match winner stats %+v", m, stats)
-	}
-	if m.WinnerStrategy == "" || m.WinnerStrategy != stats.WinnerStrategy || m.WinnerWorker != stats.WinnerWorker {
-		t.Fatalf("recorder winner %d %q, stats winner %d %q",
-			m.WinnerWorker, m.WinnerStrategy, stats.WinnerWorker, stats.WinnerStrategy)
+	if stats.WinnerStrategy == "" {
+		t.Fatal("portfolio stats name no winner")
 	}
 	nodes := prof.Profile().Nodes
 	if len(nodes) == 0 {

@@ -253,26 +253,6 @@ func (s *Stats) Merge(o Stats) {
 	}
 }
 
-// ProgressEvent returns a KindProgress heartbeat carrying s's cumulative
-// counters, stamped with the emitting worker (−1 for a coordinator that
-// reports a whole run's totals). A trace.Recorder takes the run's search
-// totals from the last such event.
-func (s *Stats) ProgressEvent(worker int) trace.Event {
-	return trace.Event{
-		Kind:        trace.KindProgress,
-		Steps:       s.Steps,
-		Backtracks:  s.Backtracks,
-		Candidates:  s.CandidatesTried,
-		CacheHits:   s.CacheHits,
-		CacheMisses: s.CacheMisses,
-		Nogoods:     s.NogoodsLearned,
-		NogoodHits:  s.NogoodHits,
-		Backjumps:   s.Backjumps,
-		MaxBackjump: s.MaxBackjump,
-		Worker:      worker,
-	}
-}
-
 // ReplayInto emits the per-node assign/backtrack counts of a completed
 // search into tr as batched KindAssign/KindBacktrack events (Event.N carries
 // the count; Span stays 0 — batched replays carry no tree structure). index,
@@ -359,9 +339,8 @@ const DefaultHeartbeatEvery = 256
 func (g *Graph) Color(opts Options) (sigma cluster.Clustering, stats Stats, found bool) {
 	st := g.newState(opts)
 	ok := st.color()
-	// The final heartbeat carries the search's exact totals: trace.Recorder
-	// takes the run's counters from it, and the run registry shows it as the
-	// search's last known state.
+	// The final heartbeat carries the search's exact totals, so the run
+	// registry and live views show the search's last known state.
 	st.emitProgress()
 	if !ok {
 		return nil, st.stats, false
@@ -943,9 +922,21 @@ func (st *state) emitProgress() {
 	if st.opts.Tracer == nil {
 		return
 	}
-	ev := st.stats.ProgressEvent(st.opts.worker - 1)
-	ev.Depth = st.nColored
-	st.opts.Tracer.Trace(ev)
+	s := &st.stats
+	st.opts.Tracer.Trace(trace.Event{
+		Kind:        trace.KindProgress,
+		Steps:       s.Steps,
+		Backtracks:  s.Backtracks,
+		Candidates:  s.CandidatesTried,
+		CacheHits:   s.CacheHits,
+		CacheMisses: s.CacheMisses,
+		Nogoods:     s.NogoodsLearned,
+		NogoodHits:  s.NogoodHits,
+		Backjumps:   s.Backjumps,
+		MaxBackjump: s.MaxBackjump,
+		Depth:       st.nColored,
+		Worker:      st.opts.worker - 1,
+	})
 }
 
 // nextNode implements NextNode for the three strategies.

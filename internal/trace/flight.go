@@ -33,35 +33,37 @@ type FlightEntry struct {
 // because zero is a meaningful value for them (node 0, worker −1 is live but
 // worker 0 is not).
 type flightJSON struct {
-	Seq             uint64  `json:"seq"`
-	AtNS            int64   `json:"at_ns"`
-	Kind            string  `json:"kind"`
-	Phase           string  `json:"phase,omitempty"`
-	ElapsedNS       int64   `json:"elapsed_ns,omitempty"`
-	Node            int     `json:"node"`
-	N               int     `json:"n"`
-	Depth           int     `json:"depth"`
-	Worker          int     `json:"worker"`
-	Strategy        string  `json:"strategy,omitempty"`
-	Label           string  `json:"label,omitempty"`
-	Conflict        float64 `json:"conflict,omitempty"`
-	Steps           int     `json:"steps,omitempty"`
-	Backtracks      int     `json:"backtracks,omitempty"`
-	Candidates      int     `json:"candidates,omitempty"`
-	CacheHits       int     `json:"cache_hits,omitempty"`
-	CacheMisses     int     `json:"cache_misses,omitempty"`
-	Nogoods         int     `json:"nogoods,omitempty"`
-	NogoodHits      int     `json:"nogood_hits,omitempty"`
-	Backjumps       int     `json:"backjumps,omitempty"`
-	MaxBackjump     int     `json:"max_backjump,omitempty"`
-	Span            uint64  `json:"span,omitempty"`
-	Parent          uint64  `json:"parent,omitempty"`
-	Enumerated      int     `json:"enumerated,omitempty"`
-	RejectedOverlap int     `json:"rejected_overlap,omitempty"`
-	RejectedUpper   int     `json:"rejected_upper,omitempty"`
-	Blocker         int     `json:"blocker,omitempty"`
-	Members         int     `json:"members,omitempty"`
-	Skipped         int     `json:"skipped,omitempty"`
+	Seq             uint64      `json:"seq"`
+	AtNS            int64       `json:"at_ns"`
+	Kind            string      `json:"kind"`
+	Phase           string      `json:"phase,omitempty"`
+	ElapsedNS       int64       `json:"elapsed_ns,omitempty"`
+	Node            int         `json:"node"`
+	N               int         `json:"n"`
+	Depth           int         `json:"depth"`
+	Worker          int         `json:"worker"`
+	Strategy        string      `json:"strategy,omitempty"`
+	Label           string      `json:"label,omitempty"`
+	Conflict        float64     `json:"conflict,omitempty"`
+	Steps           int         `json:"steps,omitempty"`
+	Backtracks      int         `json:"backtracks,omitempty"`
+	Candidates      int         `json:"candidates,omitempty"`
+	CacheHits       int         `json:"cache_hits,omitempty"`
+	CacheMisses     int         `json:"cache_misses,omitempty"`
+	Nogoods         int         `json:"nogoods,omitempty"`
+	NogoodHits      int         `json:"nogood_hits,omitempty"`
+	Backjumps       int         `json:"backjumps,omitempty"`
+	MaxBackjump     int         `json:"max_backjump,omitempty"`
+	Span            uint64      `json:"span,omitempty"`
+	Parent          uint64      `json:"parent,omitempty"`
+	Enumerated      int         `json:"enumerated,omitempty"`
+	RejectedOverlap int         `json:"rejected_overlap,omitempty"`
+	RejectedUpper   int         `json:"rejected_upper,omitempty"`
+	Blocker         int         `json:"blocker,omitempty"`
+	Members         int         `json:"members,omitempty"`
+	Skipped         int         `json:"skipped,omitempty"`
+	Metrics         *RunMetrics `json:"metrics,omitempty"`
+	Err             string      `json:"error,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler.
@@ -82,6 +84,7 @@ func (e FlightEntry) MarshalJSON() ([]byte, error) {
 		Enumerated: ev.Enumerated, RejectedOverlap: ev.RejectedOverlap,
 		RejectedUpper: ev.RejectedUpper, Blocker: ev.Blocker,
 		Members: ev.Members, Skipped: ev.Skipped,
+		Metrics: ev.Metrics, Err: ev.Err,
 	})
 }
 
@@ -112,6 +115,7 @@ func (e *FlightEntry) UnmarshalJSON(data []byte) error {
 			Enumerated: f.Enumerated, RejectedOverlap: f.RejectedOverlap,
 			RejectedUpper: f.RejectedUpper, Blocker: f.Blocker,
 			Members: f.Members, Skipped: f.Skipped,
+			Metrics: f.Metrics, Err: f.Err,
 		},
 	}
 	return nil

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -110,7 +111,11 @@ func TestFlightEntryJSONRoundTrip(t *testing.T) {
 			Nogoods: 2, NogoodHits: 3, Backjumps: 1, MaxBackjump: 4,
 		}},
 		{Seq: 4, At: 4 * time.Millisecond, Event: Event{Kind: KindNogood, Node: 2, Members: 3, Depth: 5}},
-		{Seq: 5, At: 5 * time.Millisecond, Event: Event{Kind: KindRunEnd, Label: "ok", Elapsed: time.Second}},
+		{Seq: 5, At: 5 * time.Millisecond, Event: Event{Kind: KindRunEnd, Label: "error", Elapsed: time.Second,
+			Err: "boom", Metrics: &RunMetrics{
+				RunID: 3, Total: time.Second, Steps: 7, WinnerStrategy: "Basic", Accuracy: -1,
+				Phases: []PhaseTiming{{Phase: PhaseBind, Duration: time.Millisecond}},
+			}}},
 	}
 	data, err := json.Marshal(entries)
 	if err != nil {
@@ -124,7 +129,7 @@ func TestFlightEntryJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip length %d, want %d", len(back), len(entries))
 	}
 	for i := range entries {
-		if back[i] != entries[i] {
+		if !reflect.DeepEqual(back[i], entries[i]) {
 			t.Fatalf("entry %d round-trip mismatch:\n got %+v\nwant %+v", i, back[i], entries[i])
 		}
 	}

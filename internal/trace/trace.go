@@ -1,8 +1,8 @@
 // Package trace is the observability layer of the DIVA engine: typed run
 // events (phase boundaries, per-node search activity, portfolio outcomes), a
 // Tracer interface callers implement to watch a run live, the RunMetrics the
-// engine attaches to every result, and a Recorder that rebuilds RunMetrics'
-// phase, search and shard fields from the event stream alone.
+// engine attaches to every result and to the terminal KindRunEnd event, and a
+// Recorder that keeps the last run's RunMetrics from that event.
 //
 // The paper's evaluation shows DIVA's runtime is dominated by the clustering
 // and coloring phases and varies by orders of magnitude with the conflict
@@ -133,14 +133,16 @@ const (
 	// involve. Event.Node is the node the jump landed on and Event.Depth the
 	// colored depth there. Event.N is a replay batch size, as for KindNogood.
 	KindBackjump
-	// KindRunEnd is a synthetic terminal event: the run registry appends it
-	// to a run's flight recorder and event stream when the run completes, so
-	// followers (SSE subscribers, cmd/divatop) see an authoritative outcome
-	// without polling /debug/diva/runs. Event.Label carries the outcome as
+	// KindRunEnd is the terminal event of every run: core.Anonymize emits it
+	// exactly once, last, through the run's whole tracer tee (a caller's
+	// Options.Tracer, the run registry, the engine profiler), after it has
+	// built the run's RunMetrics. Event.Metrics carries those metrics — the
+	// same pointer as Result.Metrics — Event.Label the outcome as
 	// core.RunOutcome classifies it ("ok", "infeasible", "canceled" or
-	// "error") and Event.Elapsed the run's wall time.
-	// The engine itself never emits it, so caller-supplied Tracers on the
-	// Options.Tracer path do not see it.
+	// "error"), Event.Elapsed the run's wall time and Event.Err the error
+	// text of a failed run. Consumers read the run's totals here instead of
+	// re-deriving them from the stream; followers (SSE subscribers,
+	// cmd/divatop) see an authoritative outcome without polling.
 	KindRunEnd
 )
 
@@ -242,6 +244,10 @@ type Event struct {
 	// conflict sets learned, candidates pruned by a store hit, backjumps
 	// taken, and the deepest single backjump (in skipped levels).
 	Nogoods, NogoodHits, Backjumps, MaxBackjump int
+	// Metrics and Err are set on KindRunEnd only: the run's RunMetrics and,
+	// for a failed run, its error text.
+	Metrics *RunMetrics
+	Err     string
 }
 
 // Tracer observes run events. Implementations used with sequential runs are
@@ -393,12 +399,9 @@ func (m *RunMetrics) String() string {
 	return b.String()
 }
 
-// Recorder is a goroutine-safe Tracer that rebuilds a run's RunMetrics from
-// its event stream: the phase timings (KindPhaseEnd), the search totals of
-// the last KindProgress heartbeat, the portfolio winner (KindWorkerWin) and
-// the shard plan (KindShard). Used as Options.Tracer it matches the engine's
-// Result.Metrics on those fields; the engine itself builds Result.Metrics
-// directly and attaches no Recorder.
+// Recorder is a goroutine-safe Tracer that keeps the RunMetrics of the last
+// KindRunEnd it received. Used as Options.Tracer, its Snapshot equals the
+// run's Result.Metrics.
 type Recorder struct {
 	mu sync.Mutex
 	m  RunMetrics
@@ -407,38 +410,17 @@ type Recorder struct {
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Trace implements Tracer. Every coloring search ends with a KindProgress
-// carrying its exact totals (the portfolio and the sharded engine emit one
-// for the whole run), so the last heartbeat's counters are the run's.
+// Trace implements Tracer.
 func (r *Recorder) Trace(ev Event) {
+	if ev.Kind != KindRunEnd || ev.Metrics == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch ev.Kind {
-	case KindPhaseEnd:
-		r.m.Phases = append(r.m.Phases, PhaseTiming{Phase: ev.Phase, Duration: ev.Elapsed})
-	case KindProgress:
-		r.m.Steps = ev.Steps
-		r.m.Backtracks = ev.Backtracks
-		r.m.CandidatesTried = ev.Candidates
-		r.m.CandidateCacheHits = ev.CacheHits
-		r.m.CandidateCacheMisses = ev.CacheMisses
-		r.m.NogoodsLearned = ev.Nogoods
-		r.m.NogoodHits = ev.NogoodHits
-		r.m.Backjumps = ev.Backjumps
-		r.m.MaxBackjump = ev.MaxBackjump
-	case KindWorkerWin:
-		r.m.WinnerWorker = ev.N
-		r.m.WinnerStrategy = ev.Strategy
-	case KindShard:
-		if ev.Label == "component" {
-			r.m.SigmaComponents++
-		} else {
-			r.m.RestShards++
-		}
-	}
+	r.m = *ev.Metrics
 }
 
-// Snapshot returns a copy of the metrics aggregated so far, safe to retain.
+// Snapshot returns a copy of the last run's metrics, safe to retain.
 func (r *Recorder) Snapshot() *RunMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()

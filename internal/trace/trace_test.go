@@ -7,19 +7,23 @@ import (
 	"time"
 )
 
+// TestRecorderAggregates: a Recorder's snapshot is a detached copy of the
+// last run-end event's metrics; phases, shard plan and winner come with it.
 func TestRecorderAggregates(t *testing.T) {
 	r := NewRecorder()
-	r.Trace(Event{Kind: KindPhaseStart, Phase: PhaseBind})
-	r.Trace(Event{Kind: KindPhaseEnd, Phase: PhaseBind, Elapsed: 2 * time.Millisecond})
-	r.Trace(Event{Kind: KindPhaseEnd, Phase: PhaseColor, Elapsed: 5 * time.Millisecond})
-	r.Trace(Event{Kind: KindShard, Label: "component", Node: 0, N: 40})
-	r.Trace(Event{Kind: KindShard, Label: "rest", Node: 0, N: 30})
-	r.Trace(Event{Kind: KindShard, Label: "rest", Node: 1, N: 30})
-	r.Trace(Event{Kind: KindWorkerWin, N: 2, Strategy: "MaxFanOut"})
+	run := &RunMetrics{
+		Phases: []PhaseTiming{
+			{Phase: PhaseBind, Duration: 2 * time.Millisecond},
+			{Phase: PhaseColor, Duration: 5 * time.Millisecond},
+		},
+		SigmaComponents: 1, RestShards: 2,
+		WinnerWorker: 2, WinnerStrategy: "MaxFanOut",
+	}
+	r.Trace(Event{Kind: KindRunEnd, Label: "ok", Metrics: run})
 
 	m := r.Snapshot()
-	if len(m.Phases) != 2 || m.Phases[0].Phase != PhaseBind || m.Phases[1].Phase != PhaseColor {
-		t.Fatalf("Phases = %v", m.Phases)
+	if !reflect.DeepEqual(*m, *run) {
+		t.Fatalf("snapshot = %+v, want %+v", *m, *run)
 	}
 	if got := m.PhaseDuration(PhaseColor); got != 5*time.Millisecond {
 		t.Fatalf("PhaseDuration(color) = %v", got)
@@ -27,17 +31,11 @@ func TestRecorderAggregates(t *testing.T) {
 	if got := m.PhasesTotal(); got != 7*time.Millisecond {
 		t.Fatalf("PhasesTotal = %v", got)
 	}
-	if m.SigmaComponents != 1 || m.RestShards != 2 {
-		t.Fatalf("shard plan = %d components / %d rest shards, want 1 / 2", m.SigmaComponents, m.RestShards)
-	}
-	if m.WinnerWorker != 2 || m.WinnerStrategy != "MaxFanOut" {
-		t.Fatalf("winner = %d %q", m.WinnerWorker, m.WinnerStrategy)
-	}
 
-	// The snapshot is detached from later mutation.
-	r.Trace(Event{Kind: KindPhaseEnd, Phase: PhaseVerify})
-	if len(m.Phases) != 2 {
-		t.Fatal("snapshot shares state with the recorder")
+	// The snapshot is detached from the event's metrics.
+	run.Phases[0].Duration = time.Hour
+	if m.Phases[0].Duration != 2*time.Millisecond {
+		t.Fatal("snapshot shares phases with the run-end metrics")
 	}
 	if s := m.String(); !strings.Contains(s, "winner=MaxFanOut") {
 		t.Fatalf("String() = %q", s)
@@ -53,8 +51,8 @@ func TestTee(t *testing.T) {
 		t.Fatalf("Tee(nil, r) = %T, want the recorder itself", got)
 	}
 	r2 := NewRecorder()
-	Tee(r, r2).Trace(Event{Kind: KindPhaseEnd, Phase: PhaseBind})
-	if len(r.Snapshot().Phases) != 1 || len(r2.Snapshot().Phases) != 1 {
+	Tee(r, r2).Trace(Event{Kind: KindRunEnd, Metrics: &RunMetrics{Steps: 3}})
+	if r.Snapshot().Steps != 3 || r2.Snapshot().Steps != 3 {
 		t.Fatal("Tee did not fan out")
 	}
 }
@@ -207,21 +205,24 @@ func TestRunMetricsStringGolden(t *testing.T) {
 	}
 }
 
-// TestRecorderSearchCounters: the search totals are the last KindProgress
-// heartbeat's, which every search ends with; per-step events do not count.
+// TestRecorderSearchCounters: the search counters are the run-end
+// metrics'; heartbeats and per-step events leave the snapshot untouched,
+// and a later run's run-end replaces an earlier one's.
 func TestRecorderSearchCounters(t *testing.T) {
 	r := NewRecorder()
 	r.Trace(Event{Kind: KindProgress, Steps: 40, Backtracks: 5, MaxBackjump: 3})
 	r.Trace(Event{Kind: KindAssign, Node: 2, N: 7})
 	r.Trace(Event{Kind: KindCandidates, Node: 1, N: 5})
-	r.Trace(Event{Kind: KindProgress, Steps: 100, Backtracks: 20,
-		Candidates: 400, CacheHits: 30, CacheMisses: 10,
-		Nogoods: 4, NogoodHits: 6, Backjumps: 2, MaxBackjump: 2})
-	m := r.Snapshot()
+	if m := r.Snapshot(); !reflect.DeepEqual(*m, RunMetrics{}) {
+		t.Fatalf("recorder before run-end = %+v, want zero", *m)
+	}
 	want := RunMetrics{Steps: 100, Backtracks: 20, CandidatesTried: 400,
 		CandidateCacheHits: 30, CandidateCacheMisses: 10,
 		NogoodsLearned: 4, NogoodHits: 6, Backjumps: 2, MaxBackjump: 2}
-	if !reflect.DeepEqual(*m, want) {
+	r.Trace(Event{Kind: KindRunEnd, Label: "infeasible", Metrics: &RunMetrics{Steps: 1}})
+	r.Trace(Event{Kind: KindRunEnd, Label: "ok", Metrics: &want})
+	r.Trace(Event{Kind: KindProgress, Steps: 500})
+	if m := r.Snapshot(); !reflect.DeepEqual(*m, want) {
 		t.Fatalf("recorder = %+v, want %+v", *m, want)
 	}
 }
