@@ -50,12 +50,14 @@ bench:
 
 # bench-color runs the allocation-sensitive coloring benchmarks (the
 # BenchmarkColor family at the root, the search package's coloring
-# benchmarks, including the census-scale BenchmarkColoringCensus, and the
-# cluster package's enumerator construction and enumeration) with enough
-# repetitions for benchstat.
+# benchmarks, including the census-scale BenchmarkColoringCensus, the
+# constraint package's Σ-wide pool and count pass against per-constraint
+# scans, and the cluster package's enumerator construction and enumeration)
+# with enough repetitions for benchstat.
 bench-color:
 	$(GO) test -bench 'BenchmarkColorPhase' -count 5 -run '^$$' .
 	$(GO) test -bench 'BenchmarkColoring' -count 5 -run '^$$' ./internal/search/
+	$(GO) test -bench 'BenchmarkPools' -count 5 -run '^$$' ./internal/constraint/
 	$(GO) test -bench 'BenchmarkNewEnumerator|BenchmarkCandidates' -count 5 -run '^$$' ./internal/cluster/
 
 # bench-store runs the tuple-store benchmarks — chunked annotated-CSV
@@ -393,11 +395,12 @@ verify:
 
 # fuzz-smoke runs each fuzz target for a bounded wall-clock slice, starting
 # from the checked-in corpora under internal/verify/testdata/fuzz/ and
-# internal/relation/testdata/fuzz/.
+# internal/relation/testdata/fuzz/ (FuzzPoolsAndCounts seeds in code).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzAnonymizeEndToEnd' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz 'FuzzBruteForceOracle' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAnnotatedCSV$$' -fuzztime $(FUZZTIME) ./internal/relation/
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVLoaderMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/relation/
+	$(GO) test -run '^$$' -fuzz '^FuzzPoolsAndCounts$$' -fuzztime $(FUZZTIME) ./internal/constraint/
 
 ci: fmt-check vet build test race bench-check verify obs-smoke live-smoke profile-smoke baseline-smoke shard-smoke history-smoke nogood-smoke

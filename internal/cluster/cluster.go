@@ -12,7 +12,9 @@
 // bound, candidates are enumerated as contiguous windows over Iσ sorted by
 // QI similarity, plus pairwise compositions of disjoint windows, capped at a
 // configurable budget and ordered by increasing suppression cost so the
-// search tries cheap clusterings first. The QI-similarity order is computed
+// search tries cheap clusterings first. NewEnumerators takes every
+// constraint's pool from one indexed pass over R (constraint.Pools), not
+// from one scan per constraint. The QI-similarity order is then computed
 // once per constraint by stable counting passes over a compact key table of
 // the pool's QI codes, not by comparison, and every enumeration afterwards
 // reads only that table.
@@ -111,7 +113,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Enumerator produces candidate clusterings for one constraint. It reads
-// the relation once, at construction: the pool rows' QI codes and target
+// the relation only at construction: the pool rows' QI codes and target
 // matches go into a key table of its own, and the pool is sorted by QI
 // similarity with one stable counting pass per QI attribute, not by
 // comparison. Every Candidates call filters the sorted pool against the
@@ -138,32 +140,45 @@ type Enumerator struct {
 	order []int32
 }
 
-// NewEnumerator prepares candidate enumeration for b over rel.
+// NewEnumerator prepares candidate enumeration for b over rel. It is the
+// one-bound case of NewEnumerators.
 func NewEnumerator(rel *relation.Relation, b *constraint.Bound, opts Options) *Enumerator {
+	return NewEnumerators(rel, []*constraint.Bound{b}, opts)[0]
+}
+
+// NewEnumerators prepares candidate enumeration for every bound over rel.
+// The pools come from one constraint.Pools pass over rel, not one scan per
+// bound; each enumerator then reads only its own pool rows.
+func NewEnumerators(rel *relation.Relation, bounds []*constraint.Bound, opts Options) []*Enumerator {
 	qi := rel.Schema().QIIndexes()
 	q, w := len(qi), len(qi)+1
-	pool := b.TargetQIRows(rel)
-	e := &Enumerator{
-		rel:   rel,
-		b:     b,
-		opts:  opts.withDefaults(),
-		q:     q,
-		pool:  pool,
-		keys:  make([]uint32, len(pool)*w),
-		order: make([]int32, len(pool)),
-	}
-	for p, row := range pool {
-		codes, key := rel.Row(row), e.keys[p*w:(p+1)*w]
-		for ai, a := range qi {
-			key[ai] = codes[a]
+	opts = opts.withDefaults()
+	es := make([]*Enumerator, len(bounds))
+	for i, pool := range constraint.Pools(rel, bounds) {
+		b := bounds[i]
+		e := &Enumerator{
+			rel:   rel,
+			b:     b,
+			opts:  opts,
+			q:     q,
+			pool:  pool,
+			keys:  make([]uint32, len(pool)*w),
+			order: make([]int32, len(pool)),
 		}
-		if b.Matches(codes) {
-			key[q] = 1
+		for p, row := range pool {
+			codes, key := rel.Row(row), e.keys[p*w:(p+1)*w]
+			for ai, a := range qi {
+				key[ai] = codes[a]
+			}
+			if b.Matches(codes) {
+				key[q] = 1
+			}
+			e.order[p] = int32(p)
 		}
-		e.order[p] = int32(p)
+		e.sortPool(rel, qi)
+		es[i] = e
 	}
-	e.sortPool(rel, qi)
-	return e
+	return es
 }
 
 // radixScratch is sortPool's working memory: the second buffer of the

@@ -21,12 +21,9 @@ type Component struct {
 	// Bounds are the member constraints, parallel to Indices.
 	Bounds []*Bound
 	// Pool is the union of the members' QI target pools (TargetQIRows): every
-	// row any cluster of this component's coloring may claim.
+	// row any cluster of this component's coloring may claim, and so every
+	// row holding one of the members' full targets.
 	Pool *rowset.Set
-	// Targets is the union of the members' full target sets Iσ — the rows
-	// that actually hold the target values and can contribute occurrences.
-	// Targets ⊆ Pool.
-	Targets *rowset.Set
 }
 
 // Components partitions a bound constraint set into the connected components
@@ -42,8 +39,8 @@ type Component struct {
 func Components(rel *relation.Relation, bounds []*Bound) []Component {
 	n := rel.Len()
 	pools := make([]*rowset.Set, len(bounds))
-	for i, b := range bounds {
-		pools[i] = rowset.FromSlice(n, b.TargetQIRows(rel))
+	for i, rows := range Pools(rel, bounds) {
+		pools[i] = rowset.FromSlice(n, rows)
 	}
 	// Union-find with path compression; union by smaller root so component
 	// identity is the smallest member index.
@@ -94,12 +91,10 @@ func Components(rel *relation.Relation, bounds []*Bound) []Component {
 			Indices: members,
 			Bounds:  make([]*Bound, len(members)),
 			Pool:    rowset.New(n),
-			Targets: rowset.New(n),
 		}
 		for k, i := range members {
 			c.Bounds[k] = bounds[i]
 			c.Pool.Union(pools[i])
-			bounds[i].TargetSetInto(rel, c.Targets)
 		}
 		comps = append(comps, c)
 	}

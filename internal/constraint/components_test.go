@@ -77,6 +77,7 @@ func TestComponentsPartitionSigma(t *testing.T) {
 		rel, bounds := randomComponentInstance(t, rng)
 		comps := constraint.Components(rel, bounds)
 		seen := make(map[int]bool, len(bounds))
+		targets := make([]*rowset.Set, len(comps))
 		prevMin := -1
 		for ci, comp := range comps {
 			if len(comp.Indices) == 0 {
@@ -104,9 +105,13 @@ func TestComponentsPartitionSigma(t *testing.T) {
 				}
 			}
 			// Targets ⊆ Pool: occurrences can only come from pool rows.
-			inter := comp.Targets.Clone()
+			targets[ci] = rowset.New(rel.Len())
+			for _, b := range comp.Bounds {
+				targets[ci].Union(b.TargetSet(rel))
+			}
+			inter := targets[ci].Clone()
 			inter.Intersect(comp.Pool)
-			if !inter.Equal(comp.Targets) {
+			if !inter.Equal(targets[ci]) {
 				t.Fatalf("trial %d: component %d has target rows outside its pool", trial, ci)
 			}
 		}
@@ -118,7 +123,7 @@ func TestComponentsPartitionSigma(t *testing.T) {
 				if comps[i].Pool.Intersects(comps[j].Pool) {
 					t.Fatalf("trial %d: components %d and %d share pool rows", trial, i, j)
 				}
-				if comps[i].Targets.Intersects(comps[j].Targets) {
+				if targets[i].Intersects(targets[j]) {
 					t.Fatalf("trial %d: components %d and %d share target rows", trial, i, j)
 				}
 			}
@@ -153,7 +158,7 @@ func componentOf(comps []constraint.Component, idx int) int {
 }
 
 // TestComponentsSingleton: a single constraint always forms exactly one
-// component carrying it, pool and targets included — even when its target
+// component carrying it, pool included — even when its target
 // value never occurs (empty pool).
 func TestComponentsSingleton(t *testing.T) {
 	rng := testutil.Rng(t)
@@ -193,7 +198,7 @@ func TestComponentsDeterministic(t *testing.T) {
 				t.Fatalf("component %d member %d differs: %d vs %d", ci, k, a[ci].Indices[k], b[ci].Indices[k])
 			}
 		}
-		if !a[ci].Pool.Equal(b[ci].Pool) || !a[ci].Targets.Equal(b[ci].Targets) {
+		if !a[ci].Pool.Equal(b[ci].Pool) {
 			t.Fatalf("component %d sets differ between runs", ci)
 		}
 	}

@@ -208,32 +208,15 @@ func (b *Bound) TargetSetInto(rel *relation.Relation, s *rowset.Set) {
 }
 
 // TargetQIRows returns the tuples matching the QI components of the target
-// only. Clusters preserving occurrences of σ must be uniform on the QI
-// target attributes (so those cells survive suppression) but may mix
-// sensitive target values — sensitive cells are kept per-row — so this,
+// only, in row order. Clusters preserving occurrences of σ must be uniform
+// on the QI target attributes (so those cells survive suppression) but may
+// mix sensitive target values — sensitive cells are kept per-row — so this,
 // not TargetRows, is the pool candidate clusters draw from. For targets
-// without sensitive components the two coincide.
+// without sensitive components the two coincide; a target without QI
+// components matches every row, and one whose QI part holds a value rel
+// never held matches none. It is the one-bound case of Pools.
 func (b *Bound) TargetQIRows(rel *relation.Relation) []int {
-	schema := rel.Schema()
-	var attrs []int
-	var codes []uint32
-	for i, a := range b.Attrs {
-		if schema.Attr(a).Role == relation.QI {
-			attrs = append(attrs, a)
-			codes = append(codes, b.Codes[i])
-		}
-	}
-	if len(attrs) < len(b.Attrs) {
-		// Mixed target: the QI part alone may be unseen-value-free even if
-		// the full combination is unseen, so match on the QI part.
-		for _, c := range codes {
-			if c == impossibleCode {
-				return nil
-			}
-		}
-		return rel.MatchingRows(attrs, codes)
-	}
-	return b.TargetRows(rel)
+	return Pools(rel, []*Bound{b})[0]
 }
 
 // Set is an ordered set of diversity constraints Σ.

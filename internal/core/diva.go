@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,7 +18,6 @@ import (
 	"diva/internal/cluster"
 	"diva/internal/constraint"
 	"diva/internal/hierarchy"
-	"diva/internal/metrics"
 	"diva/internal/obs"
 	"diva/internal/privacy"
 	"diva/internal/profile"
@@ -263,21 +263,18 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 		if err != nil {
 			return err
 		}
+		var fixed []*constraint.Bound
 		for _, b := range bounds {
-			hasQI := false
-			for _, a := range b.Attrs {
-				if schema.Attr(a).Role == relation.QI {
-					hasQI = true
-					break
-				}
+			if slices.ContainsFunc(b.Attrs, func(a int) bool { return schema.Attr(a).Role == relation.QI }) {
+				searchable = append(searchable, b)
+			} else {
+				fixed = append(fixed, b)
 			}
-			if !hasQI {
-				if n := b.CountIn(rel); n < b.Lower || n > b.Upper {
-					return fmt.Errorf("diva: constraint (%s) targets only non-QI attributes and R has %d occurrences: %w", b, n, ErrNoDiverseClustering)
-				}
-				continue
+		}
+		for i, n := range constraint.Counts(rel, fixed) {
+			if b := fixed[i]; n < b.Lower || n > b.Upper {
+				return fmt.Errorf("diva: constraint (%s) targets only non-QI attributes and R has %d occurrences: %w", b, n, ErrNoDiverseClustering)
 			}
-			searchable = append(searchable, b)
 		}
 		return nil
 	})
@@ -373,7 +370,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 		if err != nil {
 			return fmt.Errorf("diva: anonymizing %d remaining tuples: %w", len(rest), err)
 		}
-		suppressInto(out, rel, parts, opts.Hierarchies)
+		env.stars += suppressInto(out, rel, parts, opts.Hierarchies)
 		return nil
 	})
 	if err != nil {
@@ -384,9 +381,10 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 }
 
 // runEnv bundles the per-run state the phases share: the bound constraints,
-// the run's tracer, and the three sources finish() builds RunMetrics from —
-// the timings the phase runner records, the search statistics, and the shard
-// plan's component and rest-shard counts.
+// the run's tracer, and the sources finish() builds RunMetrics from — the
+// timings the phase runner records, the search statistics, the shard plan's
+// component and rest-shard counts, and the ★s the suppress, baseline and
+// integrate phases wrote into R′.
 type runEnv struct {
 	ctx        context.Context
 	rel        *relation.Relation
@@ -400,6 +398,7 @@ type runEnv struct {
 	stats      search.Stats
 	components int
 	restShards int
+	stars      int
 }
 
 // phase runs one stage under its trace events and pprof label and records
@@ -457,9 +456,9 @@ func (e *runEnv) runMetrics(runID uint64, total time.Duration, out *relation.Rel
 		Accuracy:             -1, // no published relation
 	}
 	if out != nil {
-		// One scan of R′ counts the ★s; accuracy follows from the count
-		// exactly as metrics.Accuracy computes it.
-		m.SuppressedCells = metrics.SuppressionLoss(out)
+		// The phases counted the ★s as they wrote them; accuracy follows
+		// from the count exactly as metrics.Accuracy computes it.
+		m.SuppressedCells = e.stars
 		m.Accuracy = 1
 		if cells := out.Len() * len(out.Schema().QIIndexes()); cells > 0 {
 			m.Accuracy = 1 - float64(m.SuppressedCells)/float64(cells)
@@ -528,7 +527,7 @@ func (e *runEnv) suppressPhase(sigmaClustering cluster.Clustering) (*relation.Re
 	err := e.phase(trace.PhaseSuppress, func(context.Context) error {
 		out = e.rel.Derive()
 		out.Grow(n)
-		suppressInto(out, e.rel, sigmaClustering, e.opts.Hierarchies)
+		e.stars += suppressInto(out, e.rel, sigmaClustering, e.opts.Hierarchies)
 		used := sigmaClustering.RowSet(n)
 		rest = make([]int, 0, n-used.Len())
 		for i := 0; i < n; i++ {
@@ -550,7 +549,8 @@ func (e *runEnv) integrateVerify(out *relation.Relation, d int, sigmaClustering 
 	var repaired int
 	err := e.phase(trace.PhaseIntegrate, func(context.Context) error {
 		var err error
-		repaired, err = integrate(diverse, restRel, e.bounds, e.schema)
+		repaired, err = integrate(out, restRel, e.bounds, e.schema)
+		e.stars += repaired
 		return err
 	})
 	if err != nil {
@@ -628,7 +628,7 @@ func RunBaseline(ctx context.Context, rel *relation.Relation, p anon.Partitioner
 	return out, err
 }
 
-// integrate verifies RΣ ∪ Rk against every constraint and repairs upper-
+// integrate verifies R′ = RΣ ∪ Rk against every constraint and repairs upper-
 // bound violations by suppressing target QI attributes across whole
 // QI-groups of Rk (so k-anonymity is preserved), choosing groups with the
 // most removable occurrences per suppressed cell first. It returns the
@@ -643,15 +643,19 @@ func RunBaseline(ctx context.Context, rel *relation.Relation, p anon.Partitioner
 // upper bound even where post-hoc suppression could repair it; see
 // "Completeness envelope" in internal/verify for the differential-test
 // contract this implies.
-func integrate(diverse, rest *relation.Relation, bounds []*constraint.Bound, schema *relation.Schema) (int, error) {
+//
+// out is R′ and rest its Rk view. One constraint.Counts pass over R′
+// counts every constraint's occurrences, and after each repairing
+// constraint one more pass recounts the constraints after it, so every
+// constraint sees the earlier repairs.
+func integrate(out, rest *relation.Relation, bounds []*constraint.Bound, schema *relation.Schema) (int, error) {
 	repaired := 0
-	for _, b := range bounds {
-		// Occurrences across both parts.
-		total := b.CountIn(diverse) + b.CountIn(rest)
-		if total <= b.Upper {
+	total := constraint.Counts(out, bounds)
+	for i, b := range bounds {
+		if total[i] <= b.Upper {
 			continue
 		}
-		excess := total - b.Upper
+		excess := total[i] - b.Upper
 		// Pick a QI target attribute to break. Constraints without QI
 		// target attributes were validated up front and cannot appear here.
 		breakAttr := -1
@@ -704,6 +708,7 @@ func integrate(diverse, rest *relation.Relation, bounds []*constraint.Bound, sch
 		if excess > 0 {
 			return repaired, fmt.Errorf("diva: integrate: could not repair upper bound of (%s): %w", b, ErrNoDiverseClustering)
 		}
+		copy(total[i+1:], constraint.Counts(out, bounds[i+1:]))
 	}
 	return repaired, nil
 }

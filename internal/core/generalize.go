@@ -35,9 +35,13 @@ func SuppressGeneralize(rel *relation.Relation, clusters [][]int, hs hierarchy.S
 
 // suppressInto appends the rendering of clusters (SuppressGeneralize's
 // output rows, in cluster order) to out, which must share rel's
-// dictionaries. The drivers render RΣ and then Rk into one presized out, so
-// R′ is assembled in place.
-func suppressInto(out, rel *relation.Relation, clusters [][]int, hs hierarchy.Set) {
+// dictionaries, and returns the number of QI ★ cells it wrote. The drivers
+// render RΣ and then Rk into one presized out, so R′ is assembled in place
+// and its ★s are counted where they are written: per cluster, the QI
+// columns rendered as ★ (suppressed, or generalized to no finer ancestor
+// than ★) plus the uniform QI columns already holding ★, times the
+// cluster's size.
+func suppressInto(out, rel *relation.Relation, clusters [][]int, hs hierarchy.Set) int {
 	schema := rel.Schema()
 	qi := schema.QIIndexes()
 	var ids []int
@@ -54,12 +58,14 @@ func suppressInto(out, rel *relation.Relation, clusters [][]int, hs hierarchy.Se
 		code uint32
 	}
 	overrides := make([]override, 0, len(qi)+len(ids))
+	stars := 0
 	for _, c := range clusters {
 		if len(c) == 0 {
 			continue
 		}
 		overrides = overrides[:0]
 		first := rel.Row(c[0])
+		starCols := 0
 		for _, a := range qi {
 			uniform := true
 			for _, t := range c[1:] {
@@ -69,6 +75,9 @@ func suppressInto(out, rel *relation.Relation, clusters [][]int, hs hierarchy.Se
 				}
 			}
 			if uniform {
+				if first[a] == relation.StarCode {
+					starCols++
+				}
 				continue
 			}
 			code := relation.StarCode
@@ -85,8 +94,12 @@ func suppressInto(out, rel *relation.Relation, clusters [][]int, hs hierarchy.Se
 					code = out.Dict(a).Code(lca)
 				}
 			}
+			if code == relation.StarCode {
+				starCols++
+			}
 			overrides = append(overrides, override{a, code})
 		}
+		stars += starCols * len(c)
 		for _, a := range ids {
 			overrides = append(overrides, override{a, relation.StarCode})
 		}
@@ -97,4 +110,5 @@ func suppressInto(out, rel *relation.Relation, clusters [][]int, hs hierarchy.Se
 			}
 		}
 	}
+	return stars
 }

@@ -220,3 +220,52 @@ func TestAnonymizeEndToEndProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestIntegrateRecountsAfterRepair pins the order of Integrate's repairs.
+// Σ lists A = (X[x] Y[y], 5, 10) before B = (X[x], 0, 25); R holds 40
+// (x, y) rows, 20 (x, z) rows and 40 (w, v) rows, so B's 60 occurrences
+// exceed its bound before any repair. Repairing A suppresses X across Rk's
+// (x, y) group, which removes B's occurrences there too and brings B under
+// its bound, so B repairs nothing: no (x, z) row loses its X. The repaired
+// count and the output are pinned to the values of the per-constraint scans
+// Integrate used before it counted Σ in one pass.
+func TestIntegrateRecountsAfterRepair(t *testing.T) {
+	rel := relation.New(relation.MustSchema(
+		relation.Attribute{Name: "X", Role: relation.QI},
+		relation.Attribute{Name: "Y", Role: relation.QI},
+		relation.Attribute{Name: "S", Role: relation.Sensitive},
+	))
+	for i, g := range []struct {
+		x, y string
+		n    int
+	}{{"x", "y", 40}, {"x", "z", 20}, {"w", "v", 40}} {
+		for j := 0; j < g.n; j++ {
+			rel.MustAppendValues(g.x, g.y, "s"+strconv.Itoa((i+j)%3))
+		}
+	}
+	sigma := constraint.Set{
+		constraint.NewMulti([]string{"X", "Y"}, []string{"x", "y"}, 5, 10),
+		constraint.New("X", "x", 0, 25),
+	}
+	if b, _ := sigma[1].Bound(rel); b.CountIn(rel) <= b.Upper {
+		t.Fatalf("B holds in R already; the instance no longer needs A's repair")
+	}
+	res, err := core.Anonymize(context.Background(), rel, sigma, core.Options{K: 5, Strategy: search.MinChoice, Rng: testRng()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Verify(rel, res, sigma, 5); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < res.Output.Len(); i++ {
+		if res.Output.Value(i, 0) == relation.Star && res.Output.Value(i, 1) == "z" {
+			t.Fatalf("output row %d: B repaired an (x, z) row although A's repair had already met its bound", i)
+		}
+	}
+	if res.RepairedCells != 35 {
+		t.Fatalf("RepairedCells = %d, want 35 (X across Rk's 35 (x, y) rows)", res.RepairedCells)
+	}
+	if got, want := digestResult(res), "c6a0222292c320f0ab91096fd8db5e4ceaa61683b971a60f00fc3f3aeb71a358"; got != want {
+		t.Fatalf("output digest %s, want %s", got, want)
+	}
+}

@@ -128,13 +128,9 @@ func (g *Graph) buildPoolNeighbors() {
 func BuildGraph(rel *relation.Relation, bounds []*constraint.Bound, opts cluster.Options) *Graph {
 	targets := make([]*rowset.Set, len(bounds))
 	g := &Graph{rel: rel, Nodes: make([]*Node, len(bounds)), targets: targets}
-	for i, b := range bounds {
-		g.Nodes[i] = &Node{
-			Index: i,
-			Bound: b,
-			Enum:  cluster.NewEnumerator(rel, b, opts),
-		}
-		targets[i] = g.Nodes[i].Enum.TargetSet()
+	for i, e := range cluster.NewEnumerators(rel, bounds, opts) {
+		g.Nodes[i] = &Node{Index: i, Bound: bounds[i], Enum: e}
+		targets[i] = e.TargetSet()
 	}
 	for i := range g.Nodes {
 		for j := i + 1; j < len(g.Nodes); j++ {
