@@ -149,9 +149,10 @@ shard-smoke:
 
 # obs-smoke exercises the ops layer end to end: it runs cmd/diva with
 # -listen on an ephemeral port against the paper's example (testdata/), keeps
-# the process alive with -hold, scrapes /metrics and /debug/diva/runs, and
-# asserts the Prometheus exposition carries the run histograms and the runs
-# endpoint a completed run.
+# the process alive with -hold, scrapes /metrics, /debug/diva/runs, the run's
+# profile summary and /debug/diva/incidents, and asserts the Prometheus
+# exposition carries the run histograms, the runs endpoint a completed run,
+# the profile endpoint run 1's outcome, and the incidents endpoint no stalls.
 obs-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -185,6 +186,15 @@ obs-smoke:
 	grep -q '"state": "ok"' $$tmp/runs.json || { \
 		echo "obs-smoke: /debug/diva/runs has no completed run:"; \
 		cat $$tmp/runs.json; exit 1; }; \
+	curl -sf "http://$$addr/debug/diva/profile/1?format=summary" >$$tmp/profile.txt || { \
+		echo "obs-smoke: /debug/diva/profile/1 not served"; exit 1; }; \
+	grep -q 'run 1' $$tmp/profile.txt && grep -q 'outcome: ok' $$tmp/profile.txt || { \
+		echo "obs-smoke: profile summary does not name run 1 and outcome ok:"; \
+		cat $$tmp/profile.txt; exit 1; }; \
+	curl -sf "http://$$addr/debug/diva/incidents" >$$tmp/incidents.json; \
+	grep -q '"total": 0' $$tmp/incidents.json || { \
+		echo "obs-smoke: /debug/diva/incidents does not serve total 0:"; \
+		cat $$tmp/incidents.json; exit 1; }; \
 	[ -s $$tmp/out.csv ] || { echo "obs-smoke: empty anonymized output"; exit 1; }; \
 	echo "obs-smoke: ok (scraped http://$$addr)"
 

@@ -147,7 +147,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		watchdog := obs.NewWatchdog(obs.Runs, obs.IncidentLog, *stallAfter, 0)
+		watchdog := obs.NewWatchdog(obs.Runs, *stallAfter, 0)
 		watchdog.Start()
 		cleanup = func() {
 			watchdog.Stop()
@@ -276,22 +276,6 @@ func main() {
 				enc := json.NewEncoder(os.Stderr)
 				enc.SetIndent("", "  ")
 				enc.Encode(res.Metrics)
-			}
-			if logger != nil {
-				m := res.Metrics
-				rlog := obs.RunLogger(logger, m.RunID)
-				if err != nil {
-					rlog.Error("run failed", slog.Any("error", err),
-						slog.Duration("total", m.Total),
-						slog.Bool("canceled", m.Canceled))
-				} else {
-					rlog.Info("run complete",
-						slog.Duration("total", m.Total),
-						slog.Int("steps", m.Steps),
-						slog.Int("backtracks", m.Backtracks),
-						slog.Int("suppressed_cells", m.SuppressedCells),
-						slog.Float64("accuracy", m.Accuracy))
-				}
 			}
 		}
 		// Finalize the profile before bailing on error: -explain exists

@@ -67,7 +67,7 @@ func main() {
 }
 
 // flightDoc mirrors the ops server's /debug/diva/runs/{id}/events response.
-// FlightEntry's UnmarshalJSON rejects unknown event kinds, so decoding alone
+// EventKind's UnmarshalText rejects unknown event kinds, so decoding alone
 // validates the kind vocabulary.
 type flightDoc struct {
 	Run    uint64              `json:"run"`

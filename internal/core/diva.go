@@ -20,7 +20,6 @@ import (
 	"diva/internal/hierarchy"
 	"diva/internal/obs"
 	"diva/internal/privacy"
-	"diva/internal/profile"
 	"diva/internal/relation"
 	"diva/internal/search"
 	"diva/internal/trace"
@@ -194,25 +193,19 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	start := time.Now()
 	// Register with the process-wide run registry: the run is visible at
 	// /debug/diva/runs (current phase, heartbeat liveness) from here until
-	// its run-end event moves it to the completed ring.
+	// its run-end event moves it to the completed ring. With ops profiling
+	// on, the run also reconstructs its search profile, served at
+	// /debug/diva/profile/{runID} once the run completes.
 	run := obs.Runs.Begin()
-	// When ops profiling is on, tee a search profiler into the run's event
-	// stream; finish deposits the reconstructed profile into obs.Profiles for
-	// /debug/diva/profile/{runID}.
-	var prof *profile.Profiler
 	tr := trace.Tee(opts.Tracer, run)
-	if obs.ProfilingEnabled() {
-		prof = profile.New()
-		tr = trace.Tee(tr, prof)
-	}
 	env := &runEnv{ctx: ctx, rel: rel, opts: &opts, tr: tr}
 
 	// finish stamps the run's stats and metrics onto the result (building an
 	// otherwise-empty one on error paths), normalizes context errors to
 	// ErrCanceled, and reports the run, classified once: to the Prometheus
 	// collector, then as the terminal run-end event to every tracer (the
-	// caller's, the run registry, the profiler), then to the profile ring and
-	// the history ledger.
+	// caller's and the run registry, which completes the run), then to the
+	// history ledger.
 	finish := func(res *Result, err error) (*Result, error) {
 		if err != nil && !errors.Is(err, ErrCanceled) &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -227,9 +220,6 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 		end := runEndEvent(m, err)
 		obs.Collect(m, end.Label)
 		tr.Trace(end)
-		if prof != nil {
-			obs.Profiles.Add(prof.Profile())
-		}
 		depositHistory(rel, sigma, opts, m, end.Label, err, run)
 		return res, err
 	}

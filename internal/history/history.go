@@ -23,8 +23,11 @@
 package history
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -87,22 +90,22 @@ type Config struct {
 
 // Hash returns the config's stable fingerprint (16 hex digits).
 func (c Config) Hash() string {
-	fp := trace.NewFingerprint().
-		AddInt(c.K).
-		AddString(c.Criterion).
-		AddString(c.Strategy).
-		AddString(c.Baseline).
-		AddInt(c.Shards).
-		AddInt(c.Parallelism).
-		AddInt(c.Parallel).
-		AddInt(c.MaxSteps).
-		AddInt(c.Constraints).
-		AddString(c.SigmaHash).
-		AddString(c.Bench)
+	fp := newFingerprint().
+		addInt(c.K).
+		addString(c.Criterion).
+		addString(c.Strategy).
+		addString(c.Baseline).
+		addInt(c.Shards).
+		addInt(c.Parallelism).
+		addInt(c.Parallel).
+		addInt(c.MaxSteps).
+		addInt(c.Constraints).
+		addString(c.SigmaHash).
+		addString(c.Bench)
 	if c.Nogoods {
 		// Folded in only when set so hashes of pre-learning records are
 		// unchanged and cross-run comparison against old ledgers still joins.
-		fp = fp.AddString("nogoods")
+		fp.addString("nogoods")
 	}
 	return fp.String()
 }
@@ -120,10 +123,10 @@ type Dataset struct {
 
 // Hash returns the dataset's stable fingerprint (16 hex digits).
 func (d Dataset) Hash() string {
-	return trace.NewFingerprint().
-		AddInt(d.Rows).
-		AddInt(d.Columns).
-		AddString(d.DictHash).
+	return newFingerprint().
+		addInt(d.Rows).
+		addInt(d.Columns).
+		addString(d.DictHash).
 		String()
 }
 
@@ -176,6 +179,36 @@ func (r *Record) PhaseDuration(ph trace.Phase) time.Duration {
 	return r.Metrics.PhaseDuration(ph)
 }
 
+// fingerprint is the order-sensitive 64-bit FNV-1a accumulator behind the
+// ledger's identity hashes (Config.Hash, Dataset.Hash and the Σ and dataset
+// fingerprints). Strings are written with a trailing 0 byte, so ("ab", "c")
+// and ("a", "bc") differ; ints as eight little-endian bytes. The hash depends
+// only on the bytes fed in, so it is stable across processes and platforms
+// and ledgers keep their keys; it identifies configurations, it does not
+// authenticate them.
+type fingerprint struct {
+	h   hash.Hash64
+	buf []byte
+}
+
+func newFingerprint() *fingerprint { return &fingerprint{h: fnv.New64a()} }
+
+func (f *fingerprint) addString(s string) *fingerprint {
+	f.buf = append(append(f.buf[:0], s...), 0)
+	f.h.Write(f.buf)
+	return f
+}
+
+func (f *fingerprint) addInt(n int) *fingerprint {
+	f.buf = binary.LittleEndian.AppendUint64(f.buf[:0], uint64(n))
+	f.h.Write(f.buf)
+	return f
+}
+
+// String renders the hash as 16 lowercase hex digits — the textual form the
+// ledger records and the divahist CLI matches on.
+func (f *fingerprint) String() string { return fmt.Sprintf("%016x", f.h.Sum64()) }
+
 // FingerprintConstraints returns a stable, order-insensitive fingerprint of
 // a constraint set: the constraints are rendered in the paper's notation,
 // sorted, and hashed. An empty or nil Σ hashes to the empty string.
@@ -188,9 +221,9 @@ func FingerprintConstraints(sigma constraint.Set) string {
 		lines[i] = c.String()
 	}
 	sort.Strings(lines)
-	fp := trace.NewFingerprint()
+	fp := newFingerprint()
 	for _, l := range lines {
-		fp = fp.AddString(l)
+		fp.addString(l)
 	}
 	return fp.String()
 }
@@ -200,12 +233,12 @@ func FingerprintConstraints(sigma constraint.Set) string {
 // O(total distinct values); it runs only when the ledger is enabled.
 func FingerprintRelation(rel *relation.Relation) Dataset {
 	schema := rel.Schema()
-	fp := trace.NewFingerprint()
+	fp := newFingerprint()
 	for i := 0; i < schema.Len(); i++ {
 		a := schema.Attr(i)
-		fp = fp.AddString(a.Name).AddInt(int(a.Role)).AddInt(int(a.Kind))
+		fp.addString(a.Name).addInt(int(a.Role)).addInt(int(a.Kind))
 		for _, v := range rel.Dict(i).Values() {
-			fp = fp.AddString(v)
+			fp.addString(v)
 		}
 	}
 	return Dataset{Rows: rel.Len(), Columns: schema.Len(), DictHash: fp.String()}

@@ -36,8 +36,6 @@ var (
 		"Fraction of QI cells preserved per published relation.", LinearBuckets(0.1, 0.1, 10))
 	mHeartbeats = Metrics.NewCounter("diva_search_heartbeats_total",
 		"KindProgress heartbeats received by the run registry.")
-	mRunsEvicted = Metrics.NewCounter("diva_runs_evicted_total",
-		"Completed runs dropped from the process-wide registry's ring to honor its retention cap.")
 	mShardedRuns = Metrics.NewCounter("diva_sharded_runs_total",
 		"Runs that executed the shard-and-merge engine.")
 	mSigmaComponents = Metrics.NewHistogram("diva_sigma_components",
@@ -52,8 +50,6 @@ var (
 		"Conflict-directed backjumps taken by learning searches across runs.")
 	mMaxBackjump = Metrics.NewHistogram("diva_max_backjump_levels",
 		"Deepest single backjump (levels skipped) per learning run.", ExpBuckets(1, 2, 12))
-	mStalledRuns = Metrics.NewCounter("diva_stalled_runs_total",
-		"Runs flagged stalled by the watchdog (heartbeat older than the threshold).")
 )
 
 func init() {
@@ -69,6 +65,12 @@ func init() {
 		"Live-stream events dropped because a subscriber's buffer was full.", func() int64 {
 			return Runs.Events().Dropped()
 		})
+	Metrics.NewCounterFunc("diva_runs_evicted_total",
+		"Completed runs dropped from the process-wide registry's ring to honor its retention cap.",
+		Runs.Evicted)
+	Metrics.NewCounterFunc("diva_stalled_runs_total",
+		"Runs flagged stalled by the watchdog (heartbeat older than the threshold).",
+		Runs.Stalls)
 }
 
 // Collect folds one finished run into the Prometheus registry. core.Anonymize

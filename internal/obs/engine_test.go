@@ -98,7 +98,7 @@ func TestLiveRunVisibleWhileInFlight(t *testing.T) {
 	}
 
 	// The same run must be visible over HTTP.
-	srv := httptest.NewServer(obs.NewMux(obs.Metrics, obs.Runs, obs.Profiles, obs.IncidentLog))
+	srv := httptest.NewServer(obs.NewMux(obs.Metrics, obs.Runs))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/diva/runs")
 	if err != nil {
@@ -172,7 +172,7 @@ func fallbackInstance(t *testing.T) (*diva.Relation, diva.Constraints) {
 }
 
 // TestCallerRecorderMatchesEngine: every tracer on a run — the caller's
-// Options.Tracer, the run registry's flight recorder and the engine's
+// Options.Tracer, the run registry's flight recorder and the run's registry
 // profiler — sees exactly one KindRunEnd, as its last event, carrying
 // Result.Metrics itself, in every execution mode and on every outcome; a
 // caller's Recorder therefore snapshots the engine's metrics exactly. A
@@ -233,7 +233,7 @@ func TestCallerRecorderMatchesEngine(t *testing.T) {
 					t.Fatalf("registry flight event %d of %d is %s; want run-end carrying Result.Metrics last only", i, len(events), fe.Event.Kind)
 				}
 			}
-			if p := obs.Profiles.Get(e.RunID); p == nil || p.Metrics != e || p.Outcome != c.outcome {
+			if p := obs.Runs.Profile(e.RunID); p == nil || p.Metrics != e || p.Outcome != c.outcome {
 				t.Fatalf("engine profile = %+v, want Result.Metrics and outcome %q", p, c.outcome)
 			}
 			if got := rec.Snapshot(); !reflect.DeepEqual(*got, *e) {
@@ -377,9 +377,9 @@ func TestConcurrentRunsRegistryAndMetrics(t *testing.T) {
 }
 
 // TestEngineProfilingDepositsProfile is the engine↔ops handshake for the
-// profiler: with profiling enabled, every core run must deposit a finished
-// profile into obs.Profiles keyed by its registry run ID, labeled with
-// constraint names and carrying the reconstructed tree.
+// profiler: with profiling enabled, every core run's completed registry
+// record must carry a finished profile, labeled with constraint names and
+// carrying the reconstructed tree.
 func TestEngineProfilingDepositsProfile(t *testing.T) {
 	obs.EnableProfiling(true)
 	defer obs.EnableProfiling(false)
@@ -390,9 +390,9 @@ func TestEngineProfilingDepositsProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := obs.Profiles.Get(res.Metrics.RunID)
+	p := obs.Runs.Profile(res.Metrics.RunID)
 	if p == nil {
-		t.Fatalf("no profile for run %d in obs.Profiles (ring: %v)", res.Metrics.RunID, obs.Profiles.IDs())
+		t.Fatalf("no profile for run %d in obs.Runs (profiled runs: %v)", res.Metrics.RunID, obs.Runs.ProfileIDs())
 	}
 	if p.Outcome != "ok" {
 		t.Fatalf("outcome = %q", p.Outcome)
@@ -405,5 +405,50 @@ func TestEngineProfilingDepositsProfile(t *testing.T) {
 	}
 	if len(p.Nodes) != 3 || p.Nodes[0].Label == "" {
 		t.Fatalf("graph description missing: nodes = %+v", p.Nodes)
+	}
+}
+
+// TestProfileServedWhenRunEndPublished: a subscriber that sees a run's
+// run-end already finds the run's profile in the registry, carrying the
+// run's own metrics and outcome — the profile is finalized before the run
+// enters the completed ring and its run-end is published.
+func TestProfileServedWhenRunEndPublished(t *testing.T) {
+	obs.EnableProfiling(true)
+	defer obs.EnableProfiling(false)
+	sub := obs.Runs.Events().Subscribe(0, 4096)
+	defer obs.Runs.Events().Unsubscribe(sub)
+
+	type profiled struct {
+		id      uint64
+		metrics *diva.RunMetrics
+		outcome string
+		served  bool
+	}
+	seen := make(chan profiled, 1)
+	go func() {
+		for ev := range sub.Events() {
+			if ev.Entry.Kind != diva.KindRunEnd {
+				continue
+			}
+			p := obs.Runs.Profile(ev.RunID)
+			got := profiled{id: ev.RunID, served: p != nil}
+			if p != nil {
+				got.metrics, got.outcome = p.Metrics, p.Outcome
+			}
+			seen <- got
+			return
+		}
+	}()
+	res, err := diva.AnonymizeContext(context.Background(), loadPatients(t), paperSigma(), diva.Options{K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := <-seen
+	if got.id != res.Metrics.RunID {
+		t.Fatalf("first run-end is run %d, want %d", got.id, res.Metrics.RunID)
+	}
+	if !got.served || got.metrics != res.Metrics || got.outcome != "ok" {
+		t.Fatalf("at run-end the registry served profile %v with metrics %p outcome %q; want Result.Metrics %p, outcome ok",
+			got.served, got.metrics, got.outcome, res.Metrics)
 	}
 }

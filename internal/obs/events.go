@@ -31,11 +31,10 @@ type RunEvent struct {
 // closed when the broadcaster force-disconnects the subscriber (server
 // shutdown) or Unsubscribe runs.
 type Subscriber struct {
-	run     uint64 // 0 subscribes to every run
-	ch      chan RunEvent
-	done    chan struct{}
-	dropped atomic.Int64
-	once    sync.Once
+	run  uint64 // 0 subscribes to every run
+	ch   chan RunEvent
+	done chan struct{}
+	once sync.Once
 }
 
 // Events returns the subscriber's event channel.
@@ -44,9 +43,6 @@ func (s *Subscriber) Events() <-chan RunEvent { return s.ch }
 // Done is closed when the subscription ends (Unsubscribe or DropAll). Events
 // already buffered remain readable after Done closes.
 func (s *Subscriber) Done() <-chan struct{} { return s.done }
-
-// Dropped returns how many events this subscriber lost to a full buffer.
-func (s *Subscriber) Dropped() int64 { return s.dropped.Load() }
 
 func (s *Subscriber) close() { s.once.Do(func() { close(s.done) }) }
 
@@ -125,7 +121,6 @@ func (b *Broadcaster) Publish(ev RunEvent) {
 		select {
 		case s.ch <- ev:
 		default:
-			s.dropped.Add(1)
 			b.dropped.Add(1)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"diva/internal/history"
-	"diva/internal/profile"
 	"diva/internal/trace"
 )
 
@@ -40,7 +39,7 @@ func seedLedger(t *testing.T, totals ...time.Duration) *history.Ledger {
 
 func TestHistoryEndpoint(t *testing.T) {
 	seedLedger(t, 10*time.Millisecond, 12*time.Millisecond)
-	mux := NewMux(NewRegistry(), NewRunRegistry(4), profile.NewRing(4), NewIncidentStore(4))
+	mux := NewMux(NewRegistry(), NewRunRegistry(4))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -94,7 +93,7 @@ func TestHistoryEndpoint(t *testing.T) {
 
 func TestHistoryCompareEndpoint(t *testing.T) {
 	seedLedger(t, 100*time.Millisecond, 104*time.Millisecond)
-	mux := NewMux(NewRegistry(), NewRunRegistry(4), profile.NewRing(4), NewIncidentStore(4))
+	mux := NewMux(NewRegistry(), NewRunRegistry(4))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

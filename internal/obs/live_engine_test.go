@@ -47,8 +47,7 @@ func (c *blockingCriterion) Holds(_ *relation.Relation, _ []int) bool {
 // goroutine dump plus a non-empty flight-recorder snapshot for it.
 func TestStalledRunYieldsIncident(t *testing.T) {
 	crit := &blockingCriterion{entered: make(chan struct{}), release: make(chan struct{})}
-	store := obs.NewIncidentStore(4)
-	wd := obs.NewWatchdog(obs.Runs, store, 50*time.Millisecond, time.Hour)
+	wd := obs.NewWatchdog(obs.Runs, 50*time.Millisecond, time.Hour)
 
 	rel := loadPatients(t)
 	done := make(chan error, 1)
@@ -69,7 +68,7 @@ func TestStalledRunYieldsIncident(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	srv := httptest.NewServer(obs.NewMux(obs.Metrics, obs.Runs, obs.Profiles, store))
+	srv := httptest.NewServer(obs.NewMux(obs.Metrics, obs.Runs))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/diva/incidents")
 	if err != nil {
@@ -111,6 +110,7 @@ func TestStalledRunYieldsIncident(t *testing.T) {
 func TestNeverReadingSSESubscriberDropsNotBlocks(t *testing.T) {
 	sub := obs.Runs.Events().Subscribe(0, 1)
 	defer obs.Runs.Events().Unsubscribe(sub)
+	dropped := obs.Runs.Events().Dropped()
 
 	res, err := diva.AnonymizeContext(context.Background(), loadPatients(t), paperSigma(),
 		diva.Options{K: 2, Seed: 1})
@@ -120,7 +120,7 @@ func TestNeverReadingSSESubscriberDropsNotBlocks(t *testing.T) {
 	if res.Metrics.Steps == 0 {
 		t.Fatal("engine did no search work")
 	}
-	if sub.Dropped() == 0 {
+	if obs.Runs.Events().Dropped() == dropped {
 		t.Fatalf("subscriber with buffer 1 dropped nothing across %d search steps", res.Metrics.Steps)
 	}
 	var b bytes.Buffer

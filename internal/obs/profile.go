@@ -5,24 +5,15 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-
-	"diva/internal/profile"
 )
-
-// DefaultProfiles is how many finished search profiles the default ring
-// retains for /debug/diva/profile/{runID}.
-const DefaultProfiles = 32
-
-// Profiles is the process-wide ring of finished search profiles, filled by
-// the engine whenever profiling is enabled and served by the ops server.
-var Profiles = profile.NewRing(DefaultProfiles)
 
 var profilingEnabled atomic.Bool
 
-// EnableProfiling toggles per-run search profiling: when on, core.Anonymize
-// attaches a profile.Profiler to every run and deposits the finished profile
-// into Profiles. It costs span bookkeeping per search step, so it defaults
-// to off and is switched on by the CLI together with -listen or -profile.
+// EnableProfiling toggles per-run search profiling: when on, RunRegistry.Begin
+// attaches a profile.Profiler to every run, and the run's completed record
+// keeps the finished profile for /debug/diva/profile/{runID}. It costs span
+// bookkeeping per search step, so it defaults to off and is switched on by
+// the CLI together with -listen.
 func EnableProfiling(on bool) { profilingEnabled.Store(on) }
 
 // ProfilingEnabled reports whether per-run profiling is on.
@@ -30,8 +21,9 @@ func ProfilingEnabled() bool { return profilingEnabled.Load() }
 
 // profileHandler serves /debug/diva/profile/ and
 // /debug/diva/profile/{runID}?format=json|trace|folded|summary|explain from
-// a ring. The bare path lists the retained run IDs.
-func profileHandler(ring *profile.Ring) http.HandlerFunc {
+// the registry's completed runs. The bare path lists the retained run IDs
+// that carry a profile.
+func profileHandler(runs *RunRegistry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rest := strings.TrimPrefix(r.URL.Path, "/debug/diva/profile")
 		rest = strings.Trim(rest, "/")
@@ -39,7 +31,7 @@ func profileHandler(ring *profile.Ring) http.HandlerFunc {
 			writeJSON(w, struct {
 				Profiling bool     `json:"profiling_enabled"`
 				Runs      []uint64 `json:"runs"`
-			}{Profiling: ProfilingEnabled(), Runs: ring.IDs()})
+			}{Profiling: ProfilingEnabled(), Runs: runs.ProfileIDs()})
 			return
 		}
 		id, err := strconv.ParseUint(rest, 10, 64)
@@ -47,7 +39,7 @@ func profileHandler(ring *profile.Ring) http.HandlerFunc {
 			http.Error(w, "bad run id", http.StatusBadRequest)
 			return
 		}
-		p := ring.Get(id)
+		p := runs.Profile(id)
 		if p == nil {
 			http.Error(w, "no profile for run (profiling off, run too old, or never existed)", http.StatusNotFound)
 			return

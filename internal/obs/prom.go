@@ -1,6 +1,6 @@
 // Package obs is the production ops layer of the DIVA engine: a
-// dependency-free Prometheus text-format exposition (counters, gauges and
-// histograms), a goroutine-safe live run registry fed by the engine's
+// dependency-free Prometheus text-format exposition (counters, scrape-time
+// gauges and histograms), a goroutine-safe live run registry fed by the engine's
 // KindProgress heartbeats, an HTTP ops server mounting /metrics, /debug/vars,
 // /debug/pprof and /debug/diva/runs, and slog-backed structured logging.
 //
@@ -36,28 +36,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a float metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta to the gauge.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket cumulative histogram. Observations are
 // lock-free; exposition reads the buckets with atomic loads (a scrape may
@@ -159,15 +137,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 		fmt.Fprintf(w, "%s %d\n", n, c.Value())
 	})
 	return c
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %s\n", n, formatFloat(g.Value()))
-	})
-	return g
 }
 
 // NewGaugeFunc registers a gauge whose value is computed at scrape time.

@@ -15,15 +15,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("Value() = %g, want 1.5", got)
-	}
-}
-
 func TestHistogramObserve(t *testing.T) {
 	h := newHistogram([]float64{1, 2})
 	for _, v := range []float64{0.5, 1, 1.5, 5} {
@@ -76,8 +67,7 @@ func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_runs_total", "Runs.")
 	c.Add(3)
-	g := r.NewGauge("test_temp", "Temp.")
-	g.Set(1.5)
+	r.NewGaugeFunc("test_temp", "Temp.", func() float64 { return 1.5 })
 	h := r.NewHistogram("test_dur", "Dur.", []float64{1, 2})
 	h.Observe(0.5)
 	h.Observe(1.5)

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"diva/internal/profile"
 	"diva/internal/trace"
 )
 
@@ -46,23 +49,30 @@ type RunInfo struct {
 	Metrics *trace.RunMetrics `json:"metrics,omitempty"`
 
 	// flight and flightSeen carry a completed run's flight-recorder snapshot
-	// through the registry's done ring. Unexported so /debug/diva/runs stays
-	// compact; /debug/diva/runs/{id}/events serves them.
+	// through the registry's done ring, and profile its finished search
+	// profile (nil when profiling was off). Unexported so /debug/diva/runs
+	// stays compact; /debug/diva/runs/{id}/events and
+	// /debug/diva/profile/{id} serve them.
 	flight     []trace.FlightEntry
 	flightSeen uint64
+	profile    *profile.Profile
 }
 
-// RunRegistry tracks every in-flight engine run plus a ring of the last K
-// completed ones. It is goroutine-safe: runs register, heartbeat and finish
-// concurrently. Runs is the process-wide default used by the engine.
+// RunRegistry is the one store of per-run state: every in-flight engine
+// run, a ring of the last K completed ones (each carrying its flight
+// snapshot and, with profiling on, its search profile), and a ring of the
+// newest stall incidents. It is goroutine-safe: runs register, heartbeat and
+// finish concurrently. Runs is the process-wide default used by the engine.
 type RunRegistry struct {
-	bus     *Broadcaster
-	mu      sync.Mutex
-	nextID  uint64
-	live    map[uint64]*Run
-	done    []RunInfo // completed runs, oldest first, capped at keep
-	keep    int
-	evicted int64 // completed runs dropped from the ring to honor keep
+	bus       *Broadcaster
+	mu        sync.Mutex
+	nextID    uint64
+	live      map[uint64]*Run
+	done      []RunInfo // completed runs, oldest first, capped at keep
+	keep      int
+	evicted   int64      // completed runs dropped from the ring to honor keep
+	incidents []Incident // newest DefaultIncidentCap stall incidents, oldest first
+	stalls    int64      // incidents ever recorded, evicted included
 }
 
 // Runs is the process-wide run registry; core.Anonymize registers every run
@@ -85,6 +95,7 @@ func (r *RunRegistry) Events() *Broadcaster { return r.bus }
 // Begin registers a new live run and returns its handle. The handle is a
 // trace.Tracer: tee it into the run's event stream so phase changes and
 // heartbeats reach the registry; the run's KindRunEnd event completes it.
+// With profiling enabled the run also reconstructs its search profile.
 func (r *RunRegistry) Begin() *Run {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -96,6 +107,9 @@ func (r *RunRegistry) Begin() *Run {
 		start:  now,
 		worker: -1,
 		flight: trace.NewFlightRecorder(trace.DefaultFlightCapacity),
+	}
+	if ProfilingEnabled() {
+		run.prof = profile.New()
 	}
 	run.lastEvent.Store(now.UnixNano())
 	r.live[run.id] = run
@@ -127,11 +141,7 @@ func (r *RunRegistry) Snapshot() (live, completed []RunInfo) {
 		live[i] = run.Info()
 	}
 	// Map iteration scrambled the order; restore ascending ID.
-	for i := 1; i < len(live); i++ {
-		for j := i; j > 0 && live[j].ID < live[j-1].ID; j-- {
-			live[j], live[j-1] = live[j-1], live[j]
-		}
-	}
+	slices.SortFunc(live, func(a, b RunInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return live, completed
 }
 
@@ -140,8 +150,8 @@ func (r *RunRegistry) Snapshot() (live, completed []RunInfo) {
 func (r *RunRegistry) Keep() int { return r.keep }
 
 // Evicted returns how many completed runs have been dropped from the ring to
-// honor Keep — the observable face of what used to be a silent cap. The
-// process-wide registry also exposes it as diva_runs_evicted_total.
+// honor Keep. The process-wide registry exposes it as
+// diva_runs_evicted_total.
 func (r *RunRegistry) Evicted() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -156,9 +166,6 @@ func (r *RunRegistry) finish(info RunInfo) {
 	if drop := len(r.done) - r.keep; drop > 0 {
 		r.done = r.done[drop:]
 		r.evicted += int64(drop)
-		if r == Runs {
-			mRunsEvicted.Add(int64(drop))
-		}
 	}
 }
 
@@ -172,6 +179,7 @@ type Run struct {
 	id     uint64
 	start  time.Time
 	flight *trace.FlightRecorder
+	prof   *profile.Profiler // nil unless profiling was on at Begin
 
 	// lastEvent is the wall-clock UnixNano of the run's most recent trace
 	// event — the watchdog's staleness signal. stalled latches once the
@@ -193,10 +201,13 @@ type Run struct {
 func (run *Run) ID() uint64 { return run.id }
 
 // Trace implements trace.Tracer. Every event — not just phase changes and
-// heartbeats — lands in the run's flight recorder and is published to the
-// registry's broadcaster, so the run is observable even when the caller set
-// no tracer of its own.
+// heartbeats — lands in the run's flight recorder (and profiler, if any) and
+// is published to the registry's broadcaster, so the run is observable even
+// when the caller set no tracer of its own.
 func (run *Run) Trace(ev trace.Event) {
+	if run.prof != nil {
+		run.prof.Trace(ev)
+	}
 	if ev.Kind == trace.KindRunEnd {
 		run.end(ev)
 		return
@@ -250,9 +261,11 @@ func (run *Run) Info() RunInfo {
 }
 
 // end handles the run's KindRunEnd event: it seals the flight recorder with
-// the event and moves the run from the live set into the completed ring,
-// with the event's outcome as State and its metrics as the final counters.
-// Only the first run-end event takes effect.
+// the event, finalizes the profile, and moves the run from the live set into
+// the completed ring, with the event's outcome as State and its metrics as
+// the final counters — all before the run-end is published, so a subscriber
+// that sees it finds the run's artifacts already served. Only the first
+// run-end event takes effect.
 func (run *Run) end(ev trace.Event) {
 	run.mu.Lock()
 	if run.ended {
@@ -279,6 +292,9 @@ func (run *Run) end(ev trace.Event) {
 	if ev.Metrics != nil {
 		info.Steps = ev.Metrics.Steps
 	}
+	if run.prof != nil {
+		info.profile = run.prof.Profile()
+	}
 	reg := run.reg
 	run.mu.Unlock()
 	reg.finish(info)
@@ -295,12 +311,47 @@ func (r *RunRegistry) RunEvents(id uint64) (events []trace.FlightEntry, seen uin
 		return run.flight.Snapshot(), run.flight.Seen(), true
 	}
 	defer r.mu.Unlock()
-	for i := len(r.done) - 1; i >= 0; i-- {
-		if r.done[i].ID == id {
-			return r.done[i].flight, r.done[i].flightSeen, true
-		}
+	if info := r.completed(id); info != nil {
+		return info.flight, info.flightSeen, true
 	}
 	return nil, 0, false
+}
+
+// completed returns retained completed run id's record, or nil. The caller
+// holds r.mu.
+func (r *RunRegistry) completed(id uint64) *RunInfo {
+	for i := len(r.done) - 1; i >= 0; i-- {
+		if r.done[i].ID == id {
+			return &r.done[i]
+		}
+	}
+	return nil
+}
+
+// Profile returns the finished search profile of retained completed run id,
+// or nil when the run is unknown, too old, still live, or ran without
+// profiling.
+func (r *RunRegistry) Profile(id uint64) *profile.Profile {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if info := r.completed(id); info != nil {
+		return info.profile
+	}
+	return nil
+}
+
+// ProfileIDs returns the IDs of the retained completed runs that carry a
+// profile, oldest first.
+func (r *RunRegistry) ProfileIDs() []uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ids := []uint64{}
+	for _, info := range r.done {
+		if info.profile != nil {
+			ids = append(ids, info.ID)
+		}
+	}
+	return ids
 }
 
 // ReplayEvents returns the recorded history for runID (0 = every run the
@@ -331,11 +382,7 @@ func (r *RunRegistry) ReplayEvents(runID uint64) []RunEvent {
 			sources[i].entries = sources[i].run.flight.Snapshot()
 		}
 	}
-	for i := 1; i < len(sources); i++ {
-		for j := i; j > 0 && sources[j].id < sources[j-1].id; j-- {
-			sources[j], sources[j-1] = sources[j-1], sources[j]
-		}
-	}
+	slices.SortFunc(sources, func(a, b source) int { return cmp.Compare(a.id, b.id) })
 	var out []RunEvent
 	for _, s := range sources {
 		for _, e := range s.entries {

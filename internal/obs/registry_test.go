@@ -2,6 +2,8 @@ package obs
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,24 +90,20 @@ func TestEvictionObservable(t *testing.T) {
 	if reg.Evicted() != 0 {
 		t.Fatalf("fresh registry Evicted() = %d", reg.Evicted())
 	}
+	before := Runs.Evicted()
 	for i := 0; i < 5; i++ {
 		reg.Begin().Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	}
 	if got := reg.Evicted(); got != 3 {
 		t.Fatalf("Evicted() = %d, want 3 (5 completed, 2 kept)", got)
 	}
-	// A dedicated registry must not touch the process-wide eviction counter.
-	if mRunsEvicted.Value() != evictionCounterBefore(t) {
-		t.Fatal("dedicated registry leaked into diva_runs_evicted_total")
+	// diva_runs_evicted_total reads the process-wide registry's count; a
+	// dedicated registry does not touch it.
+	var b strings.Builder
+	Metrics.WritePrometheus(&b)
+	if want := fmt.Sprintf("\ndiva_runs_evicted_total %d\n", before); Runs.Evicted() != before || !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition lacks %q (Runs.Evicted() = %d)", want, Runs.Evicted())
 	}
-}
-
-// evictionCounterBefore returns the process-wide eviction count other tests
-// in this package may have produced through the global Runs registry; this
-// test only asserts its own registry added nothing on top.
-func evictionCounterBefore(t *testing.T) int64 {
-	t.Helper()
-	return Runs.Evicted()
 }
 
 // TestOutcomeClassification: the run-end event's outcome — the engine's
@@ -159,5 +157,34 @@ func TestSnapshotLiveOrder(t *testing.T) {
 	}
 	for _, r := range runs {
 		r.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
+	}
+}
+
+// TestProfilesEvictedWithRuns: a profiled run's profile lives on its
+// completed record, so the registry lists profiled runs oldest first and
+// drops each profile together with its run when the ring evicts it.
+func TestProfilesEvictedWithRuns(t *testing.T) {
+	reg := NewRunRegistry(2)
+	EnableProfiling(true)
+	defer EnableProfiling(false)
+	for i := 0; i < 3; i++ {
+		run := reg.Begin()
+		run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Metrics: &trace.RunMetrics{RunID: run.ID()}})
+	}
+	if reg.Profile(1) != nil {
+		t.Fatal("evicted run's profile still served")
+	}
+	for _, id := range []uint64{2, 3} {
+		if p := reg.Profile(id); p == nil || p.Metrics.RunID != id || p.Outcome != "ok" {
+			t.Fatalf("profile of retained run %d = %+v", id, p)
+		}
+	}
+	if ids := reg.ProfileIDs(); len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
+		t.Fatalf("ProfileIDs = %v, want [2 3]", ids)
+	}
+	live := reg.Begin()
+	defer live.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
+	if reg.Profile(live.ID()) != nil {
+		t.Fatal("a live run's profile is served before the run completes")
 	}
 }

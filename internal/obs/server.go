@@ -9,7 +9,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 
-	"diva/internal/profile"
 	"diva/internal/trace"
 )
 
@@ -24,7 +23,7 @@ import (
 //	/debug/diva/events        SSE stream of live trace events (?run={id|all},
 //	                          default all; replays recorded history on connect)
 //	/debug/diva/incidents     stall incidents captured by the watchdog (JSON)
-//	/debug/diva/profile/{id}  per-run search profile from profiles (see
+//	/debug/diva/profile/{id}  a completed run's search profile (see
 //	                          ?format=json|trace|folded|summary|explain); the
 //	                          bare path lists retained run IDs
 //	/debug/diva/history       the active run-history ledger (JSON, or a text
@@ -33,9 +32,9 @@ import (
 //	/debug/diva/history/compare  noise-floor regression report between two
 //	                          records (?a=…&b=…, default prev vs latest)
 //
-// Pass Metrics, Runs, Profiles and IncidentLog (the process-wide defaults)
-// for a standard ops server, or dedicated instances in tests.
-func NewMux(reg *Registry, runs *RunRegistry, profiles *profile.Ring, incidents *IncidentStore) *http.ServeMux {
+// Every per-run endpoint reads runs. Pass Metrics and Runs (the process-wide
+// defaults) for a standard ops server, or dedicated instances in tests.
+func NewMux(reg *Registry, runs *RunRegistry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -76,9 +75,9 @@ func NewMux(reg *Registry, runs *RunRegistry, profiles *profile.Ring, incidents 
 		writeJSON(w, struct {
 			Total     int64      `json:"total"`
 			Incidents []Incident `json:"incidents"`
-		}{Total: incidents.Total(), Incidents: incidents.Snapshot()})
+		}{Total: runs.Stalls(), Incidents: runs.Incidents()})
 	})
-	mux.HandleFunc("/debug/diva/profile/", profileHandler(profiles))
+	mux.HandleFunc("/debug/diva/profile/", profileHandler(runs))
 	mux.HandleFunc("/debug/diva/history", historyHandler())
 	mux.HandleFunc("/debug/diva/history/compare", historyCompareHandler())
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -129,16 +128,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // (e.g. "127.0.0.1:9090", or ":0" for an ephemeral port) and serves in a
 // background goroutine until Close or Shutdown.
 func Serve(addr string) (*Server, error) {
-	return serve(addr, Metrics, Runs, Profiles, IncidentLog)
+	return serve(addr, Metrics, Runs)
 }
 
 // serve is Serve over explicit dependencies, for tests.
-func serve(addr string, reg *Registry, runs *RunRegistry, profiles *profile.Ring, incidents *IncidentStore) (*Server, error) {
+func serve(addr string, reg *Registry, runs *RunRegistry) (*Server, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NewMux(reg, runs, profiles, incidents)}
+	srv := &http.Server{Handler: NewMux(reg, runs)}
 	go srv.Serve(l)
 	return &Server{srv: srv, l: l, runs: runs}, nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"diva/internal/profile"
 	"diva/internal/trace"
 )
 
@@ -47,7 +46,7 @@ func TestMuxEndpoints(t *testing.T) {
 	runs.Begin().Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: time.Millisecond,
 		Metrics: &trace.RunMetrics{Total: time.Millisecond}})
 
-	srv := httptest.NewServer(NewMux(Metrics, runs, profile.NewRing(4), NewIncidentStore(4)))
+	srv := httptest.NewServer(NewMux(Metrics, runs))
 	defer srv.Close()
 	defer live.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 

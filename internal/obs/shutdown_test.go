@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"diva/internal/profile"
 	"diva/internal/trace"
 )
 
@@ -19,7 +18,7 @@ import (
 // connected follower.
 func TestShutdownUnblocksSSEStream(t *testing.T) {
 	runs := NewRunRegistry(4)
-	srv, err := serve("127.0.0.1:0", NewRegistry(), runs, profile.NewRing(4), NewIncidentStore(4))
+	srv, err := serve("127.0.0.1:0", NewRegistry(), runs)
 	if err != nil {
 		t.Fatal(err)
 	}

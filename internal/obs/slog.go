@@ -22,13 +22,6 @@ func NewLogger(w io.Writer, format string, level slog.Level) (*slog.Logger, erro
 	return nil, fmt.Errorf(`obs: unknown log format %q (want "text" or "json")`, format)
 }
 
-// RunLogger scopes a logger to one engine run: every record carries the
-// run's registry ID, so interleaved logs from concurrent runs stay
-// attributable.
-func RunLogger(l *slog.Logger, runID uint64) *slog.Logger {
-	return l.With(slog.Uint64("run", runID))
-}
-
 // slogTracer adapts a slog.Logger into a trace.Tracer. Phase boundaries and
 // the portfolio outcome log at Info, heartbeats at Debug; the per-node
 // events (assign, backtrack, candidates, cache hits) are deliberately

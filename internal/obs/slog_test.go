@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"log/slog"
 	"strings"
 	"testing"
@@ -26,22 +25,6 @@ func TestNewLoggerFormats(t *testing.T) {
 	}
 	if _, err := NewLogger(&b, "xml", slog.LevelInfo); err == nil {
 		t.Fatal("unknown format accepted")
-	}
-}
-
-func TestRunLoggerScopesRecords(t *testing.T) {
-	var b bytes.Buffer
-	l, err := NewLogger(&b, "json", slog.LevelInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RunLogger(l, 7).Info("run complete")
-	var rec map[string]any
-	if err := json.Unmarshal(b.Bytes(), &rec); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, b.String())
-	}
-	if rec["run"] != float64(7) {
-		t.Fatalf(`record missing run=7: %v`, rec)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"diva/internal/trace"
@@ -14,6 +13,8 @@ import (
 // heartbeat cadence (a KindProgress every few thousand search steps, i.e.
 // milliseconds apart on any live search), so staleness beyond it means the
 // search is inside one monstrous candidate enumeration or genuinely wedged.
+// A registry retains the newest DefaultIncidentCap incidents, so a flapping
+// run cannot grow process memory without limit.
 const (
 	DefaultStallThreshold = 30 * time.Second
 	DefaultWatchInterval  = time.Second
@@ -41,117 +42,82 @@ type Incident struct {
 	Goroutines string `json:"goroutines"`
 }
 
-// IncidentStore is a bounded ring of captured incidents, served at
-// /debug/diva/incidents. Bounded so a flapping run can't grow process memory
-// without limit; Total keeps counting past evictions.
-type IncidentStore struct {
-	mu    sync.Mutex
-	cap   int
-	total int64
-	ring  []Incident // oldest first
-}
-
-// IncidentLog is the process-wide incident store the default watchdog and
-// ops server use.
-var IncidentLog = NewIncidentStore(DefaultIncidentCap)
-
-// NewIncidentStore returns a store retaining the last cap incidents (cap ≤ 0
-// selects DefaultIncidentCap).
-func NewIncidentStore(cap int) *IncidentStore {
-	if cap <= 0 {
-		cap = DefaultIncidentCap
-	}
-	return &IncidentStore{cap: cap}
-}
-
-// Add appends an incident, evicting the oldest beyond the store's capacity.
-func (s *IncidentStore) Add(inc Incident) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.total++
-	s.ring = append(s.ring, inc)
-	if drop := len(s.ring) - s.cap; drop > 0 {
-		s.ring = append(s.ring[:0], s.ring[drop:]...)
+// addIncident stores inc in the registry's incident ring, evicting the
+// oldest beyond DefaultIncidentCap, and counts the stall.
+func (r *RunRegistry) addIncident(inc Incident) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stalls++
+	r.incidents = append(r.incidents, inc)
+	if drop := len(r.incidents) - DefaultIncidentCap; drop > 0 {
+		r.incidents = append(r.incidents[:0], r.incidents[drop:]...)
 	}
 }
 
-// Snapshot returns the retained incidents, newest first.
-func (s *IncidentStore) Snapshot() []Incident {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Incident, len(s.ring))
-	for i := range s.ring {
-		out[len(s.ring)-1-i] = s.ring[i]
+// Incidents returns the retained stall incidents, newest first.
+func (r *RunRegistry) Incidents() []Incident {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Incident, len(r.incidents))
+	for i := range r.incidents {
+		out[len(r.incidents)-1-i] = r.incidents[i]
 	}
 	return out
 }
 
-// Total returns how many incidents have ever been recorded (evicted
-// included).
-func (s *IncidentStore) Total() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Cap returns the store's retention capacity.
-func (s *IncidentStore) Cap() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cap
+// Stalls returns how many stall incidents have ever been recorded (evicted
+// included). The process-wide registry exposes it as
+// diva_stalled_runs_total.
+func (r *RunRegistry) Stalls() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stalls
 }
 
 // Watchdog periodically sweeps a registry's live runs and flags any whose
 // last trace event is older than the threshold: the run's Stalled bit is
-// set (visible in /debug/diva/runs), an Incident with a goroutine dump and
-// the run's flight-recorder tail is captured, and — on the process-wide
-// registry — diva_stalled_runs_total increments. A fresh event clears the
-// run's Stalled bit, re-arming the watchdog for that run.
+// set (visible in /debug/diva/runs) and an Incident with a goroutine dump
+// and the run's flight-recorder tail is stored in the registry. A fresh
+// event clears the run's Stalled bit, re-arming the watchdog for that run.
 type Watchdog struct {
-	reg       *RunRegistry
-	store     *IncidentStore
+	runs      *RunRegistry
 	threshold time.Duration
 	interval  time.Duration
-	flagged   atomic.Int64
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	done     chan struct{}
+	mu       sync.Mutex
+	done     chan struct{} // closed when the sweep loop exits; nil until Start
 }
 
-// NewWatchdog returns a watchdog over reg writing incidents to store.
-// threshold ≤ 0 selects DefaultStallThreshold; interval ≤ 0 selects
-// DefaultWatchInterval. Call Start to begin sweeping, Stop to end.
-func NewWatchdog(reg *RunRegistry, store *IncidentStore, threshold, interval time.Duration) *Watchdog {
+// NewWatchdog returns a watchdog over runs. threshold ≤ 0 selects
+// DefaultStallThreshold; interval ≤ 0 selects DefaultWatchInterval. Call
+// Start to begin sweeping, Stop to end.
+func NewWatchdog(runs *RunRegistry, threshold, interval time.Duration) *Watchdog {
 	if threshold <= 0 {
 		threshold = DefaultStallThreshold
 	}
 	if interval <= 0 {
 		interval = DefaultWatchInterval
 	}
-	if store == nil {
-		store = IncidentLog
-	}
-	return &Watchdog{
-		reg:       reg,
-		store:     store,
-		threshold: threshold,
-		interval:  interval,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
+	return &Watchdog{runs: runs, threshold: threshold, interval: interval, stop: make(chan struct{})}
 }
 
 // Threshold returns the staleness bound beyond which a run is stalled.
 func (w *Watchdog) Threshold() time.Duration { return w.threshold }
 
-// Flagged returns how many stalls this watchdog has flagged.
-func (w *Watchdog) Flagged() int64 { return w.flagged.Load() }
-
-// Start launches the sweep loop in a background goroutine.
+// Start launches the sweep loop in a background goroutine. Later calls do
+// nothing.
 func (w *Watchdog) Start() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.done != nil {
+		return
+	}
+	done := make(chan struct{})
+	w.done = done
 	go func() {
-		defer close(w.done)
+		defer close(done)
 		t := time.NewTicker(w.interval)
 		defer t.Stop()
 		for {
@@ -165,12 +131,16 @@ func (w *Watchdog) Start() {
 	}()
 }
 
-// Stop ends the sweep loop and waits for it to exit. Idempotent; safe to
-// call on a watchdog that was never started only after Start will not be
-// called again.
+// Stop ends the sweep loop and waits for it to exit; on a watchdog that was
+// never started it returns at once. Idempotent.
 func (w *Watchdog) Stop() {
 	w.stopOnce.Do(func() { close(w.stop) })
-	<-w.done
+	w.mu.Lock()
+	done := w.done
+	w.mu.Unlock()
+	if done != nil {
+		<-done
+	}
 }
 
 // Sweep examines every live run once and returns how many it newly flagged.
@@ -178,7 +148,7 @@ func (w *Watchdog) Stop() {
 // deterministically.
 func (w *Watchdog) Sweep(now time.Time) int {
 	flagged := 0
-	for _, run := range w.reg.liveRuns() {
+	for _, run := range w.runs.liveRuns() {
 		age := run.HeartbeatAge(now)
 		if age < w.threshold {
 			continue
@@ -192,7 +162,7 @@ func (w *Watchdog) Sweep(now time.Time) int {
 		info := run.Info()
 		var buf bytes.Buffer
 		pprof.Lookup("goroutine").WriteTo(&buf, 1)
-		w.store.Add(Incident{
+		w.runs.addIncident(Incident{
 			RunID:      run.ID(),
 			At:         now,
 			Age:        age,
@@ -202,10 +172,6 @@ func (w *Watchdog) Sweep(now time.Time) int {
 			Events:     run.Flight().Snapshot(),
 			Goroutines: buf.String(),
 		})
-		w.flagged.Add(1)
-		if w.reg == Runs {
-			mStalledRuns.Inc()
-		}
 		flagged++
 	}
 	return flagged

@@ -7,14 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"diva/internal/profile"
 	"diva/internal/trace"
 )
 
 func TestWatchdogFlagsStalledRun(t *testing.T) {
 	reg := NewRunRegistry(4)
-	store := NewIncidentStore(4)
-	wd := NewWatchdog(reg, store, 50*time.Millisecond, time.Hour)
+	wd := NewWatchdog(reg, 50*time.Millisecond, time.Hour)
 
 	run := reg.Begin()
 	run.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
@@ -36,11 +34,11 @@ func TestWatchdogFlagsStalledRun(t *testing.T) {
 	if n := wd.Sweep(stale.Add(time.Second)); n != 0 {
 		t.Fatalf("re-sweep flagged %d, want 0 (already flagged)", n)
 	}
-	if wd.Flagged() != 1 || store.Total() != 1 {
-		t.Fatalf("flagged %d, incidents %d; want 1, 1", wd.Flagged(), store.Total())
+	if reg.Stalls() != 1 {
+		t.Fatalf("stalls = %d, want 1", reg.Stalls())
 	}
 
-	incs := store.Snapshot()
+	incs := reg.Incidents()
 	inc := incs[0]
 	if inc.RunID != run.ID() || inc.Phase != string(trace.PhaseColor) || inc.Steps != 100 {
 		t.Fatalf("incident = %+v", inc)
@@ -63,58 +61,75 @@ func TestWatchdogFlagsStalledRun(t *testing.T) {
 	if n := wd.Sweep(time.Now().Add(wd.Threshold() + time.Millisecond)); n != 1 {
 		t.Fatalf("re-armed sweep flagged %d, want 1", n)
 	}
-	if store.Total() != 2 {
-		t.Fatalf("incidents = %d, want 2", store.Total())
+	if reg.Stalls() != 2 || len(reg.Incidents()) != 2 {
+		t.Fatalf("stalls = %d, retained %d; want 2, 2", reg.Stalls(), len(reg.Incidents()))
 	}
 	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 }
 
 func TestWatchdogTickerLoop(t *testing.T) {
 	reg := NewRunRegistry(4)
-	store := NewIncidentStore(4)
-	wd := NewWatchdog(reg, store, 30*time.Millisecond, 5*time.Millisecond)
+	wd := NewWatchdog(reg, 30*time.Millisecond, 5*time.Millisecond)
 	run := reg.Begin()
 	run.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseBind})
 	wd.Start()
+	wd.Start() // a second Start is a no-op
 	defer run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	deadline := time.Now().Add(5 * time.Second)
-	for wd.Flagged() == 0 && time.Now().Before(deadline) {
+	for reg.Stalls() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	wd.Stop()
-	if wd.Flagged() == 0 {
+	if reg.Stalls() == 0 {
 		t.Fatal("ticker loop never flagged the silent run")
 	}
 	// Stop is idempotent.
 	wd.Stop()
 }
 
+// TestWatchdogStopWithoutStart: Stop on a watchdog that was never started
+// returns at once, and stays idempotent.
+func TestWatchdogStopWithoutStart(t *testing.T) {
+	wd := NewWatchdog(NewRunRegistry(4), 0, 0)
+	stopped := make(chan struct{})
+	go func() {
+		wd.Stop()
+		wd.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("Stop on an unstarted watchdog did not return within 1s")
+	}
+}
+
+// TestIncidentStoreBounds: the registry keeps the newest DefaultIncidentCap
+// incidents, newest first, and counts every stall past evictions.
 func TestIncidentStoreBounds(t *testing.T) {
-	s := NewIncidentStore(2)
-	for i := uint64(1); i <= 3; i++ {
-		s.Add(Incident{RunID: i})
+	reg := NewRunRegistry(4)
+	n := uint64(DefaultIncidentCap + 2)
+	for i := uint64(1); i <= n; i++ {
+		reg.addIncident(Incident{RunID: i})
 	}
-	if s.Total() != 3 {
-		t.Fatalf("total = %d, want 3", s.Total())
+	if reg.Stalls() != int64(n) {
+		t.Fatalf("stalls = %d, want %d", reg.Stalls(), n)
 	}
-	snap := s.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("retained %d incidents, want cap 2", len(snap))
+	snap := reg.Incidents()
+	if len(snap) != DefaultIncidentCap {
+		t.Fatalf("retained %d incidents, want cap %d", len(snap), DefaultIncidentCap)
 	}
-	if snap[0].RunID != 3 || snap[1].RunID != 2 {
-		t.Fatalf("snapshot order = %d, %d; want newest first 3, 2", snap[0].RunID, snap[1].RunID)
-	}
-	if NewIncidentStore(0).Cap() != DefaultIncidentCap {
-		t.Fatal("zero cap did not select default")
+	if snap[0].RunID != n || snap[len(snap)-1].RunID != 3 {
+		t.Fatalf("snapshot order = %d … %d; want newest first %d … 3", snap[0].RunID, snap[len(snap)-1].RunID, n)
 	}
 }
 
 func TestIncidentsEndpoint(t *testing.T) {
-	store := NewIncidentStore(4)
-	store.Add(Incident{RunID: 9, Age: time.Second, Phase: "color",
+	runs := NewRunRegistry(4)
+	runs.addIncident(Incident{RunID: 9, Age: time.Second, Phase: "color",
 		Events:     []trace.FlightEntry{{Seq: 1, Event: trace.Event{Kind: trace.KindAssign}}},
 		Goroutines: "goroutine 1 [running]:"})
-	srv := httptest.NewServer(NewMux(NewRegistry(), NewRunRegistry(4), profile.NewRing(4), store))
+	srv := httptest.NewServer(NewMux(NewRegistry(), runs))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/diva/incidents")
 	if err != nil {

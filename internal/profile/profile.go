@@ -275,7 +275,6 @@ type Profiler struct {
 
 	prof      Profile
 	stack     []*Span // open spans; nil entries stand in for capped ones
-	spanIndex map[uint64]*Span
 	nodes     []NodeStat
 	finalized bool
 }
@@ -362,10 +361,6 @@ func (p *Profiler) Trace(ev trace.Event) {
 		}
 		s := &Span{ID: ev.Span, Parent: ev.Parent, Node: ev.Node, Depth: ev.Depth, Start: at, End: -1}
 		p.prof.SpanCount++
-		if p.spanIndex == nil {
-			p.spanIndex = make(map[uint64]*Span)
-		}
-		p.spanIndex[ev.Span] = s
 		if parent := p.top(); parent != nil {
 			parent.Children = append(parent.Children, s)
 		} else if root := p.root(); root != nil {
@@ -519,7 +514,7 @@ func (p *Profiler) Profile() *Profile {
 	// After finalizeSpan: node() may have grown the table while attributing
 	// span walls, so publish the slice last.
 	p.prof.Nodes = p.nodes
-	p.stack, p.spanIndex = nil, nil
+	p.stack = nil
 	return &p.prof
 }
 

@@ -161,33 +161,3 @@ func TestProfilerFlatPortfolio(t *testing.T) {
 		t.Fatalf("verdict = %q on a run with no exhaustion", ex.Verdict)
 	}
 }
-
-func TestRing(t *testing.T) {
-	r := NewRing(2)
-	for id := uint64(1); id <= 3; id++ {
-		r.Add(&Profile{Metrics: &trace.RunMetrics{RunID: id}})
-	}
-	if r.Get(1) != nil {
-		t.Fatal("evicted profile still retrievable")
-	}
-	if r.Get(2) == nil || r.Get(3) == nil {
-		t.Fatal("retained profiles missing")
-	}
-	ids := r.IDs()
-	if len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
-		t.Fatalf("IDs = %v, want [2 3]", ids)
-	}
-	// Replacing an existing ID must not evict.
-	r.Add(&Profile{Metrics: &trace.RunMetrics{RunID: 3}, Outcome: "ok"})
-	if got := r.Get(3); got == nil || got.Outcome != "ok" {
-		t.Fatal("re-Add did not replace")
-	}
-	if r.Get(2) == nil {
-		t.Fatal("re-Add evicted a sibling")
-	}
-	// Profiles without a run ID are ignored.
-	r.Add(&Profile{})
-	if len(r.IDs()) != 2 {
-		t.Fatal("ring accepted an ID-less profile")
-	}
-}

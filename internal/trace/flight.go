@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -14,121 +12,17 @@ import (
 const DefaultFlightCapacity = 256
 
 // FlightEntry is one recorded event with its recorder-local sequence number
-// and the offset from the recorder's creation. Entries marshal to (and
-// unmarshal from) a flat JSON object whose "kind" field is the event kind's
-// String form, so dumps are self-describing without the numeric enum.
+// and the offset from the recorder's creation. It marshals to a flat JSON
+// object: "seq" and "at_ns" followed by the embedded Event's fields.
 type FlightEntry struct {
 	// Seq numbers events 1..N in arrival order across the whole run, not
 	// just the retained window: Seq of the oldest retained entry tells a
 	// reader how many earlier events the ring evicted.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// At is the event's offset from the recorder's creation.
-	At time.Duration
+	At time.Duration `json:"at_ns"`
 	// Event is the recorded event itself.
-	Event Event
-}
-
-// flightJSON is the wire form of a FlightEntry. Fields meaningless for the
-// entry's kind are omitted; Node, N, Depth and Worker are always present
-// because zero is a meaningful value for them (node 0, worker −1 is live but
-// worker 0 is not).
-type flightJSON struct {
-	Seq             uint64      `json:"seq"`
-	AtNS            int64       `json:"at_ns"`
-	Kind            string      `json:"kind"`
-	Phase           string      `json:"phase,omitempty"`
-	ElapsedNS       int64       `json:"elapsed_ns,omitempty"`
-	Node            int         `json:"node"`
-	N               int         `json:"n"`
-	Depth           int         `json:"depth"`
-	Worker          int         `json:"worker"`
-	Strategy        string      `json:"strategy,omitempty"`
-	Label           string      `json:"label,omitempty"`
-	Conflict        float64     `json:"conflict,omitempty"`
-	Steps           int         `json:"steps,omitempty"`
-	Backtracks      int         `json:"backtracks,omitempty"`
-	Candidates      int         `json:"candidates,omitempty"`
-	CacheHits       int         `json:"cache_hits,omitempty"`
-	CacheMisses     int         `json:"cache_misses,omitempty"`
-	Nogoods         int         `json:"nogoods,omitempty"`
-	NogoodHits      int         `json:"nogood_hits,omitempty"`
-	Backjumps       int         `json:"backjumps,omitempty"`
-	MaxBackjump     int         `json:"max_backjump,omitempty"`
-	Span            uint64      `json:"span,omitempty"`
-	Parent          uint64      `json:"parent,omitempty"`
-	Enumerated      int         `json:"enumerated,omitempty"`
-	RejectedOverlap int         `json:"rejected_overlap,omitempty"`
-	RejectedUpper   int         `json:"rejected_upper,omitempty"`
-	Blocker         int         `json:"blocker,omitempty"`
-	Members         int         `json:"members,omitempty"`
-	Skipped         int         `json:"skipped,omitempty"`
-	Metrics         *RunMetrics `json:"metrics,omitempty"`
-	Err             string      `json:"error,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (e FlightEntry) MarshalJSON() ([]byte, error) {
-	ev := e.Event
-	return json.Marshal(flightJSON{
-		Seq:   e.Seq,
-		AtNS:  e.At.Nanoseconds(),
-		Kind:  ev.Kind.String(),
-		Phase: string(ev.Phase), ElapsedNS: ev.Elapsed.Nanoseconds(),
-		Node: ev.Node, N: ev.N, Depth: ev.Depth, Worker: ev.Worker,
-		Strategy: ev.Strategy, Label: ev.Label, Conflict: ev.Conflict,
-		Steps: ev.Steps, Backtracks: ev.Backtracks, Candidates: ev.Candidates,
-		CacheHits: ev.CacheHits, CacheMisses: ev.CacheMisses,
-		Nogoods: ev.Nogoods, NogoodHits: ev.NogoodHits,
-		Backjumps: ev.Backjumps, MaxBackjump: ev.MaxBackjump,
-		Span: ev.Span, Parent: ev.Parent,
-		Enumerated: ev.Enumerated, RejectedOverlap: ev.RejectedOverlap,
-		RejectedUpper: ev.RejectedUpper, Blocker: ev.Blocker,
-		Members: ev.Members, Skipped: ev.Skipped,
-		Metrics: ev.Metrics, Err: ev.Err,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler (history-ledger records carry
-// flight snapshots, so dumps must load back).
-func (e *FlightEntry) UnmarshalJSON(data []byte) error {
-	var f flightJSON
-	if err := json.Unmarshal(data, &f); err != nil {
-		return err
-	}
-	kind, ok := ParseEventKind(f.Kind)
-	if !ok {
-		return fmt.Errorf("trace: unknown event kind %q", f.Kind)
-	}
-	*e = FlightEntry{
-		Seq: f.Seq,
-		At:  time.Duration(f.AtNS),
-		Event: Event{
-			Kind:  kind,
-			Phase: Phase(f.Phase), Elapsed: time.Duration(f.ElapsedNS),
-			Node: f.Node, N: f.N, Depth: f.Depth, Worker: f.Worker,
-			Strategy: f.Strategy, Label: f.Label, Conflict: f.Conflict,
-			Steps: f.Steps, Backtracks: f.Backtracks, Candidates: f.Candidates,
-			CacheHits: f.CacheHits, CacheMisses: f.CacheMisses,
-			Nogoods: f.Nogoods, NogoodHits: f.NogoodHits,
-			Backjumps: f.Backjumps, MaxBackjump: f.MaxBackjump,
-			Span: f.Span, Parent: f.Parent,
-			Enumerated: f.Enumerated, RejectedOverlap: f.RejectedOverlap,
-			RejectedUpper: f.RejectedUpper, Blocker: f.Blocker,
-			Members: f.Members, Skipped: f.Skipped,
-			Metrics: f.Metrics, Err: f.Err,
-		},
-	}
-	return nil
-}
-
-// ParseEventKind resolves an EventKind's String form back to the kind.
-func ParseEventKind(s string) (EventKind, bool) {
-	for k := KindPhaseStart; k <= KindRunEnd; k++ {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
+	Event
 }
 
 // FlightRecorder is a bounded, allocation-light ring of the most recent

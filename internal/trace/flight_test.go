@@ -116,10 +116,24 @@ func TestFlightEntryJSONRoundTrip(t *testing.T) {
 				RunID: 3, Total: time.Second, Steps: 7, WinnerStrategy: "Basic", Accuracy: -1,
 				Phases: []PhaseTiming{{Phase: PhaseBind, Duration: time.Millisecond}},
 			}}},
+		{Seq: 6, At: 6 * time.Millisecond, Event: Event{Kind: KindEdge, Node: 1, N: 2, Conflict: 0.25,
+			Strategy: "s", Span: 9, Parent: 8, Skipped: 3, Label: "l"}},
 	}
 	data, err := json.Marshal(entries)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The exact bytes are part of the flight, SSE and ledger formats: key
+	// order, omitted zero fields and the always-present node/n/depth/worker.
+	const want = `[{"seq":1,"at_ns":1000000,"kind":"phase-start","phase":"color","node":0,"n":0,"depth":0,"worker":0},` +
+		`{"seq":2,"at_ns":2000000,"kind":"exhausted","node":3,"n":4,"depth":2,"worker":0,"enumerated":7,"rejected_overlap":1,"rejected_upper":2,"blocker":5},` +
+		`{"seq":3,"at_ns":3000000,"kind":"progress","node":0,"n":0,"depth":8,"worker":-1,"steps":100,"backtracks":9,"candidates":42,"cache_hits":5,"cache_misses":6,"nogoods":2,"nogood_hits":3,"backjumps":1,"max_backjump":4},` +
+		`{"seq":4,"at_ns":4000000,"kind":"nogood","node":2,"n":0,"depth":5,"worker":0,"members":3},` +
+		`{"seq":5,"at_ns":5000000,"kind":"run-end","elapsed_ns":1000000000,"node":0,"n":0,"depth":0,"worker":0,"label":"error",` +
+		`"metrics":{"run_id":3,"total_ns":1000000000,"phases":[{"phase":"bind","duration_ns":1000000}],"steps":7,"backtracks":0,"candidates_tried":0,"candidate_cache_hits":0,"candidate_cache_misses":0,"winner_strategy":"Basic","canceled":false,"accuracy":-1},"error":"boom"},` +
+		`{"seq":6,"at_ns":6000000,"kind":"edge","node":1,"n":2,"depth":0,"worker":0,"strategy":"s","label":"l","conflict":0.25,"span":9,"parent":8,"skipped":3}]`
+	if string(data) != want {
+		t.Fatalf("wire bytes changed:\n got %s\nwant %s", data, want)
 	}
 	var back []FlightEntry
 	if err := json.Unmarshal(data, &back); err != nil {
@@ -137,20 +151,27 @@ func TestFlightEntryJSONRoundTrip(t *testing.T) {
 
 func TestFlightEntryJSONUnknownKind(t *testing.T) {
 	var e FlightEntry
-	if err := json.Unmarshal([]byte(`{"seq":1,"kind":"no-such-kind"}`), &e); err == nil {
-		t.Fatal("unknown kind accepted")
+	err := json.Unmarshal([]byte(`{"seq":1,"kind":"no-such-kind"}`), &e)
+	if err == nil || err.Error() != `trace: unknown event kind "no-such-kind"` {
+		t.Fatalf("unknown kind: err = %v", err)
 	}
 }
 
+// TestParseEventKind: every kind's text form parses back to the kind.
 func TestParseEventKind(t *testing.T) {
 	for k := KindPhaseStart; k <= KindRunEnd; k++ {
-		got, ok := ParseEventKind(k.String())
-		if !ok || got != k {
-			t.Fatalf("ParseEventKind(%q) = %v, %v", k.String(), got, ok)
+		text, err := k.MarshalText()
+		if err != nil || string(text) != k.String() {
+			t.Fatalf("MarshalText(%v) = %q, %v", k, text, err)
+		}
+		var got EventKind
+		if err := got.UnmarshalText(text); err != nil || got != k {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", text, got, err)
 		}
 	}
-	if _, ok := ParseEventKind("bogus"); ok {
-		t.Fatal("ParseEventKind accepted bogus kind")
+	var k EventKind
+	if err := k.UnmarshalText([]byte("bogus")); err == nil {
+		t.Fatal("UnmarshalText accepted bogus kind")
 	}
 }
 

@@ -135,8 +135,9 @@ const (
 	KindBackjump
 	// KindRunEnd is the terminal event of every run: core.Anonymize emits it
 	// exactly once, last, through the run's whole tracer tee (a caller's
-	// Options.Tracer, the run registry, the engine profiler), after it has
-	// built the run's RunMetrics. Event.Metrics carries those metrics — the
+	// Options.Tracer and the run registry, which forwards it to the run's
+	// profiler when profiling is on), after it has built the run's
+	// RunMetrics. Event.Metrics carries those metrics — the
 	// same pointer as Result.Metrics — Event.Label the outcome as
 	// core.RunOutcome classifies it ("ok", "infeasible", "canceled" or
 	// "error"), Event.Elapsed the run's wall time and Event.Err the error
@@ -186,33 +187,72 @@ func (k EventKind) String() string {
 	}
 }
 
+// MarshalText renders the kind as its String form, so flight dumps, SSE
+// frames and ledger records are self-describing without the numeric enum.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText resolves a kind's String form back to the kind, rejecting
+// unknown names.
+func (k *EventKind) UnmarshalText(text []byte) error {
+	for kind := KindPhaseStart; kind <= KindRunEnd; kind++ {
+		if kind.String() == string(text) {
+			*k = kind
+			return nil
+		}
+	}
+	return fmt.Errorf("trace: unknown event kind %q", text)
+}
+
 // Event is one typed observation from a DIVA run. Which fields are
 // meaningful depends on Kind; unused fields are zero.
+//
+// Event is its own wire format (FlightEntry embeds it): Kind travels as its
+// String form, fields meaningless for the kind are omitted, and Node, N,
+// Depth and Worker are always present because zero is a meaningful value
+// for them (node 0, worker 0).
 type Event struct {
-	Kind EventKind
+	Kind EventKind `json:"kind"`
 	// Phase is set for KindPhaseStart and KindPhaseEnd.
-	Phase Phase
+	Phase Phase `json:"phase,omitempty"`
 	// Elapsed is the phase wall time, set for KindPhaseEnd.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 	// Node is the constraint-graph node index for KindAssign, KindBacktrack,
 	// KindCandidates and KindCacheHit.
-	Node int
+	Node int `json:"node"`
 	// N is a kind-specific count: candidates enumerated, the winning worker
 	// index for KindWorkerWin, or — for KindAssign/KindBacktrack — a batch
 	// size when a portfolio winner replays its per-node counts (0 means 1).
-	N int
-	// Strategy is the winning worker's strategy name for KindWorkerWin.
-	Strategy string
-	// Steps, Backtracks, Candidates, CacheHits and CacheMisses are the
-	// emitting search's cumulative counters, set for KindProgress.
-	Steps, Backtracks, Candidates, CacheHits, CacheMisses int
+	N int `json:"n"`
 	// Depth is the number of colored nodes at the heartbeat (KindProgress)
 	// or when a per-node search event (KindAssign, KindBacktrack,
 	// KindCandidates, KindCacheHit, KindExhausted) was emitted.
-	Depth int
+	Depth int `json:"depth"`
 	// Worker is the emitting portfolio worker for KindProgress (−1 when the
 	// search runs sequentially).
-	Worker int
+	Worker int `json:"worker"`
+	// Strategy is the winning worker's strategy name for KindWorkerWin.
+	Strategy string `json:"strategy,omitempty"`
+	// Label is the constraint rendered in the paper's notation for KindNode,
+	// or the cut attribute's name for KindSplit ("" for a leaf partition).
+	Label string `json:"label,omitempty"`
+	// Conflict is the target-set Jaccard overlap of an edge's endpoints, set
+	// for KindEdge (Event.Node and Event.N are the endpoints).
+	Conflict float64 `json:"conflict,omitempty"`
+	// Steps, Backtracks, Candidates, CacheHits and CacheMisses are the
+	// emitting search's cumulative counters, set for KindProgress.
+	Steps       int `json:"steps,omitempty"`
+	Backtracks  int `json:"backtracks,omitempty"`
+	Candidates  int `json:"candidates,omitempty"`
+	CacheHits   int `json:"cache_hits,omitempty"`
+	CacheMisses int `json:"cache_misses,omitempty"`
+	// Nogoods, NogoodHits, Backjumps and MaxBackjump are the emitting
+	// search's cumulative nogood-learning counters, set for KindProgress:
+	// conflict sets learned, candidates pruned by a store hit, backjumps
+	// taken, and the deepest single backjump (in skipped levels).
+	Nogoods     int `json:"nogoods,omitempty"`
+	NogoodHits  int `json:"nogood_hits,omitempty"`
+	Backjumps   int `json:"backjumps,omitempty"`
+	MaxBackjump int `json:"max_backjump,omitempty"`
 	// Span identifies the search-tree node-visit a KindAssign opens and the
 	// matching KindBacktrack closes. Span IDs are unique and monotone within
 	// one search; 0 means "no span" (batched portfolio replays carry no
@@ -221,33 +261,26 @@ type Event struct {
 	// KindCacheHit and KindExhausted, naming the visit they occurred under.
 	// Together they let a consumer (internal/profile) reconstruct the
 	// hierarchical search tree from the flat event stream.
-	Span, Parent uint64
-	// Label is the constraint rendered in the paper's notation for KindNode,
-	// or the cut attribute's name for KindSplit ("" for a leaf partition).
-	Label string
-	// Conflict is the target-set Jaccard overlap of an edge's endpoints, set
-	// for KindEdge (Event.Node and Event.N are the endpoints).
-	Conflict float64
+	Span   uint64 `json:"span,omitempty"`
+	Parent uint64 `json:"parent,omitempty"`
 	// Enumerated, RejectedOverlap, RejectedUpper and Blocker describe a
 	// KindExhausted visit: candidates considered, consistency-check
 	// rejections by reason, and the node whose upper bound rejected the most
 	// candidates (−1 when no upper-bound rejection occurred).
-	Enumerated, RejectedOverlap, RejectedUpper, Blocker int
+	Enumerated      int `json:"enumerated,omitempty"`
+	RejectedOverlap int `json:"rejected_overlap,omitempty"`
+	RejectedUpper   int `json:"rejected_upper,omitempty"`
+	Blocker         int `json:"blocker,omitempty"`
 	// Members is the size of a learned conflict set, set for live KindNogood
 	// events (0 on batched replays).
-	Members int
+	Members int `json:"members,omitempty"`
 	// Skipped counts the chronological backtrack levels a backjump leapt
 	// over, set for live KindBackjump events (0 on batched replays).
-	Skipped int
-	// Nogoods, NogoodHits, Backjumps and MaxBackjump are the emitting
-	// search's cumulative nogood-learning counters, set for KindProgress:
-	// conflict sets learned, candidates pruned by a store hit, backjumps
-	// taken, and the deepest single backjump (in skipped levels).
-	Nogoods, NogoodHits, Backjumps, MaxBackjump int
+	Skipped int `json:"skipped,omitempty"`
 	// Metrics and Err are set on KindRunEnd only: the run's RunMetrics and,
 	// for a failed run, its error text.
-	Metrics *RunMetrics
-	Err     string
+	Metrics *RunMetrics `json:"metrics,omitempty"`
+	Err     string      `json:"error,omitempty"`
 }
 
 // Tracer observes run events. Implementations used with sequential runs are
@@ -429,18 +462,17 @@ func (r *Recorder) Snapshot() *RunMetrics {
 	return &m
 }
 
-// WriterTracer logs events as text lines, one per event. By default only
-// phase boundaries and portfolio outcomes are printed; Verbose additionally
-// prints per-node search events (very chatty on hard instances). Each event
-// is rendered into a private buffer and issued as a single Write, so trace
+// WriterTracer logs events as text lines, one per event: phase boundaries,
+// portfolio outcomes and the shard plan. Per-node search events are not
+// printed; a Profiler or the flight recorder keeps them. Each event is
+// rendered into a private buffer and issued as a single Write, so trace
 // lines never shear with other writers — slog, the engine's own stderr
 // output — sharing the destination.
 type WriterTracer struct {
-	mu      sync.Mutex
-	w       io.Writer
-	buf     []byte
-	start   time.Time
-	Verbose bool
+	mu    sync.Mutex
+	w     io.Writer
+	buf   []byte
+	start time.Time
 }
 
 // NewWriter returns a WriterTracer logging to w. Timestamps are offsets from
@@ -453,69 +485,23 @@ func NewWriter(w io.Writer) *WriterTracer {
 func (t *WriterTracer) Trace(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	at := time.Since(t.start)
+	at := time.Since(t.start).Round(time.Microsecond)
 	b := t.buf[:0]
 	switch ev.Kind {
 	case KindPhaseStart:
-		b = fmt.Appendf(b, "trace %10s  phase %-11s start\n", at.Round(time.Microsecond), ev.Phase)
+		b = fmt.Appendf(b, "trace %10s  phase %-11s start\n", at, ev.Phase)
 	case KindPhaseEnd:
-		b = fmt.Appendf(b, "trace %10s  phase %-11s end   %v\n", at.Round(time.Microsecond), ev.Phase, ev.Elapsed.Round(time.Microsecond))
+		b = fmt.Appendf(b, "trace %10s  phase %-11s end   %v\n", at, ev.Phase, ev.Elapsed.Round(time.Microsecond))
 	case KindWorkerWin:
-		b = fmt.Appendf(b, "trace %10s  portfolio worker %d (%s) won\n", at.Round(time.Microsecond), ev.N, ev.Strategy)
-	case KindProgress:
-		if !t.Verbose {
-			return
-		}
-		b = fmt.Appendf(b, "trace %10s  progress steps=%d backtracks=%d depth=%d worker=%d\n",
-			at.Round(time.Microsecond), ev.Steps, ev.Backtracks, ev.Depth, ev.Worker)
-	case KindExhausted:
-		if !t.Verbose {
-			return
-		}
-		b = fmt.Appendf(b, "trace %10s  exhausted node=%d tried=%d enumerated=%d rejected-upper=%d rejected-overlap=%d blocker=%d depth=%d\n",
-			at.Round(time.Microsecond), ev.Node, ev.N, ev.Enumerated, ev.RejectedUpper, ev.RejectedOverlap, ev.Blocker, ev.Depth)
-	case KindNode:
-		if !t.Verbose {
-			return
-		}
-		b = fmt.Appendf(b, "trace %10s  node %d (%s) neighbors=%d\n", at.Round(time.Microsecond), ev.Node, ev.Label, ev.N)
-	case KindEdge:
-		if !t.Verbose {
-			return
-		}
-		b = fmt.Appendf(b, "trace %10s  edge %d-%d conflict=%.3f\n", at.Round(time.Microsecond), ev.Node, ev.N, ev.Conflict)
-	case KindSplit:
-		if !t.Verbose {
-			return
-		}
-		if ev.Label == "" {
-			b = fmt.Appendf(b, "trace %10s  split leaf size=%d depth=%d\n", at.Round(time.Microsecond), ev.N, ev.Depth)
-		} else {
-			b = fmt.Appendf(b, "trace %10s  split on %s size=%d depth=%d took=%v\n", at.Round(time.Microsecond), ev.Label, ev.N, ev.Depth, ev.Elapsed.Round(time.Microsecond))
-		}
-	case KindNogood:
-		if !t.Verbose {
-			return
-		}
-		b = fmt.Appendf(b, "trace %10s  nogood node=%d members=%d depth=%d\n", at.Round(time.Microsecond), ev.Node, ev.Members, ev.Depth)
-	case KindBackjump:
-		if !t.Verbose {
-			return
-		}
-		b = fmt.Appendf(b, "trace %10s  backjump to node=%d skipped=%d depth=%d\n", at.Round(time.Microsecond), ev.Node, ev.Skipped, ev.Depth)
+		b = fmt.Appendf(b, "trace %10s  portfolio worker %d (%s) won\n", at, ev.N, ev.Strategy)
 	case KindShard:
-		// Shard-plan events are low-volume (one per component/shard) and name
-		// the run's structure; print them like phase boundaries, always.
 		if ev.Label == "component" {
-			b = fmt.Appendf(b, "trace %10s  shard component %d: %d constraints over %d pool rows\n", at.Round(time.Microsecond), ev.Node, ev.Depth, ev.N)
+			b = fmt.Appendf(b, "trace %10s  shard component %d: %d constraints over %d pool rows\n", at, ev.Node, ev.Depth, ev.N)
 		} else {
-			b = fmt.Appendf(b, "trace %10s  shard rest %d: %d rows\n", at.Round(time.Microsecond), ev.Node, ev.N)
+			b = fmt.Appendf(b, "trace %10s  shard rest %d: %d rows\n", at, ev.Node, ev.N)
 		}
 	default:
-		if !t.Verbose {
-			return
-		}
-		b = fmt.Appendf(b, "trace %10s  %s node=%d n=%d\n", at.Round(time.Microsecond), ev.Kind, ev.Node, ev.N)
+		return
 	}
 	t.buf = b
 	t.w.Write(b)

@@ -61,7 +61,7 @@ func TestWriterTracer(t *testing.T) {
 	var b strings.Builder
 	w := NewWriter(&b)
 	w.Trace(Event{Kind: KindPhaseStart, Phase: PhaseColor})
-	w.Trace(Event{Kind: KindAssign, Node: 7}) // suppressed: not verbose
+	w.Trace(Event{Kind: KindAssign, Node: 7}) // per-node events are not printed
 	w.Trace(Event{Kind: KindPhaseEnd, Phase: PhaseColor, Elapsed: time.Millisecond})
 	w.Trace(Event{Kind: KindWorkerWin, N: 1, Strategy: "Basic"})
 	out := b.String()
@@ -72,11 +72,6 @@ func TestWriterTracer(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output %q missing %q", out, want)
 		}
-	}
-	w.Verbose = true
-	w.Trace(Event{Kind: KindCacheHit, Node: 7, N: 4})
-	if !strings.Contains(b.String(), "cache-hit node=7 n=4") {
-		t.Fatalf("verbose output missing node event: %q", b.String())
 	}
 }
 
@@ -97,19 +92,16 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 func TestWriterTracerAtomicWrites(t *testing.T) {
 	var cw countingWriter
 	w := NewWriter(&cw)
-	w.Verbose = true
 	events := []Event{
+		{Kind: KindPhaseStart, Phase: PhaseBuildGraph},
+		{Kind: KindShard, Label: "component", Node: 0, N: 40, Depth: 3},
+		{Kind: KindPhaseEnd, Phase: PhaseBuildGraph, Elapsed: time.Millisecond},
 		{Kind: KindPhaseStart, Phase: PhaseColor},
-		{Kind: KindAssign, Node: 7, Depth: 2, Span: 3, Parent: 1},
-		{Kind: KindCandidates, Node: 7, N: 4},
-		{Kind: KindCacheHit, Node: 7, N: 4},
-		{Kind: KindExhausted, Node: 7, Enumerated: 4, RejectedUpper: 2, Blocker: 1},
-		{Kind: KindBacktrack, Node: 7, Span: 3},
-		{Kind: KindNode, Node: 0, Label: "ETH[Asian], 2, 5", N: 2},
-		{Kind: KindEdge, Node: 0, N: 2, Conflict: 0.5},
-		{Kind: KindProgress, Steps: 100, Backtracks: 3, Worker: -1},
-		{Kind: KindPhaseEnd, Phase: PhaseColor, Elapsed: time.Millisecond},
 		{Kind: KindWorkerWin, N: 1, Strategy: "Basic"},
+		{Kind: KindPhaseEnd, Phase: PhaseColor, Elapsed: time.Millisecond},
+		{Kind: KindPhaseStart, Phase: PhaseBaseline},
+		{Kind: KindShard, Label: "rest", Node: 1, N: 12},
+		{Kind: KindPhaseEnd, Phase: PhaseBaseline, Elapsed: time.Millisecond},
 	}
 	for _, ev := range events {
 		w.Trace(ev)
