@@ -8,7 +8,7 @@ GO ?= go
 BENCH_OLD ?= /tmp/bench_old.txt
 BENCH_NEW ?= /tmp/bench_new.txt
 
-.PHONY: all build fmt-check vet test race bench-check bench bench-color bench-store bench-compare bench-baseline baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke nogood-smoke verify fuzz-smoke ci
+.PHONY: all build fmt-check vet test race bench-check bench bench-color bench-rest bench-store bench-compare bench-baseline baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke nogood-smoke verify fuzz-smoke ci
 
 # Minimum statement coverage for the verification subsystem itself — the
 # checker that everything else leans on must stay tested.
@@ -59,6 +59,14 @@ bench-color:
 	$(GO) test -bench 'BenchmarkColoring' -count 5 -run '^$$' ./internal/search/
 	$(GO) test -bench 'BenchmarkPools' -count 5 -run '^$$' ./internal/constraint/
 	$(GO) test -bench 'BenchmarkNewEnumerator|BenchmarkCandidates' -count 5 -run '^$$' ./internal/cluster/
+
+# bench-rest runs the baseline phase's row-ordering benchmarks: the shard
+# plan's radix sort over the census-60k rest rows and Mondrian (parallel and
+# sequential) up to the full 299,285-row census, with enough repetitions for
+# benchstat.
+bench-rest:
+	$(GO) test -bench 'BenchmarkPlanRestShards' -count 5 -run '^$$' ./internal/core/
+	$(GO) test -bench 'BenchmarkPartitioners/Mondrian' -count 5 -run '^$$' ./internal/anon/
 
 # bench-store runs the tuple-store benchmarks — chunked annotated-CSV
 # loading and the in-place rendering of a census sample's Mondrian partition

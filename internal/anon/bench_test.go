@@ -9,8 +9,11 @@ import (
 	"diva/internal/dataset"
 )
 
+// BenchmarkPartitioners times each partitioner over census samples up to the
+// full published size (dataset.CensusRows); k-member and OKA run only on the
+// small ones.
 func BenchmarkPartitioners(b *testing.B) {
-	for _, rows := range []int{1000, 5000, 60000} {
+	for _, rows := range []int{1000, 5000, 60000, dataset.CensusRows} {
 		rel := dataset.Census().Generate(rows, 7)
 		all := make([]int, rel.Len())
 		for i := range all {
@@ -18,7 +21,7 @@ func BenchmarkPartitioners(b *testing.B) {
 		}
 		var ps []Partitioner
 		if rows <= 5000 {
-			// k-member and OKA take seconds per call at 60,000 rows.
+			// k-member and OKA take seconds per call from 60,000 rows up.
 			ps = append(ps, &KMember{Rng: rand.New(rand.NewPCG(1, 2)), SampleCap: 256}, &OKA{Rng: rand.New(rand.NewPCG(1, 2))})
 		}
 		ps = append(ps, &Mondrian{}, &Mondrian{Parallelism: 1})

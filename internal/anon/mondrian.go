@@ -40,7 +40,8 @@ type Mondrian struct {
 	Parallelism int
 	// Tracer, when non-nil, receives one trace.KindSplit event per cut made
 	// (Label = cut attribute, N = partition size, Depth = recursion depth,
-	// Elapsed = time spent finding the cut) and one per leaf emitted
+	// Elapsed = time spent finding the cut and deriving the two halves'
+	// histograms) and one per leaf emitted
 	// (Label = ""). Events are serialized internally, so any Tracer works.
 	Tracer trace.Tracer
 }
@@ -87,7 +88,7 @@ func (m *Mondrian) Partition(ctx context.Context, rel *relation.Relation, rows [
 		copy(part, rows)
 		return [][]int{part}, nil
 	}
-	r := newMondrianRun(ctx, m.Criterion, rel, rows, k)
+	r, s := newMondrianRun(ctx, m.Criterion, rel, rows, k)
 	r.tr = tr
 
 	workers := m.Parallelism
@@ -99,16 +100,17 @@ func (m *Mondrian) Partition(ctx context.Context, rel *relation.Relation, rows [
 	}
 	// The calling goroutine is worker zero; idle holds the extra capacity,
 	// one slot per spare worker, each carrying that worker's scratch once it
-	// has been allocated. A nil idle channel (Parallelism 1, or too few rows
-	// for a spawnGrain half) never admits a spawn, which reduces split to
-	// plain sequential recursion.
+	// has been allocated (nil before, and after a failed subtree left it
+	// dirty). A nil idle channel (Parallelism 1, or too few rows for a
+	// spawnGrain half) never admits a spawn, which reduces split to plain
+	// sequential recursion.
 	if workers > 1 && len(rows) > spawnGrain {
 		r.idle = make(chan *mondrianScratch, workers-1)
 		for i := 0; i < workers-1; i++ {
 			r.idle <- nil
 		}
 	}
-	if err := r.split(r.newScratch(), 0, len(rows), 0); err != nil {
+	if err := r.split(s, 0, len(rows), 0); err != nil {
 		return nil, err
 	}
 	return r.clusters(), nil
@@ -163,7 +165,9 @@ type mondrianAttr struct {
 	span float64
 }
 
-func newMondrianRun(ctx context.Context, crit privacy.Criterion, rel *relation.Relation, rows []int, k int) *mondrianRun {
+// newMondrianRun also returns worker zero's scratch, holding the root's
+// histograms: they are counted while the code table is filled.
+func newMondrianRun(ctx context.Context, crit privacy.Criterion, rel *relation.Relation, rows []int, k int) (*mondrianRun, *mondrianScratch) {
 	schema := rel.Schema()
 	r := &mondrianRun{ctx: ctx, crit: crit, rel: rel, rows: rows, k: k, qi: schema.QIIndexes()}
 	r.attrs = make([]mondrianAttr, len(r.qi))
@@ -171,30 +175,36 @@ func newMondrianRun(ctx context.Context, crit privacy.Criterion, rel *relation.R
 		at := &r.attrs[i]
 		at.codes = rel.Dict(a).Len()
 		at.cardm1 = float64(max(rel.Dict(a).Cardinality()-1, 1))
-		if schema.Attr(a).Kind == relation.Numeric {
-			at.rankValues(rel, a, rows)
-		}
 	}
 	n := len(rows)
 	r.codes = make([]uint32, 0, n*len(r.qi))
 	bufs := make([]int, 2*n)
 	r.bufs = [2][]int{bufs[:n:n], bufs[n:]}
+	root := r.newScratch()
 	for p, row := range rows {
 		codes := rel.Row(row)
-		for _, a := range r.qi {
-			r.codes = append(r.codes, codes[a])
+		for ai, a := range r.qi {
+			c := codes[a]
+			r.codes = append(r.codes, c)
+			root.sets[0].add(ai, c, 1)
 		}
 		r.bufs[0][p] = p
 	}
+	for i, a := range r.qi {
+		if schema.Attr(a).Kind == relation.Numeric {
+			r.attrs[i].rankValues(rel, a, root.sets[0].distinct[i])
+		}
+	}
 	r.leafStart = make([]bool, n)
-	return r
+	return r, root
 }
 
 // rankValues builds the rank table of numeric attribute a and its value
-// range over rows. It also parses the attribute's whole dictionary into the
-// relation's numeric cache before any worker reads it. The attribute stays
-// categorical (rank nil) when rows hold no positive value range.
-func (at *mondrianAttr) rankValues(rel *relation.Relation, a int, rows []int) {
+// range over the codes present in the input. It also parses the attribute's
+// whole dictionary into the relation's numeric cache before any worker reads
+// it. The attribute stays categorical (rank nil) when the input holds no
+// positive value range.
+func (at *mondrianAttr) rankValues(rel *relation.Relation, a int, present []uint32) {
 	vals := make([]float64, at.codes)
 	inRange := make([]bool, at.codes)
 	byVal := make([]uint32, at.codes)
@@ -213,8 +223,8 @@ func (at *mondrianAttr) rankValues(rel *relation.Relation, a int, rows []int) {
 		rank[c] = int32(len(rankVal) - 1)
 	}
 	lo, hi := int32(math.MaxInt32), int32(-1)
-	for _, row := range rows {
-		if c := rel.Code(row, a); inRange[c] {
+	for _, c := range present {
+		if inRange[c] {
 			lo, hi = min(lo, rank[c]), max(hi, rank[c])
 		}
 	}
@@ -224,23 +234,40 @@ func (at *mondrianAttr) rankValues(rel *relation.Relation, a int, rows []int) {
 	at.rank, at.rankVal, at.inRange, at.span = rank, rankVal, inRange, rankVal[hi]-rankVal[lo]
 }
 
-// mondrianScratch is one worker goroutine's per-node working memory,
-// allocated once per worker. Between nodes every hist entry is zero and
-// every distinct list empty.
+// mondrianScratch is one worker goroutine's working memory, allocated once
+// per worker.
+//
+// Histograms are derived, not recounted: a node's histograms sit in
+// sets[0]; after its cut the smaller half is counted into sets[1] and the
+// larger half's histograms are the node's minus the smaller's, computed in
+// place over the node's distinct lists. A half below 2k rows is a leaf and
+// keeps none. While the left subtree runs, the right half's histograms wait
+// on the pending stack in sparse form. Pending halves cover disjoint row
+// ranges, so the stack never holds more than |rows|·|QI| entries, and the
+// two dense sets are all the per-domain memory a worker needs at any depth.
+// Between nodes both sets are zero and the pending stack is empty.
 type mondrianScratch struct {
-	hist     [][]int     // per QI attribute: code → rows holding it in the node
-	distinct [][]uint32  // per QI attribute: the codes with a non-zero hist entry
-	off      []int       // counting-sort bucket cursors, by rank or code
-	order    []attrWidth // QI attributes by descending width
-	group    []int       // row indexes of a candidate half, for the criterion
+	sets    [2]histSet
+	pending []codeCount // sparse histograms of right halves, a stack
+	lens    []int       // per pushed half and QI attribute: its entries in pending
+	off     []int       // counting-sort bucket cursors, by rank or code
+	order   []attrWidth // QI attributes by descending width
+	group   []int       // row indexes of a candidate half, for the criterion
+}
+
+// histSet holds one node's histograms.
+type histSet struct {
+	hist     [][]int32  // per QI attribute: code → rows holding it in the node
+	distinct [][]uint32 // per QI attribute: the codes with a non-zero hist entry
+}
+
+type codeCount struct {
+	code uint32
+	n    int32
 }
 
 func (r *mondrianRun) newScratch() *mondrianScratch {
-	s := &mondrianScratch{
-		hist:     make([][]int, len(r.attrs)),
-		distinct: make([][]uint32, len(r.attrs)),
-		order:    make([]attrWidth, len(r.attrs)),
-	}
+	s := &mondrianScratch{order: make([]attrWidth, len(r.attrs))}
 	// A node holds at most min(codes, rows) distinct codes of an attribute,
 	// so capped subslices of one block never reallocate.
 	total, most, distinct := 0, 0, 0
@@ -249,20 +276,126 @@ func (r *mondrianRun) newScratch() *mondrianScratch {
 		most = max(most, at.codes)
 		distinct += min(at.codes, len(r.rows))
 	}
-	hist, ds := make([]int, total+most), make([]uint32, distinct)
-	for i, at := range r.attrs {
-		s.hist[i], hist = hist[:at.codes:at.codes], hist[at.codes:]
-		d := min(at.codes, len(r.rows))
-		s.distinct[i], ds = ds[:0:d], ds[d:]
+	hist, ds := make([]int32, 2*total), make([]uint32, 2*distinct)
+	for i := range s.sets {
+		h := &s.sets[i]
+		h.hist, h.distinct = make([][]int32, len(r.attrs)), make([][]uint32, len(r.attrs))
+		for ai, at := range r.attrs {
+			h.hist[ai], hist = hist[:at.codes:at.codes], hist[at.codes:]
+			d := min(at.codes, len(r.rows))
+			h.distinct[ai], ds = ds[:0:d], ds[d:]
+		}
 	}
-	s.off = hist
+	s.off = make([]int, most)
 	return s
 }
 
+// add counts n more rows holding code c of attribute ai.
+func (h *histSet) add(ai int, c uint32, n int32) {
+	if h.hist[ai][c] == 0 {
+		h.distinct[ai] = append(h.distinct[ai], c)
+	}
+	h.hist[ai][c] += n
+}
+
+// count fills the histograms of the rows at positions part in one
+// row-major pass.
+func (h *histSet) count(r *mondrianRun, part []int) {
+	q := len(r.qi)
+	for _, p := range part {
+		for ai, c := range r.codes[p*q : p*q+q] {
+			h.add(ai, c, 1)
+		}
+	}
+}
+
+// subtract removes the counts of sub from h, dropping the codes that reach
+// zero from h's distinct lists. It costs O(h's distinct codes).
+func (h *histSet) subtract(sub *histSet) {
+	for ai, ds := range h.distinct {
+		hh, sh := h.hist[ai], sub.hist[ai]
+		kept := ds[:0]
+		for _, c := range ds {
+			if hh[c] -= sh[c]; hh[c] != 0 {
+				kept = append(kept, c)
+			}
+		}
+		h.distinct[ai] = kept
+	}
+}
+
+// reset zeroes the histograms through their distinct lists, so it costs
+// O(distinct codes), not O(domain).
+func (h *histSet) reset() {
+	for ai, ds := range h.distinct {
+		for _, c := range ds {
+			h.hist[ai][c] = 0
+		}
+		h.distinct[ai] = ds[:0]
+	}
+}
+
+// halves turns the histograms of a node just cut at position cut of dst
+// into its halves': the left half's in sets[0], the right half's in
+// sets[1], each empty when that half is below 2k rows. Only the smaller
+// half's rows are read.
+func (s *mondrianScratch) halves(r *mondrianRun, dst []int, cut int) {
+	left, right := dst[:cut], dst[cut:]
+	if len(left) < 2*r.k && len(right) < 2*r.k {
+		s.sets[0].reset()
+		return
+	}
+	small := left
+	if len(right) < len(left) {
+		small = right
+	}
+	s.sets[1].count(r, small)
+	s.sets[0].subtract(&s.sets[1])
+	if len(small) < 2*r.k {
+		s.sets[1].reset()
+	}
+	if len(small) == len(left) {
+		s.sets[0], s.sets[1] = s.sets[1], s.sets[0]
+	}
+}
+
+// push moves sets[1] onto the pending stack in sparse form.
+func (s *mondrianScratch) push() {
+	h := &s.sets[1]
+	for ai, ds := range h.distinct {
+		for _, c := range ds {
+			s.pending = append(s.pending, codeCount{code: c, n: h.hist[ai][c]})
+			h.hist[ai][c] = 0
+		}
+		s.lens = append(s.lens, len(ds))
+		h.distinct[ai] = ds[:0]
+	}
+}
+
+// pop moves the most recently pushed histograms into sets[0], which must be
+// zero.
+func (s *mondrianScratch) pop() {
+	lens := s.lens[len(s.lens)-len(s.sets[0].hist):]
+	at := len(s.pending)
+	for _, n := range lens {
+		at -= n
+	}
+	entries := s.pending[at:]
+	for ai, n := range lens {
+		for _, e := range entries[:n] {
+			s.sets[0].add(ai, e.code, e.n)
+		}
+		entries = entries[n:]
+	}
+	s.pending, s.lens = s.pending[:at], s.lens[:len(s.lens)-len(lens)]
+}
+
 // split partitions the node covering positions [lo, hi) at the given depth.
-// When the idle channel has a spare worker and the left half is large
-// enough to amortize a goroutine, the left half is partitioned concurrently
-// with the right.
+// A node of at least 2k rows finds its histograms in s.sets[0] and returns
+// with both sets zero; a smaller node is a leaf and reads neither. When the
+// idle channel has a spare worker and the left half is large enough to
+// amortize a goroutine, the left half is partitioned concurrently with the
+// right, by a worker that takes over the left half's histograms.
 func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
 	if err := ctxErr(r.ctx); err != nil {
 		return err
@@ -270,7 +403,11 @@ func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
 	src, dst := r.bufs[depth%2][lo:hi], r.bufs[1-depth%2][lo:hi]
 	if len(src) >= 2*r.k {
 		start := time.Now()
-		if cut, ai := r.findCut(s, src, dst); cut > 0 {
+		cut, ai := r.findCut(s, src, dst)
+		if cut == 0 {
+			s.sets[0].reset()
+		} else {
+			s.halves(r, dst, cut)
 			if r.tr != nil {
 				r.tr.Trace(trace.Event{Kind: trace.KindSplit, Label: r.rel.Schema().Attr(r.qi[ai]).Name, N: len(src), Depth: depth, Elapsed: time.Since(start)})
 			}
@@ -278,17 +415,22 @@ func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
 			if r.idle != nil && cut >= spawnGrain {
 				select {
 				case ws := <-r.idle:
+					if ws == nil {
+						ws = r.newScratch()
+					}
+					// The worker takes the left half's histogram set and
+					// leaves its own zero set in exchange.
+					ws.sets[0], s.sets[0], s.sets[1] = s.sets[0], s.sets[1], ws.sets[0]
 					var (
 						lErr error
 						done = make(chan struct{})
 					)
 					go func() {
 						defer close(done)
-						defer func() { r.idle <- ws }()
-						if ws == nil {
-							ws = r.newScratch()
+						if lErr = r.split(ws, lo, mid, depth+1); lErr != nil {
+							ws = nil
 						}
-						lErr = r.split(ws, lo, mid, depth+1)
+						r.idle <- ws
 					}()
 					rErr := r.split(s, mid, hi, depth+1)
 					<-done
@@ -299,9 +441,11 @@ func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
 				default:
 				}
 			}
+			s.push()
 			if err := r.split(s, lo, mid, depth+1); err != nil {
 				return err
 			}
+			s.pop()
 			return r.split(s, mid, hi, depth+1)
 		}
 	}
@@ -320,8 +464,6 @@ func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
 // with dst holding the node's positions ordered on attribute qi[ai], or cut 0
 // when no attribute admits one.
 func (r *mondrianRun) findCut(s *mondrianScratch, src, dst []int) (cut, ai int) {
-	s.count(r, src)
-	defer s.reset()
 	for _, w := range s.byWidth(r) {
 		c := s.cut(r, src, dst, w.ai)
 		if c < r.k || len(dst)-c < r.k {
@@ -345,33 +487,6 @@ func (r *mondrianRun) holds(s *mondrianScratch, part []int) bool {
 	return r.crit.Holds(r.rel, s.group)
 }
 
-// count fills the per-attribute histograms of the node in one row-major
-// pass.
-func (s *mondrianScratch) count(r *mondrianRun, part []int) {
-	q := len(r.qi)
-	for _, p := range part {
-		for ai, c := range r.codes[p*q : p*q+q] {
-			h := s.hist[ai]
-			if h[c] == 0 {
-				s.distinct[ai] = append(s.distinct[ai], c)
-			}
-			h[c]++
-		}
-	}
-}
-
-// reset zeroes the histograms through their distinct lists, so it costs
-// O(distinct codes), not O(domain).
-func (s *mondrianScratch) reset() {
-	for ai, ds := range s.distinct {
-		h := s.hist[ai]
-		for _, c := range ds {
-			h[c] = 0
-		}
-		s.distinct[ai] = ds[:0]
-	}
-}
-
 type attrWidth struct {
 	ai    int
 	width float64
@@ -383,7 +498,7 @@ type attrWidth struct {
 // dictionary's.
 func (s *mondrianScratch) byWidth(r *mondrianRun) []attrWidth {
 	for ai := range r.attrs {
-		at, ds := &r.attrs[ai], s.distinct[ai]
+		at, ds := &r.attrs[ai], s.sets[0].distinct[ai]
 		var width float64
 		if at.rank != nil {
 			lo, hi := int32(math.MaxInt32), int32(-1)
@@ -420,7 +535,7 @@ func (s *mondrianScratch) byWidth(r *mondrianRun) []attrWidth {
 // node's d distinct codes sorted by key, so a cut costs O(n + d log d)
 // whatever the domain size.
 func (s *mondrianScratch) cut(r *mondrianRun, src, dst []int, ai int) int {
-	h, ds := s.hist[ai], s.distinct[ai]
+	h, ds := s.sets[0].hist[ai], s.sets[0].distinct[ai]
 	if len(ds) < 2 {
 		return 0
 	}
@@ -431,7 +546,7 @@ func (s *mondrianScratch) cut(r *mondrianRun, src, dst []int, ai int) int {
 			if i == 0 || rank[c] != rank[ds[i-1]] {
 				s.off[rank[c]] = pos
 			}
-			pos += h[c]
+			pos += int(h[c])
 		}
 		for _, p := range src {
 			b := rank[r.codes[p*q+ai]]
@@ -447,7 +562,7 @@ func (s *mondrianScratch) cut(r *mondrianRun, src, dst []int, ai int) int {
 		})
 		for _, c := range ds {
 			s.off[c] = pos
-			pos += h[c]
+			pos += int(h[c])
 		}
 		for _, p := range src {
 			c := r.codes[p*q+ai]

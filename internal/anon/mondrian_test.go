@@ -6,12 +6,14 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
 
 	"diva/internal/privacy"
 	"diva/internal/relation"
+	"diva/internal/trace"
 )
 
 // diffRelation draws a relation exercising every branch of the counting-sort
@@ -190,5 +192,180 @@ func TestMondrianNaNColumn(t *testing.T) {
 				t.Fatalf("parallelism %d run %d: partition differs from the first run", par, run)
 			}
 		}
+	}
+}
+
+// skewedRelation draws rows whose QI columns each pile most rows on one
+// value, so median cuts leave unbalanced halves on both sides: a
+// categorical column is cut in descending frequency order, putting its heavy
+// code first and the smaller half on the right, while a numeric column heavy
+// at its maximum puts the heavy value last and the smaller half on the left.
+// A second numeric column, heavy at its minimum, and ★ cells complete it.
+func skewedRelation(rng *rand.Rand, n int) *relation.Relation {
+	rel := relation.New(relation.MustSchema(
+		relation.Attribute{Name: "CAT", Role: relation.QI},
+		relation.Attribute{Name: "HI", Role: relation.QI, Kind: relation.Numeric},
+		relation.Attribute{Name: "LO", Role: relation.QI, Kind: relation.Numeric},
+		relation.Attribute{Name: "DIAG", Role: relation.Sensitive},
+	))
+	heavy := 0.5 + 0.4*rng.Float64()
+	pick := func(hot, spread int) string {
+		if rng.Float64() < heavy {
+			return strconv.Itoa(hot)
+		}
+		return strconv.Itoa(rng.IntN(spread))
+	}
+	for i := 0; i < n; i++ {
+		rel.MustAppendValues("c"+pick(0, 12), pick(999, 999), pick(0, 300), "D"+strconv.Itoa(rng.IntN(3)))
+		for a := 0; a < 3; a++ {
+			if rng.IntN(50) == 0 {
+				rel.Suppress(i, a)
+			}
+		}
+	}
+	return rel
+}
+
+// splitShapes tallies, from the split events of a sequential run (emitted
+// depth first, so a cut's next event is its left half), the cuts whose
+// smaller half is the left one, those whose smaller half is the right one,
+// and those leaving a half below 2k rows.
+type splitShapes struct {
+	events                             []trace.Event
+	smallLeft, smallRight, halfBelow2k int
+}
+
+func (s *splitShapes) Trace(ev trace.Event) { s.events = append(s.events, ev) }
+
+func (s *splitShapes) tally(k int) {
+	for i, ev := range s.events {
+		if ev.Label == "" {
+			continue
+		}
+		left := s.events[i+1].N
+		right := ev.N - left
+		switch {
+		case left < right:
+			s.smallLeft++
+		case right < left:
+			s.smallRight++
+		}
+		if min(left, right) < 2*k {
+			s.halfBelow2k++
+		}
+	}
+	s.events = s.events[:0]
+}
+
+// TestMondrianSubtractionMatchesReference differentially checks the
+// histogram-subtraction recursion on skewed inputs, whose cuts leave the
+// smaller half on the left at some nodes and on the right at others and
+// halves below 2k rows that keep no histograms, at every parallelism.
+func TestMondrianSubtractionMatchesReference(t *testing.T) {
+	var shapes splitShapes
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewPCG(uint64(trial), 0x5b7))
+		rel := skewedRelation(rng, 40+rng.IntN(1500))
+		rows := allRows(rel)
+		for _, k := range []int{2, 3, 10} {
+			want := referenceMondrian(nil, rel, rows, k)
+			for _, par := range []int{1, 4} {
+				m := &Mondrian{Parallelism: par}
+				if par == 1 {
+					m.Tracer = &shapes
+				}
+				got, err := m.Partition(context.Background(), rel, rows, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d n=%d k=%d par=%d: partition diverged from the reference", trial, len(rows), k, par)
+				}
+			}
+			shapes.tally(k)
+		}
+	}
+	if shapes.smallLeft == 0 || shapes.smallRight == 0 || shapes.halfBelow2k == 0 {
+		t.Fatalf("cut shapes not all exercised: %d smaller-left, %d smaller-right, %d with a half below 2k",
+			shapes.smallLeft, shapes.smallRight, shapes.halfBelow2k)
+	}
+}
+
+// TestMondrianHandoffMatchesReference hands subtrees, with their histogram
+// sets, to worker goroutines at several levels: 8·spawnGrain rows at
+// Parallelism 4 with GOMAXPROCS raised to match, so three spare workers take
+// halves at the root's children and below. Under -race this also checks
+// that a handed-off half shares no histogram memory with its sibling.
+func TestMondrianHandoffMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for seed := uint64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x4a0))
+		var rel *relation.Relation
+		if seed%2 == 0 {
+			rel = diffRelation(rng, 8*spawnGrain)
+		} else {
+			rel = skewedRelation(rng, 8*spawnGrain)
+		}
+		rows := allRows(rel)
+		for _, k := range []int{2, 10} {
+			want := referenceMondrian(nil, rel, rows, k)
+			for run := 0; run < 3; run++ {
+				got, err := (&Mondrian{Parallelism: 4}).Partition(context.Background(), rel, rows, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d k=%d run %d: parallel partition diverged from the reference", seed, k, run)
+				}
+			}
+		}
+	}
+}
+
+// TestMondrianMemoryBound pins that histogram memory does not grow with
+// recursion depth: a numeric QI interned with a 100,000-code dictionary,
+// cut about twelve levels deep at k=2, must allocate under 64 bytes per
+// row·QI attribute plus 64 per dictionary code. The rank tables and the two
+// dense histogram sets take about 41 bytes per code; one dense set per
+// recursion level would add 4 more per code and level, about 48 here.
+func TestMondrianMemoryBound(t *testing.T) {
+	const n, domain, k = 8192, 100000, 2
+	rel := relation.New(relation.MustSchema(
+		relation.Attribute{Name: "X", Role: relation.QI, Kind: relation.Numeric},
+		relation.Attribute{Name: "C", Role: relation.QI},
+		relation.Attribute{Name: "S", Role: relation.Sensitive},
+	))
+	for v := 0; v < domain; v++ {
+		rel.Dict(0).Code(strconv.Itoa(v))
+	}
+	rng := rand.New(rand.NewPCG(8, 8))
+	for i := 0; i < n; i++ {
+		rel.MustAppendValues(strconv.Itoa(rng.IntN(domain)), "c"+strconv.Itoa(rng.IntN(6)), "s")
+	}
+	rows := allRows(rel)
+	m := &Mondrian{Parallelism: 1}
+	partition := func() [][]int {
+		parts, err := m.Partition(context.Background(), rel, rows, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parts
+	}
+	partition() // fills the relation's numeric cache, which outlives the call
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	parts := partition()
+	runtime.ReadMemStats(&after)
+	if len(parts) < n/(4*k) {
+		t.Fatalf("only %d clusters: the input was not cut deeply", len(parts))
+	}
+	dict := 0
+	for _, a := range rel.Schema().QIIndexes() {
+		dict += rel.Dict(a).Len()
+	}
+	q := len(rel.Schema().QIIndexes())
+	bound := 64*uint64(n*q) + 64*uint64(dict)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("Partition allocated %d bytes, over the bound %d (64·|rows|·|QI| + 64·dictionary codes)", got, bound)
 	}
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"runtime"
 	"testing"
 
+	"diva/internal/constraint"
+	"diva/internal/dataset"
 	"diva/internal/relation"
 )
 
@@ -148,5 +151,38 @@ func TestPlanRestShards(t *testing.T) {
 	}
 	if got := planRestShards(rel, nil, 4, k); len(got) != 0 {
 		t.Fatalf("empty rest: got %d shards, want 0", len(got))
+	}
+}
+
+// BenchmarkPlanRestShards plans two shards over the rest rows of the
+// census-60k sharded workload: a 60,000-row census sample whose eight
+// proportional constraints (UpperFrac 0.9) are colored first, so the plan
+// sees exactly the rows the baseline phase receives.
+func BenchmarkPlanRestShards(b *testing.B) {
+	const rows, k = 60000, 10
+	rel := dataset.CensusSized(rows).Generate(rows, 1)
+	sigma, err := constraint.Proportional(rel, constraint.GenOptions{
+		Count: 8, K: k, Rng: rand.New(rand.NewPCG(0x51a3, 0x51a3)), UpperFrac: 0.9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := Anonymize(context.Background(), rel, sigma, Options{K: k, Rng: rand.New(rand.NewPCG(1, 2)), Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	used := res.Clustering.RowSet(rel.Len())
+	rest := make([]int, 0, rel.Len()-used.Len())
+	for i := 0; i < rel.Len(); i++ {
+		if !used.Contains(i) {
+			rest = append(rest, i)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if shards := planRestShards(rel, rest, 2, k); len(shards) != 2 {
+			b.Fatalf("planned %d shards, want 2", len(shards))
+		}
 	}
 }
