@@ -211,8 +211,9 @@ obs-smoke:
 # terminal run-end event, carrying the run's metrics, to a follower that
 # connects after the run finished, the flight-recorder dump (run-end
 # metrics included) must validate with tracecheck -flight, divatop
-# -once must render the finished run, and the canonical "diva run" log
-# record's experiment key must round-trip into the divahist ledger.
+# -once must render run 1 as ok with the STEPS the server reports for it at
+# /debug/diva/runs, and the canonical "diva run" log record's experiment
+# key must round-trip into the divahist ledger.
 live-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -248,9 +249,13 @@ live-smoke:
 		echo "live-smoke: flight dump failed validation"; exit 1; }; \
 	$$tmp/divatop -addr "$$addr" -once >$$tmp/top.txt || { \
 		echo "live-smoke: divatop -once failed"; exit 1; }; \
-	grep -q 'ok' $$tmp/top.txt || { \
-		echo "live-smoke: divatop never rendered the finished run:"; \
-		cat $$tmp/top.txt; exit 1; }; \
+	curl -sf "http://$$addr/debug/diva/runs" >$$tmp/runs.json || { \
+		echo "live-smoke: /debug/diva/runs unavailable"; exit 1; }; \
+	steps=$$(awk '/"id": 1,/ { f = 1 } f && /"steps":/ { gsub(/[^0-9]/, ""); print; exit }' $$tmp/runs.json); \
+	row=$$(awk '$$1 == 1 { print $$4, $$8 }' $$tmp/top.txt); \
+	if [ -z "$$steps" ] || [ "$$row" != "$$steps ok" ]; then \
+		echo "live-smoke: divatop's run 1 row reads \"$$row\", want \"$$steps ok\" (steps from /debug/diva/runs):"; \
+		cat $$tmp/top.txt $$tmp/runs.json; exit 1; fi; \
 	key=$$(sed -n 's/.*"msg":"diva run".*"key":"\([^"]*\)".*/\1/p' $$tmp/err.log | head -1); \
 	if [ -z "$$key" ]; then \
 		echo "live-smoke: no canonical run record in the structured log:"; \

@@ -1,79 +1,47 @@
 package main
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"diva/internal/obs"
 	"diva/internal/trace"
 )
 
-func TestReadSSEParsesFrames(t *testing.T) {
-	stream := strings.Join([]string{
-		": comment line",
-		"event: phase-start",
-		`data: {"run":1,"entry":{"seq":1,"at_ns":10,"kind":"phase-start","phase":"color","node":0,"n":0,"depth":0,"worker":0}}`,
-		"",
-		"event: progress",
-		`data: {"run":1,"entry":{"seq":2,"at_ns":20,"kind":"progress","node":0,"n":0,"depth":7,"worker":-1,"steps":4096,"backtracks":12}}`,
-		"",
-		"event: run-end",
-		`data: {"run":1,"entry":{"seq":3,"at_ns":30,"kind":"run-end","label":"ok","elapsed_ns":1000000,"node":0,"n":0,"depth":7,"worker":0,"steps":4096}}`,
-		"",
-	}, "\n") + "\n"
-	var frames []frame
-	err := readSSE(strings.NewReader(stream), func(f frame) bool {
-		frames = append(frames, f)
-		return true
-	})
-	if err != nil && err.Error() != "EOF" {
-		t.Fatal(err)
-	}
-	if len(frames) != 3 {
-		t.Fatalf("parsed %d frames, want 3", len(frames))
-	}
-	if frames[0].event != "phase-start" || frames[0].entry.Event.Phase != trace.PhaseColor {
-		t.Fatalf("frame 0 = %+v", frames[0])
-	}
-	if frames[1].entry.Event.Steps != 4096 || frames[1].entry.Event.Depth != 7 {
-		t.Fatalf("frame 1 = %+v", frames[1])
-	}
-	if frames[2].entry.Event.Kind != trace.KindRunEnd || frames[2].entry.Event.Label != "ok" {
-		t.Fatalf("frame 2 = %+v", frames[2])
-	}
+// serve serves h on a test server and returns the server and its host:port.
+func serve(t *testing.T, h http.Handler) (*httptest.Server, string) {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	return srv, strings.TrimPrefix(srv.URL, "http://")
 }
 
-func TestReadSSEStopsWhenApplyReturnsFalse(t *testing.T) {
-	stream := "event: progress\ndata: {\"run\":1,\"entry\":{\"seq\":1,\"kind\":\"progress\",\"node\":0,\"n\":0,\"depth\":0,\"worker\":0}}\n\n" +
-		"event: progress\ndata: {\"run\":1,\"entry\":{\"seq\":2,\"kind\":\"progress\",\"node\":0,\"n\":0,\"depth\":0,\"worker\":0}}\n\n"
-	n := 0
-	if err := readSSE(strings.NewReader(stream), func(frame) bool { n++; return false }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("apply ran %d times after returning false, want 1", n)
-	}
-}
-
-func TestBoardRender(t *testing.T) {
-	b := newBoard()
-	b.apply(frame{event: "phase-start", run: 2, entry: trace.FlightEntry{
-		Seq: 1, Event: trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor}}})
-	b.apply(frame{event: "progress", run: 2, entry: trace.FlightEntry{
-		Seq: 2, Event: trace.Event{Kind: trace.KindProgress, Steps: 1234, Depth: 9, Backtracks: 3, Nogoods: 2, Worker: -1}}})
-	b.apply(frame{event: "phase-start", run: 1, entry: trace.FlightEntry{
-		Seq: 1, Event: trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseBind}}})
-	b.apply(frame{event: "progress", run: 1, entry: trace.FlightEntry{
-		Seq: 2, Event: trace.Event{Kind: trace.KindProgress, Steps: 9000, Backtracks: 800, Worker: 1}}})
+// TestOnceRendersRegistry: -once renders the registry's view of a finished
+// run and a live one, in ID order, as soon as one run has completed.
+func TestOnceRendersRegistry(t *testing.T) {
+	reg := obs.NewRunRegistry(4)
+	run1, run2 := reg.Begin(), reg.Begin()
+	defer run2.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
+	run2.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
+	run2.Trace(trace.Event{Kind: trace.KindProgress, Steps: 1234, Depth: 9, Backtracks: 3, Nogoods: 2, Worker: -1})
+	run1.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseBind})
+	run1.Trace(trace.Event{Kind: trace.KindProgress, Steps: 9000, Backtracks: 800, Worker: 1})
 	// The run-end metrics are authoritative over a portfolio loser's larger
 	// heartbeat counts.
-	b.apply(frame{event: "run-end", run: 1, entry: trace.FlightEntry{
-		Seq: 3, Event: trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: 42 * time.Millisecond,
-			Metrics: &trace.RunMetrics{Total: 42 * time.Millisecond, Steps: 4321, Backtracks: 765, NogoodsLearned: 17}}}})
-	out := b.render()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	run1.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: 42 * time.Millisecond,
+		Metrics: &trace.RunMetrics{Total: 42 * time.Millisecond, Steps: 4321, Backtracks: 765, NogoodsLearned: 17}})
+	srv, addr := serve(t, obs.NewMux(obs.Metrics, reg))
+	defer srv.Close()
+
+	var out strings.Builder
+	if err := follow(&out, addr, 0, time.Millisecond, true, false); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
 	if len(lines) != 3 {
-		t.Fatalf("render produced %d lines, want header + 2 runs:\n%s", len(lines), out)
+		t.Fatalf("render produced %d lines, want header + 2 runs:\n%s", len(lines), out.String())
 	}
 	if !strings.HasPrefix(lines[0], "RUN") {
 		t.Fatalf("missing header: %q", lines[0])
@@ -82,7 +50,43 @@ func TestBoardRender(t *testing.T) {
 	if f := strings.Fields(lines[1]); len(f) != 9 || f[3] != "4321" || f[4] != "765" || f[5] != "17" || f[7] != "ok" || f[8] != "42ms" {
 		t.Fatalf("run 1 line = %q, want 4321 steps, 765 backtracks, 17 nogoods, outcome ok, elapsed 42ms", lines[1])
 	}
-	if !strings.Contains(lines[2], "color") || !strings.Contains(lines[2], "1234") || !strings.Contains(lines[2], "running") {
-		t.Fatalf("run 2 line = %q, want phase color, 1234 steps, running", lines[2])
+	if f := strings.Fields(lines[2]); len(f) != 8 || f[1] != "color" || f[3] != "1234" || f[7] != "running" {
+		t.Fatalf("run 2 line = %q, want phase color, 1234 steps, running, no elapsed", lines[2])
+	}
+}
+
+// TestFollowerEndsWhenServerGoes: a failed first poll is an error; once a
+// poll has succeeded, a failed one ends the follower, and -once still
+// prints the last snapshot.
+func TestFollowerEndsWhenServerGoes(t *testing.T) {
+	reg := obs.NewRunRegistry(4)
+	run := reg.Begin()
+	defer run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
+	run.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
+	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 55, Worker: -1})
+	mux := obs.NewMux(obs.Metrics, reg)
+	polled := make(chan struct{}, 1)
+	srv, addr := serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mux.ServeHTTP(w, r)
+		select {
+		case polled <- struct{}{}:
+		default:
+		}
+	}))
+
+	var out strings.Builder
+	done := make(chan error, 1)
+	go func() { done <- follow(&out, addr, run.ID(), time.Millisecond, true, false) }()
+	<-polled
+	srv.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("follower after a successful poll: %v", err)
+	}
+	if f := strings.Fields(strings.Split(out.String(), "\n")[1]); len(f) != 8 || f[3] != "55" || f[7] != "running" {
+		t.Fatalf("last snapshot = %q, want the live run with 55 steps", out.String())
+	}
+
+	if err := follow(&out, addr, 0, time.Millisecond, true, false); err == nil {
+		t.Fatal("a failed first poll must be an error")
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 
+	"diva/internal/obs"
 	"diva/internal/trace"
 )
 
@@ -66,15 +67,6 @@ func main() {
 	fmt.Println("tracecheck: ok")
 }
 
-// flightDoc mirrors the ops server's /debug/diva/runs/{id}/events response.
-// EventKind's UnmarshalText rejects unknown event kinds, so decoding alone
-// validates the kind vocabulary.
-type flightDoc struct {
-	Run    uint64              `json:"run"`
-	Seen   uint64              `json:"seen"`
-	Events []trace.FlightEntry `json:"events"`
-}
-
 // checkFlight validates a flight-recorder dump: parseable kinds, consecutive
 // ascending sequence numbers, monotone offsets, a seen total matching the
 // newest retained entry, and well-formed run-end metrics.
@@ -83,7 +75,7 @@ func checkFlight(path string) error {
 	if err != nil {
 		return err
 	}
-	var doc flightDoc
+	var doc obs.FlightDump
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}

@@ -117,10 +117,6 @@ type Options struct {
 	// the internal/verify differential suite); what changes is search effort
 	// on dense-conflict Σ.
 	Nogoods bool
-	// NogoodCapacity bounds the learned-nogood store (0 means
-	// search.DefaultNogoodCapacity). Evicting a nogood costs re-exploration,
-	// never correctness.
-	NogoodCapacity int
 	// Hierarchies, when non-nil, renders clusters by generalization
 	// instead of suppression: a QI attribute a cluster disagrees on lifts
 	// to the least common ancestor of its values (★ only when no finer
@@ -489,7 +485,7 @@ func (e *runEnv) colorJoint(ctx context.Context, graph *search.Graph) (cluster.C
 		Accept:   e.acceptRest,
 	}
 	if opts.Nogoods {
-		searchOpts.Nogoods = search.NewNogoodStore(opts.NogoodCapacity)
+		searchOpts.Nogoods = search.NewNogoodStore(search.DefaultNogoodCapacity)
 	}
 	var sigmaClustering cluster.Clustering
 	var found bool

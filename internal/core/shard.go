@@ -102,7 +102,7 @@ func (e *runEnv) colorComponents(ctx context.Context, comps []constraint.Compone
 				// Per-component store: node indexes and fingerprints are
 				// component-local, so sharing across components would only
 				// produce dead buckets.
-				sopts.Nogoods = search.NewNogoodStore(opts.NogoodCapacity)
+				sopts.Nogoods = search.NewNogoodStore(search.DefaultNogoodCapacity)
 			}
 			clusterings[ci], compStats[ci], found[ci] = graphs[ci].Color(sopts)
 		}()

@@ -104,9 +104,7 @@ func TestLiveRunVisibleWhileInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Live []obs.RunInfo `json:"live"`
-	}
+	var doc obs.RunsDoc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}

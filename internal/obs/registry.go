@@ -16,7 +16,8 @@ import (
 const DefaultCompletedRuns = 32
 
 // RunInfo is the externally visible state of one run, as served by
-// /debug/diva/runs.
+// /debug/diva/runs. It is the one fold of a run's events: Run.Trace updates
+// it in place and the run-end event completes it.
 type RunInfo struct {
 	// ID is the registry-assigned run identifier (monotone per process).
 	ID uint64 `json:"id"`
@@ -25,7 +26,7 @@ type RunInfo struct {
 	// Elapsed is time since Start for live runs, and the final wall time for
 	// completed ones.
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// State is "running" or the completed run's core.RunOutcome: "ok",
+	// State is StateRunning or the completed run's core.RunOutcome: "ok",
 	// "infeasible", "canceled" or "error".
 	State string `json:"state"`
 	// Phase is the phase the run is currently in (live) or last entered.
@@ -33,10 +34,14 @@ type RunInfo struct {
 	// Steps, Depth and Worker mirror the run's last KindProgress heartbeat:
 	// the search's step count (the max over portfolio workers), its current
 	// coloring depth, and which worker sent the last heartbeat (−1
-	// sequential). A completed run's Steps is its run-end Metrics.Steps.
-	Steps  int `json:"steps"`
-	Depth  int `json:"depth"`
-	Worker int `json:"worker"`
+	// sequential). Backtracks and Nogoods are the last heartbeat's counts. A
+	// completed run's Steps, Backtracks and Nogoods are its run-end
+	// Metrics' Steps, Backtracks and NogoodsLearned.
+	Steps      int `json:"steps"`
+	Depth      int `json:"depth"`
+	Worker     int `json:"worker"`
+	Backtracks int `json:"backtracks"`
+	Nogoods    int `json:"nogoods"`
 	// Heartbeats counts KindProgress events received, across all workers.
 	Heartbeats int64 `json:"heartbeats"`
 	// Stalled is set while the watchdog considers the run stalled (heartbeat
@@ -57,6 +62,9 @@ type RunInfo struct {
 	flightSeen uint64
 	profile    *profile.Profile
 }
+
+// StateRunning is RunInfo.State until the run-end event names the outcome.
+const StateRunning = "running"
 
 // RunRegistry is the one store of per-run state: every in-flight engine
 // run, a ring of the last K completed ones (each carrying its flight
@@ -103,16 +111,14 @@ func (r *RunRegistry) Begin() *Run {
 	now := time.Now()
 	run := &Run{
 		reg:    r,
-		id:     r.nextID,
-		start:  now,
-		worker: -1,
 		flight: trace.NewFlightRecorder(trace.DefaultFlightCapacity),
+		info:   RunInfo{ID: r.nextID, Start: now, State: StateRunning, Worker: -1},
 	}
 	if ProfilingEnabled() {
 		run.prof = profile.New()
 	}
 	run.lastEvent.Store(now.UnixNano())
-	r.live[run.id] = run
+	r.live[run.info.ID] = run
 	return run
 }
 
@@ -176,8 +182,6 @@ func (r *RunRegistry) finish(info RunInfo) {
 // concurrently).
 type Run struct {
 	reg    *RunRegistry
-	id     uint64
-	start  time.Time
 	flight *trace.FlightRecorder
 	prof   *profile.Profiler // nil unless profiling was on at Begin
 
@@ -188,17 +192,15 @@ type Run struct {
 	lastEvent atomic.Int64
 	stalled   atomic.Bool
 
-	mu         sync.Mutex
-	phase      trace.Phase
-	steps      int
-	depth      int
-	worker     int
-	heartbeats int64
-	ended      bool
+	// info is the run's visible state, guarded by mu. Its ID and Start are
+	// set by Begin and never written again, so they are read without mu. The
+	// run has ended once State is no longer StateRunning.
+	mu   sync.Mutex
+	info RunInfo
 }
 
 // ID returns the registry-assigned run identifier.
-func (run *Run) ID() uint64 { return run.id }
+func (run *Run) ID() uint64 { return run.info.ID }
 
 // Trace implements trace.Tracer. Every event — not just phase changes and
 // heartbeats — lands in the run's flight recorder (and profiler, if any) and
@@ -218,20 +220,19 @@ func (run *Run) Trace(ev trace.Event) {
 	switch ev.Kind {
 	case trace.KindPhaseStart:
 		run.mu.Lock()
-		run.phase = ev.Phase
+		run.info.Phase = string(ev.Phase)
 		run.mu.Unlock()
 	case trace.KindProgress:
 		mHeartbeats.Inc()
 		run.mu.Lock()
-		run.heartbeats++
-		if ev.Steps > run.steps {
-			run.steps = ev.Steps
-		}
-		run.depth = ev.Depth
-		run.worker = ev.Worker
+		info := &run.info
+		info.Heartbeats++
+		info.Steps = max(info.Steps, ev.Steps)
+		info.Depth, info.Worker = ev.Depth, ev.Worker
+		info.Backtracks, info.Nogoods = ev.Backtracks, ev.Nogoods
 		run.mu.Unlock()
 	}
-	run.reg.bus.Publish(RunEvent{RunID: run.id, Entry: entry})
+	run.reg.bus.Publish(RunEvent{RunID: run.info.ID, Entry: entry})
 }
 
 // Flight returns the run's flight recorder.
@@ -242,63 +243,45 @@ func (run *Run) HeartbeatAge(now time.Time) time.Duration {
 	return now.Sub(time.Unix(0, run.lastEvent.Load()))
 }
 
-// Info returns the run's current externally visible state.
+// Info returns a copy of the run's visible state; while the run is live,
+// its Elapsed and Stalled are filled in as of the call.
 func (run *Run) Info() RunInfo {
 	run.mu.Lock()
-	defer run.mu.Unlock()
-	return RunInfo{
-		ID:         run.id,
-		Start:      run.start,
-		Elapsed:    time.Since(run.start),
-		State:      "running",
-		Phase:      string(run.phase),
-		Steps:      run.steps,
-		Depth:      run.depth,
-		Worker:     run.worker,
-		Heartbeats: run.heartbeats,
-		Stalled:    run.stalled.Load(),
+	info := run.info
+	run.mu.Unlock()
+	if info.State == StateRunning {
+		info.Elapsed = time.Since(info.Start)
+		info.Stalled = run.stalled.Load()
 	}
+	return info
 }
 
 // end handles the run's KindRunEnd event: it seals the flight recorder with
-// the event, finalizes the profile, and moves the run from the live set into
-// the completed ring, with the event's outcome as State and its metrics as
-// the final counters — all before the run-end is published, so a subscriber
-// that sees it finds the run's artifacts already served. Only the first
-// run-end event takes effect.
+// the event, completes the run's visible state from it (outcome as State,
+// its metrics as the final counters), finalizes the profile, and moves the
+// run from the live set into the completed ring — all before the run-end is
+// published, so a subscriber that sees it finds the run's artifacts already
+// served. Only the first run-end event takes effect.
 func (run *Run) end(ev trace.Event) {
 	run.mu.Lock()
-	if run.ended {
+	info := &run.info
+	if info.State != StateRunning {
 		run.mu.Unlock()
 		return
 	}
-	run.ended = true
 	entry := run.flight.Record(ev)
-	info := RunInfo{
-		ID:         run.id,
-		Start:      run.start,
-		Elapsed:    ev.Elapsed,
-		State:      ev.Label,
-		Phase:      string(run.phase),
-		Steps:      run.steps,
-		Depth:      run.depth,
-		Worker:     run.worker,
-		Heartbeats: run.heartbeats,
-		Err:        ev.Err,
-		Metrics:    ev.Metrics,
-		flight:     run.flight.Snapshot(),
-		flightSeen: run.flight.Seen(),
+	info.State, info.Elapsed, info.Err, info.Metrics = ev.Label, ev.Elapsed, ev.Err, ev.Metrics
+	if m := ev.Metrics; m != nil {
+		info.Steps, info.Backtracks, info.Nogoods = m.Steps, m.Backtracks, m.NogoodsLearned
 	}
-	if ev.Metrics != nil {
-		info.Steps = ev.Metrics.Steps
-	}
+	info.flight, info.flightSeen = run.flight.Snapshot(), run.flight.Seen()
 	if run.prof != nil {
 		info.profile = run.prof.Profile()
 	}
-	reg := run.reg
+	done := *info
 	run.mu.Unlock()
-	reg.finish(info)
-	reg.bus.Publish(RunEvent{RunID: run.id, Entry: entry})
+	run.reg.finish(done)
+	run.reg.bus.Publish(RunEvent{RunID: done.ID, Entry: entry})
 }
 
 // RunEvents returns the flight-recorder snapshot for run id — live or

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,9 +21,10 @@ func TestRunLifecycle(t *testing.T) {
 		t.Fatalf("LiveCount = %d, want 1", reg.LiveCount())
 	}
 	run.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
-	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 100, Depth: 7, Worker: 2})
-	// A slower worker's stale heartbeat must not regress the step count.
-	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 50, Depth: 3, Worker: 0})
+	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 100, Depth: 7, Worker: 2, Backtracks: 40, Nogoods: 4})
+	// A slower worker's stale heartbeat must not regress the step count;
+	// backtracks and nogoods are the last heartbeat's.
+	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 50, Depth: 3, Worker: 0, Backtracks: 30, Nogoods: 3})
 
 	info := run.Info()
 	if info.State != "running" || info.Phase != string(trace.PhaseColor) {
@@ -30,6 +32,10 @@ func TestRunLifecycle(t *testing.T) {
 	}
 	if info.Steps != 100 || info.Heartbeats != 2 {
 		t.Fatalf("steps/heartbeats = %d/%d, want 100/2", info.Steps, info.Heartbeats)
+	}
+	if info.Backtracks != 30 || info.Nogoods != 3 || info.Depth != 3 || info.Worker != 0 {
+		t.Fatalf("backtracks/nogoods/depth/worker = %d/%d/%d/%d, want the last heartbeat's 30/3/3/0",
+			info.Backtracks, info.Nogoods, info.Depth, info.Worker)
 	}
 
 	live, completed := reg.Snapshot()
@@ -39,7 +45,7 @@ func TestRunLifecycle(t *testing.T) {
 
 	// The run-end metrics are authoritative: a portfolio loser may have
 	// heartbeated more steps than the winner the run reports.
-	m := &trace.RunMetrics{Total: 5 * time.Millisecond, Steps: 50}
+	m := &trace.RunMetrics{Total: 5 * time.Millisecond, Steps: 50, Backtracks: 45, NogoodsLearned: 6}
 	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: m.Total, Metrics: m})
 	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "error", Err: "a second run-end must be ignored"})
 	if reg.LiveCount() != 0 {
@@ -59,11 +65,55 @@ func TestRunLifecycle(t *testing.T) {
 	if done.Elapsed != m.Total {
 		t.Fatalf("Elapsed = %v, want metrics total %v", done.Elapsed, m.Total)
 	}
-	if done.Steps != 50 {
-		t.Fatalf("Steps = %d, want run-end metrics value 50", done.Steps)
+	if done.Steps != 50 || done.Backtracks != 45 || done.Nogoods != 6 {
+		t.Fatalf("steps/backtracks/nogoods = %d/%d/%d, want run-end metrics values 50/45/6",
+			done.Steps, done.Backtracks, done.Nogoods)
 	}
 	if done.Metrics != m {
 		t.Fatal("completed info must carry the run's metrics")
+	}
+}
+
+// TestRunConcurrentTraceAndInfo: portfolio workers heartbeat one run while
+// /debug/diva/runs snapshots it, and the run ends under a live reader; the
+// run's one RunInfo counts every heartbeat and keeps the step maximum.
+func TestRunConcurrentTraceAndInfo(t *testing.T) {
+	reg := NewRunRegistry(4)
+	run := reg.Begin()
+	const workers, beats = 4, 200
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Snapshot()
+				run.Info()
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 1; i <= beats; i++ {
+				run.Trace(trace.Event{Kind: trace.KindProgress, Steps: i * workers, Worker: w, Backtracks: i})
+			}
+		}(w)
+	}
+	writers.Wait()
+	if info := run.Info(); info.Heartbeats != workers*beats || info.Steps != beats*workers || info.Backtracks != beats {
+		t.Fatalf("after %d heartbeats: %+v", workers*beats, info)
+	}
+	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: time.Millisecond})
+	close(stop)
+	readers.Wait()
+	if info := run.Info(); info.State != "ok" || info.Elapsed != time.Millisecond || info.Stalled {
+		t.Fatalf("ended run's Info = %+v, want the completed state", info)
 	}
 }
 

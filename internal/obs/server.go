@@ -44,11 +44,9 @@ func NewMux(reg *Registry, runs *RunRegistry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/diva/runs", func(w http.ResponseWriter, _ *http.Request) {
-		live, completed := runs.Snapshot()
-		writeJSON(w, struct {
-			Live      []RunInfo `json:"live"`
-			Completed []RunInfo `json:"completed"`
-		}{Live: live, Completed: completed})
+		var doc RunsDoc
+		doc.Live, doc.Completed = runs.Snapshot()
+		writeJSON(w, doc)
 	})
 	mux.HandleFunc("/debug/diva/runs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
@@ -64,11 +62,7 @@ func NewMux(reg *Registry, runs *RunRegistry) *http.ServeMux {
 		if events == nil {
 			events = []trace.FlightEntry{}
 		}
-		writeJSON(w, struct {
-			Run    uint64              `json:"run"`
-			Seen   uint64              `json:"seen"`
-			Events []trace.FlightEntry `json:"events"`
-		}{Run: id, Seen: seen, Events: events})
+		writeJSON(w, FlightDump{Run: id, Seen: seen, Events: events})
 	})
 	mux.HandleFunc("/debug/diva/events", eventsHandler(runs))
 	mux.HandleFunc("/debug/diva/incidents", func(w http.ResponseWriter, _ *http.Request) {
@@ -89,6 +83,23 @@ func NewMux(reg *Registry, runs *RunRegistry) *http.ServeMux {
 		w.Write([]byte("diva ops server\n\n/metrics\n/debug/vars\n/debug/pprof/\n/debug/diva/runs\n/debug/diva/runs/{id}/events\n/debug/diva/events\n/debug/diva/incidents\n/debug/diva/profile/\n/debug/diva/history\n/debug/diva/history/compare\n"))
 	})
 	return mux
+}
+
+// RunsDoc is the /debug/diva/runs response: the live runs (ascending ID)
+// and the retained completed runs (most recent first).
+type RunsDoc struct {
+	Live      []RunInfo `json:"live"`
+	Completed []RunInfo `json:"completed"`
+}
+
+// FlightDump is the /debug/diva/runs/{id}/events response: one run's
+// flight-recorder ring, oldest entry first, and the total events the run has
+// seen, evicted included. EventKind's UnmarshalText rejects unknown kinds, so
+// decoding a dump validates its kind vocabulary.
+type FlightDump struct {
+	Run    uint64              `json:"run"`
+	Seen   uint64              `json:"seen"`
+	Events []trace.FlightEntry `json:"events"`
 }
 
 // writeJSON writes v as indented JSON with the right content type.

@@ -75,10 +75,7 @@ func TestMuxEndpoints(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("/debug/diva/runs Content-Type = %q", ct)
 	}
-	var runsDoc struct {
-		Live      []RunInfo `json:"live"`
-		Completed []RunInfo `json:"completed"`
-	}
+	var runsDoc RunsDoc
 	if err := json.Unmarshal([]byte(body), &runsDoc); err != nil {
 		t.Fatalf("/debug/diva/runs is not JSON: %v\n%s", err, body)
 	}

@@ -285,60 +285,3 @@ func Fingerprint(rows []int) uint64 {
 	}
 	return fp
 }
-
-// OverlapSorted reports whether two ascending-sorted int slices share an
-// element. It is the sorted-slice counterpart of Intersects for callers
-// holding slice views.
-func OverlapSorted(a, b []int) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}
-
-// IntersectSorted returns the common elements of two ascending-sorted int
-// slices, ascending. It returns nil when the intersection is empty.
-func IntersectSorted(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// IntersectSortedCount counts the common elements of two ascending-sorted
-// int slices.
-func IntersectSortedCount(a, b []int) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}

@@ -121,15 +121,6 @@ func TestSetAlgebraAgainstModel(t *testing.T) {
 		if got := a.IntersectsAny(b.Slice()); got != overlap {
 			t.Fatalf("IntersectsAny = %v, want %v", got, overlap)
 		}
-		if got := OverlapSorted(a.Slice(), b.Slice()); got != overlap {
-			t.Fatalf("OverlapSorted = %v, want %v", got, overlap)
-		}
-		if got := IntersectSortedCount(a.Slice(), b.Slice()); got != inter {
-			t.Fatalf("IntersectSortedCount = %d, want %d", got, inter)
-		}
-		if got := len(IntersectSorted(a.Slice(), b.Slice())); got != inter {
-			t.Fatalf("IntersectSorted len = %d, want %d", got, inter)
-		}
 
 		c := a.Clone()
 		mc := model{}
