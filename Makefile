@@ -300,15 +300,16 @@ profile-smoke:
 	echo "profile-smoke: ok (trace artifact valid, explainer named a culprit)"
 
 # history-smoke exercises the run-history ledger and the perf-regression
-# gate end to end: two ledgered cmd/diva runs on the paper's example (the
-# second through the chunked streaming loader, which must produce the same
-# dataset fingerprint), `divahist diff` confirming the pair compares as
-# noise, `divahist gate` passing on the honest ledger, and — after awk
-# inflates the last record's coloring phase to 9s, far past the noise
-# floor — the gate exiting non-zero. Finally a small divabench run writes a
-# bench snapshot and its ledger record: the table's phase_seconds (summed
-# from the diva_phase_duration_seconds histograms) must show coloring time,
-# and `divahist gate -baseline` must pass the ledger against the snapshot.
+# gate end to end: two identical ledgered cmd/diva runs on the paper's
+# example, `divahist diff` confirming the pair compares as noise, `divahist
+# gate` passing on the honest ledger, and — after awk inflates the last
+# record's coloring phase to 9s, far past the noise floor — the gate exiting
+# non-zero. A baseline-only run (no -constraints) must ledger exactly one ok
+# record of its own, listed by `divahist list`. Finally a small divabench
+# run writes a bench snapshot and its ledger record: the table's
+# phase_seconds (summed from the diva_phase_duration_seconds histograms)
+# must show coloring time, and `divahist gate -baseline` must pass the
+# ledger against the snapshot.
 history-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -319,8 +320,8 @@ history-smoke:
 		-k 2 -seed 42 -verify -history-dir $$tmp/hist >$$tmp/a.csv || { \
 		echo "history-smoke: first ledgered run failed"; exit 1; }; \
 	$$tmp/diva -in testdata/patients.csv -constraints testdata/patients.sigma \
-		-k 2 -seed 42 -verify -chunk 4 -history-dir $$tmp/hist >$$tmp/b.csv || { \
-		echo "history-smoke: second (chunked) ledgered run failed"; exit 1; }; \
+		-k 2 -seed 42 -verify -history-dir $$tmp/hist >$$tmp/b.csv || { \
+		echo "history-smoke: second ledgered run failed"; exit 1; }; \
 	[ "$$(wc -l < $$tmp/hist/ledger.jsonl)" = 2 ] || { \
 		echo "history-smoke: expected 2 ledger records, got:"; \
 		cat $$tmp/hist/ledger.jsonl; exit 1; }; \
@@ -329,9 +330,6 @@ history-smoke:
 	grep -q 'confirmed regressions: 0' $$tmp/diff.txt || { \
 		echo "history-smoke: identical runs compared as a regression:"; \
 		cat $$tmp/diff.txt; exit 1; }; \
-	grep -q 'different experiment keys' $$tmp/diff.err && { \
-		echo "history-smoke: chunked loading changed the dataset fingerprint"; \
-		cat $$tmp/diff.err; exit 1; } || true; \
 	$$tmp/divahist -dir $$tmp/hist gate >$$tmp/gate.txt || { \
 		echo "history-smoke: gate failed on an honest ledger:"; \
 		cat $$tmp/gate.txt; exit 1; }; \
@@ -346,6 +344,17 @@ history-smoke:
 	grep -q 'regression' $$tmp/gate-bad.txt || { \
 		echo "history-smoke: failing gate did not name the regression:"; \
 		cat $$tmp/gate-bad.txt; exit 1; }; \
+	$$tmp/diva -in testdata/patients.csv -k 2 -seed 42 -verify \
+		-history-dir $$tmp/hist-base >$$tmp/base.csv || { \
+		echo "history-smoke: baseline-only ledgered run failed"; exit 1; }; \
+	[ "$$(wc -l < $$tmp/hist-base/ledger.jsonl)" = 1 ] || { \
+		echo "history-smoke: expected 1 baseline-only ledger record, got:"; \
+		cat $$tmp/hist-base/ledger.jsonl; exit 1; }; \
+	$$tmp/divahist -dir $$tmp/hist-base list >$$tmp/list-base.txt || { \
+		echo "history-smoke: divahist list failed on the baseline-only ledger"; exit 1; }; \
+	[ "$$(grep -c ' ok ' $$tmp/list-base.txt)" = 1 ] || { \
+		echo "history-smoke: divahist list shows no one ok baseline-only run:"; \
+		cat $$tmp/list-base.txt; exit 1; }; \
 	$$tmp/divabench -exp fig4a -scale 0.01 -quiet -bench-out $$tmp/b.json \
 		-history-dir $$tmp/hb >$$tmp/bench.txt || { \
 		echo "history-smoke: divabench failed"; cat $$tmp/bench.txt; exit 1; }; \
@@ -357,7 +366,7 @@ history-smoke:
 	$$tmp/divahist -dir $$tmp/hb gate -baseline $$tmp/b.json >$$tmp/gate-bench.txt || { \
 		echo "history-smoke: gate failed on the bench ledger vs its own snapshot:"; \
 		cat $$tmp/gate-bench.txt; exit 1; }; \
-	echo "history-smoke: ok (2 ledgered runs, diff noise-clean, gate trips on inflated color phase, bench snapshot gates clean)"
+	echo "history-smoke: ok (2 ledgered runs, diff noise-clean, gate trips on inflated color phase, baseline-only run ledgered, bench snapshot gates clean)"
 
 # nogood-smoke exercises conflict-driven nogood learning at the CLI level: a
 # dense-conflict census fixture (testdata/census-dense.sigma — four

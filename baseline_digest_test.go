@@ -1,0 +1,71 @@
+package diva_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+
+	"diva"
+	"diva/internal/dataset"
+)
+
+// baselineDigests pins the published relation of baseline-only runs — Σ = ∅,
+// so R′ is the baseline partitioner's rendering of all of R — for every
+// built-in baseline, plain and under distinct 2-diversity where the baseline
+// supports it. The digests were recorded when baseline-only runs had a
+// driver of their own that never reached the coloring search. The one
+// driver must reproduce them under every search mode: an empty constraint
+// graph draws nothing from the generator the k-member and OKA baselines
+// share with the search (no Basic salt, no portfolio seed).
+var baselineDigests = map[string]string{
+	"mondrian":    "42a889db3a2888e6f8a631e3b3e33508c31915534d57f1f937dd92ee92421d90",
+	"mondrian/l2": "31881e0b8a387da136ae46b78ecead3ea1a57e470e183fd316bb1156516d3259",
+	"k-member":    "97b008e1d4705f5ebab5ae2117d600fdbb12990603bc2a38c213b2dc19e16a3b",
+	"k-member/l2": "ff8fc9986c5f46a51751b50c0e9112fbdc2981b3e0feb1dee28240b8663154ff",
+	"oka":         "537e24c4ec210b42ef607dba2981a8e43cd432a4f52552182d7198cb642baa9e",
+}
+
+// digestRelation hashes a relation's rendered rows in order.
+func digestRelation(rel *diva.Relation) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d\n", rel.Len())
+	for i := 0; i < rel.Len(); i++ {
+		fmt.Fprintln(h, strings.Join(rel.Values(i), "\x1f"))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBaselineOnlyOutputDigest runs a 2,000-row census sample through each
+// baseline with no constraints, at the zero Strategy (Basic), at MaxFanOut
+// and as a portfolio, and compares every output's digest with the pinned
+// one.
+func TestBaselineOnlyOutputDigest(t *testing.T) {
+	const rows, k = 2000, 5
+	rel := dataset.CensusSized(rows).Generate(rows, 42)
+	modes := map[string]diva.Options{
+		"Basic":     {},
+		"MaxFanOut": {Strategy: diva.MaxFanOut},
+		"portfolio": {Parallel: 2},
+	}
+	for name, want := range baselineDigests {
+		for mode, opts := range modes {
+			t.Run(name+"/"+mode, func(t *testing.T) {
+				b, l2 := strings.CutSuffix(name, "/l2")
+				opts.K, opts.Seed, opts.Baseline, opts.SampleCap = k, 3, diva.Baseline(b), 64
+				if l2 {
+					opts.LDiversity = 2
+				}
+				res, err := diva.AnonymizeContext(context.Background(), rel, nil, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := digestRelation(res.Output); got != want {
+					t.Errorf("output digest %s differs from the pinned %s", got, want)
+				}
+			})
+		}
+	}
+}

@@ -88,12 +88,12 @@ func runBaselineBench(b *testing.B, rel *diva.Relation, p anon.Partitioner, k in
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := core.RunBaseline(context.Background(), rel, p, k, nil)
+		res, err := core.Anonymize(context.Background(), rel, nil, core.Options{K: k, Rng: rand.New(rand.NewPCG(1, 2)), Anonymizer: p})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(metrics.Accuracy(out), "accuracy")
+			b.ReportMetric(metrics.Accuracy(res.Output), "accuracy")
 		}
 	}
 }

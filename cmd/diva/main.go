@@ -7,7 +7,7 @@
 //	     [-seed 1] [-baseline mondrian] [-parallelism 4] [-verify] [-stats]
 //	     [-timeout 30s] [-trace] [-metrics] [-profile out.json] [-explain]
 //	     [-listen 127.0.0.1:9090] [-hold 30s] [-log-format text|json]
-//	     [-chunk 65536] [-history-dir .diva-history] [-nogoods]
+//	     [-history-dir .diva-history] [-nogoods]
 //
 // -nogoods enables conflict-driven nogood learning in the coloring search:
 // exhausted nodes become learned conflict sets, the search backjumps to the
@@ -18,10 +18,6 @@
 // backjump counters appear in -stats, -metrics, -explain, the profile, and
 // the history ledger.
 //
-// -chunk loads the input through the streaming chunk reader — N rows at a
-// time into chunks sharing one dictionary set, decoded on one goroutine at
-// most one 1 MiB block of input ahead — instead of a single pass, which
-// decodes a large input's blocks in parallel. Both give the same relation.
 // -history-dir appends one self-describing record per run — config and
 // dataset fingerprints, outcome, per-phase wall times — to the durable run
 // ledger read back by `divahist` and /debug/diva/history; the
@@ -61,7 +57,8 @@
 //	CTY[Vancouver], 2, 4
 //
 // Running without -constraints applies the plain baseline anonymizer to the
-// whole relation.
+// whole relation: a run with an empty Σ, which every flag above treats like
+// any other run.
 package main
 
 import (
@@ -69,7 +66,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -80,7 +76,6 @@ import (
 	"diva"
 	"diva/internal/metrics"
 	"diva/internal/obs"
-	"diva/internal/relation"
 	"diva/internal/report"
 	"diva/internal/search"
 	"diva/internal/trace"
@@ -89,7 +84,6 @@ import (
 func main() {
 	var (
 		in          = flag.String("in", "", "input CSV with annotated header (required)")
-		chunk       = flag.Int("chunk", 0, "load the input through the streaming reader in chunks of this many rows (0 = load in one pass)")
 		constraints = flag.String("constraints", "", "diversity constraints file (one per line)")
 		historyDir  = flag.String("history-dir", "", "append one record per run to the durable run-history ledger in this directory (empty = $DIVA_HISTORY_DIR, or off)")
 		k           = flag.Int("k", 3, "privacy parameter: minimum QI-group size")
@@ -167,12 +161,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var rel *diva.Relation
-	if *chunk > 0 {
-		rel, err = loadChunked(f, *chunk)
-	} else {
-		rel, err = diva.ReadAnnotatedCSV(f)
-	}
+	rel, err := diva.ReadAnnotatedCSV(f)
 	f.Close()
 	if err != nil {
 		fatal(err)
@@ -226,9 +215,6 @@ func main() {
 	}
 	var prof *diva.Profiler
 	if *profileOut != "" || *explain {
-		if *constraints == "" {
-			fatal(fmt.Errorf("-profile/-explain need -constraints: only the coloring search is profiled"))
-		}
 		prof = diva.NewProfiler()
 		tracers = append(tracers, prof)
 	}
@@ -241,80 +227,61 @@ func main() {
 		defer cancel()
 	}
 
-	vopts := diva.ValidateOptions{
-		LDiversity: *ldiv,
-		// Generalized outputs hold ancestor labels rather than original
-		// values or ★, so strict containment cannot hold; the remaining
-		// checks (k-anonymity, Σ, l-diversity) still apply.
-		SkipContainment: hs != nil,
+	if logger != nil {
+		logger.Info("run start",
+			slog.Int("rows", rel.Len()),
+			slog.Int("constraints", len(sigma)),
+			slog.Int("k", *k),
+			slog.String("strategy", strat.String()),
+			slog.Int("parallel", *parallel))
 	}
-
-	var out *diva.Relation
-	if len(sigma) == 0 {
-		out, err = diva.AnonymizeBaselineContext(ctx, rel, bl, opts)
-		if err != nil {
-			fatal(err)
+	res, err := diva.AnonymizeContext(ctx, rel, sigma, opts)
+	if res != nil {
+		if *traceFlag {
+			dumpPhases(res.Metrics)
 		}
-		if *verifyFlag {
-			verifyOutput(rel, out, nil, *k, vopts)
+		if *metricsDump {
+			enc := json.NewEncoder(os.Stderr)
+			enc.SetIndent("", "  ")
+			enc.Encode(res.Metrics)
 		}
-	} else {
-		if logger != nil {
-			logger.Info("run start",
-				slog.Int("rows", rel.Len()),
-				slog.Int("constraints", len(sigma)),
-				slog.Int("k", *k),
-				slog.String("strategy", strat.String()),
-				slog.Int("parallel", *parallel))
-		}
-		res, err := diva.AnonymizeContext(ctx, rel, sigma, opts)
-		if res != nil && res.Metrics != nil {
-			if *traceFlag {
-				dumpPhases(res.Metrics)
-			}
-			if *metricsDump {
-				enc := json.NewEncoder(os.Stderr)
-				enc.SetIndent("", "  ")
-				enc.Encode(res.Metrics)
-			}
-		}
-		// Finalize the profile before bailing on error: -explain exists
-		// precisely for the infeasible exit path.
-		if prof != nil {
-			p := prof.Profile()
-			if *profileOut != "" {
-				if werr := writeProfile(*profileOut, p); werr != nil {
-					fatal(werr)
-				}
-				fmt.Fprintf(os.Stderr, "diva: search profile written to %s (load it at ui.perfetto.dev or chrome://tracing)\n", *profileOut)
-			}
-			if *explain {
-				fmt.Fprint(os.Stderr, p.Explain().String())
-			}
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *verifyFlag {
-			vo := vopts
-			if res.Metrics != nil {
-				vo.CheckStars = true
-				vo.Stars = res.Metrics.SuppressedCells
-			}
-			verifyOutput(rel, res.Output, sigma, *k, vo)
-		}
-		if *stats {
-			fmt.Fprintf(os.Stderr, "coloring: %d steps, %d backtracks; integrate repaired %d cells\n",
-				res.Stats.Steps, res.Stats.Backtracks, res.RepairedCells)
-			if *nogoods {
-				fmt.Fprintf(os.Stderr, "learning: %d nogoods learned, %d hits, %d backjumps (max %d levels)\n",
-					res.Stats.NogoodsLearned, res.Stats.NogoodHits, res.Stats.Backjumps, res.Stats.MaxBackjump)
-			}
-		}
-		out = res.Output
 	}
-
+	// Finalize the profile before bailing on error: -explain exists
+	// precisely for the infeasible exit path.
+	if prof != nil {
+		p := prof.Profile()
+		if *profileOut != "" {
+			if werr := writeProfile(*profileOut, p); werr != nil {
+				fatal(werr)
+			}
+			fmt.Fprintf(os.Stderr, "diva: search profile written to %s (load it at ui.perfetto.dev or chrome://tracing)\n", *profileOut)
+		}
+		if *explain {
+			fmt.Fprint(os.Stderr, p.Explain().String())
+		}
+	}
+	if err != nil {
+		fatal(err)
+	}
+	out := res.Output
+	if *verifyFlag {
+		verifyOutput(rel, out, sigma, *k, diva.ValidateOptions{
+			LDiversity: *ldiv,
+			// Generalized outputs hold ancestor labels rather than original
+			// values or ★, so strict containment cannot hold; the remaining
+			// checks (k-anonymity, Σ, l-diversity, ★ accounting) still apply.
+			SkipContainment: hs != nil,
+			CheckStars:      true,
+			Stars:           res.Metrics.SuppressedCells,
+		})
+	}
 	if *stats {
+		fmt.Fprintf(os.Stderr, "coloring: %d steps, %d backtracks; integrate repaired %d cells\n",
+			res.Stats.Steps, res.Stats.Backtracks, res.RepairedCells)
+		if *nogoods {
+			fmt.Fprintf(os.Stderr, "learning: %d nogoods learned, %d hits, %d backjumps (max %d levels)\n",
+				res.Stats.NogoodsLearned, res.Stats.NogoodHits, res.Stats.Backjumps, res.Stats.MaxBackjump)
+		}
 		fmt.Fprintln(os.Stderr, metrics.Summarize(out, *k))
 	}
 	if *reportFmt != "" {
@@ -359,34 +326,6 @@ func fatal(err error) {
 	runCleanup()
 	fmt.Fprintln(os.Stderr, "diva:", err)
 	os.Exit(1)
-}
-
-// loadChunked loads the relation through the streaming chunk reader: rows
-// materialize maxRows at a time into chunks that share one dictionary set,
-// and fold into the base relation as they arrive. For a plain CLI run the
-// end state matches ReadAnnotatedCSV; the difference is that the CSV text is
-// decoded on this goroutine with a bounded read buffer, the shape
-// out-of-core pipelines consume chunks in.
-func loadChunked(r io.Reader, maxRows int) (*diva.Relation, error) {
-	s, err := relation.NewAnnotatedCSVStream(r)
-	if err != nil {
-		return nil, err
-	}
-	base := s.Relation()
-	for {
-		chunk, err := s.ReadChunk(maxRows)
-		if err == io.EOF {
-			return base, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		idx := make([]int, chunk.Len())
-		for i := range idx {
-			idx[i] = i
-		}
-		base.AppendRowsFrom(chunk, idx)
-	}
 }
 
 // writeProfile writes a search profile as Chrome trace-event JSON.

@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"diva"
 )
 
 // TestMain lets tests re-exec this binary as the real diva CLI: the child
@@ -91,5 +95,42 @@ func TestInterruptEndsHoldCleanly(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		cmd.Process.Kill()
 		t.Fatal("process did not exit within 15s of SIGINT")
+	}
+}
+
+// TestBaselineOnlyRunIsARun: a run without -constraints goes through the one
+// driver like any other run, so -history-dir ledgers it and -hierarchy
+// renders its groups by generalization, which -verify then accepts.
+func TestBaselineOnlyRunIsARun(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	prv := filepath.Join(dir, "prv.txt")
+	if err := os.WriteFile(prv, []byte("AB -> West\nBC -> West\nMB -> Prairie\nWest -> *\nPrairie -> *\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hist := filepath.Join(dir, "hist")
+	cmd := exec.Command(exe,
+		"-in", "../../testdata/patients.csv",
+		"-k", "2", "-seed", "42", "-verify",
+		"-history-dir", hist, "-hierarchy", "PRV="+prv)
+	cmd.Env = append(os.Environ(), "DIVA_RUN_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("baseline-only run: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(string(out), ",West,") {
+		t.Errorf("no PRV cell generalized to West in the output:\n%s", out)
+	}
+	recs, err := diva.LoadHistory(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Outcome != "ok" || recs[0].Config.Constraints != 0 {
+		t.Fatalf("ledger holds %d records (%+v), want one ok record of a run with no constraints", len(recs), recs)
 	}
 }

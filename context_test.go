@@ -324,20 +324,20 @@ func TestParseBaseline(t *testing.T) {
 	}
 }
 
-// TestBaselineLDiversityCriterion pins the fixed divergence between the
-// DIVA and baseline-only paths: both now thread the l-diversity criterion
-// into the partitioner, and both reject OKA (which cannot enforce one).
+// TestBaselineLDiversityCriterion: a baseline-only run (Σ = ∅) threads the
+// l-diversity criterion into the partitioner like any run, and rejects OKA
+// (which cannot enforce one).
 func TestBaselineLDiversityCriterion(t *testing.T) {
 	rel := loadPatients(t)
-	out, err := diva.AnonymizeBaselineContext(context.Background(), rel, diva.KMember, diva.Options{K: 2, LDiversity: 2, Seed: 4})
+	res, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 2, LDiversity: 2, Seed: 4, Baseline: diva.KMember})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !diva.IsLDiverse(out, 2) {
+	if !diva.IsLDiverse(res.Output, 2) {
 		t.Fatal("k-member baseline output not 2-diverse despite LDiversity option")
 	}
 	var ub *diva.UnsupportedBaselineError
-	if _, err := diva.AnonymizeBaselineContext(context.Background(), rel, diva.OKA, diva.Options{K: 2, LDiversity: 2}); !errors.As(err, &ub) {
+	if _, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 2, LDiversity: 2, Baseline: diva.OKA}); !errors.As(err, &ub) {
 		t.Fatalf("OKA with l-diversity: want UnsupportedBaselineError, got %v", err)
 	} else {
 		if ub.Baseline != diva.OKA {
@@ -350,18 +350,17 @@ func TestBaselineLDiversityCriterion(t *testing.T) {
 	// A genuinely unknown name still reports UnknownBaselineError — the two
 	// error paths stay distinct.
 	var unk *diva.UnknownBaselineError
-	if _, err := diva.AnonymizeBaselineContext(context.Background(), rel, diva.Baseline("magic"), diva.Options{K: 2}); !errors.As(err, &unk) {
+	if _, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 2, Baseline: "magic"}); !errors.As(err, &unk) {
 		t.Fatalf("unknown baseline: want UnknownBaselineError, got %v", err)
 	}
 }
 
-// TestBaselineContextCanceled: the baseline-only entry point honors its
-// context too.
+// TestBaselineContextCanceled: a baseline-only run honors its context too.
 func TestBaselineContextCanceled(t *testing.T) {
 	rel := censusRelation(t, 10000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := diva.AnonymizeBaselineContext(ctx, rel, diva.KMember, diva.Options{K: 5, Seed: 1})
+	_, err := diva.AnonymizeContext(ctx, rel, nil, diva.Options{K: 5, Seed: 1, Baseline: diva.KMember})
 	if !errors.Is(err, diva.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}

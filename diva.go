@@ -287,14 +287,14 @@ func CompareHistory(old, new []*HistoryRecord, t HistoryThresholds) *HistoryRepo
 	return history.Compare(old, new, t)
 }
 
-// RunOutcome classifies an Anonymize error for dashboards and the run-end
+// RunOutcome classifies an AnonymizeContext error — of any run, a
+// baseline-only one (empty Σ) included — for dashboards and the run-end
 // event's Label: "ok", "canceled", "infeasible" or "error".
 func RunOutcome(err error) string { return core.RunOutcome(err) }
 
 // NewRecorder returns a Recorder. Fed to Options.Tracer, it keeps a copy of
 // the metrics of the run's terminal KindRunEnd event, so its Snapshot equals
-// Result.Metrics; on AnonymizeBaselineContext it reports the two phases and
-// the total.
+// Result.Metrics.
 func NewRecorder() *Recorder { return trace.NewRecorder() }
 
 // NewSchema builds a schema from attributes; names must be unique.
@@ -499,8 +499,8 @@ func (o Options) criterion() privacy.Criterion {
 }
 
 // newPartitioner is the single construction point for baseline
-// partitioners, shared by AnonymizeContext, AnonymizeBaselineContext and
-// NewBaseline so the paths cannot diverge on criterion handling: every
+// partitioners, shared by AnonymizeContext and NewBaseline so the paths
+// cannot diverge on criterion handling: every
 // baseline receives the privacy criterion, and OKA — which cannot enforce
 // one — is rejected with UnsupportedBaselineError rather than silently
 // weakened.
@@ -530,6 +530,12 @@ func (o Options) newPartitioner(rng *rand.Rand, crit privacy.Criterion) (anon.Pa
 // error) when ctx is canceled or its deadline expires. On every outcome —
 // success, ErrNoDiverseClustering or ErrCanceled — the returned Result is
 // non-nil and carries the run's Metrics; on error its relations are nil.
+//
+// With an empty sigma the run is the Baseline (or Anonymizer) alone over
+// the whole relation — the classical k-anonymization the paper compares
+// DIVA against — and Result.Output is its suppressed, k-anonymous
+// rendering. Options.LDiversity applies as on any run: the partitioner
+// enforces it, and OKA, which cannot, is rejected.
 func AnonymizeContext(ctx context.Context, rel *Relation, sigma Constraints, opts Options) (*Result, error) {
 	rng := opts.rng()
 	crit := opts.criterion()
@@ -582,28 +588,6 @@ func NCP(rel *Relation, hs Hierarchies) float64 { return hierarchy.NCP(rel, hs) 
 func IsLDiverse(rel *Relation, l int) bool {
 	ok, _ := privacy.Satisfies(rel, privacy.DistinctLDiversity{L: l})
 	return ok
-}
-
-// AnonymizeBaselineContext runs one of the classical k-anonymizers
-// (KMember, OKA, Mondrian) over the whole relation without diversity
-// constraints, returning the suppressed k-anonymous relation. It honors
-// Options.LDiversity exactly as AnonymizeContext does — the partitioner
-// enforces the criterion, and OKA rejects it — and reports cancellation as
-// an error wrapping ErrCanceled. A non-nil Options.Anonymizer overrides the
-// baseline argument entirely, exactly as it overrides Options.Baseline in
-// AnonymizeContext.
-func AnonymizeBaselineContext(ctx context.Context, rel *Relation, baseline Baseline, opts Options) (*Relation, error) {
-	p := opts.Anonymizer
-	if p == nil {
-		rng := opts.rng()
-		o := opts
-		o.Baseline = baseline
-		var err error
-		if p, err = o.newPartitioner(rng, o.criterion()); err != nil {
-			return nil, err
-		}
-	}
-	return core.RunBaseline(ctx, rel, p, opts.K, opts.Tracer)
 }
 
 // UnknownBaselineError reports an unrecognized baseline name.

@@ -75,10 +75,11 @@ func main() {
 	fmt.Println("DIVA output satisfies every diversity constraint")
 
 	// Plain k-member for contrast.
-	plain, err := diva.AnonymizeBaselineContext(context.Background(), rel, "k-member", diva.Options{K: *k, Seed: 99, SampleCap: 512})
+	base, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: *k, Seed: 99, SampleCap: 512, Baseline: diva.KMember})
 	if err != nil {
 		log.Fatal(err)
 	}
+	plain := base.Output
 	fmt.Printf("\nk-member baseline: accuracy=%.4f suppressed-cells=%d disc=%d\n",
 		diva.Accuracy(plain), diva.SuppressionLoss(plain), diva.Discernibility(plain, *k))
 	viol, err := sigma.Violations(plain)

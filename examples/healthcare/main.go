@@ -24,10 +24,11 @@ func main() {
 	printRelation(rel)
 
 	// Plain k-anonymization (what Table 2 shows): k = 3, no diversity.
-	plain, err := diva.AnonymizeBaselineContext(context.Background(), rel, "k-member", diva.Options{K: 3, Seed: 7})
+	base, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 3, Seed: 7, Baseline: diva.KMember})
 	if err != nil {
 		log.Fatal(err)
 	}
+	plain := base.Output
 	fmt.Println("\nPlain 3-anonymous relation (Table 2 shape):")
 	printRelation(plain)
 	reportVisibility(plain, "plain 3-anonymization")

@@ -67,11 +67,11 @@ func main() {
 	}
 
 	// Regime 1: plain 8-anonymity (k-member).
-	plain, err := diva.AnonymizeBaselineContext(context.Background(), rel, "k-member", diva.Options{K: 8, Seed: 1, SampleCap: 256})
+	plain, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 8, Seed: 1, SampleCap: 256, Baseline: diva.KMember})
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("k-anonymity", plain, sigma)
+	report("k-anonymity", plain.Output, sigma)
 
 	// Regime 2: 8-anonymity + diversity constraints (DIVA).
 	res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 8, Strategy: diva.MaxFanOut, Seed: 1, SampleCap: 256})

@@ -147,11 +147,11 @@ func TestPipelineAllBaselinesAgainstConstraints(t *testing.T) {
 
 	violations := 0
 	for _, b := range []diva.Baseline{diva.KMember, diva.OKA, diva.Mondrian} {
-		out, err := diva.AnonymizeBaselineContext(context.Background(), rel, b, diva.Options{K: 8, Seed: 6, SampleCap: 128})
+		res, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 8, Seed: 6, SampleCap: 128, Baseline: b})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, _ := sigma.SatisfiedBy(out); !ok {
+		if ok, _ := sigma.SatisfiedBy(res.Output); !ok {
 			violations++
 		}
 	}

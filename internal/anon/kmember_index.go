@@ -31,9 +31,8 @@ type sigGroup struct {
 	next  int      // rows[:next] are consumed
 }
 
-func (g *sigGroup) live() bool   { return g.next < len(g.rows) }
-func (g *sigGroup) front() int   { return g.rows[g.next] }
-func (g *sigGroup) liveLen() int { return len(g.rows) - g.next }
+func (g *sigGroup) live() bool { return g.next < len(g.rows) }
+func (g *sigGroup) front() int { return g.rows[g.next] }
 
 type postKey struct {
 	attr int // position into qi
@@ -314,17 +313,6 @@ func (d *distancer) distQI(x, y []uint32) float64 {
 		total++
 	}
 	return total
-}
-
-// nonUniformCount counts the cluster's non-uniform QI attributes.
-func (cs *clusterSummary) nonUniformCount() int {
-	n := 0
-	for _, u := range cs.uniform {
-		if !u {
-			n++
-		}
-	}
-	return n
 }
 
 // partitionIndexed is the exact-mode (SampleCap == 0) k-member

@@ -68,17 +68,17 @@ func BaselineBench(cfg Config) (*Table, error) {
 	return table, nil
 }
 
-// timedBaseline runs one k-anonymization over the whole relation and returns
-// its wall time, erroring unless the invariant checker finds zero
-// violations.
+// timedBaseline runs one k-anonymization over the whole relation — a DIVA
+// run with Σ = ∅ — and returns its wall time, erroring unless the invariant
+// checker finds zero violations.
 func timedBaseline(rel *relation.Relation, p anon.Partitioner, k int) (float64, error) {
 	start := time.Now()
-	out, err := core.RunBaseline(context.Background(), rel, p, k, nil)
+	res, err := core.Anonymize(context.Background(), rel, nil, core.Options{K: k, Anonymizer: p})
 	secs := time.Since(start).Seconds()
 	if err != nil {
 		return secs, err
 	}
-	if rep := verify.ValidateOutput(rel, out, nil, k, verify.Options{}); !rep.OK() {
+	if rep := verify.ValidateOutput(rel, res.Output, nil, k, verify.Options{}); !rep.OK() {
 		return secs, fmt.Errorf("%s output failed validation: %w", p.Name(), rep.Err())
 	}
 	return secs, nil

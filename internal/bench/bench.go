@@ -282,16 +282,17 @@ func runDIVA(rel *relation.Relation, sigma constraint.Set, k int, strat search.S
 	return metrics.Accuracy(res.Output), secs
 }
 
-// runBaseline measures one baseline k-anonymization run.
+// runBaseline measures one baseline k-anonymization run: a DIVA run with
+// Σ = ∅, whose output is p's rendering of all of rel.
 func runBaseline(rel *relation.Relation, p anon.Partitioner, k int, cfg Config) (acc, secs float64) {
 	start := time.Now()
-	out, err := core.RunBaseline(context.Background(), rel, p, k, nil)
+	res, err := core.Anonymize(context.Background(), rel, nil, core.Options{K: k, Anonymizer: p})
 	secs = time.Since(start).Seconds()
 	if err != nil {
 		cfg.logf("    %s failed: %v", p.Name(), err)
 		return math.NaN(), secs
 	}
-	return metrics.Accuracy(out), secs
+	return metrics.Accuracy(res.Output), secs
 }
 
 // censusRelation generates the census profile at the given sample size,

@@ -61,8 +61,10 @@ type Options struct {
 	// Strategy selects the coloring node order (Basic, MinChoice,
 	// MaxFanOut).
 	Strategy search.Strategy
-	// Rng drives randomized choices (Basic node selection, the anonymizer's
-	// seeding). Required.
+	// Rng drives the coloring search's randomized choices: Basic node
+	// selection, portfolio and component seeds. Required unless Σ holds no
+	// constraint on a QI target, in which case nothing is colored and the
+	// Rng is never read.
 	Rng *rand.Rand
 	// Cluster bounds the per-constraint candidate enumeration. The K field
 	// is filled in from Options.K.
@@ -175,6 +177,11 @@ type Result struct {
 // ErrCanceled (wrapping the context's error) when ctx is canceled or its
 // deadline expires — the coloring search honors the context at step
 // granularity, the partitioners at split granularity.
+//
+// An empty sigma makes the run the off-the-shelf anonymizer alone: SΣ = ∅
+// and R′ = Rk, the anonymizer's rendering of all of R. That is the paper's
+// §4.2 baseline comparison, and it runs through the same phases, registry,
+// ledger and tracers as every other run.
 //
 // Every run is decomposed into timed phases (bind, build-graph, color,
 // suppress, baseline, integrate, verify) reported through opts.Tracer and
@@ -387,32 +394,24 @@ type runEnv struct {
 	stars      int
 }
 
-// phase runs one stage under its trace events and pprof label and records
-// its timing, on the error path too. It short-circuits with the context's
-// error when the run is already canceled, so no phase starts after
-// cancellation.
+// phase runs f as stage ph, bracketed by KindPhaseStart/KindPhaseEnd events
+// and executed under a runtime/pprof "diva_phase" label, and records its
+// timing, on the error path too. It short-circuits with the context's error
+// when the run is already canceled, so no phase starts after cancellation.
 func (e *runEnv) phase(ph trace.Phase, f func(context.Context) error) error {
 	if err := e.ctx.Err(); err != nil {
 		return err
 	}
-	d, err := runPhase(e.ctx, e.tr, ph, f)
-	e.phases = append(e.phases, trace.PhaseTiming{Phase: ph, Duration: d})
-	return err
-}
-
-// runPhase runs f as phase ph: bracketed by KindPhaseStart/KindPhaseEnd
-// events on tr and executed under a runtime/pprof "diva_phase" label. It
-// returns the phase's wall time and f's error.
-func runPhase(ctx context.Context, tr trace.Tracer, ph trace.Phase, f func(context.Context) error) (time.Duration, error) {
-	tr.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: ph})
+	e.tr.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: ph})
 	start := time.Now()
 	var err error
-	pprof.Do(ctx, pprof.Labels("diva_phase", string(ph)), func(c context.Context) {
+	pprof.Do(e.ctx, pprof.Labels("diva_phase", string(ph)), func(c context.Context) {
 		err = f(c)
 	})
 	d := time.Since(start)
-	tr.Trace(trace.Event{Kind: trace.KindPhaseEnd, Phase: ph, Elapsed: d})
-	return d, err
+	e.tr.Trace(trace.Event{Kind: trace.KindPhaseEnd, Phase: ph, Elapsed: d})
+	e.phases = append(e.phases, trace.PhaseTiming{Phase: ph, Duration: d})
+	return err
 }
 
 // runMetrics assembles the run's RunMetrics — the one place they are built —
@@ -474,7 +473,15 @@ func (e *runEnv) acceptRest(used int) bool {
 
 // colorJoint colors the joint graph: one search on the run's Rng, or the
 // strategy portfolio when Options.Parallel > 0, under the acceptRest hook.
+// A graph without nodes — Σ = ∅, or only constraints on non-QI targets —
+// has the empty clustering as its coloring, so SΣ = ∅ and R′ = Rk. It is
+// returned without a search, which would draw from the Rng the baseline
+// partitioner may share; acceptRest holds for it, since |R| ≥ K was checked
+// up front.
 func (e *runEnv) colorJoint(ctx context.Context, graph *search.Graph) (cluster.Clustering, error) {
+	if len(graph.Nodes) == 0 {
+		return nil, nil
+	}
 	opts := e.opts
 	searchOpts := search.Options{
 		Strategy: opts.Strategy,
@@ -571,49 +578,6 @@ func Suppress(rel *relation.Relation, clusters [][]int) *relation.Relation {
 	return SuppressGeneralize(rel, clusters, nil)
 }
 
-// RunBaseline anonymizes all of rel with a baseline partitioner and
-// suppression, without diversity constraints. It is the comparison path for
-// the paper's §4.2 study. A nil ctx is treated as context.Background() and
-// a nil tr as trace.Nop; cancellation is honored at the partitioner's
-// split granularity and reported as ErrCanceled wrapping the context's
-// error. Like Anonymize, the run ends with one KindRunEnd event on tr whose
-// metrics carry the phase timings and the total wall time.
-func RunBaseline(ctx context.Context, rel *relation.Relation, p anon.Partitioner, k int, tr trace.Tracer) (*relation.Relation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if tr == nil {
-		tr = trace.Nop
-	} else if ts, ok := p.(anon.TraceSink); ok {
-		ts.SetTracer(tr)
-	}
-	start := time.Now()
-	m := &trace.RunMetrics{}
-	phase := func(ph trace.Phase, f func(context.Context) error) error {
-		d, err := runPhase(ctx, tr, ph, f)
-		m.Phases = append(m.Phases, trace.PhaseTiming{Phase: ph, Duration: d})
-		return err
-	}
-	var parts [][]int
-	err := phase(trace.PhaseBaseline, func(c context.Context) error {
-		var err error
-		parts, err = p.Partition(c, rel, allRows(rel), k)
-		return err
-	})
-	var out *relation.Relation
-	if err == nil {
-		phase(trace.PhaseSuppress, func(context.Context) error {
-			out = Suppress(rel, parts)
-			return nil
-		})
-	} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		err = fmt.Errorf("%w: %w", ErrCanceled, err)
-	}
-	m.Total, m.Canceled = time.Since(start), errors.Is(err, ErrCanceled)
-	tr.Trace(runEndEvent(m, err))
-	return out, err
-}
-
 // integrate verifies R′ = RΣ ∪ Rk against every constraint and repairs upper-
 // bound violations by suppressing target QI attributes across whole
 // QI-groups of Rk (so k-anonymity is preserved), choosing groups with the
@@ -697,15 +661,6 @@ func integrate(out, rest *relation.Relation, bounds []*constraint.Bound, schema 
 		copy(total[i+1:], constraint.Counts(out, bounds[i+1:]))
 	}
 	return repaired, nil
-}
-
-// allRows returns [0, rel.Len()).
-func allRows(rel *relation.Relation) []int {
-	rows := make([]int, rel.Len())
-	for i := range rows {
-		rows[i] = i
-	}
-	return rows
 }
 
 // Verify checks the three output conditions of Definition 2.4 on a result:

@@ -28,7 +28,13 @@ func baselineByName(t testing.TB, rel *relation.Relation, name string, k int) (*
 	default:
 		t.Fatalf("unknown baseline %q", name)
 	}
-	return core.RunBaseline(context.Background(), rel, p, k, nil)
+	return baselineOnly(rel, p, k)
+}
+
+// baselineOnly anonymizes all of rel with p: a run with Σ = ∅.
+func baselineOnly(rel *relation.Relation, p anon.Partitioner, k int) (*relation.Relation, error) {
+	res, err := core.Anonymize(context.Background(), rel, nil, core.Options{K: k, Rng: testRng(), Anonymizer: p})
+	return res.Output, err
 }
 
 // skewedRelation builds a relation where one value dominates, so that the

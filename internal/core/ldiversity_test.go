@@ -87,7 +87,7 @@ func TestDIVAWithLDiversityUnsatisfiable(t *testing.T) {
 func TestKMemberWithLDiversity(t *testing.T) {
 	rel := diverseDiagRelation(t, 90)
 	km := &anon.KMember{Rng: testRng(), Criterion: privacy.DistinctLDiversity{L: 3}}
-	out, err := core.RunBaseline(context.Background(), rel, km, 4, nil)
+	out, err := baselineOnly(rel, km, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMondrianWithTCloseness(t *testing.T) {
 	rel := diverseDiagRelation(t, 120)
 	crit := privacy.NewTCloseness(rel, 0.45)
 	m := &anon.Mondrian{Criterion: crit}
-	out, err := core.RunBaseline(context.Background(), rel, m, 4, nil)
+	out, err := baselineOnly(rel, m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

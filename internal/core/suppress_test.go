@@ -80,7 +80,7 @@ func TestSuppressSkipsEmptyClusters(t *testing.T) {
 	}
 }
 
-func TestRunBaselineIsKAnonymous(t *testing.T) {
+func TestBaselineOnlyIsKAnonymous(t *testing.T) {
 	rel := paperRelation(t)
 	for _, name := range []string{"k-member", "oka", "mondrian"} {
 		out, err := baselineByName(t, rel, name, 3)
@@ -99,11 +99,11 @@ func TestRunBaselineIsKAnonymous(t *testing.T) {
 	}
 }
 
-// TestRunBaselineEndsWithRunEnd: a baseline-only run ends, like Anonymize,
-// with exactly one KindRunEnd, last, whose metrics carry the baseline and
-// suppress phase timings and the total — so a Recorder reports phases — and
-// a canceled run's run-end says so.
-func TestRunBaselineEndsWithRunEnd(t *testing.T) {
+// TestBaselineOnlyEndsWithRunEnd: a baseline-only run (Σ = ∅) ends with
+// exactly one KindRunEnd, last, whose metrics carry every phase of the one
+// driver and the total — so a Recorder reports phases — and a run canceled
+// before it starts ends with no phase and a run-end that says so.
+func TestBaselineOnlyEndsWithRunEnd(t *testing.T) {
 	rel := paperRelation(t)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -113,14 +113,19 @@ func TestRunBaselineEndsWithRunEnd(t *testing.T) {
 		phases  []trace.Phase
 		outcome string
 	}{
-		{"ok", context.Background(), []trace.Phase{trace.PhaseBaseline, trace.PhaseSuppress}, "ok"},
-		{"canceled", canceled, []trace.Phase{trace.PhaseBaseline}, "canceled"},
+		{"ok", context.Background(), []trace.Phase{
+			trace.PhaseBind, trace.PhaseBuildGraph, trace.PhaseColor, trace.PhaseSuppress,
+			trace.PhaseBaseline, trace.PhaseIntegrate, trace.PhaseVerify,
+		}, "ok"},
+		{"canceled", canceled, nil, "canceled"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var events []trace.Event
 			rec := trace.NewRecorder()
 			log := traceFunc(func(ev trace.Event) { events = append(events, ev) })
-			_, err := core.RunBaseline(c.ctx, rel, &anon.Mondrian{Parallelism: 1}, 3, trace.Tee(log, rec))
+			_, err := core.Anonymize(c.ctx, rel, nil, core.Options{
+				K: 3, Anonymizer: &anon.Mondrian{Parallelism: 1}, Tracer: trace.Tee(log, rec),
+			})
 			if got := core.RunOutcome(err); got != c.outcome {
 				t.Fatalf("outcome %q (err %v), want %q", got, err, c.outcome)
 			}

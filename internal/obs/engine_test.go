@@ -197,6 +197,8 @@ func TestCallerRecorderMatchesEngine(t *testing.T) {
 		{"sharded", nil, nil, paperSigma(), diva.Options{K: 2, Shards: 2}, "ok"},
 		{"fallback", nil, fbRel, fbSigma, diva.Options{K: 2, Shards: 2, Strategy: diva.MinChoice}, "ok"},
 		{"nogoods", nil, nil, paperSigma(), diva.Options{K: 2, Nogoods: true}, "ok"},
+		{"baseline-only", nil, nil, nil, diva.Options{K: 2, Baseline: diva.KMember}, "ok"},
+		{"baseline-only-canceled", canceled, nil, nil, diva.Options{K: 2}, "canceled"},
 		{"infeasible", nil, nil, infeasible, diva.Options{K: 2}, "infeasible"},
 		{"infeasible-portfolio", nil, nil, infeasible, diva.Options{K: 2, Parallel: 3}, "infeasible"},
 		{"canceled", canceled, nil, paperSigma(), diva.Options{K: 2}, "canceled"},
@@ -241,8 +243,11 @@ func TestCallerRecorderMatchesEngine(t *testing.T) {
 			if p.Metrics != e || p.Outcome != c.outcome {
 				t.Fatalf("caller profile carries %p/%q, want Result.Metrics %p/%q", p.Metrics, p.Outcome, e, c.outcome)
 			}
-			if c.outcome == "ok" && e.Steps == 0 {
-				t.Fatalf("engine metrics carry no search work: %+v", e)
+			if c.outcome == "ok" && (e.Steps == 0) != (len(c.sigma) == 0) {
+				t.Fatalf("engine metrics carry search work %d for |Σ| = %d: %+v", e.Steps, len(c.sigma), e)
+			}
+			if c.outcome == "ok" && len(e.Phases) < 7 {
+				t.Fatalf("a completed run timed phases %+v, want all seven", e.Phases)
 			}
 			if c.opts.Parallel > 0 && err == nil && e.WinnerStrategy == "" {
 				t.Fatal("portfolio run names no winner")

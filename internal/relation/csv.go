@@ -9,10 +9,8 @@ import (
 
 // ReadCSV loads a relation from CSV data whose header row matches the given
 // schema's attribute names (order-insensitive: columns are matched by name,
-// extra columns are ignored, missing columns are an error). It is the
-// materializing form of NewCSVStream; use the stream's ReadChunk for
-// relations too large to hold in memory. As in ReadAnnotatedCSV, a cell "*"
-// is the suppression marker ★.
+// extra columns are ignored, missing columns are an error): NewCSVStream's
+// ReadAll. As in ReadAnnotatedCSV, a cell "*" is the suppression marker ★.
 func ReadCSV(r io.Reader, schema *Schema) (*Relation, error) {
 	s, err := NewCSVStream(r, schema)
 	if err != nil {
@@ -85,7 +83,7 @@ func WriteCSV(w io.Writer, rel *Relation) error {
 	for i := range header {
 		header[i] = schema.Attr(i).Name
 	}
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(keepCRLF(header)); err != nil {
 		return err
 	}
 	return writeRows(w, cw, rel)
@@ -94,7 +92,7 @@ func WriteCSV(w io.Writer, rel *Relation) error {
 // writeRows writes rel's tuples through cw and flushes it. encoding/csv
 // writes a record holding one empty field as an empty line, which every
 // reader skips, so such a tuple is written as a quoted empty field instead
-// and survives a round trip.
+// and survives a round trip, as does a value holding "\r\n" (keepCRLF).
 func writeRows(w io.Writer, cw *csv.Writer, rel *Relation) error {
 	for i := 0; i < rel.Len(); i++ {
 		vals := rel.Values(i)
@@ -108,12 +106,24 @@ func writeRows(w io.Writer, cw *csv.Writer, rel *Relation) error {
 			}
 			continue
 		}
-		if err := cw.Write(vals); err != nil {
+		if err := cw.Write(keepCRLF(vals)); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// keepCRLF prepares a record for encoding/csv, whose reader takes a "\r\n"
+// line break inside a quoted field for "\n": every "\r\n" in a value is
+// written as "\r\r\n", which reads back as "\r\n".
+func keepCRLF(rec []string) []string {
+	for i, v := range rec {
+		if strings.Contains(v, "\r\n") {
+			rec[i] = strings.ReplaceAll(v, "\r\n", "\r\r\n")
+		}
+	}
+	return rec
 }
 
 // AnnotatedHeader renders schema as the "name:role:kind" header row that
@@ -144,7 +154,7 @@ func AnnotatedHeader(schema *Schema) []string {
 func WriteAnnotatedCSV(w io.Writer, rel *Relation) error {
 	cw := csv.NewWriter(w)
 	header := AnnotatedHeader(rel.Schema())
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(keepCRLF(header)); err != nil {
 		return err
 	}
 	return writeRows(w, cw, rel)

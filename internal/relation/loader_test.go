@@ -75,27 +75,18 @@ func (s *refStream) next() ([]string, error) {
 	return s.values, nil
 }
 
-// readChunk appends up to maxRows records to a relation derived from the
-// base, or to the base itself when maxRows is 0.
-func (s *refStream) readChunk(maxRows int) (*Relation, error) {
-	dst := s.base
-	if maxRows > 0 {
-		dst = s.base.Derive()
-	}
-	for maxRows == 0 || dst.Len() < maxRows {
+// readAll appends every record to the base relation and returns it.
+func (s *refStream) readAll() (*Relation, error) {
+	for {
 		vals, err := s.next()
 		if err == io.EOF {
-			break
+			return s.base, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		dst.MustAppendValues(vals...)
+		s.base.MustAppendValues(vals...)
 	}
-	if maxRows > 0 && dst.Len() == 0 {
-		return nil, io.EOF
-	}
-	return dst, nil
 }
 
 // sameRelation fails unless got and want have the same schema, rows,
@@ -136,13 +127,12 @@ var readers = map[string]func(string) io.Reader{
 	"eof-data": func(d string) io.Reader { return iotest.DataErrReader(strings.NewReader(d)) },
 }
 
-// checkLoad checks one loader against the reference on data: ReadAll with
-// maxRows 0, ReadChunk(maxRows) otherwise. A nil schema reads an annotated
-// header.
-func checkLoad(t *testing.T, data string, schema *Schema, maxRows int) {
+// checkLoad checks ReadAll against the reference on data. A nil schema
+// reads an annotated header.
+func checkLoad(t *testing.T, data string, schema *Schema) {
 	t.Helper()
 	for name, reader := range readers {
-		what := fmt.Sprintf("%s, %s read, maxRows %d, block %d", map[bool]string{true: "annotated", false: "by schema"}[schema == nil], name, maxRows, blockSize)
+		what := fmt.Sprintf("%s, %s read, block %d", map[bool]string{true: "annotated", false: "by schema"}[schema == nil], name, blockSize)
 		ref, wantErr := newRefStream(strings.NewReader(data), schema)
 		var s *CSVStream
 		var err error
@@ -155,25 +145,12 @@ func checkLoad(t *testing.T, data string, schema *Schema, maxRows int) {
 		if err != nil {
 			continue
 		}
-		if maxRows == 0 {
-			want, wantErr := ref.readChunk(0)
-			got, err := s.ReadAll()
-			sameErr(t, what, err, wantErr)
-			if err == nil {
-				sameRelation(t, what, got, want)
-			}
-			continue
+		want, wantErr := ref.readAll()
+		got, err := s.ReadAll()
+		sameErr(t, what, err, wantErr)
+		if err == nil {
+			sameRelation(t, what, got, want)
 		}
-		for c := 0; ; c++ {
-			want, wantErr := ref.readChunk(maxRows)
-			got, err := s.ReadChunk(maxRows)
-			sameErr(t, fmt.Sprintf("%s: chunk %d", what, c), err, wantErr)
-			if err != nil {
-				break
-			}
-			sameRelation(t, fmt.Sprintf("%s: chunk %d", what, c), got, want)
-		}
-		sameRelation(t, what+": base", s.Relation(), ref.base)
 	}
 }
 
@@ -215,18 +192,16 @@ func checkAllLoaders(t *testing.T, data string) {
 				schemas = append(schemas, s)
 			}
 			for _, schema := range schemas {
-				for _, maxRows := range []int{0, 1, 2, 3} {
-					checkLoad(t, data, schema, maxRows)
-				}
+				checkLoad(t, data, schema)
 			}
 		})
 	}
 }
 
 // FuzzCSVLoaderMatchesReference checks that every loader — ReadAll under
-// ReadAnnotatedCSV and ReadCSV (reordered plus ignored columns), and
-// ReadChunk(1..3) — builds the reference loader's schema, dictionary order
-// and codes, or fails with its error text, line numbers included.
+// ReadAnnotatedCSV and ReadCSV (reordered plus ignored columns) — builds the
+// reference loader's schema, dictionary order and codes, or fails with its
+// error text, line numbers included.
 func FuzzCSVLoaderMatchesReference(f *testing.F) {
 	for _, seed := range []string{
 		"A:qi,B:sensitive\nx,y\nx,z\n",
@@ -256,8 +231,8 @@ func FuzzCSVLoaderMatchesReference(f *testing.F) {
 	})
 }
 
-// TestReadAllAcrossBlocks drives ReadAll, ReadCSV and ReadChunk over inputs
-// cut into several blocks, around the cases block boundaries make hard, and
+// TestReadAllAcrossBlocks drives ReadAll under ReadAnnotatedCSV and ReadCSV
+// over inputs cut into several blocks, around the cases block boundaries make hard, and
 // checks that no worker outlives a load.
 func TestReadAllAcrossBlocks(t *testing.T) {
 	var rows strings.Builder
@@ -286,9 +261,7 @@ func TestReadAllAcrossBlocks(t *testing.T) {
 		for name, data := range cases {
 			t.Run(name, func(t *testing.T) {
 				for _, schema := range []*Schema{nil, bySchemaFor(data)} {
-					for _, maxRows := range []int{0, 1, 7} {
-						checkLoad(t, data, schema, maxRows)
-					}
+					checkLoad(t, data, schema)
 				}
 			})
 		}

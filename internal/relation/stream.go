@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -21,15 +20,9 @@ var blockSize = 1 << 20
 // the data up to a block, so a small input never costs a block-sized buffer.
 const initialBuffer = 4 << 10
 
-// CSVStream reads a relation's tuples incrementally from CSV data, building
-// the dictionaries as rows arrive but never requiring the whole relation in
-// memory at once. Callers either materialize bounded chunks that share one
-// dictionary family (ReadChunk) or drain everything (ReadAll — what ReadCSV
-// and ReadAnnotatedCSV do).
-//
-// Chunks returned by ReadChunk all Derive from the same base relation, so
-// codes are comparable across chunks and dictionary memory is paid once —
-// the "shared out-of-core dictionary building" the sharded engine relies on.
+// CSVStream loads a relation from CSV data: it reads the header when it is
+// opened, and ReadAll (what ReadCSV and ReadAnnotatedCSV call) decodes the
+// body, building the dictionaries as rows arrive.
 //
 // The body is decoded by a byte-level scanner: input is read in blocks,
 // split into records at newlines and into fields at commas, and each field
@@ -127,34 +120,6 @@ func (s *CSVStream) init(schema *Schema, colFor []int, fields int) {
 	s.sc = scanner{attrOf: attrOf}
 }
 
-// Schema returns the stream's schema.
-func (s *CSVStream) Schema() *Schema { return s.base.Schema() }
-
-// Relation returns the stream's base relation: the owner of the shared
-// dictionaries, holding every row appended by ReadAll (and nothing else —
-// ReadChunk does not grow it beyond the chunks' Derive sharing).
-func (s *CSVStream) Relation() *Relation { return s.base }
-
-// ReadChunk materializes up to maxRows tuples as a relation sharing the
-// stream's dictionaries (and numeric-parse cache) with every other chunk.
-// It returns io.EOF — with a nil relation — once the stream is exhausted;
-// a short final chunk is returned without error. maxRows ≤ 0 is an error.
-// The chunk is decoded on the calling goroutine, at most a block of input
-// ahead of it.
-func (s *CSVStream) ReadChunk(maxRows int) (*Relation, error) {
-	if maxRows <= 0 {
-		return nil, fmt.Errorf("relation: ReadChunk needs maxRows > 0, got %d", maxRows)
-	}
-	chunk := s.base.Derive()
-	if _, err := s.decode(chunk, maxRows); err != nil {
-		return nil, err
-	}
-	if chunk.Len() == 0 {
-		return nil, io.EOF
-	}
-	return chunk, nil
-}
-
 // ReadAll drains the stream into its base relation and returns it. An input
 // that ends inside its first block is decoded on the calling goroutine,
 // straight into the base relation. A larger one is decoded block by block
@@ -171,7 +136,7 @@ func (s *CSVStream) ReadAll() (*Relation, error) {
 	case s.cr == nil:
 		s.base.Grow(bytes.Count(s.buf[s.off:], newline) + 1)
 	}
-	if _, err := s.decode(s.base, math.MaxInt); err != nil {
+	if err := s.decode(); err != nil {
 		return nil, err
 	}
 	return s.base, nil
@@ -262,53 +227,44 @@ func (s *CSVStream) fallback() {
 	s.buf, s.off = nil, 0
 }
 
-// decode appends up to limit records to dst and returns how many it
-// appended: quote-free input through the scanner, and the rest of the
-// input, once a block holds a quote, through encoding/csv.
-func (s *CSVStream) decode(dst *Relation, limit int) (int, error) {
-	got := 0
-	for got < limit {
-		if s.cr != nil {
-			n, err := s.decodeQuoted(dst, limit-got)
-			return got + n, err
-		}
-		res := s.sc.scan(dst, s.buf[s.off:], s.eof && s.err == nil, limit-got)
+// decode appends the records left in the input to the base relation:
+// quote-free input through the scanner, and the rest of the input, once a
+// block holds a quote, through encoding/csv.
+func (s *CSVStream) decode() error {
+	for s.cr == nil {
+		res := s.sc.scan(s.base, s.buf[s.off:], s.eof && s.err == nil)
 		s.off += res.n
 		s.nl += res.lines
 		s.line += res.rows
-		got += res.rows
 		switch {
 		case res.bad:
-			return got, s.fieldCountError(s.nl + 1)
-		case got == limit:
-			return got, nil
+			return s.fieldCountError(s.nl + 1)
 		case s.err != nil:
-			return got, fmt.Errorf("relation: reading CSV line %d: %w", s.line+1, s.err)
+			return fmt.Errorf("relation: reading CSV line %d: %w", s.line+1, s.err)
 		case s.eof:
-			return got, nil
+			return nil
 		}
 		s.fill(max(blockSize, 2*(len(s.buf)-s.off)))
 	}
-	return got, nil
+	return s.decodeQuoted()
 }
 
-// decodeQuoted appends up to limit records read by encoding/csv to dst.
-func (s *CSVStream) decodeQuoted(dst *Relation, limit int) (int, error) {
-	for got := 0; got < limit; got++ {
+// decodeQuoted appends the records encoding/csv reads to the base relation.
+func (s *CSVStream) decodeQuoted() error {
+	for {
 		rec, err := s.cr.Read()
 		if err == io.EOF {
-			return got, nil
+			return nil
 		}
 		s.line++
 		if err != nil {
-			return got, fmt.Errorf("relation: reading CSV line %d: %w", s.line, s.shiftLines(err))
+			return fmt.Errorf("relation: reading CSV line %d: %w", s.line, s.shiftLines(err))
 		}
 		for i, col := range s.colFor {
 			s.values[i] = rec[col]
 		}
-		dst.MustAppendValues(s.values...)
+		s.base.MustAppendValues(s.values...)
 	}
-	return limit, nil
 }
 
 // shiftLines renumbers the lines of an encoding/csv parse error, counted
@@ -359,7 +315,7 @@ func (s *CSVStream) readBlocks() error {
 			for b := range jobs {
 				clear(sc.recent) // the block's dictionaries start empty
 				b.rel.Grow(bytes.Count(b.data, newline) + 1)
-				b.res = sc.scan(b.rel, b.data, b.final, math.MaxInt)
+				b.res = sc.scan(b.rel, b.data, b.final)
 				close(b.done)
 			}
 		}()
@@ -516,13 +472,13 @@ type scanned struct {
 	bad   bool // the record after them has the wrong number of fields
 }
 
-// scan appends the complete records at the start of b, at most limit of
-// them, to dst. A record ends at a newline or, when final, at the end of b.
-// As in encoding/csv, one carriage return before a record's end is dropped
-// and blank lines are skipped.
-func (sc *scanner) scan(dst *Relation, b []byte, final bool, limit int) (res scanned) {
+// scan appends the complete records at the start of b to dst. A record
+// ends at a newline or, when final, at the end of b. As in encoding/csv, one
+// carriage return before a record's end is dropped and blank lines are
+// skipped.
+func (sc *scanner) scan(dst *Relation, b []byte, final bool) (res scanned) {
 	w := dst.width
-	for res.rows < limit && res.n < len(b) {
+	for res.n < len(b) {
 		rest := b[res.n:]
 		end := bytes.IndexByte(rest, '\n')
 		next := end + 1

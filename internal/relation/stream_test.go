@@ -1,7 +1,6 @@
 package relation_test
 
 import (
-	"io"
 	"strings"
 	"testing"
 
@@ -56,9 +55,6 @@ func TestStreamReadAllMatchesReadCSV(t *testing.T) {
 		t.Fatalf("ReadAll: %v", err)
 	}
 	sameRows(t, want, got)
-	if got != s.Relation() {
-		t.Fatalf("ReadAll should return the stream's base relation")
-	}
 }
 
 func TestAnnotatedStreamMatchesReadAnnotatedCSV(t *testing.T) {
@@ -70,59 +66,17 @@ func TestAnnotatedStreamMatchesReadAnnotatedCSV(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAnnotatedCSVStream: %v", err)
 	}
-	if got, want := s.Schema().Len(), want.Schema().Len(); got != want {
-		t.Fatalf("schema len: got %d, want %d", got, want)
-	}
-	if a := s.Schema().Attr(2); a.Kind != relation.Numeric || a.Role != relation.QI {
-		t.Fatalf("AGE attr not parsed as qi:numeric: %+v", a)
-	}
 	got, err := s.ReadAll()
 	if err != nil {
 		t.Fatalf("ReadAll: %v", err)
 	}
+	if got, want := got.Schema().Len(), want.Schema().Len(); got != want {
+		t.Fatalf("schema len: got %d, want %d", got, want)
+	}
+	if a := got.Schema().Attr(2); a.Kind != relation.Numeric || a.Role != relation.QI {
+		t.Fatalf("AGE attr not parsed as qi:numeric: %+v", a)
+	}
 	sameRows(t, want, got)
-}
-
-func TestStreamReadChunkSharesDictionaries(t *testing.T) {
-	schema := streamSchema(t)
-	s, err := relation.NewCSVStream(strings.NewReader(streamCSV), schema)
-	if err != nil {
-		t.Fatalf("NewCSVStream: %v", err)
-	}
-	var chunks []*relation.Relation
-	for {
-		chunk, err := s.ReadChunk(2)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("ReadChunk: %v", err)
-		}
-		chunks = append(chunks, chunk)
-	}
-	if len(chunks) != 3 {
-		t.Fatalf("got %d chunks, want 3", len(chunks))
-	}
-	if got := chunks[2].Len(); got != 1 {
-		t.Fatalf("final short chunk: got %d rows, want 1", got)
-	}
-	// Codes must be comparable across chunks: rows 0 and 3 of the data share
-	// value b0 for attribute B, and land in chunks 0 and 1 respectively.
-	if c0, c1 := chunks[0].Row(0)[1], chunks[1].Row(1)[1]; c0 != c1 {
-		t.Fatalf("chunks do not share dictionaries: b0 coded %d vs %d", c0, c1)
-	}
-	for _, chunk := range chunks {
-		if chunk.Dict(0) != s.Relation().Dict(0) {
-			t.Fatalf("chunk dictionary is not the stream's")
-		}
-	}
-	// After EOF the stream stays exhausted.
-	if _, err := s.ReadChunk(2); err != io.EOF {
-		t.Fatalf("ReadChunk after EOF: got %v, want io.EOF", err)
-	}
-	if _, err := s.ReadChunk(0); err == nil || !strings.Contains(err.Error(), "maxRows") {
-		t.Fatalf("ReadChunk(0): got %v, want maxRows error", err)
-	}
 }
 
 func TestStreamErrors(t *testing.T) {
@@ -133,16 +87,6 @@ func TestStreamErrors(t *testing.T) {
 	}
 	const ragged = "A,B,AGE\na0,b0,30\na1,b1\n"
 	s, err := relation.NewCSVStream(strings.NewReader(ragged), schema)
-	if err != nil {
-		t.Fatalf("NewCSVStream: %v", err)
-	}
-	if chunk, err := s.ReadChunk(1); err != nil || chunk.Len() != 1 {
-		t.Fatalf("first row: got %v, %v", chunk, err)
-	}
-	if _, err := s.ReadChunk(1); err == nil || !strings.Contains(err.Error(), "line 3") {
-		t.Fatalf("ragged row: got %v, want line 3 error", err)
-	}
-	s, err = relation.NewCSVStream(strings.NewReader(ragged), schema)
 	if err != nil {
 		t.Fatalf("NewCSVStream: %v", err)
 	}

@@ -80,8 +80,8 @@ func TestOptionsAnonymizer(t *testing.T) {
 	}
 }
 
-// TestOptionsAnonymizerBaselinePath: the injected partitioner also drives the
-// baseline-only entry point, whatever Baseline enum is passed.
+// TestOptionsAnonymizerBaselinePath: the injected partitioner also drives a
+// baseline-only run (Σ = ∅), whatever Baseline enum is set.
 func TestOptionsAnonymizerBaselinePath(t *testing.T) {
 	rel := loadPatients(t)
 	inner, err := diva.NewBaseline(diva.KMember)
@@ -89,14 +89,14 @@ func TestOptionsAnonymizerBaselinePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	stub := &countingPartitioner{inner: inner}
-	out, err := diva.AnonymizeBaselineContext(context.Background(), rel, "magic", diva.Options{K: 3, Anonymizer: stub})
+	res, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 3, Baseline: "magic", Anonymizer: stub})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stub.calls == 0 {
 		t.Fatal("injected Anonymizer was never called")
 	}
-	if !diva.IsKAnonymous(out, 3) {
+	if !diva.IsKAnonymous(res.Output, 3) {
 		t.Fatal("output not 3-anonymous under injected partitioner")
 	}
 }
