@@ -89,17 +89,20 @@ bench-compare:
 	benchstat $(BENCH_OLD) $(BENCH_NEW)
 
 # bench-baseline regenerates BENCH_baseline.json: the baseline-partitioner
-# comparison (parallel/sequential Mondrian, indexed/sampled k-member) at
-# scale 0.5 on the census profile, every output gated through the invariant
-# checker. Commit the refreshed snapshot when baseline-phase performance
-# changes.
+# comparison (parallel/sequential Mondrian, k-member on the signature index)
+# at scale 0.5 on the census profile, every output gated through the
+# invariant checker. The checker's R ⊑ R′ matching dominates the wall time
+# (about 9 minutes on 2 vCPUs). Commit the refreshed snapshot when
+# baseline-phase performance changes.
 bench-baseline:
 	$(GO) run ./cmd/divabench -exp baseline -scale 0.5 -bench-out BENCH_baseline.json
 
 # baseline-smoke runs cmd/diva end to end at scale 0.05 under -verify with
 # both the sequential and the parallel default partitioner settings, and
 # checks the two outputs are byte-identical (the parallel Mondrian
-# determinism contract at the CLI level).
+# determinism contract at the CLI level). It then runs the k-member baseline
+# twice on the same sample, requiring byte-identical outputs, and once more
+# under distinct 2-diversity, all under -verify.
 baseline-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -113,7 +116,16 @@ baseline-smoke:
 	cmp -s $$tmp/seq.csv $$tmp/par.csv || { \
 		echo "baseline-smoke: parallel output differs from sequential"; exit 1; }; \
 	[ -s $$tmp/seq.csv ] || { echo "baseline-smoke: empty output"; exit 1; }; \
-	echo "baseline-smoke: ok (sequential and parallel outputs identical, -verify clean)"
+	for i in 1 2; do \
+		$$tmp/diva -in $$tmp/census.csv -k 10 -seed 7 -baseline k-member -verify \
+			>$$tmp/km$$i.csv || { echo "baseline-smoke: k-member run $$i failed"; exit 1; }; \
+	done; \
+	cmp -s $$tmp/km1.csv $$tmp/km2.csv || { \
+		echo "baseline-smoke: k-member outputs differ between identical runs"; exit 1; }; \
+	[ -s $$tmp/km1.csv ] || { echo "baseline-smoke: empty k-member output"; exit 1; }; \
+	$$tmp/diva -in $$tmp/census.csv -k 10 -seed 7 -baseline k-member -ldiversity 2 -verify \
+		>$$tmp/kml2.csv || { echo "baseline-smoke: k-member -ldiversity 2 run failed"; exit 1; }; \
+	echo "baseline-smoke: ok (sequential and parallel outputs identical, k-member deterministic, -verify clean)"
 
 # shard-smoke runs the shard-and-merge engine end to end at the CLI level:
 # a census sample with a Σ that decomposes into three components

@@ -58,7 +58,7 @@ func runDIVABench(b *testing.B, rel *diva.Relation, sigma constraint.Set, k int,
 			K:          k,
 			Strategy:   strat,
 			Rng:        rng,
-			Anonymizer: &anon.KMember{Rng: rng, SampleCap: 256},
+			Anonymizer: &anon.KMember{Rng: rng},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -237,7 +237,7 @@ func fig5Algorithms(b *testing.B, rel *diva.Relation, sigma constraint.Set, k in
 	b.Run("MinChoice", func(b *testing.B) { runDIVABench(b, rel, sigma, k, search.MinChoice) })
 	b.Run("MaxFanOut", func(b *testing.B) { runDIVABench(b, rel, sigma, k, search.MaxFanOut) })
 	b.Run("k-member", func(b *testing.B) {
-		runBaselineBench(b, rel, &anon.KMember{Rng: rand.New(rand.NewPCG(1, 2)), SampleCap: 256}, k)
+		runBaselineBench(b, rel, &anon.KMember{Rng: rand.New(rand.NewPCG(1, 2))}, k)
 	})
 	b.Run("OKA", func(b *testing.B) {
 		runBaselineBench(b, rel, &anon.OKA{Rng: rand.New(rand.NewPCG(1, 2))}, k)

@@ -39,13 +39,17 @@ import (
 )
 
 func main() {
+	var all []string
+	for _, e := range bench.Experiments() {
+		all = append(all, e.ID)
+	}
 	var (
-		exp      = flag.String("exp", "", "comma-separated experiment ids (default: all); one of table4, table5, fig4a..fig4d, fig5a..fig5d")
+		exp      = flag.String("exp", "", "comma-separated experiment ids (default: all, in this order): "+strings.Join(all, ", "))
 		scale    = flag.Float64("scale", 0.1, "scale factor for |R| sweeps (1.0 = paper sizes)")
 		seed     = flag.Uint64("seed", 0, "random seed (0 = harness default)")
 		k        = flag.Int("k", 0, "default privacy parameter k (0 = harness default 10)")
 		sigma    = flag.Int("sigma", 0, "default |Sigma| (0 = harness default 8)")
-		baseline = flag.String("baseline", "", "rest-row partitioner for DIVA runs: empty = engine default (parallel mondrian), k-member = pre-API sampled greedy")
+		baseline = flag.String("baseline", "", "rest-row partitioner for DIVA runs: empty = engine default (parallel mondrian), k-member = greedy k-member clustering")
 		csvOut   = flag.Bool("csv", false, "emit CSV series instead of aligned text")
 		jsonOut  = flag.Bool("json", false, "emit one JSON document with every table and its phase breakdown")
 		outDir   = flag.String("out", "", "additionally write one <id>.csv per experiment into this directory")
@@ -66,12 +70,8 @@ func main() {
 		cfg.Progress = os.Stderr
 	}
 
-	var ids []string
-	if *exp == "" {
-		for _, e := range bench.Experiments() {
-			ids = append(ids, e.ID)
-		}
-	} else {
+	ids := all
+	if *exp != "" {
 		ids = strings.Split(*exp, ",")
 	}
 

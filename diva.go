@@ -358,8 +358,7 @@ type Baseline string
 // The supported baseline algorithms.
 const (
 	// KMember is the greedy k-member clustering of Byun et al. — the
-	// paper's quality-sensitive choice, served by a signature index in
-	// exact mode.
+	// paper's quality-sensitive choice, served by a signature index.
 	KMember Baseline = "k-member"
 	// OKA is the one-pass k-means algorithm of Lin and Wei.
 	OKA Baseline = "oka"
@@ -392,13 +391,12 @@ func ParseBaseline(s string) (Baseline, error) {
 }
 
 // NewBaseline returns the Partitioner the engine constructs for b with
-// default options: parallel Mondrian at GOMAXPROCS, exact (indexed)
-// k-member, or OKA, each seeded deterministically from Seed 0. Callers who
-// need a different seed, sample cap, parallelism or privacy criterion
-// should construct via Options (whose Baseline field goes through the same
-// path) or supply their own Partitioner on Options.Anonymizer. The returned
-// Partitioner is ready to compose: wrap it and set the wrapper on
-// Options.Anonymizer.
+// default options: parallel Mondrian at GOMAXPROCS, k-member, or OKA, each
+// seeded deterministically from Seed 0. Callers who need a different seed,
+// parallelism or privacy criterion should construct via Options (whose
+// Baseline field goes through the same path) or supply their own
+// Partitioner on Options.Anonymizer. The returned Partitioner is ready to
+// compose: wrap it and set the wrapper on Options.Anonymizer.
 func NewBaseline(b Baseline) (Partitioner, error) {
 	o := Options{Baseline: b}
 	return o.newPartitioner(o.rng(), nil)
@@ -426,15 +424,10 @@ type Options struct {
 	// Anonymizer, when non-nil, replaces the Baseline enum with a caller-
 	// supplied Partitioner for the tuples outside the diverse clustering.
 	// The partitioner must enforce any privacy criterion itself (the engine
-	// re-verifies the final output regardless); SampleCap, Parallelism and
-	// LDiversity do not reach it. Partitioners implementing the anon
-	// package's TraceSink receive the run's tracer before the baseline
-	// phase.
+	// re-verifies the final output regardless); Parallelism and LDiversity
+	// do not reach it. Partitioners implementing the anon package's
+	// TraceSink receive the run's tracer before the baseline phase.
 	Anonymizer Partitioner
-	// SampleCap bounds k-member's greedy candidate scans (0 = exact, served
-	// by the signature index). The experiment harness uses 512 on large
-	// relations.
-	SampleCap int
 	// Parallelism bounds the Mondrian baseline's worker goroutines: 0 means
 	// GOMAXPROCS, 1 forces sequential partitioning. The partition is
 	// byte-identical at every setting. It has no effect on the other
@@ -511,7 +504,7 @@ func (o Options) newPartitioner(rng *rand.Rand, crit privacy.Criterion) (anon.Pa
 	}
 	switch b {
 	case KMember:
-		return &anon.KMember{Rng: rng, SampleCap: o.SampleCap, Criterion: crit}, nil
+		return &anon.KMember{Rng: rng, Criterion: crit}, nil
 	case Mondrian:
 		return &anon.Mondrian{Criterion: crit, Parallelism: o.Parallelism}, nil
 	case OKA:

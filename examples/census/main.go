@@ -58,10 +58,9 @@ func main() {
 
 	// DIVA with the paper's best strategy.
 	res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{
-		K:         *k,
-		Strategy:  diva.MaxFanOut,
-		Seed:      99,
-		SampleCap: 512,
+		K:        *k,
+		Strategy: diva.MaxFanOut,
+		Seed:     99,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -75,7 +74,7 @@ func main() {
 	fmt.Println("DIVA output satisfies every diversity constraint")
 
 	// Plain k-member for contrast.
-	base, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: *k, Seed: 99, SampleCap: 512, Baseline: diva.KMember})
+	base, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: *k, Seed: 99, Baseline: diva.KMember})
 	if err != nil {
 		log.Fatal(err)
 	}

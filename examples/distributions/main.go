@@ -47,7 +47,7 @@ func main() {
 		accs := make([]string, 0, 3)
 		for _, strat := range []diva.Strategy{diva.MinChoice, diva.MaxFanOut, diva.Basic} {
 			res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{
-				K: *k, Strategy: strat, Seed: 17, SampleCap: 512,
+				K: *k, Strategy: strat, Seed: 17,
 			})
 			if err != nil {
 				accs = append(accs, "failed")

@@ -67,14 +67,14 @@ func main() {
 	}
 
 	// Regime 1: plain 8-anonymity (k-member).
-	plain, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 8, Seed: 1, SampleCap: 256, Baseline: diva.KMember})
+	plain, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 8, Seed: 1, Baseline: diva.KMember})
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("k-anonymity", plain.Output, sigma)
 
 	// Regime 2: 8-anonymity + diversity constraints (DIVA).
-	res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 8, Strategy: diva.MaxFanOut, Seed: 1, SampleCap: 256})
+	res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 8, Strategy: diva.MaxFanOut, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func main() {
 
 	// Regime 3: the same plus distinct 2-diversity on DIAG and OCC.
 	res2, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{
-		K: 8, Strategy: diva.MaxFanOut, Seed: 1, SampleCap: 256, LDiversity: 2,
+		K: 8, Strategy: diva.MaxFanOut, Seed: 1, LDiversity: 2,
 	})
 	if err != nil {
 		log.Fatal(err)

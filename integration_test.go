@@ -36,7 +36,7 @@ func TestPipelinePopSyn(t *testing.T) {
 					t.Fatal(err)
 				}
 				res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{
-					K: 6, Strategy: strat, Seed: 11, SampleCap: 128,
+					K: 6, Strategy: strat, Seed: 11,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -88,7 +88,7 @@ func TestPipelineConstraintClasses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 5, Seed: 2, SampleCap: 128})
+			res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 5, Seed: 2})
 			if err != nil {
 				t.Skipf("class %s produced an unsatisfiable set on this draw: %v", name, err)
 			}
@@ -137,7 +137,7 @@ func TestPipelineAllBaselinesAgainstConstraints(t *testing.T) {
 		t.Fatal("workload construction failed")
 	}
 
-	res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 8, Strategy: diva.MaxFanOut, Seed: 6, SampleCap: 128})
+	res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 8, Strategy: diva.MaxFanOut, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestPipelineAllBaselinesAgainstConstraints(t *testing.T) {
 
 	violations := 0
 	for _, b := range []diva.Baseline{diva.KMember, diva.OKA, diva.Mondrian} {
-		res, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 8, Seed: 6, SampleCap: 128, Baseline: b})
+		res, err := diva.AnonymizeContext(context.Background(), rel, nil, diva.Options{K: 8, Seed: 6, Baseline: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestConflictSweepInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 5, Seed: 3, SampleCap: 128})
+		res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 5, Seed: 3})
 		if err != nil {
 			continue
 		}
@@ -259,7 +259,7 @@ func TestStrategiesAgreeOnSatisfiability(t *testing.T) {
 		}
 		results := map[search.Strategy]bool{}
 		for _, strat := range []diva.Strategy{diva.Basic, diva.MinChoice, diva.MaxFanOut} {
-			_, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 4, Strategy: strat, Seed: 21, SampleCap: 64})
+			_, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{K: 4, Strategy: strat, Seed: 21})
 			results[strat] = err == nil
 		}
 		if results[diva.Basic] != results[diva.MinChoice] || results[diva.MinChoice] != results[diva.MaxFanOut] {

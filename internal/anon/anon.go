@@ -17,7 +17,6 @@ package anon
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 
 	"diva/internal/relation"
 	"diva/internal/trace"
@@ -190,27 +189,4 @@ func (cs *clusterSummary) add(rel *relation.Relation, row int) {
 		}
 	}
 	cs.size++
-}
-
-// samplePositions returns up to limit distinct positions in [0, n), or all
-// of them when limit is zero or n ≤ limit.
-func samplePositions(n, limit int, rng *rand.Rand) []int {
-	if limit == 0 || n <= limit {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	pool := make([]int, 0, limit)
-	seen := make(map[int]bool, limit)
-	for len(pool) < limit {
-		j := rng.IntN(n)
-		if seen[j] {
-			continue
-		}
-		seen[j] = true
-		pool = append(pool, j)
-	}
-	return pool
 }

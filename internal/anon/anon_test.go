@@ -71,7 +71,6 @@ func checkPartition(t *testing.T, name string, parts [][]int, rows []int, k int)
 func partitioners(rng *rand.Rand) []Partitioner {
 	return []Partitioner{
 		&KMember{Rng: rng},
-		&KMember{Rng: rng, SampleCap: 8},
 		&OKA{Rng: rng},
 		&Mondrian{},
 	}
@@ -281,25 +280,6 @@ func TestClusterSummaryCosts(t *testing.T) {
 	rel.MustAppendValues("M", "30", "Calgary", "D4")
 	if got := cs.addCost(rel, 3); got != 2 {
 		t.Fatalf("post-break addCost = %d, want 2", got)
-	}
-}
-
-func TestSamplePositions(t *testing.T) {
-	rng := testRng()
-	all := samplePositions(5, 0, rng)
-	if len(all) != 5 {
-		t.Fatalf("unlimited = %v", all)
-	}
-	few := samplePositions(100, 10, rng)
-	if len(few) != 10 {
-		t.Fatalf("capped len = %d", len(few))
-	}
-	seen := map[int]bool{}
-	for _, p := range few {
-		if p < 0 || p >= 100 || seen[p] {
-			t.Fatalf("bad sample %v", few)
-		}
-		seen[p] = true
 	}
 }
 

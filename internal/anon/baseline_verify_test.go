@@ -48,7 +48,6 @@ func TestBaselineOutputsValidate(t *testing.T) {
 	rng := testutil.Rng(t)
 	ps := []anon.Partitioner{
 		&anon.KMember{Rng: rng},
-		&anon.KMember{Rng: rng, SampleCap: 8},
 		&anon.OKA{Rng: rng},
 		&anon.Mondrian{},
 	}

@@ -22,7 +22,7 @@ func BenchmarkPartitioners(b *testing.B) {
 		var ps []Partitioner
 		if rows <= 5000 {
 			// k-member and OKA take seconds per call from 60,000 rows up.
-			ps = append(ps, &KMember{Rng: rand.New(rand.NewPCG(1, 2)), SampleCap: 256}, &OKA{Rng: rand.New(rand.NewPCG(1, 2))})
+			ps = append(ps, &KMember{Rng: rand.New(rand.NewPCG(1, 2))}, &OKA{Rng: rand.New(rand.NewPCG(1, 2))})
 		}
 		ps = append(ps, &Mondrian{}, &Mondrian{Parallelism: 1})
 		for _, p := range ps {
@@ -43,24 +43,5 @@ func BenchmarkPartitioners(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-func BenchmarkKMemberExactVsSampled(b *testing.B) {
-	rel := dataset.Census().Generate(2000, 7)
-	all := make([]int, rel.Len())
-	for i := range all {
-		all[i] = i
-	}
-	for _, cap := range []int{0, 64, 512} {
-		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				km := &KMember{Rng: rand.New(rand.NewPCG(1, 2)), SampleCap: cap}
-				if _, err := km.Partition(context.Background(), rel, all, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"diva/internal/privacy"
 	"diva/internal/relation"
+	"diva/internal/rowset"
 )
 
 // KMember implements the greedy k-member clustering algorithm of Byun,
@@ -19,18 +20,13 @@ import (
 // Information loss is measured in suppressed cells, matching the value-
 // suppression model of the DIVA paper (suppression is the maximal form of
 // generalization, so the greedy structure of the original algorithm is
-// unchanged).
+// unchanged). Every remaining record is considered at every step, as in the
+// original O(n²) algorithm, but the scan runs over QI signatures on the
+// index in kmember_index.go, with deterministic smallest-row tie-breaks.
 type KMember struct {
-	// Rng drives the random choice of the first seed. Required.
+	// Rng drives the random choice of the first reference record (one
+	// draw per Partition call). Required.
 	Rng *rand.Rand
-	// SampleCap bounds the candidate pool scanned per greedy step. Zero
-	// means exact: every remaining record is considered at every step, as
-	// in the original O(n²) algorithm, served by the signature index in
-	// kmember_index.go (same greedy structure, deterministic smallest-row
-	// tie-breaks, far fewer candidate evaluations). A positive cap samples
-	// that many candidates per step (the experiment harness uses 512) for
-	// near-identical partitions whose cost is independent of n.
-	SampleCap int
 	// Criterion, when non-nil, is an additional monotone privacy
 	// requirement (e.g. privacy.DistinctLDiversity): clusters keep growing
 	// past k members until the criterion holds. Non-monotone criteria are
@@ -53,52 +49,34 @@ func (km *KMember) Partition(ctx context.Context, rel *relation.Relation, rows [
 	if km.Criterion != nil && !km.Criterion.Monotone() {
 		return nil, fmt.Errorf("anon: k-member cannot enforce non-monotone criterion %s", km.Criterion.Name())
 	}
-	if km.SampleCap == 0 {
-		return km.partitionIndexed(ctx, rel, rows, k)
-	}
 	qi := rel.Schema().QIIndexes()
 	d := newDistancer(rel, rows)
 
-	live := make([]int, len(rows))
-	copy(live, rows)
-	remove := func(pos int) {
-		live[pos] = live[len(live)-1]
-		live = live[:len(live)-1]
+	prevSeed := rows[km.Rng.IntN(len(rows))]
+	prevCodes := make([]uint32, len(qi))
+	for i, a := range qi {
+		prevCodes[i] = rel.Code(prevSeed, a)
 	}
+
+	idx := buildSigIndex(rel, qi, rows)
 
 	var clusters [][]int
 	var summaries []*clusterSummary
-	prevSeed := live[km.Rng.IntN(len(live))]
-
-	for len(live) >= k {
+	for idx.liveN >= k {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		// Seed: record furthest from the previous seed (first iteration:
-		// furthest from a random record, as in the original algorithm).
-		seedPos, best := 0, -1.0
-		for _, pos := range samplePositions(len(live), km.SampleCap, km.Rng) {
-			if dist := d.dist(prevSeed, live[pos]); dist > best {
-				best, seedPos = dist, pos
-			}
-		}
-		seed := live[seedPos]
-		remove(seedPos)
+		// Seed: the record furthest from the previous seed (first
+		// iteration: from a random record, as in the original algorithm).
+		seed := idx.pop(idx.argmaxDist(d, prevCodes))
 
 		cs := newClusterSummary(rel, qi, seed)
 		cluster := []int{seed}
 		for len(cluster) < k || (km.Criterion != nil && !km.Criterion.Holds(rel, cluster)) {
-			if len(live) == 0 {
+			if idx.liveN == 0 {
 				break // enforcement handled below
 			}
-			bestPos, bestCost := 0, int(^uint(0)>>1)
-			for _, pos := range samplePositions(len(live), km.SampleCap, km.Rng) {
-				if cost := cs.addCost(rel, live[pos]); cost < bestCost {
-					bestCost, bestPos = cost, pos
-				}
-			}
-			r := live[bestPos]
-			remove(bestPos)
+			r := idx.pop(idx.argminAddCost(cs))
 			cs.add(rel, r)
 			cluster = append(cluster, r)
 		}
@@ -118,19 +96,42 @@ func (km *KMember) Partition(ctx context.Context, rel *relation.Relation, rows [
 		}
 		clusters = append(clusters, cluster)
 		summaries = append(summaries, cs)
-		prevSeed = seed
+		for i, a := range qi {
+			prevCodes[i] = rel.Code(seed, a)
+		}
 	}
 
-	// Distribute leftovers (< k of them) to the cheapest clusters.
-	for _, r := range live {
+	// Distribute leftovers (< k of them) to the cheapest clusters. The
+	// centroid cache memoizes addCost per (cluster state, signature):
+	// cluster state is identified by its Zobrist fingerprint, which is
+	// updated incrementally as leftovers join, so a stale cost can never be
+	// served after a cluster changed.
+	fps := make([]uint64, len(clusters))
+	for i, c := range clusters {
+		fps[i] = rowset.Fingerprint(c)
+	}
+	centroid := make(map[uint64]map[string]int)
+	for _, r := range idx.liveRows() {
+		key := sigKey(rel.Row(r), qi)
 		bestIdx, bestCost := 0, int(^uint(0)>>1)
 		for i, cs := range summaries {
-			if cost := cs.addCost(rel, r); cost < bestCost {
+			costs := centroid[fps[i]]
+			cost, ok := costs[key]
+			if !ok {
+				cost = cs.addCost(rel, r)
+				if costs == nil {
+					costs = make(map[string]int)
+					centroid[fps[i]] = costs
+				}
+				costs[key] = cost
+			}
+			if cost < bestCost {
 				bestCost, bestIdx = cost, i
 			}
 		}
 		summaries[bestIdx].add(rel, r)
 		clusters[bestIdx] = append(clusters[bestIdx], r)
+		fps[bestIdx] ^= rowset.Hash(r)
 	}
 	return clusters, nil
 }

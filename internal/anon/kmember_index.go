@@ -1,15 +1,9 @@
 package anon
 
-import (
-	"context"
-	"fmt"
+import "diva/internal/relation"
 
-	"diva/internal/relation"
-	"diva/internal/rowset"
-)
-
-// This file implements the indexed exact-mode k-member clustering that
-// replaces the original O(n²) greedy scan when KMember.SampleCap is zero.
+// This file implements the signature index that serves KMember's greedy
+// selections without an O(n) scan over rows per step.
 //
 // The key observation is that both greedy selection criteria are functions
 // of a row's QI signature alone: rows with identical QI code vectors are
@@ -20,8 +14,7 @@ import (
 // over signatures, and dictionary-code posting lists plus admissible
 // mismatch lower bounds prune most signatures before their full cost is
 // computed. Ties are broken toward the smallest live row id, which makes the
-// output deterministic for a fixed input (the original scan order depended
-// on the mutation history of the live array).
+// output deterministic for a fixed input.
 
 // sigGroup is one QI signature: the projected code vector and the rows
 // carrying it, in ascending id order. rows[next:] are still live.
@@ -313,98 +306,4 @@ func (d *distancer) distQI(x, y []uint32) float64 {
 		total++
 	}
 	return total
-}
-
-// partitionIndexed is the exact-mode (SampleCap == 0) k-member
-// implementation over the signature index. It follows the greedy structure
-// of Partition — furthest-point seeding, cheapest-cost growth, criterion
-// enforcement with merge-into-last fallback, leftover distribution — and
-// consumes the Rng identically (one draw, for the initial reference
-// record), but selects among signatures instead of rows.
-func (km *KMember) partitionIndexed(ctx context.Context, rel *relation.Relation, rows []int, k int) ([][]int, error) {
-	qi := rel.Schema().QIIndexes()
-	d := newDistancer(rel, rows)
-
-	prevSeed := rows[km.Rng.IntN(len(rows))]
-	prevCodes := make([]uint32, len(qi))
-	for i, a := range qi {
-		prevCodes[i] = rel.Code(prevSeed, a)
-	}
-
-	idx := buildSigIndex(rel, qi, rows)
-
-	var clusters [][]int
-	var summaries []*clusterSummary
-	for idx.liveN >= k {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		seedGroup := idx.argmaxDist(d, prevCodes)
-		seed := idx.pop(seedGroup)
-
-		cs := newClusterSummary(rel, qi, seed)
-		cluster := []int{seed}
-		for len(cluster) < k || (km.Criterion != nil && !km.Criterion.Holds(rel, cluster)) {
-			if idx.liveN == 0 {
-				break // enforcement handled below
-			}
-			gi := idx.argminAddCost(cs)
-			r := idx.pop(gi)
-			cs.add(rel, r)
-			cluster = append(cluster, r)
-		}
-		if len(cluster) < k || (km.Criterion != nil && !km.Criterion.Holds(rel, cluster)) {
-			// Ran out of records before the cluster became legal: merge it
-			// into an existing cluster (monotone criteria survive merging)
-			// or fail if it is the first.
-			if len(clusters) == 0 {
-				return nil, fmt.Errorf("anon: k-member cannot satisfy %s on %d records", km.Criterion.Name(), len(rows))
-			}
-			last := len(clusters) - 1
-			for _, r := range cluster {
-				summaries[last].add(rel, r)
-			}
-			clusters[last] = append(clusters[last], cluster...)
-			break
-		}
-		clusters = append(clusters, cluster)
-		summaries = append(summaries, cs)
-		for i, a := range qi {
-			prevCodes[i] = rel.Code(seed, a)
-		}
-	}
-
-	// Distribute leftovers (< k of them) to the cheapest clusters. The
-	// centroid cache memoizes addCost per (cluster state, signature):
-	// cluster state is identified by its Zobrist fingerprint, which is
-	// updated incrementally as leftovers join, so a stale cost can never be
-	// served after a cluster changed.
-	fps := make([]uint64, len(clusters))
-	for i, c := range clusters {
-		fps[i] = rowset.Fingerprint(c)
-	}
-	centroid := make(map[uint64]map[string]int)
-	for _, r := range idx.liveRows() {
-		key := sigKey(rel.Row(r), qi)
-		bestIdx, bestCost := 0, int(^uint(0)>>1)
-		for i, cs := range summaries {
-			costs := centroid[fps[i]]
-			cost, ok := costs[key]
-			if !ok {
-				cost = cs.addCost(rel, r)
-				if costs == nil {
-					costs = make(map[string]int)
-					centroid[fps[i]] = costs
-				}
-				costs[key] = cost
-			}
-			if cost < bestCost {
-				bestCost, bestIdx = cost, i
-			}
-		}
-		summaries[bestIdx].add(rel, r)
-		clusters[bestIdx] = append(clusters[bestIdx], r)
-		fps[bestIdx] ^= rowset.Hash(r)
-	}
-	return clusters, nil
 }

@@ -44,7 +44,7 @@ func AblationCandidateCap(cfg Config) (*Table, error) {
 			Strategy:   search.MaxFanOut,
 			Rng:        rng,
 			Cluster:    cluster.Options{MaxCandidates: cap},
-			Anonymizer: &anon.KMember{Rng: rng, SampleCap: cfg.SampleCap},
+			Anonymizer: &anon.KMember{Rng: rng},
 		})
 		secs := time.Since(start).Seconds()
 		acc, steps := math.NaN(), 0.0
@@ -54,31 +54,6 @@ func AblationCandidateCap(cfg Config) (*Table, error) {
 		}
 		cfg.logf("ablation-cap %d: acc=%.4f %.2fs", cap, acc, secs)
 		t.Rows = append(t.Rows, Row{X: fmt.Sprint(cap), Values: []float64{acc, secs, steps}})
-	}
-	return t, nil
-}
-
-// AblationSampleCap measures the k-member sampling approximation: exact
-// greedy scans (cap 0) versus capped candidate pools.
-func AblationSampleCap(cfg Config) (*Table, error) {
-	cfg = cfg.WithDefaults()
-	rows := cfg.scaled(60000)
-	if rows > 8000 {
-		rows = 8000 // exact k-member is O(n²); keep the exact point tractable
-	}
-	rel := censusRelation(cfg, rows)
-	t := &Table{
-		ID: "ablation-sample", Title: "k-member vs greedy sample cap (Census)",
-		XLabel: "SampleCap", YLabel: "accuracy / seconds",
-		Columns: []string{"accuracy", "seconds"},
-		Notes:   []string{fmt.Sprintf("census profile, |R|=%d, k=%d; cap 0 = exact", rows, cfg.K)},
-	}
-	for _, cap := range []int{32, 128, 512, 2048, 0} {
-		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(cap)+1))
-		p := &anon.KMember{Rng: rng, SampleCap: cap}
-		acc, secs := runBaseline(rel, p, cfg.K, cfg)
-		cfg.logf("ablation-sample %d: acc=%.4f %.2fs", cap, acc, secs)
-		t.Rows = append(t.Rows, Row{X: fmt.Sprint(cap), Values: []float64{acc, secs}})
 	}
 	return t, nil
 }
@@ -107,7 +82,7 @@ func AblationParallel(cfg Config) (*Table, error) {
 			Strategy:   strat,
 			Rng:        rng,
 			Parallel:   parallel,
-			Anonymizer: &anon.KMember{Rng: rng, SampleCap: cfg.SampleCap},
+			Anonymizer: &anon.KMember{Rng: rng},
 		})
 		secs := time.Since(start).Seconds()
 		acc := math.NaN()

@@ -27,22 +27,6 @@ func TestAblationCandidateCapSmoke(t *testing.T) {
 	}
 }
 
-func TestAblationSampleCapSmoke(t *testing.T) {
-	table, err := AblationSampleCap(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 5 {
-		t.Fatalf("%d rows", len(table.Rows))
-	}
-	// The exact run (last row, cap 0) must beat the smallest cap.
-	small := table.Rows[0].Values[0]
-	exact := table.Rows[len(table.Rows)-1].Values[0]
-	if exact <= small {
-		t.Fatalf("exact accuracy %v not above cap-32 accuracy %v", exact, small)
-	}
-}
-
 func TestAblationParallelSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full pantheon relation five times")

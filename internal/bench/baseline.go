@@ -18,7 +18,7 @@ var baselineSizes = []int{20000, 60000, 120000}
 
 // BaselineBench times the rest-row baseline partitioners head to head on the
 // census profile: parallel Mondrian (the engine default), sequential
-// Mondrian, exact k-member on the signature index, and sampled k-member.
+// Mondrian, and k-member on the signature index.
 // Every output is gated through the invariant checker — a run with any
 // validation violation fails the experiment, so the table only ever reports
 // the cost of correct partitioners.
@@ -31,7 +31,6 @@ func BaselineBench(cfg Config) (*Table, error) {
 		{"mondrian-par", func(*rand.Rand) anon.Partitioner { return &anon.Mondrian{} }},
 		{"mondrian-seq", func(*rand.Rand) anon.Partitioner { return &anon.Mondrian{Parallelism: 1} }},
 		{"k-member-index", func(rng *rand.Rand) anon.Partitioner { return &anon.KMember{Rng: rng} }},
-		{"k-member-sample", func(rng *rand.Rand) anon.Partitioner { return &anon.KMember{Rng: rng, SampleCap: cfg.SampleCap} }},
 	}
 	columns := make([]string, len(variants))
 	for i, v := range variants {
@@ -62,8 +61,8 @@ func BaselineBench(cfg Config) (*Table, error) {
 	last := table.Rows[len(table.Rows)-1]
 	if par := last.Values[0]; par > 0 {
 		table.Notes = append(table.Notes, fmt.Sprintf(
-			"at |R|=%s: mondrian-par is %.1fx faster than k-member-index, %.1fx than k-member-sample",
-			last.X, last.Values[2]/par, last.Values[3]/par))
+			"at |R|=%s: mondrian-par is %.1fx faster than k-member-index",
+			last.X, last.Values[2]/par))
 	}
 	return table, nil
 }

@@ -44,12 +44,9 @@ type Config struct {
 	K int
 	// NumConstraints is the default |Σ| (Table 5 default: 8).
 	NumConstraints int
-	// SampleCap bounds k-member's greedy scans on large relations.
-	SampleCap int
 	// Baseline selects the rest-row partitioner for DIVA runs: "" uses the
-	// engine default (parallel Mondrian); "k-member" restores the sampled
-	// greedy clustering that was the default before the partitioner API
-	// (SampleCap candidates per greedy step).
+	// engine default (parallel Mondrian); "k-member" uses the greedy
+	// k-member clustering, the paper's Anonymize step.
 	Baseline string
 	// MaxSteps caps the coloring search per run (0 = package default).
 	MaxSteps int
@@ -70,9 +67,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.NumConstraints == 0 {
 		c.NumConstraints = 8
-	}
-	if c.SampleCap == 0 {
-		c.SampleCap = 512
 	}
 	return c
 }
@@ -228,7 +222,6 @@ func Experiments() []Experiment {
 		{ID: "baseline", Title: "Baseline partitioner comparison", Run: BaselineBench},
 		{ID: "shard", Title: "Shard-and-merge engine vs monolithic", Run: ShardBench},
 		{ID: "ablation-cap", Title: "DIVA vs candidate budget", Run: AblationCandidateCap},
-		{ID: "ablation-sample", Title: "k-member vs sample cap", Run: AblationSampleCap},
 		{ID: "ablation-parallel", Title: "Sequential vs portfolio coloring", Run: AblationParallel},
 		{ID: "nogood", Title: "Nogood learning vs chronological backtracking", Run: NogoodBench},
 	}
@@ -267,10 +260,9 @@ func runDIVA(rel *relation.Relation, sigma constraint.Set, k int, strat search.S
 		Cluster:  cluster.Options{},
 		MaxSteps: cfg.MaxSteps,
 	}
-	// Nil Anonymizer takes the engine default (parallel Mondrian); the
-	// Config.Baseline escape hatch restores the pre-API sampled k-member.
+	// Nil Anonymizer takes the engine default (parallel Mondrian).
 	if cfg.Baseline == "k-member" {
-		o.Anonymizer = &anon.KMember{Rng: rng, SampleCap: cfg.SampleCap}
+		o.Anonymizer = &anon.KMember{Rng: rng}
 	}
 	start := time.Now()
 	res, err := core.Anonymize(context.Background(), rel, sigma, o)

@@ -10,12 +10,12 @@ import (
 // tinyConfig keeps experiment smoke tests fast: minimum row counts, small
 // defaults.
 func tinyConfig() Config {
-	return Config{Scale: 0.017, Seed: 5, K: 5, NumConstraints: 4, SampleCap: 128}
+	return Config{Scale: 0.017, Seed: 5, K: 5, NumConstraints: 4}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.WithDefaults()
-	if cfg.Scale != 0.1 || cfg.K != 10 || cfg.NumConstraints != 8 || cfg.SampleCap != 512 || cfg.Seed == 0 {
+	if cfg.Scale != 0.1 || cfg.K != 10 || cfg.NumConstraints != 8 || cfg.Seed == 0 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if got := cfg.scaled(60000); got != 6000 {
@@ -37,7 +37,7 @@ func TestExperimentsRegistry(t *testing.T) {
 		"table4", "table5", "fig4a", "fig4b", "fig4c", "fig4d",
 		"fig5a", "fig5b", "fig5c", "fig5d",
 		"baseline", "shard",
-		"ablation-cap", "ablation-sample", "ablation-parallel",
+		"ablation-cap", "ablation-parallel",
 		"nogood",
 	}
 	if len(exps) != len(wantIDs) {
@@ -188,7 +188,7 @@ func TestBaselineBenchSmoke(t *testing.T) {
 		t.Fatalf("%d rows", len(table.Rows))
 	}
 	for _, row := range table.Rows {
-		if len(row.Values) != 4 {
+		if len(row.Values) != 3 {
 			t.Fatalf("row %s has %d values", row.X, len(row.Values))
 		}
 		for i, v := range row.Values {

@@ -311,7 +311,7 @@ func runComparison(rel *relation.Relation, sigma constraint.Set, k int, cfg Conf
 	}
 	rng := rand.New(rand.NewPCG(seed^0xbead, seed))
 	for _, p := range []anon.Partitioner{
-		&anon.KMember{Rng: rng, SampleCap: cfg.SampleCap},
+		&anon.KMember{Rng: rng},
 		&anon.OKA{Rng: rng},
 		&anon.Mondrian{},
 	} {

@@ -83,12 +83,16 @@ func (s Clustering) RowSet(n int) *rowset.Set {
 // equal for equal row sets, colliding with probability ~2⁻⁶⁴.
 func Fingerprint(c []int) uint64 { return rowset.Fingerprint(c) }
 
+// DefaultMaxCandidates is the per-constraint candidate budget when
+// Options.MaxCandidates is zero.
+const DefaultMaxCandidates = 64
+
 // Options bounds the candidate enumeration.
 type Options struct {
 	// K is the privacy parameter: every cluster must hold at least K tuples.
 	K int
 	// MaxCandidates caps the number of clusterings returned per constraint.
-	// Zero means the default of 64.
+	// Zero means DefaultMaxCandidates.
 	MaxCandidates int
 	// MaxWindowSizes caps how many distinct cluster sizes are explored above
 	// the minimum. Zero means the default of 8.
@@ -101,7 +105,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 64
+		o.MaxCandidates = DefaultMaxCandidates
 	}
 	if o.MaxWindowSizes == 0 {
 		o.MaxWindowSizes = 8

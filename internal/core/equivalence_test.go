@@ -102,7 +102,7 @@ func equivCases() []equivCase {
 				rng := rand.New(rand.NewPCG(4, 2))
 				return anonymize(t, rel, paperSigma(), core.Options{
 					K: 2, Strategy: strat, Rng: rng,
-					Anonymizer: &anon.KMember{Rng: rng, SampleCap: 256},
+					Anonymizer: &anon.KMember{Rng: rng},
 				})
 			},
 		})
@@ -131,7 +131,7 @@ func equivCases() []equivCase {
 					rng := rand.New(rand.NewPCG(9, 7))
 					return anonymize(t, rel, sigma, core.Options{
 						K: p.k, Strategy: strat, Rng: rng,
-						Anonymizer: &anon.KMember{Rng: rng, SampleCap: 256},
+						Anonymizer: &anon.KMember{Rng: rng},
 					})
 				},
 			})
@@ -147,7 +147,7 @@ func equivCases() []equivCase {
 			return anonymize(t, rel, sigma, core.Options{
 				K: 10, Strategy: search.MaxFanOut, Rng: rng,
 				Criterion:  privacy.DistinctLDiversity{L: 2},
-				Anonymizer: &anon.KMember{Rng: rng, SampleCap: 256, Criterion: privacy.DistinctLDiversity{L: 2}},
+				Anonymizer: &anon.KMember{Rng: rng, Criterion: privacy.DistinctLDiversity{L: 2}},
 			})
 		},
 	})

@@ -4,6 +4,7 @@ import (
 	"log/slog"
 	"os"
 
+	"diva/internal/cluster"
 	"diva/internal/constraint"
 	"diva/internal/history"
 	"diva/internal/obs"
@@ -31,6 +32,9 @@ func historyConfig(sigma constraint.Set, opts Options) history.Config {
 	}
 	if opts.Anonymizer != nil {
 		c.Baseline = opts.Anonymizer.Name()
+	}
+	if mc := opts.Cluster.MaxCandidates; mc != cluster.DefaultMaxCandidates {
+		c.MaxCandidates = mc
 	}
 	return c
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"diva/internal/cluster"
 	"diva/internal/core"
 	"diva/internal/history"
 )
@@ -112,5 +113,40 @@ func TestHistoryEnvFallback(t *testing.T) {
 	}
 	if len(got.Records) != 1 {
 		t.Fatalf("env-configured ledger: %d records, want 1", len(got.Records))
+	}
+}
+
+// TestHistoryKeysOnCandidateBudget checks that the candidate budget is part
+// of the ledger key: runs that differ only in MaxCandidates are different
+// experiments, while the default budget, spelled as 0 or as
+// cluster.DefaultMaxCandidates, keeps the key of a run that never set it.
+func TestHistoryKeysOnCandidateBudget(t *testing.T) {
+	dir := t.TempDir()
+	for _, mc := range []int{0, cluster.DefaultMaxCandidates, 4, 256} {
+		if _, err := core.Anonymize(context.Background(), paperRelation(t), paperSigma(), core.Options{
+			K:          2,
+			Rng:        testRng(),
+			Cluster:    cluster.Options{MaxCandidates: mc},
+			HistoryDir: dir,
+		}); err != nil {
+			t.Fatalf("MaxCandidates %d: %v", mc, err)
+		}
+	}
+	got, err := history.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Records) != 4 {
+		t.Fatalf("ledger: %d records, want 4", len(got.Records))
+	}
+	r := got.Records
+	if r[0].Key() != r[1].Key() || r[0].Config.MaxCandidates != 0 || r[1].Config.MaxCandidates != 0 {
+		t.Errorf("default budget as 0 and as %d: keys %s, %s, configs %+v, %+v", cluster.DefaultMaxCandidates, r[0].Key(), r[1].Key(), r[0].Config, r[1].Config)
+	}
+	if r[2].Config.MaxCandidates != 4 || r[3].Config.MaxCandidates != 256 {
+		t.Errorf("budgets not ledgered: %d, %d", r[2].Config.MaxCandidates, r[3].Config.MaxCandidates)
+	}
+	if r[0].Key() == r[2].Key() || r[0].Key() == r[3].Key() || r[2].Key() == r[3].Key() {
+		t.Errorf("runs differing only in MaxCandidates share a key: %s, %s, %s", r[0].Key(), r[2].Key(), r[3].Key())
 	}
 }

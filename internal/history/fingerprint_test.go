@@ -92,6 +92,9 @@ func TestLedgerIdentityPinned(t *testing.T) {
 	if got := (Config{}).Hash(); got != "f208c7351280ec8f" {
 		t.Errorf("zero Config.Hash = %s, want f208c7351280ec8f", got)
 	}
+	if got := (Config{MaxCandidates: 4}).Hash(); got != "e4432536ff3f7482" {
+		t.Errorf("Config.Hash with MaxCandidates = %s, want e4432536ff3f7482", got)
+	}
 	if got := (Dataset{Rows: 10, Columns: 6, DictHash: "fedcba9876543210"}).Hash(); got != "33f44c5f5018c29f" {
 		t.Errorf("Dataset.Hash = %s, want 33f44c5f5018c29f", got)
 	}

@@ -78,6 +78,10 @@ type Config struct {
 	// learning run is a different experiment from a chronological one —
 	// verdicts agree but search effort does not, so the hashes must differ.
 	Nogoods bool `json:"nogoods,omitempty"`
+	// MaxCandidates is the per-constraint candidate budget, zero when it is
+	// the engine default: a different budget enumerates different
+	// candidates, so it is a different experiment.
+	MaxCandidates int `json:"max_candidates,omitempty"`
 	// Constraints is |Σ| and SigmaHash a stable fingerprint of the
 	// constraint set (order-insensitive), so "same Σ" is comparable without
 	// storing the workload itself.
@@ -106,6 +110,10 @@ func (c Config) Hash() string {
 		// Folded in only when set so hashes of pre-learning records are
 		// unchanged and cross-run comparison against old ledgers still joins.
 		fp.addString("nogoods")
+	}
+	if c.MaxCandidates != 0 {
+		// Folded in only off the default, for the same reason.
+		fp.addString("max_candidates").addInt(c.MaxCandidates)
 	}
 	return fp.String()
 }
