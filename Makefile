@@ -69,10 +69,11 @@ bench-rest:
 	$(GO) test -bench 'BenchmarkPartitioners/Mondrian' -count 5 -run '^$$' ./internal/anon/
 
 # bench-store runs the tuple-store benchmarks — chunked annotated-CSV
-# loading and the in-place rendering of a census sample's Mondrian partition
-# — with allocation counts and enough repetitions for benchstat.
+# loading, the group-by kernel (QIGroups, DistinctCount) and the in-place
+# rendering of a census sample's Mondrian partition — with allocation
+# counts and enough repetitions for benchstat.
 bench-store:
-	$(GO) test -bench 'BenchmarkReadAnnotatedCSV' -count 5 -run '^$$' ./internal/relation/
+	$(GO) test -bench 'BenchmarkReadAnnotatedCSV|BenchmarkQIGroups|BenchmarkDistinctCount' -count 5 -run '^$$' ./internal/relation/
 	$(GO) test -bench 'BenchmarkSuppressGeneralize' -count 5 -run '^$$' ./internal/core/
 
 # bench-compare diffs two benchmark snapshots with benchstat:

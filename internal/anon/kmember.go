@@ -110,20 +110,17 @@ func (km *KMember) Partition(ctx context.Context, rel *relation.Relation, rows [
 	for i, c := range clusters {
 		fps[i] = rowset.Fingerprint(c)
 	}
-	centroid := make(map[uint64]map[string]int)
-	for _, r := range idx.liveRows() {
-		key := sigKey(rel.Row(r), qi)
+	centroid := make(map[[2]uint64]int) // (fingerprint, signature group) → addCost
+	for idx.liveN > 0 {
+		sig, _ := idx.minFront() // leftovers go in ascending row order
+		r := idx.pop(sig)
 		bestIdx, bestCost := 0, int(^uint(0)>>1)
 		for i, cs := range summaries {
-			costs := centroid[fps[i]]
-			cost, ok := costs[key]
+			key := [2]uint64{fps[i], uint64(sig)}
+			cost, ok := centroid[key]
 			if !ok {
 				cost = cs.addCost(rel, r)
-				if costs == nil {
-					costs = make(map[string]int)
-					centroid[fps[i]] = costs
-				}
-				costs[key] = cost
+				centroid[key] = cost
 			}
 			if cost < bestCost {
 				bestCost, bestIdx = cost, i

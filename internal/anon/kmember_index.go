@@ -53,45 +53,27 @@ type frontEntry struct {
 	sig int
 }
 
+// buildSigIndex takes the signature groups from relation.GroupBy: numbered
+// by first appearance, each keeping its rows in input order.
 func buildSigIndex(rel *relation.Relation, qi []int, rows []int) *sigIndex {
 	idx := &sigIndex{
 		qi:      qi,
 		posting: make(map[postKey][]int),
 		liveN:   len(rows),
 	}
-	byKey := make(map[string]int, len(rows))
-	for _, r := range rows {
-		key := sigKey(rel.Row(r), qi)
-		gi, ok := byKey[key]
-		if !ok {
-			gi = len(idx.groups)
-			byKey[key] = gi
-			codes := make([]uint32, len(qi))
-			for i, a := range qi {
-				codes[i] = rel.Code(r, a)
-			}
-			idx.groups = append(idx.groups, &sigGroup{codes: codes})
-			for i, c := range codes {
-				k := postKey{attr: i, code: c}
-				idx.posting[k] = append(idx.posting[k], gi)
-			}
+	for gi, grows := range rel.GroupBy(qi, rows) {
+		codes := make([]uint32, len(qi))
+		for i, a := range qi {
+			codes[i] = rel.Code(grows[0], a)
 		}
-		idx.groups[gi].rows = append(idx.groups[gi].rows, r)
-	}
-	for gi, g := range idx.groups {
-		idx.heapPush(frontEntry{row: g.front(), sig: gi})
+		idx.groups = append(idx.groups, &sigGroup{codes: codes, rows: grows})
+		for i, c := range codes {
+			k := postKey{attr: i, code: c}
+			idx.posting[k] = append(idx.posting[k], gi)
+		}
+		idx.heapPush(frontEntry{row: grows[0], sig: gi})
 	}
 	return idx
-}
-
-// sigKey packs the QI codes of row into a map key.
-func sigKey(row []uint32, qi []int) string {
-	buf := make([]byte, 0, len(qi)*4)
-	for _, a := range qi {
-		c := row[a]
-		buf = append(buf, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	}
-	return string(buf)
 }
 
 // pop consumes and returns the front row of group gi, keeping the front
@@ -105,19 +87,6 @@ func (idx *sigIndex) pop(gi int) int {
 		idx.heapPush(frontEntry{row: g.front(), sig: gi})
 	}
 	return r
-}
-
-// liveRows returns all live rows in ascending id order.
-func (idx *sigIndex) liveRows() []int {
-	var out []int
-	for idx.liveN > 0 {
-		gi, ok := idx.minFront()
-		if !ok {
-			break
-		}
-		out = append(out, idx.pop(gi))
-	}
-	return out
 }
 
 // argmaxDist returns the live group maximizing the QI distance to the given

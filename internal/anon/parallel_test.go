@@ -144,7 +144,7 @@ func naiveExactKMember(rng *rand.Rand, crit privacy.Criterion, rel *relation.Rel
 		prevSeed = seed
 	}
 
-	// Leftovers ascend by row id, matching sigIndex.liveRows.
+	// Leftovers ascend by row id, as KMember pops them off its index.
 	for len(live) > 0 {
 		r := live[0]
 		for _, v := range live {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"slices"
 	"sync"
 
 	"diva/internal/anon"
@@ -136,17 +135,20 @@ func (e *runEnv) colorComponents(ctx context.Context, comps []constraint.Compone
 // rows are ordered by their quasi-identifier code vectors so each shard
 // covers a contiguous band of QI-space (the same locality Mondrian's median
 // cuts exploit), then chunked into balanced contiguous slices of at least k
-// rows each. The order is an LSD radix sort over dictionary codes, which
-// equals the stable lexicographic comparison sort of the code vectors, so
-// the plan is deterministic: equal inputs give equal shards.
+// rows each. The order is relation.SortBy's stable lexicographic order of
+// the code vectors, so the plan is deterministic: equal inputs give equal
+// shards.
 func planRestShards(rel *relation.Relation, rest []int, want, k int) [][]int {
+	if len(rest) == 0 {
+		return nil // SortBy reads nil rows as every row
+	}
 	if max := len(rest) / k; max < want {
 		want = max
 	}
 	if want < 1 {
 		want = 1
 	}
-	sorted := sortByQI(rel, rest)
+	sorted := rel.SortBy(rel.Schema().QIIndexes(), rest)
 	shards := make([][]int, 0, want)
 	base, extra := len(sorted)/want, len(sorted)%want
 	at := 0
@@ -162,40 +164,6 @@ func planRestShards(rel *relation.Relation, rest []int, want, k int) [][]int {
 		at += size
 	}
 	return shards
-}
-
-// sortByQI returns rest ordered lexicographically by QI code vector, ties
-// in input order. It is an LSD radix sort: one stable counting sort per QI
-// attribute, last to first, each over that attribute's dense code range
-// and ping-ponging between two buffers. A pass reads each row's code once,
-// into a key buffer, and costs O(|rest| + |dom|).
-func sortByQI(rel *relation.Relation, rest []int) []int {
-	src, dst := slices.Clone(rest), make([]int, len(rest))
-	keys := make([]uint32, len(rest))
-	qi := rel.Schema().QIIndexes()
-	var count []int
-	for i := len(qi) - 1; i >= 0; i-- {
-		a := qi[i]
-		count = slices.Grow(count[:0], rel.Dict(a).Len())[:rel.Dict(a).Len()]
-		clear(count)
-		for j, row := range src {
-			c := rel.Code(row, a)
-			keys[j] = c
-			count[c]++
-		}
-		at := 0
-		for c, n := range count {
-			count[c] = at
-			at += n
-		}
-		for j, row := range src {
-			c := keys[j]
-			dst[count[c]] = row
-			count[c]++
-		}
-		src, dst = dst, src
-	}
-	return src
 }
 
 // partitionShards partitions each shard's rows independently and

@@ -45,9 +45,13 @@ func Accuracy(rel *relation.Relation) float64 {
 // suppressed or unpublishable — is charged |R′| (Bayardo & Agrawal, ICDE
 // 2005).
 func Discernibility(rel *relation.Relation, k int) int {
-	n := rel.Len()
+	return discernibility(rel.QIGroups(), rel.Len(), k)
+}
+
+// discernibility is disc(R′, k) over the QI-groups of n tuples.
+func discernibility(groups [][]int, n, k int) int {
 	penalty := 0
-	for _, group := range rel.QIGroups() {
+	for _, group := range groups {
 		if len(group) >= k {
 			penalty += len(group) * len(group)
 		} else {
@@ -61,10 +65,12 @@ func Discernibility(rel *relation.Relation, k int) int {
 // least k tuples (Definition 2.1). Every relation is 0- and 1-anonymous; an
 // empty relation is k-anonymous for every k.
 func IsKAnonymous(rel *relation.Relation, k int) bool {
-	if k <= 1 {
-		return true
-	}
-	for _, group := range rel.QIGroups() {
+	return k <= 1 || isKAnonymous(rel.QIGroups(), k)
+}
+
+// isKAnonymous reports whether every group holds at least k tuples.
+func isKAnonymous(groups [][]int, k int) bool {
+	for _, group := range groups {
 		if len(group) < k {
 			return false
 		}
@@ -75,8 +81,14 @@ func IsKAnonymous(rel *relation.Relation, k int) bool {
 // SmallestQIGroup returns the size of the smallest QI-group, or 0 for an
 // empty relation.
 func SmallestQIGroup(rel *relation.Relation) int {
+	return smallestGroup(rel.QIGroups())
+}
+
+// smallestGroup returns the size of the smallest group, or 0 when there
+// are none.
+func smallestGroup(groups [][]int) int {
 	smallest := 0
-	for _, group := range rel.QIGroups() {
+	for _, group := range groups {
 		if smallest == 0 || len(group) < smallest {
 			smallest = len(group)
 		}
@@ -184,24 +196,18 @@ type Report struct {
 	SmallestGroup  int
 }
 
-// Summarize computes a Report for rel at privacy level k.
+// Summarize computes a Report for rel at privacy level k from one grouping.
 func Summarize(rel *relation.Relation, k int) Report {
 	groups := rel.QIGroups()
-	smallest := 0
-	for _, g := range groups {
-		if smallest == 0 || len(g) < smallest {
-			smallest = len(g)
-		}
-	}
 	return Report{
 		Tuples:         rel.Len(),
 		K:              k,
-		KAnonymous:     IsKAnonymous(rel, k),
+		KAnonymous:     isKAnonymous(groups, k),
 		SuppressedQI:   SuppressionLoss(rel),
 		Accuracy:       Accuracy(rel),
-		Discernibility: Discernibility(rel, k),
+		Discernibility: discernibility(groups, rel.Len(), k),
 		QIGroups:       len(groups),
-		SmallestGroup:  smallest,
+		SmallestGroup:  smallestGroup(groups),
 	}
 }
 

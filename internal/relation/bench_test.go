@@ -1,9 +1,9 @@
 package relation
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -28,6 +28,37 @@ func benchRelation(n int) *Relation {
 	return r
 }
 
+// wideRelation returns n rows as wide as the census profile: 40
+// attributes, the first 5 of them QI. Grouping cost at this width is
+// dominated by reading 160-byte rows, which benchRelation's five columns
+// hide.
+func wideRelation(n int) *Relation {
+	const width, qi = 40, 5
+	attrs := make([]Attribute, width)
+	for a := range attrs {
+		attrs[a] = Attribute{Name: "A" + strconv.Itoa(a), Role: Sensitive}
+		if a < qi {
+			attrs[a].Role = QI
+		}
+	}
+	r := New(MustSchema(attrs...))
+	r.Grow(n)
+	card := []int{9, 16, 7, 15, 6} // QI domains; the rest have 50 values
+	rng := rand.New(rand.NewPCG(3, 4))
+	vals := make([]string, width)
+	for i := 0; i < n; i++ {
+		for a := range vals {
+			d := 50
+			if a < qi {
+				d = card[a]
+			}
+			vals[a] = strconv.Itoa(rng.IntN(d))
+		}
+		r.MustAppendValues(vals...)
+	}
+	return r
+}
+
 func BenchmarkAppendValues(b *testing.B) {
 	r := New(MustSchema(
 		Attribute{Name: "A", Role: QI},
@@ -39,10 +70,24 @@ func BenchmarkAppendValues(b *testing.B) {
 	}
 }
 
+// wide300k is built once per process: b.Run calls a sub-benchmark's body
+// again for every b.N it tries.
+var wide300k = sync.OnceValue(func() *Relation { return wideRelation(300000) })
+
 func BenchmarkQIGroups(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		r := benchRelation(n)
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
+	cases := []struct {
+		name string
+		rel  func() *Relation
+	}{
+		{"1000", func() *Relation { return benchRelation(1000) }},
+		{"10000", func() *Relation { return benchRelation(10000) }},
+		{"100000", func() *Relation { return benchRelation(100000) }},
+		{"wide-300000", wide300k},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			r := c.rel()
+			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if got := r.QIGroups(); len(got) == 0 {
@@ -56,6 +101,7 @@ func BenchmarkQIGroups(b *testing.B) {
 func BenchmarkDistinctCount(b *testing.B) {
 	r := benchRelation(50000)
 	qi := r.Schema().QIIndexes()
+	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if r.DistinctCount(qi) == 0 {

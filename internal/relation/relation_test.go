@@ -2,7 +2,10 @@ package relation
 
 import (
 	"bytes"
+	"cmp"
 	"diva/internal/testutil"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strconv"
@@ -382,6 +385,148 @@ func TestGroupByPartitionProperty(t *testing.T) {
 		if len(seen) != n {
 			t.Fatalf("groups cover %d of %d rows", len(seen), n)
 		}
+	}
+}
+
+// referenceGroupBy is the map-based group-by that the radix kernel
+// replaced: it keys each row by its packed codes on attrs and appends rows
+// to groups in input order, opening groups in order of first appearance.
+func referenceGroupBy(r *Relation, attrs, rows []int) [][]int {
+	byKey := make(map[string]int)
+	var groups [][]int
+	add := func(i int) {
+		row := r.Row(i)
+		buf := make([]byte, 0, len(attrs)*4)
+		for _, a := range attrs {
+			c := row[a]
+			buf = append(buf, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
+		}
+		g, ok := byKey[string(buf)]
+		if !ok {
+			g = len(groups)
+			byKey[string(buf)] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	if rows == nil {
+		for i := 0; i < r.Len(); i++ {
+			add(i)
+		}
+	} else {
+		for _, i := range rows {
+			add(i)
+		}
+	}
+	return groups
+}
+
+// randomGroupingRelation returns a relation over four small-domain QI
+// attributes and a sensitive one, with ★ cells and with unused codes
+// interned before, between and after the codes the rows use.
+func randomGroupingRelation(rng *rand.Rand) *Relation {
+	r := New(MustSchema(
+		Attribute{Name: "A", Role: QI},
+		Attribute{Name: "B", Role: QI, Kind: Numeric},
+		Attribute{Name: "C", Role: QI},
+		Attribute{Name: "D", Role: QI},
+		Attribute{Name: "S", Role: Sensitive},
+	))
+	intern := func() {
+		for a := 0; a < 5; a++ {
+			for u := rng.IntN(3) * rng.IntN(1000); u > 0; u-- {
+				r.Dict(a).Code(fmt.Sprintf("unused-%d-%d", r.Dict(a).Len(), u))
+			}
+		}
+	}
+	intern()
+	n := rng.IntN(120)
+	vals := make([]string, 5)
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			intern()
+		}
+		for a := range vals {
+			vals[a] = strconv.Itoa(rng.IntN(1 + a))
+			if a < 4 && rng.IntN(6) == 0 {
+				vals[a] = Star
+			}
+		}
+		r.MustAppendValues(vals...)
+	}
+	intern()
+	return r
+}
+
+// TestGroupByMatchesReference checks the radix group-by against the
+// map-based one: the same groups, in the same order, with the same rows in
+// the same order, for every row selection and attribute list.
+func TestGroupByMatchesReference(t *testing.T) {
+	rng := testutil.Rng(t)
+	for trial := 0; trial < 100; trial++ {
+		r := randomGroupingRelation(rng)
+		qi := r.Schema().QIIndexes()
+		ascending := []int{}
+		for i := 0; i < r.Len(); i++ {
+			if rng.IntN(2) == 0 {
+				ascending = append(ascending, i)
+			}
+		}
+		shuffled := slices.Clone(ascending)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, attrs := range [][]int{{}, {rng.IntN(5)}, qi} {
+			for _, rows := range [][]int{nil, ascending, shuffled} {
+				got, want := r.GroupBy(attrs, rows), referenceGroupBy(r, attrs, rows)
+				if len(want) == 0 {
+					if len(got) != 0 {
+						t.Fatalf("trial %d attrs %v rows %v: GroupBy = %v, want no groups", trial, attrs, rows, got)
+					}
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d attrs %v rows %v:\n GroupBy = %v\nreference = %v", trial, attrs, rows, got, want)
+				}
+				if rows == nil {
+					if got := r.DistinctCount(attrs); got != len(want) {
+						t.Fatalf("trial %d attrs %v: DistinctCount = %d, want %d", trial, attrs, got, len(want))
+					}
+				}
+
+				all := rows
+				if all == nil {
+					all = make([]int, r.Len())
+					for i := range all {
+						all[i] = i
+					}
+				}
+				wantOrder := slices.Clone(all)
+				slices.SortStableFunc(wantOrder, func(i, j int) int {
+					for _, a := range attrs {
+						if c := cmp.Compare(r.Code(i, a), r.Code(j, a)); c != 0 {
+							return c
+						}
+					}
+					return 0
+				})
+				if gotOrder := r.SortBy(attrs, rows); len(wantOrder) == 0 {
+					if len(gotOrder) != 0 {
+						t.Fatalf("trial %d attrs %v: SortBy = %v, want empty", trial, attrs, gotOrder)
+					}
+				} else if !slices.Equal(gotOrder, wantOrder) {
+					t.Fatalf("trial %d attrs %v rows %v:\n    SortBy = %v\nstable sort = %v", trial, attrs, rows, gotOrder, wantOrder)
+				}
+			}
+		}
+	}
+}
+
+// TestGroupByGroupsAreCapped pins the shared backing array's contract:
+// appending to one group never overwrites the next.
+func TestGroupByGroupsAreCapped(t *testing.T) {
+	r := testRelation(t)
+	groups := r.GroupBy([]int{0}, nil)
+	next := slices.Clone(groups[1])
+	_ = append(groups[0], -1)
+	if !slices.Equal(groups[1], next) {
+		t.Fatalf("appending to group 0 overwrote group 1: %v, want %v", groups[1], next)
 	}
 }
 
