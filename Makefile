@@ -52,8 +52,9 @@ bench:
 # BenchmarkColor family at the root, the search package's coloring
 # benchmarks, including the census-scale BenchmarkColoringCensus, the
 # constraint package's Σ-wide pool and count pass against per-constraint
-# scans, and the cluster package's enumerator construction and enumeration)
-# with enough repetitions for benchstat.
+# scans, and the cluster package's enumerator construction and enumeration:
+# large PopSyn targets, a dense-conflict-sized pool and an l-diversity
+# criterion) with enough repetitions for benchstat.
 bench-color:
 	$(GO) test -bench 'BenchmarkColorPhase' -count 5 -run '^$$' .
 	$(GO) test -bench 'BenchmarkColoring' -count 5 -run '^$$' ./internal/search/

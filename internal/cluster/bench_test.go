@@ -7,29 +7,41 @@ import (
 
 	"diva/internal/constraint"
 	"diva/internal/dataset"
+	"diva/internal/privacy"
+	"diva/internal/relation"
 	"diva/internal/rowset"
 )
 
+// BenchmarkCandidates enumerates one constraint's candidates with every
+// target row available, at K = 10:
+//   - rows=N: the most frequent ethnicity of a Zipfian PopSyn sample;
+//   - dense-conflict: a 400-row census sample, as one dense-conflict bench
+//     instance, and its most frequent EDUCATION value with at most 8K
+//     occurrences, as one of that workload's padder constraints: a small
+//     pool whose result, not the scan, dominates;
+//   - ldiv2: the 2,000-row PopSyn case under distinct 2-diversity, which
+//     checks every winner on the pooled row buffer.
 func BenchmarkCandidates(b *testing.B) {
-	for _, rows := range []int{2000, 20000} {
-		rel := dataset.PopSyn(dataset.Zipfian).Generate(rows, 3)
-		eth, _ := rel.Schema().Index("ETH")
-		// The most frequent ethnicity gives the largest target set.
+	const k = 10
+	run := func(name string, rel *relation.Relation, attr string, maxCount int, crit privacy.Criterion) {
+		a, _ := rel.Schema().Index(attr)
 		var best uint32
 		bestN := 0
-		for code, n := range rel.ValueFrequencies(eth) {
-			if n > bestN {
+		for code, n := range rel.ValueFrequencies(a) {
+			if n <= maxCount && (n > bestN || n == bestN && code < best) {
 				best, bestN = code, n
 			}
 		}
-		value := rel.Dict(eth).Value(best)
-		c := constraint.New("ETH", value, bestN/10, bestN)
-		bound, err := c.Bound(rel)
+		lower := bestN / 10
+		if lower < k {
+			lower = k
+		}
+		bound, err := constraint.New(attr, rel.Dict(a).Value(best), lower, bestN).Bound(rel)
 		if err != nil {
 			b.Fatal(err)
 		}
-		e := NewEnumerator(rel, bound, Options{K: 10})
-		b.Run(fmt.Sprintf("rows=%d/target=%d", rows, bestN), func(b *testing.B) {
+		e := NewEnumerator(rel, bound, Options{K: k, Criterion: crit})
+		b.Run(fmt.Sprintf("%s/target=%d", name, bestN), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if len(e.Candidates(nil, nil)) == 0 {
@@ -38,6 +50,11 @@ func BenchmarkCandidates(b *testing.B) {
 			}
 		})
 	}
+	for _, rows := range []int{2000, 20000} {
+		run(fmt.Sprintf("rows=%d", rows), dataset.PopSyn(dataset.Zipfian).Generate(rows, 3), "ETH", rows, nil)
+	}
+	run("dense-conflict", dataset.CensusSized(400).Generate(400, 3), "EDUCATION", 8*k, nil)
+	run("ldiv2", dataset.PopSyn(dataset.Zipfian).Generate(2000, 3), "ETH", 2000, privacy.DistinctLDiversity{L: 2})
 }
 
 func BenchmarkCandidatesWithExclusions(b *testing.B) {

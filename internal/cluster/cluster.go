@@ -24,13 +24,16 @@
 // Section 3.3): Enumerator.Candidates takes the bitset of rows already in
 // use and enumerates over the remaining target rows only, so returned
 // clusters never collide with active ones. Enumeration scratch buffers are
-// pooled and the returned clusterings are carved from per-call arenas, so
-// the search's hottest loop stays nearly allocation-free.
+// pooled, and the winners are picked in that scratch before any row is
+// copied out: a call allocates exactly what it returns (one row array, one
+// cluster-header array and the result slice), so the search's hottest loop
+// stays nearly allocation-free.
 package cluster
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
 	"diva/internal/constraint"
@@ -63,7 +66,7 @@ func (s Clustering) Rows() []int {
 	for _, c := range s {
 		out = append(out, c...)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -276,6 +279,17 @@ type scored struct {
 	cost     int
 }
 
+// size is the candidate's tuple count.
+func (c scored) size() int { return (c.hi1 - c.lo1) + (c.hi2 - c.lo2) }
+
+// clusters is the candidate's cluster count.
+func (c scored) clusters() int {
+	if c.hi2 > 0 {
+		return 2
+	}
+	return 1
+}
+
 type scoredWindow struct {
 	lo1, hi1 int
 	cost     int
@@ -292,43 +306,13 @@ type scratch struct {
 	cands []scored
 	base  []scoredWindow
 	seen  map[[4]int]bool
+	// kept is the winners, in result order; rows holds one candidate's rows
+	// while the criterion checks them.
+	kept []scored
+	rows []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{seen: make(map[[4]int]bool, 64)} }}
-
-// resultArena carves the returned clusterings out of chunked backing arrays
-// so a full enumeration costs a handful of allocations instead of one per
-// cluster. Arenas are per call and owned by the result — never pooled.
-type resultArena struct {
-	ints     []int
-	clusters [][]int
-}
-
-func (a *resultArena) rows(n int) []int {
-	if len(a.ints) < n {
-		c := n
-		if c < 4096 {
-			c = 4096
-		}
-		a.ints = make([]int, c)
-	}
-	out := a.ints[:n:n]
-	a.ints = a.ints[n:]
-	return out
-}
-
-func (a *resultArena) clustering(n int) Clustering {
-	if len(a.clusters) < n {
-		c := n
-		if c < 256 {
-			c = 256
-		}
-		a.clusters = make([][]int, c)
-	}
-	out := a.clusters[:n:n]
-	a.clusters = a.clusters[n:]
-	return Clustering(out)
-}
 
 // Candidates enumerates candidate clusterings over the target rows not in
 // used (used == nil means all target rows are available), ordered by
@@ -557,26 +541,16 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		}
 	}
 
-	sort.SliceStable(cands, func(x, y int) bool {
-		if cands[x].cost != cands[y].cost {
-			return cands[x].cost < cands[y].cost
+	slices.SortStableFunc(cands, func(x, y scored) int {
+		if c := cmp.Compare(x.cost, y.cost); c != 0 {
+			return c
 		}
-		sx := (cands[x].hi1 - cands[x].lo1) + (cands[x].hi2 - cands[x].lo2)
-		sy := (cands[y].hi1 - cands[y].lo1) + (cands[y].hi2 - cands[y].lo2)
-		return sx < sy
+		return cmp.Compare(x.size(), y.size())
 	})
 
-	// Materialize the winners into per-call arenas. The returned clusterings
-	// are retained by the search's candidate cache, so the arenas are owned
-	// by the result; everything else came from the pool.
-	need := len(cands)
-	if need > e.opts.MaxCandidates {
-		need = e.opts.MaxCandidates
-	}
-	grown := make([]Clustering, len(out), len(out)+need)
-	copy(grown, out)
-	out = grown
-	var ar resultArena
+	// Pick the winners in scratch: the first occurrence of each window pair,
+	// cheapest first, that the criterion accepts, until the budget is met.
+	kept, nrows, nclusters := sc.kept[:0], 0, 0
 	clear(sc.seen)
 	for _, c := range cands {
 		key := [4]int{c.lo1, c.hi1, c.lo2, c.hi2}
@@ -584,34 +558,47 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 			continue
 		}
 		sc.seen[key] = true
-		nc := 1
-		if c.hi2 > 0 {
-			nc = 2
-		}
-		s := ar.clustering(nc)
-		s[0] = e.materialize(&ar, avail, c.lo1, c.hi1)
-		if c.hi2 > 0 {
-			s[1] = e.materialize(&ar, avail, c.lo2, c.hi2)
-		}
-		if crit := e.opts.Criterion; crit != nil && !clusteringHolds(e.rel, crit, s) {
+		if e.opts.Criterion != nil && !e.holds(sc, avail, c) {
 			continue
 		}
-		out = append(out, s)
-		if len(out) >= e.opts.MaxCandidates {
+		kept = append(kept, c)
+		nrows, nclusters = nrows+c.size(), nclusters+c.clusters()
+		if len(out)+len(kept) >= e.opts.MaxCandidates {
 			break
 		}
 	}
-	return out
+	sc.kept = kept
+
+	// Copy the winners into three exactly sized allocations owned by the
+	// result, which the search's candidate cache retains: one row array, one
+	// cluster-header array and the result slice. Each cluster is capped at
+	// its length, so no slack is shared between clusters.
+	res := make([]Clustering, len(out)+len(kept))
+	copy(res, out)
+	rows, clusters := make([]int, nrows), make([][]int, nclusters)
+	for i, c := range kept {
+		nc := c.clusters()
+		s := Clustering(clusters[:nc:nc])
+		clusters = clusters[nc:]
+		s[0], rows = e.take(rows, avail, c.lo1, c.hi1)
+		if c.hi2 > 0 {
+			s[1], rows = e.take(rows, avail, c.lo2, c.hi2)
+		}
+		res[len(out)+i] = s
+	}
+	return res
 }
 
-// clusteringHolds reports whether every cluster satisfies the criterion.
-func clusteringHolds(rel *relation.Relation, crit privacy.Criterion, s Clustering) bool {
-	for _, c := range s {
-		if !crit.Holds(rel, c) {
-			return false
-		}
+// holds reports whether every cluster of c satisfies the criterion, copying
+// its rows into the scratch row buffer to check them.
+func (e *Enumerator) holds(sc *scratch, avail []int32, c scored) bool {
+	if cap(sc.rows) < c.size() {
+		sc.rows = make([]int, c.size())
 	}
-	return true
+	first, rest := e.take(sc.rows[:c.size()], avail, c.lo1, c.hi1)
+	second, _ := e.take(rest, avail, c.lo2, c.hi2)
+	crit := e.opts.Criterion
+	return crit.Holds(e.rel, first) && (c.hi2 == 0 || crit.Holds(e.rel, second))
 }
 
 // baseWindows gathers the cheapest windows of exactly size K for pairwise
@@ -632,11 +619,11 @@ func (e *Enumerator) baseWindows(sc *scratch, m int, cost func(lo, hi int) int) 
 		ws = append(ws, scoredWindow{lo1: lo, hi1: lo + k, cost: cost(lo, lo+k)})
 	}
 	sc.base = ws
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].cost != ws[j].cost {
-			return ws[i].cost < ws[j].cost
+	slices.SortFunc(ws, func(x, y scoredWindow) int {
+		if c := cmp.Compare(x.cost, y.cost); c != 0 {
+			return c
 		}
-		return ws[i].lo1 < ws[j].lo1
+		return cmp.Compare(x.lo1, y.lo1)
 	})
 	if len(ws) > budget {
 		ws = ws[:budget]
@@ -644,14 +631,16 @@ func (e *Enumerator) baseWindows(sc *scratch, m int, cost func(lo, hi int) int) 
 	return ws
 }
 
-// materialize copies the rows of the window avail[lo:hi] of pool positions
-// into the arena, in enumeration order (see Candidates).
-func (e *Enumerator) materialize(ar *resultArena, avail []int32, lo, hi int) []int {
-	c := ar.rows(hi - lo)
+// take writes the rows of the window avail[lo:hi] of pool positions to the
+// front of buf, in enumeration order (see Candidates), and returns them
+// capped at their length, with the rest of buf.
+func (e *Enumerator) take(buf []int, avail []int32, lo, hi int) (c, rest []int) {
+	n := hi - lo
+	c = buf[:n:n]
 	for i, p := range avail[lo:hi] {
 		c[i] = e.pool[p]
 	}
-	return c
+	return c, buf[n:]
 }
 
 // windowSizes picks the cluster sizes to explore: all sizes from min to max

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"diva/internal/constraint"
+	"diva/internal/privacy"
 	"diva/internal/relation"
 	"diva/internal/rowset"
 )
@@ -13,8 +14,9 @@ import (
 // implementation replaced, kept as the differential oracle: it copies the
 // pool and sorts the copy with a closure over Relation.Row, and every
 // Candidates call reads the available rows' codes and target matches from
-// the relation. It shares only the helpers that never touch the pool layout
-// (windowSizes, clusteringHolds, resultArena) with the production path.
+// the relation. It shares only windowSizes, which never touches the pool
+// layout, with the production path, and copies every returned cluster on
+// its own.
 type refEnumerator struct {
 	rel  *relation.Relation
 	b    *constraint.Bound
@@ -230,7 +232,6 @@ func (e *refEnumerator) Candidates(ctx context.Context, used *rowset.Set) []Clus
 	grown := make([]Clustering, len(out), len(out)+need)
 	copy(grown, out)
 	out = grown
-	var ar resultArena
 	seen := make(map[[4]int]bool)
 	for _, c := range cands {
 		key := [4]int{c.lo1, c.hi1, c.lo2, c.hi2}
@@ -242,7 +243,7 @@ func (e *refEnumerator) Candidates(ctx context.Context, used *rowset.Set) []Clus
 		if c.hi2 > 0 {
 			nc = 2
 		}
-		s := ar.clustering(nc)
+		s := make(Clustering, nc)
 		s[0] = append([]int(nil), avail[c.lo1:c.hi1]...)
 		if c.hi2 > 0 {
 			s[1] = append([]int(nil), avail[c.lo2:c.hi2]...)
@@ -283,4 +284,14 @@ func (e *refEnumerator) baseWindows(m int, cost func(lo, hi int) int) []scoredWi
 		ws = ws[:budget]
 	}
 	return ws
+}
+
+// clusteringHolds reports whether every cluster satisfies the criterion.
+func clusteringHolds(rel *relation.Relation, crit privacy.Criterion, s Clustering) bool {
+	for _, c := range s {
+		if !crit.Holds(rel, c) {
+			return false
+		}
+	}
+	return true
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"diva/internal/constraint"
+	"diva/internal/dataset"
 	"diva/internal/privacy"
 	"diva/internal/relation"
 	"diva/internal/rowset"
@@ -167,6 +168,71 @@ func TestEnumeratorTargetSet(t *testing.T) {
 			if got, want := e.Pool(), b.TargetQIRows(rel); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d %s: Pool %v, TargetQIRows %v", trial, b, got, want)
 			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is compiled in.
+var raceEnabled bool
+
+// TestCandidatesAllocateExactlyTheResult pins the enumeration's allocation
+// contract: once a warm-up call has filled the pooled scratch, a Candidates
+// call allocates windowSizes' size list and the three exactly sized arrays
+// of its result (rows, cluster headers, clusterings), and every cluster is
+// capped at its length. No pooled buffer is reachable from a result: a
+// later call over other rows leaves it intact, and overwriting it leaves
+// the next call equal to the reference. The cases cover pairwise
+// compositions and an l-diversity criterion, whose check runs on a pooled
+// row buffer; the count is pinned without the criterion, since a
+// criterion's Holds allocates on its own.
+func TestCandidatesAllocateExactlyTheResult(t *testing.T) {
+	rel := dataset.CensusSized(2000).Generate(2000, 11)
+	bound := mustBind(t, rel, constraint.New("SEX", "Male", 20, 400))
+	used := rowset.New(rel.Len())
+	for row := 0; row < rel.Len(); row += 3 {
+		used.Add(row)
+	}
+	for _, crit := range []privacy.Criterion{nil, privacy.DistinctLDiversity{L: 2}} {
+		opts := Options{K: 10, Criterion: crit}
+		e, ref := NewEnumerator(rel, bound, opts), newRefEnumerator(rel, bound, opts)
+		got, want := e.Candidates(nil, used), ref.Candidates(nil, used)
+		pairs := 0
+		for _, s := range got {
+			if cap(s) != len(s) {
+				t.Fatalf("crit=%v: clustering of %d clusters has capacity %d", crit, len(s), cap(s))
+			}
+			spanned := 0
+			for _, c := range s {
+				spanned += cap(c)
+			}
+			if spanned != s.Tuples() {
+				t.Fatalf("crit=%v: clusters of %d tuples span capacity %d", crit, s.Tuples(), spanned)
+			}
+			if len(s) == 2 {
+				pairs++
+			}
+		}
+		if len(got) < 2 || pairs == 0 {
+			t.Fatalf("crit=%v: %d candidates, %d pairwise; the case no longer exercises compositions", crit, len(got), pairs)
+		}
+		if crit == nil && !raceEnabled {
+			if avg := testing.AllocsPerRun(20, func() { e.Candidates(nil, nil) }); avg > 4 {
+				t.Errorf("crit=%v: Candidates allocates %.0f times per call, want at most 4", crit, avg)
+			}
+		}
+		e.Candidates(nil, nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("crit=%v: later calls over other rows changed an earlier result", crit)
+		}
+		for _, s := range got {
+			for _, c := range s {
+				for i := range c {
+					c[i] = -1
+				}
+			}
+		}
+		if g, w := e.Candidates(nil, used), ref.Candidates(nil, used); !reflect.DeepEqual(g, w) {
+			t.Fatalf("crit=%v: after overwriting a result, candidates diverged from the reference", crit)
 		}
 	}
 }

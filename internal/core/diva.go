@@ -5,13 +5,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"time"
 
 	"diva/internal/anon"
@@ -635,13 +635,13 @@ func integrate(out, rest *relation.Relation, bounds []*constraint.Bound, schema 
 				cands = append(cands, candidate{group: g, matches: m})
 			}
 		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			ri := float64(cands[i].matches) / float64(len(cands[i].group))
-			rj := float64(cands[j].matches) / float64(len(cands[j].group))
-			if ri != rj {
-				return ri > rj
+		slices.SortStableFunc(cands, func(x, y candidate) int {
+			rx := float64(x.matches) / float64(len(x.group))
+			ry := float64(y.matches) / float64(len(y.group))
+			if c := cmp.Compare(ry, rx); c != 0 {
+				return c
 			}
-			return cands[i].matches > cands[j].matches
+			return cmp.Compare(y.matches, x.matches)
 		})
 		for _, c := range cands {
 			if excess <= 0 {

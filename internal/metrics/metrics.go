@@ -45,11 +45,12 @@ func Accuracy(rel *relation.Relation) float64 {
 // suppressed or unpublishable — is charged |R′| (Bayardo & Agrawal, ICDE
 // 2005).
 func Discernibility(rel *relation.Relation, k int) int {
-	return discernibility(rel.QIGroups(), rel.Len(), k)
+	return GroupsDiscernibility(rel.QIGroups(), rel.Len(), k)
 }
 
-// discernibility is disc(R′, k) over the QI-groups of n tuples.
-func discernibility(groups [][]int, n, k int) int {
+// GroupsDiscernibility is disc(R′, k) over the QI-groups of n tuples, for
+// callers that already hold them (relation.QIGroups).
+func GroupsDiscernibility(groups [][]int, n, k int) int {
 	penalty := 0
 	for _, group := range groups {
 		if len(group) >= k {
@@ -65,11 +66,12 @@ func discernibility(groups [][]int, n, k int) int {
 // least k tuples (Definition 2.1). Every relation is 0- and 1-anonymous; an
 // empty relation is k-anonymous for every k.
 func IsKAnonymous(rel *relation.Relation, k int) bool {
-	return k <= 1 || isKAnonymous(rel.QIGroups(), k)
+	return k <= 1 || GroupsKAnonymous(rel.QIGroups(), k)
 }
 
-// isKAnonymous reports whether every group holds at least k tuples.
-func isKAnonymous(groups [][]int, k int) bool {
+// GroupsKAnonymous reports whether every group holds at least k tuples: it
+// is IsKAnonymous over QI-groups the caller already holds.
+func GroupsKAnonymous(groups [][]int, k int) bool {
 	for _, group := range groups {
 		if len(group) < k {
 			return false
@@ -202,10 +204,10 @@ func Summarize(rel *relation.Relation, k int) Report {
 	return Report{
 		Tuples:         rel.Len(),
 		K:              k,
-		KAnonymous:     isKAnonymous(groups, k),
+		KAnonymous:     GroupsKAnonymous(groups, k),
 		SuppressedQI:   SuppressionLoss(rel),
 		Accuracy:       Accuracy(rel),
-		Discernibility: discernibility(groups, rel.Len(), k),
+		Discernibility: GroupsDiscernibility(groups, rel.Len(), k),
 		QIGroups:       len(groups),
 		SmallestGroup:  smallestGroup(groups),
 	}

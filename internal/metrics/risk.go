@@ -22,11 +22,16 @@ type Risk struct {
 // ReidentificationRisk computes the prosecutor-model risk profile of rel.
 // An empty relation reports zero risk.
 func ReidentificationRisk(rel *relation.Relation) Risk {
-	groups := rel.QIGroups()
-	if rel.Len() == 0 || len(groups) == 0 {
+	return GroupsRisk(rel.QIGroups(), rel.Len())
+}
+
+// GroupsRisk is ReidentificationRisk over the QI-groups of n tuples, for
+// callers that already hold them.
+func GroupsRisk(groups [][]int, n int) Risk {
+	if n == 0 || len(groups) == 0 {
 		return Risk{}
 	}
-	r := Risk{AvgRisk: float64(len(groups)) / float64(rel.Len())}
+	r := Risk{AvgRisk: float64(len(groups)) / float64(n)}
 	for _, g := range groups {
 		risk := 1 / float64(len(g))
 		if risk > r.MaxRisk {
@@ -65,8 +70,14 @@ type GroupSizeBucket struct {
 // GroupSizeHistogram returns the QI-group size distribution, ascending by
 // size.
 func GroupSizeHistogram(rel *relation.Relation) []GroupSizeBucket {
+	return GroupsSizeHistogram(rel.QIGroups())
+}
+
+// GroupsSizeHistogram is GroupSizeHistogram over QI-groups the caller
+// already holds.
+func GroupsSizeHistogram(groups [][]int) []GroupSizeBucket {
 	counts := make(map[int]int)
-	for _, g := range rel.QIGroups() {
+	for _, g := range groups {
 		counts[len(g)]++
 	}
 	out := make([]GroupSizeBucket, 0, len(counts))

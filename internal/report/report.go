@@ -41,19 +41,21 @@ type Report struct {
 }
 
 // Build assembles a Report for the published relation out at privacy level
-// k, evaluating sigma against it (sigma may be nil).
+// k, evaluating sigma against it (sigma may be nil). It groups out by its QI
+// vectors once and reads every group-based metric from that grouping.
 func Build(out *relation.Relation, sigma constraint.Set, k int) (*Report, error) {
+	groups := out.QIGroups()
 	r := &Report{
 		Tuples:         out.Len(),
 		QIAttributes:   len(out.Schema().QIIndexes()),
 		K:              k,
-		KAnonymous:     metrics.IsKAnonymous(out, k),
+		KAnonymous:     metrics.GroupsKAnonymous(groups, k),
 		SuppressedQI:   metrics.SuppressionLoss(out),
 		Accuracy:       metrics.Accuracy(out),
-		Discernibility: metrics.Discernibility(out, k),
-		Risk:           metrics.ReidentificationRisk(out),
+		Discernibility: metrics.GroupsDiscernibility(groups, out.Len(), k),
+		Risk:           metrics.GroupsRisk(groups, out.Len()),
 		ByAttribute:    metrics.PerAttributeLoss(out),
-		GroupSizes:     metrics.GroupSizeHistogram(out),
+		GroupSizes:     metrics.GroupsSizeHistogram(groups),
 	}
 	if len(sigma) > 0 {
 		bounds, err := sigma.Bind(out)

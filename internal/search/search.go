@@ -14,11 +14,11 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -626,7 +626,7 @@ func (st *state) sharedCandidates(node *Node) []cluster.Clustering {
 	// Map iteration order is random; keep the search deterministic. Active
 	// clusters are sorted and pairwise disjoint, so rows[0] — each cluster's
 	// smallest row — is a unique key.
-	sort.Slice(usable, func(i, j int) bool { return usable[i].rows[0] < usable[j].rows[0] })
+	slices.SortFunc(usable, func(x, y shared) int { return cmp.Compare(x.rows[0], y.rows[0]) })
 	var out []cluster.Clustering
 	// Single shared clusters.
 	for _, s := range usable {
@@ -1043,8 +1043,9 @@ func (st *state) assign(v int, cand cluster.Clustering) {
 			continue
 		}
 		// Candidates arrive in enumeration order; sort once, on activation.
-		// The slice belongs to this search's candidate cache (enumeration
-		// arenas are per call), so sorting in place is private to it.
+		// The slice belongs to this search's candidate cache (every
+		// enumeration allocates its own result), so sorting in place is
+		// private to it.
 		slices.Sort(c)
 		st.active[fp] = &activeCluster{rows: c, refs: 1}
 		st.used.AddSlice(c) // incremental fingerprint update

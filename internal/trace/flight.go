@@ -7,8 +7,9 @@ import (
 
 // DefaultFlightCapacity is the per-run flight-recorder ring size. 256 events
 // cover the tail of any search — the last heartbeat plus the per-node
-// activity leading up to a stall or failure — while keeping a registered
-// run's fixed memory footprint at a few tens of kilobytes.
+// activity leading up to a stall or failure — while bounding a registered
+// run's recorder at a few tens of kilobytes. The ring grows to that bound
+// only as events arrive, so a short run pays for the events it records.
 const DefaultFlightCapacity = 256
 
 // FlightEntry is one recorded event with its recorder-local sequence number
@@ -27,15 +28,18 @@ type FlightEntry struct {
 
 // FlightRecorder is a bounded, allocation-light ring of the most recent
 // trace events — a per-run "black box". Recording copies the event into a
-// preallocated slot under a mutex and never allocates, so the recorder can
-// ride the search hot path of every registered run; Snapshot copies the
-// retained window out oldest-first. It is goroutine-safe (portfolio workers
-// heartbeat concurrently) and implements Tracer.
+// ring slot under a mutex. The ring starts empty and doubles as it fills,
+// up to its capacity, so a fill allocates at most ⌈log₂ capacity⌉+1 times
+// and a full ring never allocates: the recorder can ride the search hot
+// path of every registered run. Snapshot copies the retained window out
+// oldest-first. It is goroutine-safe (portfolio workers heartbeat
+// concurrently) and implements Tracer.
 type FlightRecorder struct {
-	mu    sync.Mutex
-	start time.Time
-	buf   []FlightEntry // ring storage, allocated once
-	seq   uint64        // total events recorded; buf[(seq-1)%len] is newest
+	mu       sync.Mutex
+	start    time.Time
+	capacity int
+	buf      []FlightEntry // ring storage, never longer than capacity
+	seq      uint64        // total events recorded; buf[(seq-1)%len] is newest
 }
 
 // NewFlightRecorder returns a recorder retaining the last capacity events
@@ -44,7 +48,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{start: time.Now(), buf: make([]FlightEntry, capacity)}
+	return &FlightRecorder{start: time.Now(), capacity: capacity}
 }
 
 // Trace implements Tracer: the event lands in the ring, evicting the oldest
@@ -59,7 +63,15 @@ func (f *FlightRecorder) Record(ev Event) FlightEntry {
 	f.mu.Lock()
 	f.seq++
 	e := FlightEntry{Seq: f.seq, At: at, Event: ev}
-	f.buf[(f.seq-1)%uint64(len(f.buf))] = e
+	if n := len(f.buf); n < f.capacity {
+		// Filling: seq-1 == n, so appending keeps buf[(seq-1)%len] newest.
+		if n == cap(f.buf) {
+			f.buf = append(make([]FlightEntry, 0, min(max(2*n, 1), f.capacity)), f.buf...)
+		}
+		f.buf = append(f.buf, e)
+	} else {
+		f.buf[(f.seq-1)%uint64(n)] = e
+	}
 	f.mu.Unlock()
 	return e
 }
@@ -76,14 +88,10 @@ func (f *FlightRecorder) Seen() uint64 {
 func (f *FlightRecorder) Snapshot() []FlightEntry {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := f.seq
-	capacity := uint64(len(f.buf))
-	if n > capacity {
-		n = capacity
-	}
+	n := uint64(len(f.buf))
 	out := make([]FlightEntry, 0, n)
 	for i := uint64(0); i < n; i++ {
-		out = append(out, f.buf[(f.seq-n+i)%capacity])
+		out = append(out, f.buf[(f.seq-n+i)%n])
 	}
 	return out
 }

@@ -175,13 +175,67 @@ func TestParseEventKind(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderNoAllocs is the hot-path contract: recording into the
-// ring allocates nothing (the obs layer attaches a recorder to every run,
-// subscriber or not, so a per-event allocation would tax every search step).
+// TestFlightRecorderNoAllocs is the hot-path contract: recording into a
+// full ring allocates nothing (the obs layer attaches a recorder to every
+// run, subscriber or not, so a per-event allocation would tax every search
+// step). The ring is filled first: AllocsPerRun divides integers, so a few
+// growth allocations spread over the runs would read as zero.
 func TestFlightRecorderNoAllocs(t *testing.T) {
 	f := NewFlightRecorder(128)
 	ev := Event{Kind: KindAssign, Node: 1, Depth: 2, Span: 3, Parent: 1}
+	for i := 0; i < 128; i++ {
+		f.Trace(ev)
+	}
 	if avg := testing.AllocsPerRun(200, func() { f.Trace(ev) }); avg != 0 {
-		t.Fatalf("FlightRecorder.Trace allocates %.1f per event, want 0", avg)
+		t.Fatalf("FlightRecorder.Trace allocates %.1f per event on a full ring, want 0", avg)
+	}
+}
+
+// TestFlightRecorderGrowsOnDemand checks the ring that grows as events
+// arrive: below, at and past its capacity the snapshot is the oldest-first
+// tail and Seen counts every event, the ring never holds more than its
+// capacity, and a whole fill allocates at most ⌈log₂ capacity⌉+1 times.
+func TestFlightRecorderGrowsOnDemand(t *testing.T) {
+	for _, capacity := range []int{1, 5, 64, 100, DefaultFlightCapacity} {
+		f := NewFlightRecorder(capacity)
+		for n := 1; n <= 2*capacity+3; n++ {
+			f.Trace(Event{Kind: KindAssign, Node: n})
+			if cap(f.buf) > capacity {
+				t.Fatalf("capacity %d: ring holds %d slots after %d events", capacity, cap(f.buf), n)
+			}
+			if f.Seen() != uint64(n) {
+				t.Fatalf("capacity %d: Seen = %d after %d events", capacity, f.Seen(), n)
+			}
+			snap := f.Snapshot()
+			if want := min(n, capacity); len(snap) != want {
+				t.Fatalf("capacity %d: snapshot holds %d after %d events, want %d", capacity, len(snap), n, want)
+			}
+			for i, e := range snap {
+				if want := n - len(snap) + 1 + i; e.Seq != uint64(want) || e.Node != want {
+					t.Fatalf("capacity %d after %d events: entry %d is seq %d node %d, want %d", capacity, n, i, e.Seq, e.Node, want)
+				}
+			}
+		}
+
+		const runs = 10
+		recs := make([]*FlightRecorder, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range recs {
+			recs[i] = NewFlightRecorder(capacity)
+		}
+		next := 0
+		fill := func() {
+			f := recs[next]
+			next++
+			for i := 0; i < capacity; i++ {
+				f.Trace(Event{Kind: KindAssign, Node: i})
+			}
+		}
+		bound := 1
+		for c := 1; c < capacity; c *= 2 {
+			bound++
+		}
+		if avg := testing.AllocsPerRun(runs, fill); avg > float64(bound) {
+			t.Fatalf("capacity %d: a fill allocates %.0f times, want at most ⌈log₂ cap⌉+1 = %d", capacity, avg, bound)
+		}
 	}
 }
