@@ -61,12 +61,10 @@ bench-color:
 	$(GO) test -bench 'BenchmarkPools' -count 5 -run '^$$' ./internal/constraint/
 	$(GO) test -bench 'BenchmarkNewEnumerator|BenchmarkCandidates' -count 5 -run '^$$' ./internal/cluster/
 
-# bench-rest runs the baseline phase's row-ordering benchmarks: the shard
-# plan's radix sort over the census-60k rest rows and Mondrian (parallel and
-# sequential) up to the full 299,285-row census, with enough repetitions for
-# benchstat.
+# bench-rest runs the baseline phase's partitioner benchmarks: Mondrian
+# (parallel and sequential) up to the full 299,285-row census, with enough
+# repetitions for benchstat.
 bench-rest:
-	$(GO) test -bench 'BenchmarkPlanRestShards' -count 5 -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkPartitioners/Mondrian' -count 5 -run '^$$' ./internal/anon/
 
 # bench-store runs the tuple-store benchmarks — chunked annotated-CSV
@@ -129,16 +127,17 @@ baseline-smoke:
 		>$$tmp/kml2.csv || { echo "baseline-smoke: k-member -ldiversity 2 run failed"; exit 1; }; \
 	echo "baseline-smoke: ok (sequential and parallel outputs identical, k-member deterministic, -verify clean)"
 
-# shard-smoke runs the shard-and-merge engine end to end at the CLI level:
+# shard-smoke runs the component-wise engine end to end at the CLI level:
 # a census sample with a Σ that decomposes into three components
 # (testdata/census-shard.sigma), solved monolithically and with -shards 4,
-# all under -verify. The two sharded runs must be byte-identical (the shard
-# plan's determinism contract); the monolithic run shares the -verify
+# all under -verify. The two -shards 4 runs must be byte-identical (the
+# engine's determinism contract); the monolithic run shares the -verify
 # verdict but may publish a different — equally valid — relation. It also
-# pins the driver's two Options.Shards rules: -shards 1 runs the joint
-# (monolithic) pipeline, so its output equals the monolithic output, and a
-# component-wise run ignores -parallel, so -shards 4 -parallel 3 equals
-# -shards 4.
+# pins the driver's Options.Shards rules: -shards 1 runs the joint
+# (monolithic) pipeline, so its output equals the monolithic output; every
+# count ≥ 2 selects the same component-wise run, so -shards 2 equals
+# -shards 4; and a component-wise run ignores -parallel, so -shards 4
+# -parallel 3 equals -shards 4.
 shard-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -167,7 +166,12 @@ shard-smoke:
 		|| { echo "shard-smoke: -shards 4 -parallel 3 run failed"; exit 1; }; \
 	cmp -s $$tmp/shard1.csv $$tmp/shardpar.csv || { \
 		echo "shard-smoke: -shards 4 -parallel 3 output differs from -shards 4"; exit 1; }; \
-	echo "shard-smoke: ok (sharded runs byte-identical, -shards 1 = monolithic, -parallel ignored when sharded, all -verify clean)"
+	$$tmp/diva -in $$tmp/census.csv -constraints testdata/census-shard.sigma \
+		-k 10 -seed 7 -shards 2 -verify >$$tmp/shard2way.csv \
+		|| { echo "shard-smoke: -shards 2 run failed"; exit 1; }; \
+	cmp -s $$tmp/shard1.csv $$tmp/shard2way.csv || { \
+		echo "shard-smoke: -shards 2 output differs from -shards 4"; exit 1; }; \
+	echo "shard-smoke: ok (sharded runs byte-identical, -shards 2 = -shards 4, -shards 1 = monolithic, -parallel ignored when sharded, all -verify clean)"
 
 # obs-smoke exercises the ops layer end to end: it runs cmd/diva with
 # -listen on an ephemeral port against the paper's example (testdata/), keeps

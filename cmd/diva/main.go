@@ -96,7 +96,7 @@ func main() {
 		ldiv        = flag.Int("ldiversity", 0, "additionally require distinct l-diversity with this l (0 = off)")
 		parallel    = flag.Int("parallel", 0, "run this many concurrent coloring searches (0 = sequential)")
 		nogoods     = flag.Bool("nogoods", false, "learn nogoods from exhausted search nodes and backjump over assignments outside the conflict set (same verdicts, fewer visits on dense-conflict Σ)")
-		shards      = flag.Int("shards", 0, "shard-and-merge engine: decompose constraints into components and partition rest rows in this many QI-local shards (0 = off, -1 = auto)")
+		shards      = flag.Int("shards", 0, "component-wise engine: decompose constraints into independent components colored concurrently (0 = off, -1 = auto, any value ≥ 2 = on)")
 		reportFmt   = flag.String("report", "", "write a run report to stderr: text, markdown or json")
 		timeout     = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 		traceFlag   = flag.Bool("trace", false, "stream phase boundaries and portfolio outcomes to stderr")

@@ -5,11 +5,11 @@
 // events — a non-negative duration. The aggregate instant events the profile
 // exporter derives from trace.KindShard and trace.KindSplit streams (cat
 // "shard" and "split") must additionally carry their well-formed argument
-// sets: a shard plan needs non-negative components/component_rows/
-// rest_shards/rest_rows, baseline cuts need non-negative splits/leaves/
-// cut_wall_us/max_depth with leaves > 0 whenever cuts were made. Exit status
-// 0 means the file is loadable; 1 names the first violation. It exists so CI
-// can assert profile exports without a browser.
+// sets: a shard plan needs non-negative components/component_rows, baseline
+// cuts need non-negative splits/leaves/cut_wall_us/max_depth with leaves > 0
+// whenever cuts were made. Exit status 0 means the file is loadable; 1 names
+// the first violation. It exists so CI can assert profile exports without a
+// browser.
 //
 // With -flight the argument is instead a flight-recorder dump (the JSON the
 // ops server serves at /debug/diva/runs/{id}/events): every event kind must
@@ -148,7 +148,7 @@ func checkRunEnd(ev trace.Event) error {
 // on its KindShard/KindSplit aggregate events; every key must be present and
 // non-negative for the event to be considered well-formed.
 var (
-	shardArgs = []string{"components", "component_rows", "rest_shards", "rest_rows"}
+	shardArgs = []string{"components", "component_rows"}
 	splitArgs = []string{"splits", "leaves", "cut_wall_us", "max_depth"}
 )
 

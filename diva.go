@@ -136,8 +136,8 @@ const (
 	MaxFanOut = search.MaxFanOut
 )
 
-// ShardsAuto, set on Options.Shards, sizes the shard-and-merge engine
-// automatically from GOMAXPROCS and the relation size; small relations run
+// ShardsAuto, set on Options.Shards, turns the component-wise engine on
+// when GOMAXPROCS and the relation size allow; small relations run
 // monolithically.
 const ShardsAuto = core.ShardsAuto
 
@@ -193,11 +193,10 @@ const (
 	// recursion depth and cut wall time. The engine serializes these before
 	// they reach a Tracer, even when Mondrian runs parallel.
 	KindSplit = trace.KindSplit
-	// KindShard announces one unit of a sharded run's plan: a Σ connected
-	// component (Label "component": Node is the component index, N its
-	// QI-pool size, Depth its constraint count) or a QI-local rest shard
-	// (Label "rest": Node is the shard index, N its row count). Emitted
-	// sequentially by the coordinator; see Options.Shards.
+	// KindShard announces one Σ connected component of a component-wise
+	// run (Label "component": Node is the component index, N its QI-pool
+	// size, Depth its constraint count). Emitted sequentially by the
+	// coordinator; see Options.Shards.
 	KindShard = trace.KindShard
 	// KindNogood reports one learned nogood (Options.Nogoods): Node is the
 	// node whose visit exhausted, Members the conflict-set size, Depth the
@@ -449,16 +448,16 @@ type Options struct {
 	// dense-conflict Σ drops. Portfolio workers share one store; sharded
 	// runs learn per component.
 	Nogoods bool
-	// Shards enables the shard-and-merge engine for large relations: the
+	// Shards enables the component-wise engine for large relations: the
 	// constraint set is decomposed into independent connected components
-	// colored concurrently, and the remaining tuples are partitioned in
-	// QI-local shards. 0 disables sharding, ShardsAuto (-1) picks a count
-	// from GOMAXPROCS and the relation size, and any value ≥ 2 is honored
-	// as given. Output is deterministic for a fixed shard count and seed
-	// (different counts may produce different — equally valid — outputs);
-	// Parallelism bounds the fan-out. When the components' colorings leave
-	// fewer than K rest tuples, Σ is colored again as one joint graph, as
-	// with Shards 0. Sharded runs ignore Parallel.
+	// colored concurrently, Parallelism bounding the fan-out. The remaining
+	// tuples go to the partitioner in one call, as with Shards 0. 0
+	// disables it, ShardsAuto (-1) turns it on when GOMAXPROCS and the
+	// relation size allow, and any value ≥ 2 turns it on; every such value
+	// gives the same output, deterministic for a fixed seed. When the
+	// components' colorings leave fewer than K rest tuples, Σ is colored
+	// again as one joint graph, as with Shards 0. Sharded runs ignore
+	// Parallel.
 	Shards int
 	// Hierarchies, when non-nil, renders clusters by generalization: cells
 	// a cluster disagrees on lift to the least common ancestor of its

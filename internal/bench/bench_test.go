@@ -36,7 +36,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	wantIDs := []string{
 		"table4", "table5", "fig4a", "fig4b", "fig4c", "fig4d",
 		"fig5a", "fig5b", "fig5c", "fig5d",
-		"baseline", "shard",
+		"baseline",
 		"ablation-cap", "ablation-parallel",
 		"nogood",
 	}

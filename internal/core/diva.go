@@ -96,18 +96,18 @@ type Options struct {
 	// search selected by Strategy — the paper's future-work direction of
 	// parallelizing the coloring.
 	Parallel int
-	// Shards selects the shard-and-merge engine: Σ is decomposed into
+	// Shards selects the component-wise engine: Σ is decomposed into
 	// pool-disjoint connected components (constraint.Components) colored
-	// concurrently, and the rest rows are partitioned in QI-local shards.
-	// 0 disables sharding (the joint, monolithic run), ShardsAuto (-1)
-	// sizes the shard count from GOMAXPROCS and the relation, and any value
-	// ≥ 2 is honored as given (values below 2 behave like 0). The shard
-	// fan-out is bounded by Parallelism. Results are deterministic for a
-	// fixed shard count, seed and strategy; when the component-wise
-	// coloring leaves a rest set smaller than K, the driver colors Σ again
-	// jointly, under the Accept hook that forbids that outcome. Sharded
-	// runs ignore Parallel: the portfolio races whole searches, whereas
-	// sharding splits one search into independent components.
+	// concurrently, their fan-out bounded by Parallelism. 0 colors Σ as one
+	// joint graph, ShardsAuto (-1) decomposes it when GOMAXPROCS and the
+	// relation size allow, and any value ≥ 2 decomposes it (values below 2
+	// behave like 0; all values ≥ 2 give the same output). The rest rows go
+	// to the Anonymizer in one call either way. Results are deterministic
+	// for a fixed seed and strategy; when the component-wise coloring
+	// leaves a rest set smaller than K, the driver colors Σ again jointly,
+	// under the Accept hook that forbids that outcome. Component-wise runs
+	// ignore Parallel: the portfolio races whole searches, whereas the
+	// decomposition splits one search into independent components.
 	Shards int
 	// Nogoods enables conflict-driven learning in the coloring search: every
 	// exhausted node contributes a learned nogood (derived from blocker
@@ -163,10 +163,10 @@ type Result struct {
 	// RepairedCells counts QI cells additionally suppressed by Integrate.
 	RepairedCells int
 	// Metrics summarizes the run: per-phase wall times, the search effort
-	// of Stats, the shard plan and the portfolio winner. It is non-nil on
-	// success and on every error path (a failed run's Result carries
-	// Metrics and Stats only; its relations are nil). The run's terminal
-	// KindRunEnd event carries the same pointer to every tracer.
+	// of Stats, the Σ component count and the portfolio winner. It is
+	// non-nil on success and on every error path (a failed run's Result
+	// carries Metrics and Stats only; its relations are nil). The run's
+	// terminal KindRunEnd event carries the same pointer to every tracer.
 	Metrics *trace.RunMetrics
 }
 
@@ -284,8 +284,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	// (DESIGN.md §11); a component cannot see the global rest size, so the
 	// merged clustering is judged by the same rest check afterwards, and a
 	// rejection re-enters build-graph and color in joint mode.
-	shards := shardCount(opts.Shards, rel.Len())
-	joint := shards < 2
+	joint := !sharded(opts.Shards, rel.Len())
 	var sigmaClustering cluster.Clustering
 	for {
 		comps := []constraint.Component{{Bounds: searchable}}
@@ -346,20 +345,11 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	}
 	d := out.Len()
 
-	// Anonymize the remaining tuples with the off-the-shelf algorithm; their
-	// rendering Rk completes R′. A joint run hands them to the partitioner
-	// as one shard in index order; a component-wise run partitions them in
-	// QI-local shards.
+	// Anonymize the remaining tuples with the off-the-shelf algorithm, in one
+	// call over every rest row in index order, in both modes; their
+	// rendering Rk completes R′.
 	err = env.phase(trace.PhaseBaseline, func(c context.Context) error {
-		restShards := [][]int{rest}
-		if !joint {
-			restShards = planRestShards(rel, rest, shards, opts.K)
-			env.restShards = len(restShards)
-			for si, rows := range restShards {
-				tr.Trace(trace.Event{Kind: trace.KindShard, Label: "rest", Node: si, N: len(rows)})
-			}
-		}
-		parts, err := partitionShards(c, env, restShards)
+		parts, err := opts.Anonymizer.Partition(c, rel, rest, opts.K)
 		if err != nil {
 			return fmt.Errorf("diva: anonymizing %d remaining tuples: %w", len(rest), err)
 		}
@@ -375,9 +365,9 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 
 // runEnv bundles the per-run state the phases share: the bound constraints,
 // the run's tracer, and the sources finish() builds RunMetrics from — the
-// timings the phase runner records, the search statistics, the shard plan's
-// component and rest-shard counts, and the ★s the suppress, baseline and
-// integrate phases wrote into R′.
+// timings the phase runner records, the search statistics, the component
+// count, and the ★s the suppress, baseline and integrate phases wrote into
+// R′.
 type runEnv struct {
 	ctx        context.Context
 	rel        *relation.Relation
@@ -390,7 +380,6 @@ type runEnv struct {
 	phases     []trace.PhaseTiming
 	stats      search.Stats
 	components int
-	restShards int
 	stars      int
 }
 
@@ -415,8 +404,8 @@ func (e *runEnv) phase(ph trace.Phase, f func(context.Context) error) error {
 }
 
 // runMetrics assembles the run's RunMetrics — the one place they are built —
-// from the recorded phase timings, the search statistics and the shard plan.
-// out is the published relation, nil on error paths.
+// from the recorded phase timings, the search statistics and the component
+// count. out is the published relation, nil on error paths.
 func (e *runEnv) runMetrics(runID uint64, total time.Duration, out *relation.Relation, err error) *trace.RunMetrics {
 	s := &e.stats
 	m := &trace.RunMetrics{
@@ -433,7 +422,6 @@ func (e *runEnv) runMetrics(runID uint64, total time.Duration, out *relation.Rel
 		Backjumps:            s.Backjumps,
 		MaxBackjump:          s.MaxBackjump,
 		SigmaComponents:      e.components,
-		RestShards:           e.restShards,
 		PortfolioWorkers:     e.opts.Parallel,
 		WinnerWorker:         s.WinnerWorker,
 		WinnerStrategy:       s.WinnerStrategy,

@@ -34,8 +34,8 @@ func TestResultPartsShareOutput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.shards == 2 && res.Metrics.RestShards < 1 {
-				t.Fatal("the sharded driver did not produce the result")
+			if tc.shards == 2 && res.Metrics.SigmaComponents < 1 {
+				t.Fatal("the component-wise driver did not produce the result")
 			}
 			out, d := res.Output, res.Diverse.Len()
 			if out.Len() != d+res.Rest.Len() || out.Len() != rel.Len() {

@@ -44,7 +44,7 @@ func TestStarsCountedAtWrite(t *testing.T) {
 			sigma: proportionalSigma(t, census, 4, 10),
 			opts:  core.Options{K: 10, Shards: 2},
 			check: func(t *testing.T, res *core.Result) {
-				if res.Metrics.RestShards < 1 {
+				if res.Metrics.SigmaComponents < 1 {
 					t.Fatal("the run did not take the component-wise driver")
 				}
 			},

@@ -92,8 +92,8 @@ func LogRun(rec *history.Record) {
 }
 
 // phaseAttrs folds the run's phase timeline into one duration per phase
-// (phases can recur — sharded runs re-enter Color per shard), preserving
-// first-appearance order.
+// (phases can recur — a component-wise run that falls back re-enters
+// build-graph and color), preserving first-appearance order.
 func phaseAttrs(m *trace.RunMetrics) []any {
 	var order []trace.Phase
 	sums := make(map[trace.Phase]time.Duration, len(m.Phases))

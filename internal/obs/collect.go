@@ -37,11 +37,9 @@ var (
 	mHeartbeats = Metrics.NewCounter("diva_search_heartbeats_total",
 		"KindProgress heartbeats received by the run registry.")
 	mShardedRuns = Metrics.NewCounter("diva_sharded_runs_total",
-		"Runs that executed the shard-and-merge engine.")
+		"Runs that colored Σ component-wise.")
 	mSigmaComponents = Metrics.NewHistogram("diva_sigma_components",
-		"Σ connected components per sharded run.", ExpBuckets(1, 2, 12))
-	mRestShards = Metrics.NewHistogram("diva_rest_shards",
-		"QI-local rest shards per sharded run.", ExpBuckets(1, 2, 12))
+		"Σ connected components per component-wise run.", ExpBuckets(1, 2, 12))
 	mNogoods = Metrics.NewCounter("diva_nogoods_learned_total",
 		"Learned nogoods recorded by conflict-driven searches across runs.")
 	mNogoodHits = Metrics.NewCounter("diva_nogood_hits_total",
@@ -100,14 +98,9 @@ func Collect(m *trace.RunMetrics, outcome string) {
 			mMaxBackjump.Observe(float64(m.MaxBackjump))
 		}
 	}
-	if m.SigmaComponents > 0 || m.RestShards > 0 {
+	if m.SigmaComponents > 0 {
 		mShardedRuns.Inc()
-		if m.SigmaComponents > 0 {
-			mSigmaComponents.Observe(float64(m.SigmaComponents))
-		}
-		if m.RestShards > 0 {
-			mRestShards.Observe(float64(m.RestShards))
-		}
+		mSigmaComponents.Observe(float64(m.SigmaComponents))
 	}
 }
 

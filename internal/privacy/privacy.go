@@ -23,6 +23,7 @@ package privacy
 
 import (
 	"fmt"
+	"slices"
 
 	"diva/internal/relation"
 )
@@ -68,15 +69,29 @@ func (c DistinctLDiversity) Holds(rel *relation.Relation, group []int) bool {
 	if len(group) < c.L {
 		return false
 	}
-	for _, a := range rel.Schema().SensitiveIndexes() {
-		distinct := make(map[uint32]struct{}, c.L)
+	// At most L distinct codes are ever kept, so a linear scan over a stack
+	// buffer beats a map for the small L in use; a larger L takes one heap
+	// slice for the whole call. The schema is walked in place because
+	// SensitiveIndexes allocates.
+	var buf [8]uint32
+	seen := buf[:0]
+	if c.L > len(buf) {
+		seen = make([]uint32, 0, c.L)
+	}
+	schema := rel.Schema()
+	for a := 0; a < schema.Len(); a++ {
+		if schema.Attr(a).Role != relation.Sensitive {
+			continue
+		}
+		seen = seen[:0]
 		for _, row := range group {
-			distinct[rel.Code(row, a)] = struct{}{}
-			if len(distinct) >= c.L {
-				break
+			if code := rel.Code(row, a); !slices.Contains(seen, code) {
+				if seen = append(seen, code); len(seen) >= c.L {
+					break
+				}
 			}
 		}
-		if len(distinct) < c.L {
+		if len(seen) < c.L {
 			return false
 		}
 	}

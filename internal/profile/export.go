@@ -48,8 +48,8 @@ func (p *Profile) spanName(node int) string {
 // engine phases on one track, the reconstructed search tree on another,
 // loadable directly in Perfetto (ui.perfetto.dev) or chrome://tracing. The
 // output is the object form {"traceEvents": [...]} with microsecond
-// timestamps. Sharded runs additionally carry a "shard plan" instant event
-// (cat "shard") with the KindShard decomposition aggregates, runs that
+// timestamps. Component-wise runs additionally carry a "shard plan" instant
+// event (cat "shard") with the KindShard decomposition aggregates, runs that
 // invoked the baseline partitioner a "baseline cuts" instant event (cat
 // "split") with the KindSplit aggregates, and learning runs a "nogood
 // learning" instant event (cat "nogood") with the learned-clause and
@@ -76,8 +76,6 @@ func (p *Profile) WriteChromeTrace(w io.Writer) error {
 		enc.emit(chromeEvent{Name: "shard plan", Ph: "i", Ts: p.phaseStart("build-graph"), Pid: 1, Tid: chromeTidPhases, Cat: "shard", Args: map[string]any{
 			"components":     ss.Components,
 			"component_rows": ss.ComponentRows,
-			"rest_shards":    ss.RestShards,
-			"rest_rows":      ss.RestRows,
 		}})
 	}
 	if m.NogoodsLearned > 0 || m.NogoodHits > 0 || m.Backjumps > 0 {
@@ -251,8 +249,7 @@ func (p *Profile) WriteSummary(w io.Writer) error {
 		fmt.Fprintf(bw, "portfolio winner: worker %d (%s)\n", m.WinnerWorker, m.WinnerStrategy)
 	}
 	if ss := p.Shards; ss != nil {
-		fmt.Fprintf(bw, "sharded: components=%d component-rows=%d rest-shards=%d rest-rows=%d\n",
-			ss.Components, ss.ComponentRows, ss.RestShards, ss.RestRows)
+		fmt.Fprintf(bw, "sharded: components=%d component-rows=%d\n", ss.Components, ss.ComponentRows)
 	}
 	if bs := p.Baseline; bs != nil {
 		fmt.Fprintf(bw, "baseline: splits=%d leaves=%d cut-wall=%s max-depth=%d",

@@ -184,15 +184,12 @@ type BaselineStats struct {
 	ByAttr   map[string]int `json:"by_attr,omitempty"`
 }
 
-// ShardStats aggregates a sharded run's trace.KindShard plan events: how
-// many Σ connected components the coloring was decomposed into (and the
-// total QI-pool rows they cover), and how many QI-local shards the rest rows
-// were partitioned in (and the rows they cover). Nil on monolithic runs.
+// ShardStats aggregates a component-wise run's trace.KindShard events: how
+// many Σ connected components the coloring was decomposed into, and the
+// total QI-pool rows they cover. Nil on joint runs.
 type ShardStats struct {
 	Components    int `json:"components"`
 	ComponentRows int `json:"component_rows"`
-	RestShards    int `json:"rest_shards"`
-	RestRows      int `json:"rest_rows"`
 }
 
 // Profile is a finalized search profile: the reconstructed tree, flat
@@ -230,8 +227,8 @@ type Profile struct {
 	// they attribute coloring time to constraints. Nil when the partitioner
 	// emitted no split events (k-member, OKA, or custom partitioners).
 	Baseline *BaselineStats `json:"baseline,omitempty"`
-	// Shards aggregates a sharded run's plan events (component and rest-
-	// shard announcements). Nil on monolithic runs.
+	// Shards aggregates a component-wise run's component announcements.
+	// Nil on joint runs.
 	Shards *ShardStats `json:"shards,omitempty"`
 	// LastExhaustion is the final exhaustion before the search gave up.
 	LastExhaustion *Exhaustion `json:"last_exhaustion,omitempty"`
@@ -464,13 +461,8 @@ func (p *Profiler) Trace(ev trace.Event) {
 			ss = &ShardStats{}
 			p.prof.Shards = ss
 		}
-		if ev.Label == "component" {
-			ss.Components++
-			ss.ComponentRows += ev.N
-		} else {
-			ss.RestShards++
-			ss.RestRows += ev.N
-		}
+		ss.Components++
+		ss.ComponentRows += ev.N
 	}
 }
 

@@ -37,8 +37,8 @@ type Relation struct {
 // per relation family referenced by pointer — growth through any member
 // stays coherent with the shared dictionaries for all of them. Readers load
 // a table atomically; growth builds a larger table under mu and publishes
-// it, so concurrent readers of one relation (runs sharing an input, shard
-// workers) never race.
+// it, so concurrent readers of one relation (runs sharing an input,
+// parallel Mondrian workers) never race.
 type numericCache struct {
 	mu     sync.Mutex
 	tables []atomic.Pointer[numericTable]
@@ -351,16 +351,6 @@ func rowMatches(row []uint32, attrs []int, codes []uint32) bool {
 		}
 	}
 	return true
-}
-
-// SortBy returns the given rows (all rows if rows is nil) ordered
-// lexicographically by their codes on attrs, ties in input order.
-func (r *Relation) SortBy(attrs, rows []int) []int {
-	ord, _ := r.sortPositions(attrs, rows)
-	for i, p := range ord {
-		ord[i] = rowAt(rows, p)
-	}
-	return ord
 }
 
 // rowAt returns the row at input position p of rows (all rows if nil).

@@ -460,7 +460,8 @@ func randomGroupingRelation(rng *rand.Rand) *Relation {
 
 // TestGroupByMatchesReference checks the radix group-by against the
 // map-based one: the same groups, in the same order, with the same rows in
-// the same order, for every row selection and attribute list.
+// the same order, for every row selection and attribute list. It also holds
+// the kernel's own row order, sortPositions, to a stable comparison sort.
 func TestGroupByMatchesReference(t *testing.T) {
 	rng := testutil.Rng(t)
 	for trial := 0; trial < 100; trial++ {
@@ -506,12 +507,13 @@ func TestGroupByMatchesReference(t *testing.T) {
 					}
 					return 0
 				})
-				if gotOrder := r.SortBy(attrs, rows); len(wantOrder) == 0 {
-					if len(gotOrder) != 0 {
-						t.Fatalf("trial %d attrs %v: SortBy = %v, want empty", trial, attrs, gotOrder)
-					}
-				} else if !slices.Equal(gotOrder, wantOrder) {
-					t.Fatalf("trial %d attrs %v rows %v:\n    SortBy = %v\nstable sort = %v", trial, attrs, rows, gotOrder, wantOrder)
+				pos, _ := r.sortPositions(attrs, rows)
+				gotOrder := make([]int, len(pos))
+				for i, p := range pos {
+					gotOrder[i] = rowAt(rows, p)
+				}
+				if !slices.Equal(gotOrder, wantOrder) {
+					t.Fatalf("trial %d attrs %v rows %v:\nsortPositions = %v\n  stable sort = %v", trial, attrs, rows, gotOrder, wantOrder)
 				}
 			}
 		}

@@ -109,15 +109,12 @@ const (
 	// tracers must handle it in a goroutine-safe way (the engine serializes
 	// events before forwarding them to a caller-supplied Tracer).
 	KindSplit
-	// KindShard describes one unit of the sharded engine's plan. With
-	// Event.Label "component" it names one connected component of the
-	// constraint graph, emitted during the build-graph phase: Event.Node is
-	// the component index, Event.N its QI-pool row count and Event.Depth its
-	// constraint count. With Event.Label "rest" it names one QI-local shard
-	// of the rest rows, emitted during the baseline phase: Event.Node is the
-	// shard index and Event.N its row count. Both variants are emitted by the
-	// coordinating goroutine before any parallel work starts, so tracers see
-	// them sequentially.
+	// KindShard names one connected component of the constraint graph on a
+	// component-wise run (Options.Shards), emitted during the build-graph
+	// phase with Event.Label "component": Event.Node is the component
+	// index, Event.N its QI-pool row count and Event.Depth its constraint
+	// count. It is emitted by the coordinating goroutine before any parallel
+	// work starts, so tracers see it sequentially.
 	KindShard
 	// KindNogood reports that the coloring search learned a nogood: node
 	// Event.Node's visit exhausted and the conflict set blamed for it —
@@ -367,14 +364,11 @@ type RunMetrics struct {
 	NogoodHits     int `json:"nogood_hits,omitempty"`
 	Backjumps      int `json:"backjumps,omitempty"`
 	MaxBackjump    int `json:"max_backjump,omitempty"`
-	// SigmaComponents and RestShards describe the sharded engine's plan:
-	// independent constraint-graph components solved separately, and QI-local
-	// shards the rest rows were partitioned in. Both are zero on monolithic
-	// runs (Options.Shards off). A run whose component-wise coloring was
-	// rejected and redone jointly keeps the rejected attempt's components
-	// and has no rest shards.
+	// SigmaComponents counts the independent constraint-graph components a
+	// component-wise run (Options.Shards) colored separately; it is zero on
+	// joint runs. A run whose component-wise coloring was rejected and redone
+	// jointly keeps the rejected attempt's components.
 	SigmaComponents int `json:"sigma_components,omitempty"`
-	RestShards      int `json:"rest_shards,omitempty"`
 	// PortfolioWorkers is the number of concurrent searches (0 = sequential).
 	PortfolioWorkers int `json:"portfolio_workers,omitempty"`
 	// WinnerWorker and WinnerStrategy identify the portfolio winner;
@@ -463,7 +457,7 @@ func (r *Recorder) Snapshot() *RunMetrics {
 }
 
 // WriterTracer logs events as text lines, one per event: phase boundaries,
-// portfolio outcomes and the shard plan. Per-node search events are not
+// portfolio outcomes and the Σ components. Per-node search events are not
 // printed; a Profiler or the flight recorder keeps them. Each event is
 // rendered into a private buffer and issued as a single Write, so trace
 // lines never shear with other writers — slog, the engine's own stderr
@@ -495,11 +489,7 @@ func (t *WriterTracer) Trace(ev Event) {
 	case KindWorkerWin:
 		b = fmt.Appendf(b, "trace %10s  portfolio worker %d (%s) won\n", at, ev.N, ev.Strategy)
 	case KindShard:
-		if ev.Label == "component" {
-			b = fmt.Appendf(b, "trace %10s  shard component %d: %d constraints over %d pool rows\n", at, ev.Node, ev.Depth, ev.N)
-		} else {
-			b = fmt.Appendf(b, "trace %10s  shard rest %d: %d rows\n", at, ev.Node, ev.N)
-		}
+		b = fmt.Appendf(b, "trace %10s  shard component %d: %d constraints over %d pool rows\n", at, ev.Node, ev.Depth, ev.N)
 	default:
 		return
 	}
@@ -528,9 +518,9 @@ func (p progressOnlyTracer) Trace(ev Event) {
 	}
 }
 
-// Synchronized wraps tr behind a mutex so goroutines may share it: the
-// sharded engine fans the baseline partitioner out across shards, and each
-// shard's partitioner emits KindSplit events assuming it owns the tracer.
+// Synchronized wraps tr behind a mutex so goroutines may share it: a
+// parallel Mondrian emits KindSplit events from its workers, and the
+// component-wise engine's searches send heartbeats from theirs.
 // The returned Tracer serializes every Trace call. A nil or Nop tr returns
 // Nop (no lock needed to discard).
 func Synchronized(tr Tracer) Tracer {

@@ -8,7 +8,8 @@ import (
 )
 
 // TestRecorderAggregates: a Recorder's snapshot is a detached copy of the
-// last run-end event's metrics; phases, shard plan and winner come with it.
+// last run-end event's metrics; phases, component count and winner come
+// with it.
 func TestRecorderAggregates(t *testing.T) {
 	r := NewRecorder()
 	run := &RunMetrics{
@@ -16,8 +17,7 @@ func TestRecorderAggregates(t *testing.T) {
 			{Phase: PhaseBind, Duration: 2 * time.Millisecond},
 			{Phase: PhaseColor, Duration: 5 * time.Millisecond},
 		},
-		SigmaComponents: 1, RestShards: 2,
-		WinnerWorker: 2, WinnerStrategy: "MaxFanOut",
+		SigmaComponents: 2, WinnerWorker: 2, WinnerStrategy: "MaxFanOut",
 	}
 	r.Trace(Event{Kind: KindRunEnd, Label: "ok", Metrics: run})
 
@@ -100,7 +100,6 @@ func TestWriterTracerAtomicWrites(t *testing.T) {
 		{Kind: KindWorkerWin, N: 1, Strategy: "Basic"},
 		{Kind: KindPhaseEnd, Phase: PhaseColor, Elapsed: time.Millisecond},
 		{Kind: KindPhaseStart, Phase: PhaseBaseline},
-		{Kind: KindShard, Label: "rest", Node: 1, N: 12},
 		{Kind: KindPhaseEnd, Phase: PhaseBaseline, Elapsed: time.Millisecond},
 	}
 	for _, ev := range events {
