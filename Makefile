@@ -54,7 +54,9 @@ bench:
 # constraint package's Σ-wide pool and count pass against per-constraint
 # scans, and the cluster package's enumerator construction and enumeration:
 # large PopSyn targets, a dense-conflict-sized pool and an l-diversity
-# criterion) with enough repetitions for benchstat.
+# criterion, each as materialized clusterings (form=candidates) and as the
+# windows the search reads (form=windows)) with enough repetitions for
+# benchstat.
 bench-color:
 	$(GO) test -bench 'BenchmarkColorPhase' -count 5 -run '^$$' .
 	$(GO) test -bench 'BenchmarkColoring' -count 5 -run '^$$' ./internal/search/

@@ -13,7 +13,9 @@ import (
 )
 
 // BenchmarkCandidates enumerates one constraint's candidates with every
-// target row available, at K = 10:
+// target row available, at K = 10, in both forms: form=candidates copies
+// every winner's rows (Candidates), form=windows keeps them as windows
+// (Windows, what the coloring search reads). The cases are:
 //   - rows=N: the most frequent ethnicity of a Zipfian PopSyn sample;
 //   - dense-conflict: a 400-row census sample, as one dense-conflict bench
 //     instance, and its most frequent EDUCATION value with at most 8K
@@ -41,10 +43,18 @@ func BenchmarkCandidates(b *testing.B) {
 			b.Fatal(err)
 		}
 		e := NewEnumerator(rel, bound, Options{K: k, Criterion: crit})
-		b.Run(fmt.Sprintf("%s/target=%d", name, bestN), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/target=%d/form=candidates", name, bestN), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if len(e.Candidates(nil, nil)) == 0 {
+					b.Fatal("no candidates")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("%s/target=%d/form=windows", name, bestN), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if e.Windows(nil, nil).Len() == 0 {
 					b.Fatal("no candidates")
 				}
 			}

@@ -24,10 +24,12 @@
 // Section 3.3): Enumerator.Candidates takes the bitset of rows already in
 // use and enumerates over the remaining target rows only, so returned
 // clusters never collide with active ones. Enumeration scratch buffers are
-// pooled, and the winners are picked in that scratch before any row is
-// copied out: a call allocates exactly what it returns (one row array, one
-// cluster-header array and the result slice), so the search's hottest loop
-// stays nearly allocation-free.
+// pooled, and the winners are picked in that scratch, from a heap, before
+// any row is copied out. Enumerator.Windows returns them as windows over
+// the sorted pool in one allocation, which is what the search reads: it
+// counts and bound-checks candidates from the key table and copies rows
+// only for the clusters it assigns. Enumerator.Candidates returns the same
+// list materialized, in exactly sized allocations.
 package cluster
 
 import (
@@ -145,6 +147,9 @@ type Enumerator struct {
 	// vector, ties by row index, so similar tuples are adjacent and
 	// contiguous windows are cheap clusters.
 	order []int32
+	// col maps a schema attribute to its key-table column, −1 outside the
+	// QI; it is shared by every enumerator of one NewEnumerators call.
+	col []int
 }
 
 // NewEnumerator prepares candidate enumeration for b over rel. It is the
@@ -160,6 +165,13 @@ func NewEnumerators(rel *relation.Relation, bounds []*constraint.Bound, opts Opt
 	qi := rel.Schema().QIIndexes()
 	q, w := len(qi), len(qi)+1
 	opts = opts.withDefaults()
+	col := make([]int, rel.Schema().Len())
+	for a := range col {
+		col[a] = -1
+	}
+	for ai, a := range qi {
+		col[a] = ai
+	}
 	es := make([]*Enumerator, len(bounds))
 	for i, pool := range constraint.Pools(rel, bounds) {
 		b := bounds[i]
@@ -168,6 +180,7 @@ func NewEnumerators(rel *relation.Relation, bounds []*constraint.Bound, opts Opt
 			b:     b,
 			opts:  opts,
 			q:     q,
+			col:   col,
 			pool:  pool,
 			keys:  make([]uint32, len(pool)*w),
 			order: make([]int32, len(pool)),
@@ -272,11 +285,12 @@ func (e *Enumerator) TargetSet() *rowset.Set {
 
 // scored is one enumerated candidate before materialization: a window
 // [lo1, hi1) and optionally a second disjoint window (hi2 == 0 means
-// single-cluster), with its suppression cost.
+// single-cluster), with its suppression cost and its enumeration index.
 type scored struct {
 	lo1, hi1 int
 	lo2, hi2 int
 	cost     int
+	ord      int
 }
 
 // size is the candidate's tuple count.
@@ -290,19 +304,50 @@ func (c scored) clusters() int {
 	return 1
 }
 
+// before is the result order: cheaper first, then fewer tuples, then
+// earlier enumerated — the order a stable sort by (cost, size) gives.
+func (c scored) before(o scored) bool {
+	if c.cost != o.cost {
+		return c.cost < o.cost
+	}
+	if cs, os := c.size(), o.size(); cs != os {
+		return cs < os
+	}
+	return c.ord < o.ord
+}
+
+// siftDown restores the min-heap order (by before) below h[i].
+func siftDown(h []scored, i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].before(h[j]) {
+			j = r
+		}
+		if !h[j].before(h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
 type scoredWindow struct {
 	lo1, hi1 int
 	cost     int
 }
 
-// scratch holds one Candidates call's working buffers. Instances cycle
-// through a sync.Pool (enumerators are shared across portfolio workers), so
-// the steady-state enumeration allocates only its returned clusterings.
-// Nothing in a scratch may be referenced by the returned value.
+// scratch holds one enumeration's working buffers. Instances cycle through
+// a sync.Pool (enumerators are shared across portfolio workers), so the
+// steady-state enumeration allocates only what it returns. Nothing in a
+// scratch may be referenced by the returned value.
 type scratch struct {
 	avail []int32
 	fm    []int
 	chg   [][]int32
+	sizes []int
 	cands []scored
 	base  []scoredWindow
 	seen  map[[4]int]bool
@@ -314,29 +359,23 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{seen: make(map[[4]int]bool, 64)} }}
 
-// Candidates enumerates candidate clusterings over the target rows not in
-// used (used == nil means all target rows are available), ordered by
-// increasing suppression cost, then by fewer tuples. The empty clustering
-// is included (first) iff the constraint's lower bound is zero. An empty
-// result means no clustering within the enumeration budget satisfies the
-// constraint on the available rows.
-//
-// Each returned cluster is a row set in enumeration order (a window of the
-// QI-sorted target rows), not sorted by row index: most candidates are only
-// counted or fingerprinted, never read in order, so sorting is left to the
-// caller that keeps one (the coloring search sorts a cluster on
-// activation). The clusterings are owned by the caller, which may reorder
-// the rows of any cluster in place.
-//
-// ctx bounds the enumeration: when it is canceled, Candidates returns early
-// with whatever was enumerated so far (the coloring search re-checks the
-// context at its next step and aborts the run). A nil ctx never cancels.
-func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Clustering {
-	var out []Clustering
+// lead is 1 when the empty clustering leads every candidate list (the
+// bound's lower bound is zero), else 0.
+func (e *Enumerator) lead() int {
 	if e.b.Lower == 0 {
-		out = append(out, Clustering{})
+		return 1
 	}
+	return 0
+}
 
+// pick is the enumeration kernel behind Candidates and Windows. It gathers
+// the raw candidates over the target rows not in used and leaves the
+// winners in sc.kept, in result order. It returns the available sorted pool
+// positions the winners' windows index — e.order itself when no pool row is
+// in use — and false when the enumeration ended before picking: no window
+// can fit, or ctx was canceled while single windows were gathered.
+func (e *Enumerator) pick(ctx context.Context, used *rowset.Set, sc *scratch) (avail []int32, picked bool) {
+	sc.kept = sc.kept[:0]
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -353,11 +392,7 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		}
 	}
 
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-
-	// avail is the sorted pool positions whose rows are not in use.
-	avail := e.order
+	avail = e.order
 	if used != nil {
 		sc.avail = sc.avail[:0]
 		for _, p := range e.order {
@@ -365,7 +400,9 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 				sc.avail = append(sc.avail, p)
 			}
 		}
-		avail = sc.avail
+		if len(sc.avail) < len(e.order) {
+			avail = sc.avail
+		}
 	}
 
 	m, q, w := len(avail), e.q, e.q+1
@@ -401,7 +438,7 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		maxSize = m
 	}
 	if minSize > maxSize || fm[m] < e.b.Lower {
-		return out // only the empty clustering (if any) is possible
+		return avail, false // only the empty clustering (if any) is possible
 	}
 
 	// Prefix change counts: chg[a][i] counts positions j in (0, i] where
@@ -453,10 +490,11 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		p := preserved(lo, hi)
 		return p >= e.b.Lower && p <= e.b.Upper
 	}
-	sizes := windowSizes(minSize, maxSize, e.opts.MaxWindowSizes)
+	sizes := windowSizes(sc.sizes, minSize, maxSize, e.opts.MaxWindowSizes)
+	sc.sizes = sizes
 	for _, s := range sizes {
 		if canceled() {
-			return out
+			return avail, false
 		}
 		nWindows := m - s + 1
 		if nWindows <= 0 {
@@ -541,42 +579,93 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		}
 	}
 
-	slices.SortStableFunc(cands, func(x, y scored) int {
-		if c := cmp.Compare(x.cost, y.cost); c != 0 {
-			return c
+	// Pick the winners from a binary min-heap keyed by (cost, size,
+	// enumeration index): popping yields the stable (cost, size) order, and
+	// only as many pops as the budget needs are paid for. A winner is the
+	// first occurrence of its window pair that the criterion accepts; the
+	// budget is checked after each winner, so a list that leads with the
+	// empty clustering still gets one. Only mixed targets' anchors can
+	// repeat a window — single windows are distinct (start, size) pairs and
+	// pairs are distinct pairs of distinct base windows — so only they pay
+	// for de-duplication.
+	for i := range cands {
+		cands[i].ord = i
+	}
+	for i := len(cands)/2 - 1; i >= 0; i-- {
+		siftDown(cands, i)
+	}
+	if mixed {
+		clear(sc.seen)
+	}
+	kept, lead := sc.kept, e.lead()
+	for h := cands; len(h) > 0; {
+		c := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		if mixed {
+			key := [4]int{c.lo1, c.hi1, c.lo2, c.hi2}
+			if sc.seen[key] {
+				continue
+			}
+			sc.seen[key] = true
 		}
-		return cmp.Compare(x.size(), y.size())
-	})
-
-	// Pick the winners in scratch: the first occurrence of each window pair,
-	// cheapest first, that the criterion accepts, until the budget is met.
-	kept, nrows, nclusters := sc.kept[:0], 0, 0
-	clear(sc.seen)
-	for _, c := range cands {
-		key := [4]int{c.lo1, c.hi1, c.lo2, c.hi2}
-		if sc.seen[key] {
-			continue
-		}
-		sc.seen[key] = true
 		if e.opts.Criterion != nil && !e.holds(sc, avail, c) {
 			continue
 		}
 		kept = append(kept, c)
-		nrows, nclusters = nrows+c.size(), nclusters+c.clusters()
-		if len(out)+len(kept) >= e.opts.MaxCandidates {
+		if lead+len(kept) >= e.opts.MaxCandidates {
 			break
 		}
 	}
 	sc.kept = kept
+	return avail, true
+}
+
+// Candidates enumerates candidate clusterings over the target rows not in
+// used (used == nil means all target rows are available), ordered by
+// increasing suppression cost, then by fewer tuples. The empty clustering
+// is included (first) iff the constraint's lower bound is zero. An empty
+// result means no clustering within the enumeration budget satisfies the
+// constraint on the available rows.
+//
+// Each returned cluster is a row set in enumeration order (a window of the
+// QI-sorted target rows), not sorted by row index: most candidates are only
+// counted or fingerprinted, never read in order, so sorting is left to the
+// caller that keeps one (the coloring search sorts a cluster on
+// activation). The clusterings are owned by the caller, which may reorder
+// the rows of any cluster in place. Windows returns the same list without
+// copying any row.
+//
+// ctx bounds the enumeration: when it is canceled, Candidates returns early
+// with whatever was enumerated so far (the coloring search re-checks the
+// context at its next step and aborts the run). A nil ctx never cancels.
+func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Clustering {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	lead := e.lead()
+	avail, picked := e.pick(ctx, used, sc)
+	if !picked {
+		if lead == 0 {
+			return nil
+		}
+		return []Clustering{{}}
+	}
 
 	// Copy the winners into three exactly sized allocations owned by the
-	// result, which the search's candidate cache retains: one row array, one
-	// cluster-header array and the result slice. Each cluster is capped at
-	// its length, so no slack is shared between clusters.
-	res := make([]Clustering, len(out)+len(kept))
-	copy(res, out)
+	// result: one row array, one cluster-header array and the result slice.
+	// Each cluster is capped at its length, so no slack is shared between
+	// clusters.
+	nrows, nclusters := 0, 0
+	for _, c := range sc.kept {
+		nrows, nclusters = nrows+c.size(), nclusters+c.clusters()
+	}
+	res := make([]Clustering, lead+len(sc.kept))
+	if lead == 1 {
+		res[0] = Clustering{}
+	}
 	rows, clusters := make([]int, nrows), make([][]int, nclusters)
-	for i, c := range kept {
+	for i, c := range sc.kept {
 		nc := c.clusters()
 		s := Clustering(clusters[:nc:nc])
 		clusters = clusters[nc:]
@@ -584,9 +673,172 @@ func (e *Enumerator) Candidates(ctx context.Context, used *rowset.Set) []Cluster
 		if c.hi2 > 0 {
 			s[1], rows = e.take(rows, avail, c.lo2, c.hi2)
 		}
-		res[len(out)+i] = s
+		res[lead+i] = s
 	}
 	return res
+}
+
+// Windows enumerates the same candidate list as Candidates, in the same
+// order, without copying rows: each winner is kept as its pair of windows
+// over the sorted pool positions that were available. The search counts
+// and bound-checks most candidates and assigns few, so it reads this form
+// and materializes a clustering only when it assigns one.
+//
+// One allocation holds the windows and, when some pool row is in use, a
+// snapshot of the available positions they span; with no pool row in use
+// the windows index the enumerator's own immutable order. The value is
+// private to its caller and safe to read from any goroutine.
+func (e *Enumerator) Windows(ctx context.Context, used *rowset.Set) Windows {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	w := Windows{e: e, lead: e.lead()}
+	avail, picked := e.pick(ctx, used, sc)
+	if !picked || len(sc.kept) == 0 {
+		return w
+	}
+	lo, hi := len(avail), 0
+	for _, c := range sc.kept {
+		lo, hi = min(lo, c.lo1), max(hi, c.hi1)
+		if c.hi2 > 0 {
+			lo, hi = min(lo, c.lo2), max(hi, c.hi2)
+		}
+	}
+	n := 0
+	if len(avail) < len(e.order) {
+		n = hi - lo // scratch positions: snapshot the span the winners use
+	}
+	buf := make([]int32, n+winStride*len(sc.kept))
+	w.avail, w.win = avail[lo:hi:hi], buf[n:]
+	if n > 0 {
+		w.avail = buf[:n:n]
+		copy(w.avail, avail[lo:hi])
+	}
+	for i, c := range sc.kept {
+		x := w.win[i*winStride : (i+1)*winStride]
+		x[0], x[1], x[4] = int32(c.lo1-lo), int32(c.hi1-lo), sc.uniformMask(c.lo1, c.hi1)
+		if c.hi2 > 0 {
+			x[2], x[3], x[5] = int32(c.lo2-lo), int32(c.hi2-lo), sc.uniformMask(c.lo2, c.hi2)
+		}
+	}
+	return w
+}
+
+// uniformMask returns, as a bit set, the QI attributes among the first 32
+// on which window [lo, hi) of the last pick is uniform.
+func (sc *scratch) uniformMask(lo, hi int) int32 {
+	var mask uint32
+	for ai, col := range sc.chg[:min(len(sc.chg), 32)] {
+		if col[hi-1] == col[lo] {
+			mask |= 1 << ai
+		}
+	}
+	return int32(mask)
+}
+
+// winStride is the number of words one winner takes in Windows.win.
+const winStride = 6
+
+// Windows is one enumeration's candidate list before materialization (see
+// Enumerator.Windows). Candidate i is the empty clustering when i < lead,
+// else the winner whose words start at win[(i−lead)·winStride].
+type Windows struct {
+	e *Enumerator
+	// lead is 1 when the empty clustering leads the list, else 0.
+	lead int
+	// avail is the sorted pool positions the windows index.
+	avail []int32
+	// win holds winStride words per winner: lo1, hi1, lo2, hi2 — its
+	// windows over avail, hi2 == 0 for a single cluster — and the two
+	// windows' uniform-attribute masks (see uniformMask).
+	win []int32
+}
+
+// Len returns the number of candidate clusterings, the empty one included.
+func (w Windows) Len() int { return w.lead + len(w.win)/winStride }
+
+// words returns candidate i's words; i must be at least lead.
+func (w Windows) words(i int) []int32 {
+	j := (i - w.lead) * winStride
+	return w.win[j : j+winStride]
+}
+
+// Clustering materializes candidate i: the clustering Candidates returns at
+// position i, with its rows in a fresh allocation owned by the caller.
+func (w Windows) Clustering(i int) Clustering {
+	if i < w.lead {
+		return Clustering{}
+	}
+	x := w.words(i)
+	c := scored{lo1: int(x[0]), hi1: int(x[1]), lo2: int(x[2]), hi2: int(x[3])}
+	rows, s := make([]int, c.size()), make(Clustering, c.clusters())
+	s[0], rows = w.e.take(rows, w.avail, c.lo1, c.hi1)
+	if c.hi2 > 0 {
+		s[1], _ = w.e.take(rows, w.avail, c.lo2, c.hi2)
+	}
+	return s
+}
+
+// Preserved returns the occurrences of b's target that candidate i keeps
+// through suppression: a cluster contributes only if it is uniform on b's
+// QI components and holds b's values there, and then one occurrence per
+// row holding b's complete target. b must be bound to the enumerator's
+// relation. It reads the key table, not the relation: a target with only
+// QI components costs O(|b|) per cluster, and only a target with other
+// components scans the cluster's rows.
+func (w Windows) Preserved(i int, b *constraint.Bound) int {
+	if i < w.lead {
+		return 0
+	}
+	x := w.words(i)
+	n := w.preserved(b, int(x[0]), int(x[1]), uint32(x[4]))
+	if x[3] > 0 {
+		n += w.preserved(b, int(x[2]), int(x[3]), uint32(x[5]))
+	}
+	return n
+}
+
+// preserved is Preserved for the window [lo, hi) with uniform mask mask.
+func (w Windows) preserved(b *constraint.Bound, lo, hi int, mask uint32) int {
+	e, width := w.e, w.e.q+1
+	first := e.keys[int(w.avail[lo])*width:]
+	partial := false
+	for k, a := range b.Attrs {
+		ai := e.col[a]
+		if ai < 0 {
+			partial = true
+			continue
+		}
+		if first[ai] != b.Codes[k] || !w.uniform(lo, hi, mask, ai) {
+			return 0
+		}
+	}
+	if !partial {
+		return hi - lo
+	}
+	n := 0
+	for _, p := range w.avail[lo:hi] {
+		if b.Matches(e.rel.Row(e.pool[p])) {
+			n++
+		}
+	}
+	return n
+}
+
+// uniform reports whether window [lo, hi) is uniform on QI attribute ai:
+// from the mask for the first 32 attributes, by a scan of the key column
+// beyond them.
+func (w Windows) uniform(lo, hi int, mask uint32, ai int) bool {
+	if ai < 32 {
+		return mask>>ai&1 != 0
+	}
+	e, width := w.e, w.e.q+1
+	code := e.keys[int(w.avail[lo])*width+ai]
+	for _, p := range w.avail[lo+1 : hi] {
+		if e.keys[int(p)*width+ai] != code {
+			return false
+		}
+	}
+	return true
 }
 
 // holds reports whether every cluster of c satisfies the criterion, copying
@@ -643,18 +895,17 @@ func (e *Enumerator) take(buf []int, avail []int32, lo, hi int) (c, rest []int) 
 	return c, buf[n:]
 }
 
-// windowSizes picks the cluster sizes to explore: all sizes from min to max
-// if few, otherwise dense near the minimum (minimal clusterings first) plus
-// a spread up to the maximum.
-func windowSizes(minSize, maxSize, budget int) []int {
+// windowSizes picks the cluster sizes to explore, in dst's storage: all
+// sizes from min to max if few, otherwise dense near the minimum (minimal
+// clusterings first) plus a spread up to the maximum.
+func windowSizes(dst []int, minSize, maxSize, budget int) []int {
+	sizes := dst[:0]
 	if maxSize-minSize+1 <= budget {
-		sizes := make([]int, 0, maxSize-minSize+1)
 		for s := minSize; s <= maxSize; s++ {
 			sizes = append(sizes, s)
 		}
 		return sizes
 	}
-	sizes := make([]int, 0, budget)
 	dense := budget / 2
 	for s := minSize; s < minSize+dense; s++ {
 		sizes = append(sizes, s)

@@ -220,11 +220,11 @@ func TestClusteringHelpers(t *testing.T) {
 }
 
 func TestWindowSizes(t *testing.T) {
-	all := windowSizes(2, 5, 8)
+	all := windowSizes(nil, 2, 5, 8)
 	if len(all) != 4 || all[0] != 2 || all[3] != 5 {
 		t.Fatalf("windowSizes(2,5,8) = %v", all)
 	}
-	capped := windowSizes(10, 1000, 8)
+	capped := windowSizes(nil, 10, 1000, 8)
 	if len(capped) != 8 {
 		t.Fatalf("windowSizes(10,1000,8) = %v", capped)
 	}

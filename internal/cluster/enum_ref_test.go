@@ -135,7 +135,7 @@ func (e *refEnumerator) Candidates(ctx context.Context, used *rowset.Set) []Clus
 		p := preserved(lo, hi)
 		return p >= e.b.Lower && p <= e.b.Upper
 	}
-	sizes := windowSizes(minSize, maxSize, e.opts.MaxWindowSizes)
+	sizes := windowSizes(nil, minSize, maxSize, e.opts.MaxWindowSizes)
 	for _, s := range sizes {
 		if canceled() {
 			return out

@@ -111,12 +111,35 @@ func usedSets(rng *rand.Rand, rel *relation.Relation, pool []int) []*rowset.Set 
 	return []*rowset.Set{nil, rowset.New(rel.Len()), third, all}
 }
 
+// rejectUniform rejects every cluster uniform on all QI attributes: the
+// zero-cost windows the enumeration ranks first, so the winners come from
+// deeper in the selection order.
+type rejectUniform struct{}
+
+func (rejectUniform) Name() string   { return "reject-uniform" }
+func (rejectUniform) Monotone() bool { return false }
+func (rejectUniform) Holds(rel *relation.Relation, group []int) bool {
+	for _, a := range rel.Schema().QIIndexes() {
+		for _, row := range group {
+			if rel.Code(row, a) != rel.Code(group[0], a) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestEnumeratorMatchesReference differentially checks the key-table
 // enumerator against the comparison-sort reference it replaced: identical
 // candidate clusterings, in identical order and with identical row order
 // inside each cluster, and identical target sizes, over random relations,
-// bounds, in-use sets, k values and an l-diversity criterion.
+// bounds, in-use sets, k values, an l-diversity criterion and a criterion
+// that rejects the cheapest windows. The windows form, materialized, lists
+// the same clusterings. A budget of one candidate is checked on every
+// bound, so bounds with a zero lower bound check that the empty clustering
+// does not use up the budget.
 func TestEnumeratorMatchesReference(t *testing.T) {
+	leadAndWinner := 0
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 0xe17))
 		nq := 2 + trial%3 // odd and even QI widths
@@ -128,25 +151,42 @@ func TestEnumeratorMatchesReference(t *testing.T) {
 		for bi := 0; bi < 4; bi++ {
 			b := diffBound(t, rng, rel, nq)
 			for _, k := range []int{1, 2, 10} {
-				for _, crit := range []privacy.Criterion{nil, privacy.DistinctLDiversity{L: 2}} {
+				for _, crit := range []privacy.Criterion{nil, privacy.DistinctLDiversity{L: 2}, rejectUniform{}} {
 					opts := Options{K: k, Criterion: crit}
 					if rng.IntN(3) == 0 {
 						opts.MaxCandidates, opts.MaxWindowSizes = 1+rng.IntN(10), 1+rng.IntN(4)
 					}
-					got, want := NewEnumerator(rel, b, opts), newRefEnumerator(rel, b, opts)
-					if got.TargetSize() != want.TargetSize() {
-						t.Fatalf("trial %d %s: TargetSize %d, reference %d", trial, b, got.TargetSize(), want.TargetSize())
-					}
-					for ui, used := range usedSets(rng, rel, got.Pool()) {
-						g, w := got.Candidates(nil, used), want.Candidates(nil, used)
-						if !reflect.DeepEqual(g, w) {
-							t.Fatalf("trial %d n=%d %s k=%d crit=%v used#%d: candidates diverged from the reference\ngot:  %v\nwant: %v",
-								trial, rel.Len(), b, k, crit, ui, g, w)
+					for _, opts := range []Options{opts, {K: k, Criterion: crit, MaxCandidates: 1}} {
+						got, want := NewEnumerator(rel, b, opts), newRefEnumerator(rel, b, opts)
+						if got.TargetSize() != want.TargetSize() {
+							t.Fatalf("trial %d %s: TargetSize %d, reference %d", trial, b, got.TargetSize(), want.TargetSize())
+						}
+						for ui, used := range usedSets(rng, rel, got.Pool()) {
+							g, w := got.Candidates(nil, used), want.Candidates(nil, used)
+							if !reflect.DeepEqual(g, w) {
+								t.Fatalf("trial %d n=%d %s k=%d crit=%v max=%d used#%d: candidates diverged from the reference\ngot:  %v\nwant: %v",
+									trial, rel.Len(), b, k, crit, opts.MaxCandidates, ui, g, w)
+							}
+							ws := got.Windows(nil, used)
+							if ws.Len() != len(w) {
+								t.Fatalf("trial %d %s max=%d used#%d: %d windows, reference %d candidates", trial, b, opts.MaxCandidates, ui, ws.Len(), len(w))
+							}
+							for i := range w {
+								if s := ws.Clustering(i); !reflect.DeepEqual(s, w[i]) {
+									t.Fatalf("trial %d %s max=%d used#%d: window %d is %v, reference %v", trial, b, opts.MaxCandidates, ui, i, s, w[i])
+								}
+							}
+							if opts.MaxCandidates == 1 && b.Lower == 0 && len(w) == 2 {
+								leadAndWinner++
+							}
 						}
 					}
 				}
 			}
 		}
+	}
+	if leadAndWinner == 0 {
+		t.Fatal("no budget-one enumeration returned the empty clustering and a winner")
 	}
 }
 

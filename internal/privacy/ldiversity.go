@@ -1,12 +1,37 @@
 package privacy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"diva/internal/relation"
 )
+
+// valueCount is how many rows of a group hold one code.
+type valueCount struct {
+	code uint32
+	n    int
+}
+
+// countValues counts the codes of attribute a over the group into counts'
+// storage, ordered by code. The entropy and recursive criteria pass a
+// stack buffer, so a group with few distinct values allocates nothing; one
+// with more grows the slice on the heap.
+func countValues(rel *relation.Relation, group []int, a int, counts []valueCount) []valueCount {
+	counts = counts[:0]
+	for _, row := range group {
+		code := rel.Code(row, a)
+		i, found := slices.BinarySearchFunc(counts, code, func(vc valueCount, code uint32) int { return cmp.Compare(vc.code, code) })
+		if found {
+			counts[i].n++
+		} else {
+			counts = slices.Insert(counts, i, valueCount{code: code, n: 1})
+		}
+	}
+	return counts
+}
 
 // EntropyLDiversity requires, for every sensitive attribute, the entropy of
 // the group's sensitive-value distribution to be at least log(L):
@@ -22,7 +47,8 @@ type EntropyLDiversity struct{ L int }
 // Name implements Criterion.
 func (c EntropyLDiversity) Name() string { return fmt.Sprintf("entropy %d-diversity", c.L) }
 
-// Holds implements Criterion.
+// Holds implements Criterion. Entropy is summed over the values in code
+// order, so a group's verdict never depends on its row order.
 func (c EntropyLDiversity) Holds(rel *relation.Relation, group []int) bool {
 	if c.L <= 1 {
 		return true
@@ -31,15 +57,16 @@ func (c EntropyLDiversity) Holds(rel *relation.Relation, group []int) bool {
 		return false
 	}
 	threshold := math.Log(float64(c.L))
-	for _, a := range rel.Schema().SensitiveIndexes() {
-		counts := make(map[uint32]int, c.L)
-		for _, row := range group {
-			counts[rel.Code(row, a)]++
+	n := float64(len(group))
+	var buf [32]valueCount
+	schema := rel.Schema()
+	for a := 0; a < schema.Len(); a++ {
+		if schema.Attr(a).Role != relation.Sensitive {
+			continue
 		}
-		n := float64(len(group))
 		entropy := 0.0
-		for _, cnt := range counts {
-			p := float64(cnt) / n
+		for _, vc := range countValues(rel, group, a, buf[:0]) {
+			p := float64(vc.n) / n
 			entropy -= p * math.Log(p)
 		}
 		// Guard against float rounding at exact uniformity: entropy of a
@@ -79,24 +106,22 @@ func (c RecursiveCLDiversity) Holds(rel *relation.Relation, group []int) bool {
 	if c.L <= 1 {
 		return true
 	}
-	for _, a := range rel.Schema().SensitiveIndexes() {
-		counts := make(map[uint32]int)
-		for _, row := range group {
-			counts[rel.Code(row, a)]++
+	var buf [32]valueCount
+	schema := rel.Schema()
+	for a := 0; a < schema.Len(); a++ {
+		if schema.Attr(a).Role != relation.Sensitive {
+			continue
 		}
+		counts := countValues(rel, group, a, buf[:0])
 		if len(counts) < c.L {
 			return false
 		}
-		sorted := make([]int, 0, len(counts))
-		for _, cnt := range counts {
-			sorted = append(sorted, cnt)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+		slices.SortFunc(counts, func(x, y valueCount) int { return cmp.Compare(y.n, x.n) })
 		tail := 0
-		for i := c.L - 1; i < len(sorted); i++ {
-			tail += sorted[i]
+		for _, vc := range counts[c.L-1:] {
+			tail += vc.n
 		}
-		if float64(sorted[0]) >= c.C*float64(tail) {
+		if float64(counts[0].n) >= c.C*float64(tail) {
 			return false
 		}
 	}

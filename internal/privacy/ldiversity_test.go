@@ -1,6 +1,9 @@
 package privacy
 
 import (
+	"math"
+	"math/rand/v2"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -118,5 +121,114 @@ func TestEntropyMultipleSensitiveAttrs(t *testing.T) {
 	}
 	if (DistinctLDiversity{L: 2}).Holds(rel, group) {
 		t.Fatal("constant S2 passed distinct 2-diversity")
+	}
+}
+
+// referenceEntropy and referenceRecursive are the map-based checks the
+// counting buffer replaced.
+func referenceEntropy(rel *relation.Relation, group []int, l int) bool {
+	if l <= 1 {
+		return true
+	}
+	if len(group) < l {
+		return false
+	}
+	for _, a := range rel.Schema().SensitiveIndexes() {
+		counts := map[uint32]int{}
+		for _, row := range group {
+			counts[rel.Code(row, a)]++
+		}
+		entropy := 0.0
+		for _, cnt := range counts {
+			p := float64(cnt) / float64(len(group))
+			entropy -= p * math.Log(p)
+		}
+		if entropy+1e-12 < math.Log(float64(l)) {
+			return false
+		}
+	}
+	return true
+}
+
+func referenceRecursive(rel *relation.Relation, group []int, c float64, l int) bool {
+	if l <= 1 {
+		return true
+	}
+	for _, a := range rel.Schema().SensitiveIndexes() {
+		counts := map[uint32]int{}
+		for _, row := range group {
+			counts[rel.Code(row, a)]++
+		}
+		if len(counts) < l {
+			return false
+		}
+		var sorted []int
+		for _, cnt := range counts {
+			sorted = append(sorted, cnt)
+		}
+		sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+		tail := 0
+		for _, cnt := range sorted[l-1:] {
+			tail += cnt
+		}
+		if float64(sorted[0]) >= c*float64(tail) {
+			return false
+		}
+	}
+	return true
+}
+
+// wideRelation draws rows over two sensitive attributes with 4 and 60
+// values, so groups have both few distinct values and more than the
+// counting stack buffer holds.
+func wideRelation(n int) *relation.Relation {
+	rel := relation.New(relation.MustSchema(
+		relation.Attribute{Name: "A", Role: relation.QI},
+		relation.Attribute{Name: "S1", Role: relation.Sensitive},
+		relation.Attribute{Name: "S2", Role: relation.Sensitive},
+	))
+	rng := rand.New(rand.NewPCG(7, 1))
+	for i := 0; i < n; i++ {
+		rel.MustAppendValues("x", "s"+strconv.Itoa(rng.IntN(4)), "t"+strconv.Itoa(rng.IntN(60)))
+	}
+	return rel
+}
+
+// TestEntropyAndRecursiveMatchReference compares both criteria with the
+// map-based checks over random groups, every L from 0 to 8 and several C.
+func TestEntropyAndRecursiveMatchReference(t *testing.T) {
+	for _, rel := range []*relation.Relation{distinctRelation(300), wideRelation(300)} {
+		rng := rand.New(rand.NewPCG(4, 4))
+		for trial := 0; trial < 300; trial++ {
+			group := rng.Perm(rel.Len())[:rng.IntN(120)]
+			for l := 0; l <= 8; l++ {
+				if got, want := (EntropyLDiversity{L: l}).Holds(rel, group), referenceEntropy(rel, group, l); got != want {
+					t.Fatalf("trial %d L=%d |group|=%d: entropy Holds = %v, reference %v", trial, l, len(group), got, want)
+				}
+				for _, c := range []float64{0.5, 1, 2, 3.5} {
+					if got, want := (RecursiveCLDiversity{C: c, L: l}).Holds(rel, group), referenceRecursive(rel, group, c, l); got != want {
+						t.Fatalf("trial %d C=%v L=%d |group|=%d: recursive Holds = %v, reference %v", trial, c, l, len(group), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEntropyAndRecursiveNoAllocs pins that both criteria allocate nothing
+// on groups whose sensitive attributes hold at most 32 distinct values, on
+// groups that pass and groups that fail.
+func TestEntropyAndRecursiveNoAllocs(t *testing.T) {
+	rel := distinctRelation(200)
+	group := make([]int, 60)
+	for i := range group {
+		group[i] = i
+	}
+	for l := 2; l <= 8; l++ {
+		for _, c := range []Criterion{EntropyLDiversity{L: l}, RecursiveCLDiversity{C: 2, L: l}} {
+			if n := testing.AllocsPerRun(100, func() { c.Holds(rel, group) }); n != 0 {
+				t.Errorf("%s: Holds allocates %v times per call, want 0", c.Name(), n)
+			}
+		}
 	}
 }

@@ -179,16 +179,6 @@ func (s *Set) Intersects(o *Set) bool {
 	return false
 }
 
-// IntersectsAny reports whether any of the given rows is in the set.
-func (s *Set) IntersectsAny(rows []int) bool {
-	for _, i := range rows {
-		if s.Contains(i) {
-			return true
-		}
-	}
-	return false
-}
-
 // IntersectionCount returns |s ∩ o| without materializing the intersection.
 func (s *Set) IntersectionCount(o *Set) int {
 	if s.n != o.n {

@@ -118,9 +118,6 @@ func TestSetAlgebraAgainstModel(t *testing.T) {
 		if got := a.Intersects(b); got != overlap {
 			t.Fatalf("Intersects = %v, want %v", got, overlap)
 		}
-		if got := a.IntersectsAny(b.Slice()); got != overlap {
-			t.Fatalf("IntersectsAny = %v, want %v", got, overlap)
-		}
 
 		c := a.Clone()
 		mc := model{}

@@ -360,7 +360,8 @@ func (g *Graph) newState(opts Options) state {
 		used:       rowset.New(g.rel.Len()),
 		active:     make(map[uint64]*activeCluster),
 		preserve:   make([]int, len(g.Nodes)),
-		candCache:  make(map[candKey][]cluster.Clustering, 4*len(g.Nodes)),
+		candCache:  make(map[candKey]cluster.Windows, 4*len(g.Nodes)),
+		passAt:     make([][]int, len(g.Nodes)+1),
 		blockCount: make([]int, len(g.Nodes)),
 		opts:       opts,
 	}
@@ -431,18 +432,17 @@ type state struct {
 	// preserve[j] is the number of occurrences of constraint j's target
 	// preserved by the distinct active clusters.
 	preserve []int
-	// candCache memoizes raw candidate enumerations keyed by (node,
-	// used-set fingerprint). Enumeration is a pure function of the node and
-	// the used-row set, so entries stay valid across backtracking: MinChoice
-	// probes every uncolored node before picking one, and unwinding to a
-	// previously explored used-state serves enumerations without redoing
-	// them. The cache is cleared wholesale if it ever exceeds
-	// maxCandCacheEntries.
-	candCache map[candKey][]cluster.Clustering
-	// newClusters is isConsistent's reusable scratch for the genuinely new
-	// clusters of a candidate (candidatesFor finishes with it before the
-	// search recurses, so one buffer per state suffices).
-	newClusters [][]int
+	// candCache memoizes raw candidate enumerations, as windows, keyed by
+	// (node, used-set fingerprint). Enumeration is a pure function of the
+	// node and the used-row set, so entries stay valid across backtracking:
+	// MinChoice probes every uncolored node before picking one, and
+	// unwinding to a previously explored used-state serves enumerations
+	// without redoing them. The cache is cleared wholesale if it ever
+	// exceeds maxCandCacheEntries.
+	candCache map[candKey]cluster.Windows
+	// passAt reuses one buffer per visit depth for the indexes of the
+	// enumerated candidates that pass the upper-bound check.
+	passAt [][]int
 	// blockCount is candidatesFor's reusable scratch counting, per node, how
 	// many candidates of the current visit the node's upper bound rejected;
 	// the maximum entry names the visit's dominant blocker.
@@ -519,26 +519,28 @@ func (st *state) canceled() bool {
 }
 
 // rawCandidates returns node v's candidate enumeration against the current
-// used-row set, served from the fingerprint-keyed cache when possible.
-func (st *state) rawCandidates(v int) []cluster.Clustering {
+// used-row set, served from the fingerprint-keyed cache when possible. The
+// windows are private to this search: a portfolio worker never reads
+// another's.
+func (st *state) rawCandidates(v int) cluster.Windows {
 	key := candKey{node: v, fp: st.used.Fingerprint()}
-	if cands, ok := st.candCache[key]; ok {
+	if w, ok := st.candCache[key]; ok {
 		st.stats.CacheHits++
 		if st.opts.Tracer != nil {
-			st.opts.Tracer.Trace(trace.Event{Kind: trace.KindCacheHit, Node: v, N: len(cands), Parent: st.topSpan(), Depth: st.nColored})
+			st.opts.Tracer.Trace(trace.Event{Kind: trace.KindCacheHit, Node: v, N: w.Len(), Parent: st.topSpan(), Depth: st.nColored})
 		}
-		return cands
+		return w
 	}
-	cands := st.g.Nodes[v].Enum.Candidates(st.opts.Ctx, st.used)
+	w := st.g.Nodes[v].Enum.Windows(st.opts.Ctx, st.used)
 	if len(st.candCache) >= maxCandCacheEntries {
 		clear(st.candCache)
 	}
-	st.candCache[key] = cands
+	st.candCache[key] = w
 	st.stats.CacheMisses++
 	if st.opts.Tracer != nil {
-		st.opts.Tracer.Trace(trace.Event{Kind: trace.KindCandidates, Node: v, N: len(cands), Parent: st.topSpan(), Depth: st.nColored})
+		st.opts.Tracer.Trace(trace.Event{Kind: trace.KindCandidates, Node: v, N: w.Len(), Parent: st.topSpan(), Depth: st.nColored})
 	}
-	return cands
+	return w
 }
 
 // visit aggregates one node-visit's candidate accounting, reported on the
@@ -550,12 +552,32 @@ type visit struct {
 	// enumeration against the current used-row set plus the shared-cluster
 	// proposals that fell within the node's bounds.
 	enumerated int
-	// rejOverlap and rejUpper count consistency-check rejections: partial
-	// overlap with an active cluster vs. an upper-bound violation.
-	rejOverlap, rejUpper int
+	// rejUpper counts consistency-check rejections, all upper-bound
+	// violations (see upperBlocker).
+	rejUpper int
 	// blocker is the node whose upper bound rejected the most candidates
 	// (−1 when rejUpper is 0).
 	blocker int
+}
+
+// candidates is one visit's candidate list: the shared proposals, then the
+// enumerated windows that passed the upper-bound check, by index.
+type candidates struct {
+	shared []cluster.Clustering
+	w      cluster.Windows
+	pass   []int
+}
+
+func (c candidates) len() int { return len(c.shared) + len(c.pass) }
+
+// at returns candidate n, materializing an enumerated window's rows: only
+// the candidates the search assigns (or fingerprints, under learning) are
+// ever copied out of the key table.
+func (c candidates) at(n int) cluster.Clustering {
+	if n < len(c.shared) {
+		return c.shared[n]
+	}
+	return c.w.Clustering(c.pass[n-len(c.shared)])
 }
 
 // candidatesFor regenerates node v's candidates against the rows still
@@ -565,13 +587,11 @@ type visit struct {
 // equal", Section 3.2); shared candidates come first since they cost no
 // additional suppression. The returned visit records the rejection
 // breakdown for exhaustion reporting.
-func (st *state) candidatesFor(v int) ([]cluster.Clustering, visit) {
+func (st *state) candidatesFor(v int) (candidates, visit) {
 	vs := visit{blocker: -1}
 	node := st.g.Nodes[v]
-	out := st.sharedCandidates(node)
-	vs.enumerated = len(out)
-	raw := st.rawCandidates(v)
-	vs.enumerated += len(raw)
+	cs := candidates{shared: st.sharedCandidates(node), w: st.rawCandidates(v)}
+	vs.enumerated = len(cs.shared) + cs.w.Len()
 	// Blocker attribution feeds the KindExhausted event and, under learning,
 	// the conflict-set derivation (conflFor reads st.blockCount right after
 	// this visit's enumeration); the scratch bookkeeping is skipped when
@@ -581,21 +601,19 @@ func (st *state) candidatesFor(v int) ([]cluster.Clustering, visit) {
 	if attrib {
 		clear(st.blockCount)
 	}
-	for _, cand := range raw {
+	pass := st.passAt[st.nColored][:0]
+	for i := 0; i < cs.w.Len(); i++ {
 		st.stats.CandidatesTried++
-		ok, overlap, blocker := st.isConsistent(cand)
-		switch {
-		case ok:
-			out = append(out, cand)
-		case overlap:
-			vs.rejOverlap++
-		default:
+		if blocker := st.upperBlocker(cs.w, i); blocker < 0 {
+			pass = append(pass, i)
+		} else {
 			vs.rejUpper++
 			if attrib {
 				st.blockCount[blocker]++
 			}
 		}
 	}
+	st.passAt[st.nColored], cs.pass = pass, pass
 	if traced {
 		best := 0
 		for j, c := range st.blockCount {
@@ -604,7 +622,7 @@ func (st *state) candidatesFor(v int) ([]cluster.Clustering, visit) {
 			}
 		}
 	}
-	return out, vs
+	return cs, vs
 }
 
 // sharedCandidates proposes clusterings built from clusters other nodes
@@ -697,7 +715,8 @@ func (st *state) color() bool {
 		confl = st.conflFor(st.nColored, v)
 	}
 	descended := 0
-	for _, cand := range cands {
+	for n := 0; n < cands.len(); n++ {
+		cand := cands.at(n)
 		if st.learn != nil {
 			fp := clusteringFingerprint(cand)
 			if ng := st.learn.probeCandidate(v, fp, st.colored, st.assignedFp); ng != nil {
@@ -790,15 +809,14 @@ func (st *state) color() bool {
 	// attribute the retreat to concrete constraints.
 	if st.opts.Tracer != nil {
 		st.opts.Tracer.Trace(trace.Event{
-			Kind:            trace.KindExhausted,
-			Node:            v,
-			N:               descended,
-			Parent:          st.topSpan(),
-			Depth:           st.nColored,
-			Enumerated:      vs.enumerated,
-			RejectedOverlap: vs.rejOverlap,
-			RejectedUpper:   vs.rejUpper,
-			Blocker:         vs.blocker,
+			Kind:          trace.KindExhausted,
+			Node:          v,
+			N:             descended,
+			Parent:        st.topSpan(),
+			Depth:         st.nColored,
+			Enumerated:    vs.enumerated,
+			RejectedUpper: vs.rejUpper,
+			Blocker:       vs.blocker,
 		})
 	}
 	return false
@@ -944,7 +962,7 @@ func (st *state) nextNode() int {
 			if st.colored[i] {
 				continue
 			}
-			count := len(st.rawCandidates(i))
+			count := st.rawCandidates(i).Len()
 			if best == -1 || count < bestCount {
 				best, bestCount = i, count
 			}
@@ -989,42 +1007,21 @@ func (st *state) nextNode() int {
 	}
 }
 
-// isConsistent checks the two search conditions of Section 3.2 for a
-// candidate clustering against the current partial assignment:
-// disjoint-unless-equal clusters, and no upper-bound violation. When the
-// candidate is rejected, overlap distinguishes a disjointness violation
-// (condition 1) from an upper-bound one, and blocker names the first node
-// whose upper bound the candidate would exceed (−1 on overlap rejections) —
-// the attribution the infeasibility explainer aggregates.
-func (st *state) isConsistent(cand cluster.Clustering) (ok, overlap bool, blocker int) {
-	// Condition 1: each cluster is either identical to an active cluster or
-	// disjoint from all of them. Dynamically enumerated candidates are
-	// disjoint by construction; the check protects externally supplied
-	// clusterings too.
-	newClusters := st.newClusters[:0]
-	defer func() { st.newClusters = newClusters[:0] }()
-	for _, c := range cand {
-		fp := cluster.Fingerprint(c)
-		if _, shared := st.active[fp]; shared {
-			continue // identical cluster already active: sharing is allowed
-		}
-		if st.used.IntersectsAny(c) {
-			return false, true, -1 // partial overlap with a different cluster
-		}
-		newClusters = append(newClusters, c)
-	}
-	// Condition 2: adding the genuinely new clusters must not push any
-	// constraint's preserved occurrences above its upper bound.
+// upperBlocker checks enumerated candidate i of w against the current
+// partial assignment and returns the first node whose upper bound it would
+// exceed, or −1 when it is consistent — the attribution the infeasibility
+// explainer aggregates. Of the two search conditions of Section 3.2 only
+// the upper bounds need checking: every window is drawn from rows no
+// active cluster holds, so each of its clusters is new and disjoint from
+// all active ones (the disjoint-or-equal rule). Shared proposals are the
+// "equal" case: active clusters themselves, adding no new occurrences.
+func (st *state) upperBlocker(w cluster.Windows, i int) int {
 	for j, node := range st.g.Nodes {
-		add := 0
-		for _, c := range newClusters {
-			add += preservedIn(st.g.rel, node.Bound, c)
-		}
-		if add > 0 && st.preserve[j]+add > node.Bound.Upper {
-			return false, false, j
+		if add := w.Preserved(i, node.Bound); add > 0 && st.preserve[j]+add > node.Bound.Upper {
+			return j
 		}
 	}
-	return true, false, -1
+	return -1
 }
 
 func (st *state) assign(v int, cand cluster.Clustering) {
@@ -1043,9 +1040,8 @@ func (st *state) assign(v int, cand cluster.Clustering) {
 			continue
 		}
 		// Candidates arrive in enumeration order; sort once, on activation.
-		// The slice belongs to this search's candidate cache (every
-		// enumeration allocates its own result), so sorting in place is
-		// private to it.
+		// A new cluster was materialized for this assignment alone (see
+		// candidates.at), so sorting in place is private to it.
 		slices.Sort(c)
 		st.active[fp] = &activeCluster{rows: c, refs: 1}
 		st.used.AddSlice(c) // incremental fingerprint update

@@ -67,11 +67,12 @@ func TestSigmaUsesSortedActiveCluster(t *testing.T) {
 	rel := twinRelation(t)
 	g := BuildGraph(rel, twinBounds(t, rel), cluster.Options{K: 2})
 	st := g.newState(Options{Strategy: MinChoice})
-	c0, c1 := st.rawCandidates(0), st.rawCandidates(1)
-	if len(c0) != 1 || len(c1) != 1 {
-		t.Fatalf("want one candidate per node, got %v and %v", c0, c1)
+	w0, w1 := st.rawCandidates(0), st.rawCandidates(1)
+	if w0.Len() != 1 || w1.Len() != 1 {
+		t.Fatalf("want one candidate per node, got %d and %d", w0.Len(), w1.Len())
 	}
-	s0, s1 := c0[0][0], c1[0][0]
+	c0, c1 := w0.Clustering(0), w1.Clustering(0)
+	s0, s1 := c0[0], c1[0]
 	if &s0[0] == &s1[0] {
 		t.Fatal("the two nodes' candidates share a backing array")
 	}
@@ -83,8 +84,8 @@ func TestSigmaUsesSortedActiveCluster(t *testing.T) {
 	}
 	// Node 1 activates the cluster (sorting its own slice); node 0 then
 	// shares it through its still-unsorted slice.
-	st.assign(1, c1[0])
-	st.assign(0, c0[0])
+	st.assign(1, c1)
+	st.assign(0, c0)
 	if slices.IsSorted(s0) {
 		t.Fatal("assigning a shared cluster sorted the sharer's slice")
 	}
