@@ -50,7 +50,9 @@ bench:
 
 # bench-color runs the allocation-sensitive coloring benchmarks (the
 # BenchmarkColor family at the root, the search package's coloring
-# benchmarks, including the census-scale BenchmarkColoringCensus, the
+# benchmarks, including the census-scale BenchmarkColoringCensus and
+# BenchmarkColoringDense, whose infeasible REGION-core searches backtrack
+# and report candidate enumerations per op (enums/op), the
 # constraint package's Σ-wide pool and count pass against per-constraint
 # scans, and the cluster package's enumerator construction and enumeration:
 # large PopSyn targets, a dense-conflict-sized pool and an l-diversity

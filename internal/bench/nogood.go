@@ -4,108 +4,32 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"time"
 
 	"diva/internal/constraint"
 	"diva/internal/core"
 	"diva/internal/dataset"
-	"diva/internal/relation"
 	"diva/internal/search"
+	"diva/internal/verify"
 )
 
 // nogoodRows is the fixed relation size of the nogood study. The fixture is
-// deliberately NOT scaled with Config.Scale: the conflict structure below is
-// anchored on the census profile's value-support distribution at this size,
-// and rescaling would dissolve the infeasible core the experiment measures.
+// deliberately NOT scaled with Config.Scale: the conflict structure
+// (verify.DenseCensusSigma) is anchored on the census profile's
+// value-support distribution at this size, and rescaling would dissolve the
+// infeasible core the experiment measures.
 const nogoodRows = 400
 
 // nogoodIndependents is how many independent cluster-forcing EDUCATION
 // constraints pad the conflict core. Each contributes a multiplicative
-// factor to chronological search's thrashing (their candidates are
-// re-enumerated on every retraction) and nothing to the conflict itself —
-// which is exactly what conflict-directed backjumping skips.
+// factor to chronological search's thrashing and nothing to the conflict
+// itself — which is exactly what conflict-directed backjumping skips.
 const nogoodIndependents = 5
 
 // nogoodMaxSteps caps each measured run. Chronological search on the fixture
 // needs several hundred thousand visits to prove infeasibility; the cap is
 // high enough for every strategy the table reports to reach its verdict.
 const nogoodMaxSteps = 500_000
-
-// denseCensusSigma builds the dense-conflict census Σ of the nogood study: a
-// three-constraint infeasible core — REGION[r] capped at 2k−2 preserved
-// occurrences while (REGION[r], SEX[Male]) and (REGION[r], SEX[Female]) each
-// demand a cluster of ≥ k, so any coloring preserving both clusters puts
-// ≥ 2k visible REGION[r] cells over the cap — padded with cluster-forcing
-// constraints on EDUCATION values whose pools are disjoint from the core's
-// conflict. cf(Σ) is high (the core's pools overlap pairwise), and the
-// instance is infeasible in a way chronological search can only prove by
-// exhausting the padding's candidate products.
-func denseCensusSigma(rel *relation.Relation, k int) (constraint.Set, error) {
-	occ := func(c constraint.Constraint) int {
-		b, err := c.Bound(rel)
-		if err != nil {
-			return 0
-		}
-		return b.CountIn(rel)
-	}
-	var sigma constraint.Set
-	coreBuilt := false
-	for _, r := range valuesWithSupport(rel, "REGION", 3*k-2, 6*k) {
-		male := constraint.NewMulti([]string{"REGION", "SEX"}, []string{r, "Male"}, k, rel.Len())
-		female := constraint.NewMulti([]string{"REGION", "SEX"}, []string{r, "Female"}, k, rel.Len())
-		if occ(male) <= k || occ(female) <= k {
-			continue
-		}
-		sigma = append(sigma, constraint.New("REGION", r, 0, 2*k-2), male, female)
-		coreBuilt = true
-		break
-	}
-	if !coreBuilt {
-		return nil, fmt.Errorf("bench: no REGION value with per-sex support > %d at |R|=%d", k, rel.Len())
-	}
-	indep := valuesWithSupport(rel, "EDUCATION", k+1, 8*k)
-	if len(indep) > nogoodIndependents {
-		indep = indep[:nogoodIndependents]
-	}
-	for _, e := range indep {
-		c := constraint.New("EDUCATION", e, 0, 0)
-		o := occ(c)
-		c.Lower, c.Upper = k, o
-		sigma = append(sigma, c)
-	}
-	return sigma, nil
-}
-
-// valuesWithSupport lists attr's values with occurrence count in [lo, hi],
-// most frequent first (ties by value for determinism).
-func valuesWithSupport(rel *relation.Relation, attr string, lo, hi int) []string {
-	idx, ok := rel.Schema().Index(attr)
-	if !ok {
-		return nil
-	}
-	type vf struct {
-		v string
-		n int
-	}
-	var vs []vf
-	for code, n := range rel.ValueFrequencies(idx) {
-		if code != relation.StarCode && n >= lo && n <= hi {
-			vs = append(vs, vf{rel.Dict(idx).Value(code), n})
-		}
-	}
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].n != vs[j].n {
-			return vs[i].n > vs[j].n
-		}
-		return vs[i].v < vs[j].v
-	})
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.v
-	}
-	return out
-}
 
 // NogoodBench measures conflict-driven nogood learning against chronological
 // backtracking on the dense-conflict census fixture: same relation, same Σ,
@@ -118,9 +42,9 @@ func NogoodBench(cfg Config) (*Table, error) {
 	cfg = cfg.WithDefaults()
 	rel := dataset.CensusSized(nogoodRows).Generate(nogoodRows, cfg.Seed)
 	k := cfg.K
-	sigma, err := denseCensusSigma(rel, k)
-	if err != nil {
-		return nil, err
+	sigma, ok := verify.DenseCensusSigma(rel, k, nogoodIndependents)
+	if !ok {
+		return nil, fmt.Errorf("bench: no REGION value with per-sex support > %d at |R|=%d", k, rel.Len())
 	}
 	bounds, err := sigma.Bind(rel)
 	if err != nil {

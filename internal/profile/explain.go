@@ -16,7 +16,6 @@ type Culprit struct {
 	Exhaustions    int     `json:"exhaustions"`
 	ZeroEnum       int     `json:"zero_enumerations"`
 	RejectedUpper  int     `json:"rejected_upper"`
-	RejectedOver   int     `json:"rejected_overlap"`
 	Blamed         int     `json:"blamed"`
 	Backtracks     int     `json:"backtracks"`
 	ConflictDegree float64 `json:"conflict_degree"`
@@ -40,11 +39,8 @@ type FrontierNode struct {
 //     the upper-bound consistency check — the engine is conservative outside
 //     the completeness envelope (see the differential oracle, PR 4), so this
 //     is *not* a proof of true infeasibility.
-//   - "overlap-pruned": candidates were rejected only for overlapping
-//     already-colored rows — a packing conflict between constraints.
 //   - "subtree-exhausted": every enumerated candidate was assigned and its
 //     subtree failed — the cause lies deeper; the culprit ranking names it.
-//   - "mixed": rejections of several kinds.
 //   - "" when the run did not fail (no exhaustion was recorded).
 type Explanation struct {
 	RunID    uint64         `json:"run_id,omitempty"`
@@ -123,14 +119,10 @@ func (p *Profile) Explain() *Explanation {
 		switch {
 		case last.Enumerated == 0:
 			ex.Verdict = "exhausted"
-		case last.RejectedUpper == 0 && last.RejectedOverlap == 0:
+		case last.RejectedUpper == 0:
 			ex.Verdict = "subtree-exhausted"
-		case last.RejectedUpper > 0 && last.RejectedOverlap == 0:
-			ex.Verdict = "upper-bound-pruned"
-		case last.RejectedUpper == 0 && last.RejectedOverlap > 0:
-			ex.Verdict = "overlap-pruned"
 		default:
-			ex.Verdict = "mixed"
+			ex.Verdict = "upper-bound-pruned"
 		}
 	}
 
@@ -145,7 +137,6 @@ func (p *Profile) Explain() *Explanation {
 			Exhaustions:    ns.Exhaustions,
 			ZeroEnum:       ns.ZeroEnumerations,
 			RejectedUpper:  ns.RejectedUpper,
-			RejectedOver:   ns.RejectedOverlap,
 			Blamed:         ns.Blamed,
 			Backtracks:     ns.Backtracks,
 			ConflictDegree: ns.ConflictDegree,
@@ -240,16 +231,12 @@ func (e *Explanation) String() string {
 		fmt.Fprintf(&b, "verdict: CANDIDATE EXHAUSTION — the last failing constraint enumerated zero candidate clusterings; the instance is infeasible for the engine's candidate generation.\n")
 	case "upper-bound-pruned":
 		fmt.Fprintf(&b, "verdict: UPPER-BOUND PRUNING — candidates existed but all were rejected by the upper-bound consistency check; this is conservative pruning outside the completeness envelope, NOT a proof of true infeasibility.\n")
-	case "overlap-pruned":
-		fmt.Fprintf(&b, "verdict: OVERLAP PRUNING — every candidate overlapped rows already claimed by other constraints; the constraints compete for the same rows.\n")
 	case "subtree-exhausted":
 		fmt.Fprintf(&b, "verdict: SUBTREE EXHAUSTION — every enumerated candidate was tried and its subtree failed; the cause lies deeper, at the culprit constraints below.\n")
-	case "mixed":
-		fmt.Fprintf(&b, "verdict: MIXED — candidates were rejected both for row overlap and by the upper-bound consistency check.\n")
 	}
 	if l := e.Last; l != nil {
-		fmt.Fprintf(&b, "last failure: node σ%d at depth %d — enumerated=%d rejected_overlap=%d rejected_upper=%d",
-			l.Node, l.Depth, l.Enumerated, l.RejectedOverlap, l.RejectedUpper)
+		fmt.Fprintf(&b, "last failure: node σ%d at depth %d — enumerated=%d rejected_upper=%d",
+			l.Node, l.Depth, l.Enumerated, l.RejectedUpper)
 		if l.Blocker >= 0 {
 			fmt.Fprintf(&b, " dominant_blocker=σ%d", l.Blocker)
 		}
@@ -264,8 +251,8 @@ func (e *Explanation) String() string {
 		b.WriteString("culprit constraints (by exhaustions, then blame):\n")
 		for i := range e.Culprits {
 			c := &e.Culprits[i]
-			fmt.Fprintf(&b, "  %-32s exhaustions=%-5d zero_enum=%-5d blamed=%-5d rejected_upper=%-6d rejected_overlap=%-6d backtracks=%-6d conflict=%.3f\n",
-				e.name(c), c.Exhaustions, c.ZeroEnum, c.Blamed, c.RejectedUpper, c.RejectedOver, c.Backtracks, c.ConflictDegree)
+			fmt.Fprintf(&b, "  %-32s exhaustions=%-5d zero_enum=%-5d blamed=%-5d rejected_upper=%-6d backtracks=%-6d conflict=%.3f\n",
+				e.name(c), c.Exhaustions, c.ZeroEnum, c.Blamed, c.RejectedUpper, c.Backtracks, c.ConflictDegree)
 		}
 	}
 	if len(e.Frontier) > 0 {

@@ -116,10 +116,9 @@ type NodeStat struct {
 	// exhaustion, as opposed to consistency-check pruning).
 	Exhaustions      int `json:"exhaustions"`
 	ZeroEnumerations int `json:"zero_enumerations"`
-	// RejectedUpper and RejectedOverlap count this node's candidates
-	// rejected by the consistency check, by reason.
-	RejectedUpper   int `json:"rejected_upper"`
-	RejectedOverlap int `json:"rejected_overlap"`
+	// RejectedUpper counts this node's candidates rejected by the
+	// upper-bound consistency check.
+	RejectedUpper int `json:"rejected_upper"`
 	// BlockedBy maps blocker node → candidates of THIS node rejected by the
 	// blocker's upper bound; Blamed counts the reverse direction, candidate
 	// rejections across all visits attributed to THIS node's upper bound.
@@ -164,12 +163,11 @@ type Exhaustion struct {
 	// of; Enumerated the candidates considered in total.
 	Descended  int `json:"descended"`
 	Enumerated int `json:"enumerated"`
-	// RejectedUpper/RejectedOverlap are the consistency-check rejections at
-	// this visit, and Blocker the node whose upper bound rejected the most
-	// candidates (−1 when none).
-	RejectedUpper   int `json:"rejected_upper"`
-	RejectedOverlap int `json:"rejected_overlap"`
-	Blocker         int `json:"blocker"`
+	// RejectedUpper is the upper-bound rejections at this visit, and
+	// Blocker the node whose upper bound rejected the most candidates (−1
+	// when none).
+	RejectedUpper int `json:"rejected_upper"`
+	Blocker       int `json:"blocker"`
 }
 
 // BaselineStats aggregates the baseline partitioner's trace.KindSplit
@@ -402,7 +400,6 @@ func (p *Profiler) Trace(ev trace.Event) {
 			ns.ZeroEnumerations++
 		}
 		ns.RejectedUpper += ev.RejectedUpper
-		ns.RejectedOverlap += ev.RejectedOverlap
 		if ev.Blocker >= 0 {
 			if ns.BlockedBy == nil {
 				ns.BlockedBy = make(map[int]int)
@@ -416,14 +413,13 @@ func (p *Profiler) Trace(ev trace.Event) {
 			root.Exhaustions++
 		}
 		p.prof.LastExhaustion = &Exhaustion{
-			Node:            ev.Node,
-			Depth:           ev.Depth,
-			At:              at,
-			Descended:       ev.N,
-			Enumerated:      ev.Enumerated,
-			RejectedUpper:   ev.RejectedUpper,
-			RejectedOverlap: ev.RejectedOverlap,
-			Blocker:         ev.Blocker,
+			Node:          ev.Node,
+			Depth:         ev.Depth,
+			At:            at,
+			Descended:     ev.N,
+			Enumerated:    ev.Enumerated,
+			RejectedUpper: ev.RejectedUpper,
+			Blocker:       ev.Blocker,
 		}
 	case trace.KindNogood:
 		// One learned nogood (or a replayed batch of ev.N) derived at an

@@ -23,7 +23,7 @@ func feed(p *Profiler) {
 	p.Trace(trace.Event{Kind: trace.KindAssign, Node: 0, Span: 1, Depth: 1})
 	p.Trace(trace.Event{Kind: trace.KindCandidates, Node: 1, N: 2, Parent: 1, Depth: 1})
 	p.Trace(trace.Event{Kind: trace.KindAssign, Node: 1, Span: 2, Parent: 1, Depth: 2})
-	p.Trace(trace.Event{Kind: trace.KindExhausted, Node: 2, Parent: 2, Depth: 2, Enumerated: 3, RejectedUpper: 2, RejectedOverlap: 1, Blocker: 0})
+	p.Trace(trace.Event{Kind: trace.KindExhausted, Node: 2, Parent: 2, Depth: 2, Enumerated: 3, RejectedUpper: 2, Blocker: 0})
 	p.Trace(trace.Event{Kind: trace.KindBacktrack, Node: 1, Span: 2, Parent: 1, Depth: 2})
 	p.Trace(trace.Event{Kind: trace.KindCacheHit, Node: 1, N: 2, Parent: 1, Depth: 1})
 	p.Trace(trace.Event{Kind: trace.KindAssign, Node: 2, Span: 3, Parent: 1, Depth: 2})

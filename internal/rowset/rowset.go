@@ -43,6 +43,19 @@ func New(n int) *Set {
 	}
 }
 
+// NewBatch returns count empty sets over [0, n) that share one backing
+// array: two allocations however many sets, for callers that keep one set
+// per item of a collection.
+func NewBatch(n, count int) []Set {
+	per := (n + wordBits - 1) / wordBits
+	words := make([]uint64, per*count)
+	sets := make([]Set, count)
+	for i := range sets {
+		sets[i] = Set{words: words[i*per : (i+1)*per : (i+1)*per], n: n, fpOK: true}
+	}
+	return sets
+}
+
 // FromSlice returns a set over [0, n) holding the given rows.
 func FromSlice(n int, rows []int) *Set {
 	s := New(n)
@@ -261,6 +274,20 @@ func Hash(i int) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
+}
+
+// FingerprintIn returns the Zobrist fingerprint of the rows of rows that
+// lie in s: the XOR of Hash(i) over rows ∩ s, for duplicate-free rows. XOR
+// it into a running fingerprint to track some other set's intersection
+// with s as rows join and leave that set.
+func (s *Set) FingerprintIn(rows []int) uint64 {
+	fp := uint64(0)
+	for _, i := range rows {
+		if s.Contains(i) {
+			fp ^= Hash(i)
+		}
+	}
+	return fp
 }
 
 // Fingerprint returns the Zobrist fingerprint of a row slice: equal row

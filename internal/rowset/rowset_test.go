@@ -187,6 +187,51 @@ func TestFingerprintIncrementalMatchesRecomputed(t *testing.T) {
 	}
 }
 
+// TestFingerprintInMatchesIntersection checks FingerprintIn against the
+// fingerprint of a materialized intersection.
+func TestFingerprintInMatchesIntersection(t *testing.T) {
+	const n = 300
+	rng := testutil.Rng(t)
+	for trial := 0; trial < 20; trial++ {
+		s, rows := New(n), New(n)
+		for k := 0; k < 100; k++ {
+			s.Add(rng.IntN(n))
+			rows.Add(rng.IntN(n))
+		}
+		want := rows.Clone()
+		want.Intersect(s)
+		if got := s.FingerprintIn(rows.Slice()); got != want.Fingerprint() {
+			t.Fatalf("FingerprintIn = %#x, fingerprint of the intersection %#x", got, want.Fingerprint())
+		}
+	}
+}
+
+// TestNewBatchSetsAreIndependent fills sets sharing one backing array,
+// including one whose universe ends mid-word, and checks that none sees
+// another's rows.
+func TestNewBatchSetsAreIndependent(t *testing.T) {
+	const n = 70
+	sets := NewBatch(n, 3)
+	ms := []model{{}, {}, {}}
+	rng := testutil.Rng(t)
+	for k := 0; k < 200; k++ {
+		i, row := rng.IntN(3), rng.IntN(n)
+		sets[i].Add(row)
+		ms[i][row] = true
+	}
+	sets[1].Add(n - 1)
+	ms[1][n-1] = true
+	for i := range sets {
+		check(t, &sets[i], ms[i])
+		if sets[i].Fingerprint() != Fingerprint(ms[i].slice()) {
+			t.Fatalf("set %d: fingerprint does not match its rows", i)
+		}
+	}
+	if len(NewBatch(n, 0)) != 0 {
+		t.Fatal("NewBatch(n, 0) returned sets")
+	}
+}
+
 func TestFingerprintDistinguishesSmallSets(t *testing.T) {
 	seen := map[uint64][]int{}
 	for i := 0; i < 100; i++ {

@@ -8,6 +8,7 @@ import (
 	"diva/internal/cluster"
 	"diva/internal/constraint"
 	"diva/internal/dataset"
+	"diva/internal/verify"
 )
 
 func benchGraph(b *testing.B, rows, nConstraints, k int) (*Graph, int) {
@@ -99,6 +100,57 @@ func BenchmarkColoringCensus(b *testing.B) {
 			b.Fatal("no coloring")
 		}
 	}
+}
+
+// denseGraphs builds n graphs of the infeasible REGION-core family
+// (verify.DenseCensusSigma with two padders) over 400-row census samples,
+// k = 10, as the dense-conflict benchmark workload draws them.
+// Chronological search proves each infeasible by trying the padders'
+// candidate products, so the search and candidate enumeration are all the
+// work there is.
+func denseGraphs(tb testing.TB, n int) []*Graph {
+	tb.Helper()
+	const rows, k = 400, 10
+	rng := rand.New(rand.NewPCG(20210323, 0xd3a5e))
+	var out []*Graph
+	for tries := 0; len(out) < n; tries++ {
+		if tries > 50*n {
+			tb.Fatalf("only %d of %d census samples have a REGION core", len(out), n)
+		}
+		rel := dataset.CensusSized(rows).Generate(rows, rng.Uint64())
+		sigma, ok := verify.DenseCensusSigma(rel, k, 2)
+		if !ok {
+			continue
+		}
+		bounds, err := sigma.Bind(rel)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, BuildGraph(rel, bounds, cluster.Options{K: k}))
+	}
+	return out
+}
+
+// BenchmarkColoringDense colors 16 graphs of the infeasible REGION-core
+// family (denseGraphs) per op under MinChoice, each from a fresh candidate
+// cache as a run does. It is the one Go benchmark whose searches backtrack
+// through thousands of candidates; enums/op counts the candidate
+// enumerations (cache misses) the 16 searches make.
+func BenchmarkColoringDense(b *testing.B) {
+	graphs := denseGraphs(b, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	enums := 0
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			_, stats, found := g.Color(Options{Strategy: MinChoice})
+			if found {
+				b.Fatal("infeasible REGION core colored")
+			}
+			enums += stats.CacheMisses
+		}
+	}
+	b.ReportMetric(float64(enums)/float64(b.N), "enums/op")
 }
 
 func BenchmarkColorPortfolio(b *testing.B) {

@@ -8,9 +8,10 @@
 // consistent when (1) clusters of different nodes are pairwise disjoint
 // unless identical, and (2) no constraint's upper bound is exceeded by the
 // occurrences the assigned clusterings preserve. Following Section 3.3's
-// "we update the candidate clusterings for their neighbors", candidates are
-// recomputed against the rows still unclaimed whenever a node is visited,
-// so condition (1) holds by construction for fresh clusters.
+// "we update the candidate clusterings for their neighbors", a node's
+// candidates are enumerated against the rows still unclaimed, so condition
+// (1) holds by construction for fresh clusters, and they are re-enumerated
+// only when an assignment claims or releases rows in the node's pool.
 package search
 
 import (
@@ -93,14 +94,20 @@ type Graph struct {
 	// from the node's enumerator for the Neighbors relation and reused by
 	// DescribeMapped's conflict-edge weights.
 	targets []*rowset.Set
+	// pools[i] is node i's QI target pool (Enumerator.Pool — the rows
+	// candidate enumeration draws from) as a bitset. Enumeration reads the
+	// used-row set only inside the pool, so the search keys node i's cached
+	// enumerations by the used rows in pools[i] (see state.poolFp). A node
+	// whose pool is its full target set shares targets[i]; the pools of
+	// targets with sensitive components share one backing array.
+	pools []*rowset.Set
 	// poolNbrs is the pool-intersection relation: j is a pool neighbor of i
-	// when the constraints' QI target pools (Enumerator.Pool — the rows
-	// candidate enumeration draws from) overlap. It is a superset of the
-	// Neighbors relation, which intersects the narrower full-target sets,
-	// and it is the dependency closure conflict-driven learning blames: a
-	// node's candidate list, and every preserved-occurrence count, is a
-	// function of its pool neighbors' assignments alone. Built lazily by the
-	// first learning search (poolOnce) so non-learning runs pay nothing.
+	// when pools[i] and pools[j] overlap. It is a superset of the Neighbors
+	// relation, which intersects the narrower full-target sets, and it is
+	// the dependency closure conflict-driven learning blames: a node's
+	// candidate list, and every preserved-occurrence count, is a function of
+	// its pool neighbors' assignments alone. Only learning reads it, so the
+	// first learning search computes it (poolOnce).
 	poolNbrs [][]int
 	poolOnce sync.Once
 }
@@ -108,14 +115,10 @@ type Graph struct {
 // buildPoolNeighbors computes the pool-intersection relation (see
 // Graph.poolNbrs).
 func (g *Graph) buildPoolNeighbors() {
-	pools := make([]*rowset.Set, len(g.Nodes))
-	for i, n := range g.Nodes {
-		pools[i] = rowset.FromSlice(g.rel.Len(), n.Enum.Pool())
-	}
 	g.poolNbrs = make([][]int, len(g.Nodes))
 	for i := range g.Nodes {
 		for j := i + 1; j < len(g.Nodes); j++ {
-			if pools[i].Intersects(pools[j]) {
+			if g.pools[i].Intersects(g.pools[j]) {
 				g.poolNbrs[i] = append(g.poolNbrs[i], j)
 				g.poolNbrs[j] = append(g.poolNbrs[j], i)
 			}
@@ -126,11 +129,26 @@ func (g *Graph) buildPoolNeighbors() {
 // BuildGraph constructs the constraint graph for the bound constraints over
 // rel, preparing candidate enumeration per node with the given options.
 func BuildGraph(rel *relation.Relation, bounds []*constraint.Bound, opts cluster.Options) *Graph {
-	targets := make([]*rowset.Set, len(bounds))
-	g := &Graph{rel: rel, Nodes: make([]*Node, len(bounds)), targets: targets}
+	targets, pools := make([]*rowset.Set, len(bounds)), make([]*rowset.Set, len(bounds))
+	g := &Graph{rel: rel, Nodes: make([]*Node, len(bounds)), targets: targets, pools: pools}
+	mixed := 0
 	for i, e := range cluster.NewEnumerators(rel, bounds, opts) {
 		g.Nodes[i] = &Node{Index: i, Bound: bounds[i], Enum: e}
 		targets[i] = e.TargetSet()
+		// Iσ ⊆ pool, so equal sizes mean the pool is Iσ; otherwise some pool
+		// rows match only the target's QI components.
+		if targets[i].Len() == len(e.Pool()) {
+			pools[i] = targets[i]
+		} else {
+			mixed++
+		}
+	}
+	batch := rowset.NewBatch(rel.Len(), mixed)
+	for i, n := range g.Nodes {
+		if pools[i] == nil {
+			pools[i], batch = &batch[0], batch[1:]
+			pools[i].AddSlice(n.Enum.Pool())
+		}
 	}
 	for i := range g.Nodes {
 		for j := i + 1; j < len(g.Nodes); j++ {
@@ -191,10 +209,12 @@ type Stats struct {
 	CandidatesTried int
 	// CacheHits and CacheMisses report the fingerprint-keyed candidate
 	// cache: a hit serves a node's raw candidate list without re-enumerating
-	// it. Entries are keyed by (node, used-set fingerprint), so they survive
-	// backtracking — revisiting a previously seen used-row state hits the
-	// cache (MinChoice probes every uncolored node before picking one, so
-	// the chosen node's candidates are typically served from cache too).
+	// it. Entries are keyed by the node and the fingerprint of the used rows
+	// in its pool, so they survive assignments elsewhere and backtracking —
+	// a node is re-enumerated only when the used rows in its pool reach a
+	// state not seen before (MinChoice probes every uncolored node before
+	// picking one, so the chosen node's candidates are typically served
+	// from cache too).
 	CacheHits   int
 	CacheMisses int
 	// NogoodsLearned, NogoodHits, Backjumps and MaxBackjump report the
@@ -360,6 +380,7 @@ func (g *Graph) newState(opts Options) state {
 		used:       rowset.New(g.rel.Len()),
 		active:     make(map[uint64]*activeCluster),
 		preserve:   make([]int, len(g.Nodes)),
+		poolFp:     make([]uint64, len(g.Nodes)),
 		candCache:  make(map[candKey]cluster.Windows, 4*len(g.Nodes)),
 		passAt:     make([][]int, len(g.Nodes)+1),
 		blockCount: make([]int, len(g.Nodes)),
@@ -424,8 +445,13 @@ type state struct {
 	nColored int
 	// used is the bitset of rows claimed by the active clusters. Its Zobrist
 	// fingerprint is maintained incrementally across assign/unassign and
-	// keys the candidate cache.
+	// seeds Basic's node choice.
 	used *rowset.Set
+	// poolFp[j] is the Zobrist fingerprint of used ∩ pools[j], the part of
+	// the used-row set node j's enumeration reads; assign and unassign XOR
+	// in the rows of every cluster they (de)activate that lie in the pool.
+	// It keys node j's candidate cache.
+	poolFp []uint64
 	// active maps a cluster fingerprint to the active cluster it identifies
 	// (several nodes may share an identical cluster).
 	active map[uint64]*activeCluster
@@ -433,12 +459,13 @@ type state struct {
 	// preserved by the distinct active clusters.
 	preserve []int
 	// candCache memoizes raw candidate enumerations, as windows, keyed by
-	// (node, used-set fingerprint). Enumeration is a pure function of the
-	// node and the used-row set, so entries stay valid across backtracking:
-	// MinChoice probes every uncolored node before picking one, and
-	// unwinding to a previously explored used-state serves enumerations
-	// without redoing them. The cache is cleared wholesale if it ever
-	// exceeds maxCandCacheEntries.
+	// the node and its poolFp entry. Enumeration reads the used-row set
+	// only through the node's pool rows, so it is a pure function of the
+	// node and used ∩ pool: an entry stays valid while assignments claim
+	// rows outside the pool, and across backtracking. MinChoice probes every
+	// uncolored node before picking one, and an assignment re-enumerates
+	// only the nodes whose pools it touches. The cache is cleared wholesale
+	// if it ever exceeds maxCandCacheEntries.
 	candCache map[candKey]cluster.Windows
 	// passAt reuses one buffer per visit depth for the indexes of the
 	// enumerated candidates that pass the upper-bound check.
@@ -485,7 +512,7 @@ type state struct {
 }
 
 // candKey identifies one cached enumeration: the node and the fingerprint
-// of the used-row set it was enumerated against.
+// of the used rows in its pool it was enumerated against.
 type candKey struct {
 	node int
 	fp   uint64
@@ -519,11 +546,11 @@ func (st *state) canceled() bool {
 }
 
 // rawCandidates returns node v's candidate enumeration against the current
-// used-row set, served from the fingerprint-keyed cache when possible. The
-// windows are private to this search: a portfolio worker never reads
-// another's.
+// used-row set, served from the cache when v was enumerated before against
+// the same used rows in its pool. The windows are private to this search:
+// a portfolio worker never reads another's.
 func (st *state) rawCandidates(v int) cluster.Windows {
-	key := candKey{node: v, fp: st.used.Fingerprint()}
+	key := candKey{node: v, fp: st.poolFp[v]}
 	if w, ok := st.candCache[key]; ok {
 		st.stats.CacheHits++
 		if st.opts.Tracer != nil {
@@ -1047,6 +1074,7 @@ func (st *state) assign(v int, cand cluster.Clustering) {
 		st.used.AddSlice(c) // incremental fingerprint update
 		for j, node := range st.g.Nodes {
 			st.preserve[j] += preservedIn(st.g.rel, node.Bound, c)
+			st.poolFp[j] ^= st.g.pools[j].FingerprintIn(c)
 		}
 	}
 }
@@ -1070,6 +1098,7 @@ func (st *state) unassign(v int, cand cluster.Clustering) {
 		st.used.RemoveSlice(c)
 		for j, node := range st.g.Nodes {
 			st.preserve[j] -= preservedIn(st.g.rel, node.Bound, c)
+			st.poolFp[j] ^= st.g.pools[j].FingerprintIn(c)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestFlightEntryJSONRoundTrip(t *testing.T) {
 		{Seq: 1, At: time.Millisecond, Event: Event{Kind: KindPhaseStart, Phase: PhaseColor}},
 		{Seq: 2, At: 2 * time.Millisecond, Event: Event{
 			Kind: KindExhausted, Node: 3, N: 4, Depth: 2,
-			Enumerated: 7, RejectedOverlap: 1, RejectedUpper: 2, Blocker: 5,
+			Enumerated: 7, RejectedUpper: 2, Blocker: 5,
 		}},
 		{Seq: 3, At: 3 * time.Millisecond, Event: Event{
 			Kind: KindProgress, Steps: 100, Backtracks: 9, Candidates: 42,
@@ -126,7 +126,7 @@ func TestFlightEntryJSONRoundTrip(t *testing.T) {
 	// The exact bytes are part of the flight, SSE and ledger formats: key
 	// order, omitted zero fields and the always-present node/n/depth/worker.
 	const want = `[{"seq":1,"at_ns":1000000,"kind":"phase-start","phase":"color","node":0,"n":0,"depth":0,"worker":0},` +
-		`{"seq":2,"at_ns":2000000,"kind":"exhausted","node":3,"n":4,"depth":2,"worker":0,"enumerated":7,"rejected_overlap":1,"rejected_upper":2,"blocker":5},` +
+		`{"seq":2,"at_ns":2000000,"kind":"exhausted","node":3,"n":4,"depth":2,"worker":0,"enumerated":7,"rejected_upper":2,"blocker":5},` +
 		`{"seq":3,"at_ns":3000000,"kind":"progress","node":0,"n":0,"depth":8,"worker":-1,"steps":100,"backtracks":9,"candidates":42,"cache_hits":5,"cache_misses":6,"nogoods":2,"nogood_hits":3,"backjumps":1,"max_backjump":4},` +
 		`{"seq":4,"at_ns":4000000,"kind":"nogood","node":2,"n":0,"depth":5,"worker":0,"members":3},` +
 		`{"seq":5,"at_ns":5000000,"kind":"run-end","elapsed_ns":1000000000,"node":0,"n":0,"depth":0,"worker":0,"label":"error",` +

@@ -83,8 +83,8 @@ const (
 	// by the consistency check or descended into and backtracked out of, so
 	// the search retreats past this visit. Event.N counts candidates
 	// descended into, Event.Enumerated the candidates considered (raw
-	// enumeration plus shared clusters), Event.RejectedOverlap and
-	// Event.RejectedUpper the consistency-check rejections by reason, and
+	// enumeration plus shared clusters), Event.RejectedUpper the
+	// consistency-check rejections (all upper-bound violations), and
 	// Event.Blocker the node whose upper bound rejected the most candidates
 	// (−1 when none). Enumerated == 0 is true candidate exhaustion — the
 	// enumerator found nothing against the current used-row set — whereas
@@ -260,14 +260,13 @@ type Event struct {
 	// hierarchical search tree from the flat event stream.
 	Span   uint64 `json:"span,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
-	// Enumerated, RejectedOverlap, RejectedUpper and Blocker describe a
-	// KindExhausted visit: candidates considered, consistency-check
-	// rejections by reason, and the node whose upper bound rejected the most
-	// candidates (−1 when no upper-bound rejection occurred).
-	Enumerated      int `json:"enumerated,omitempty"`
-	RejectedOverlap int `json:"rejected_overlap,omitempty"`
-	RejectedUpper   int `json:"rejected_upper,omitempty"`
-	Blocker         int `json:"blocker,omitempty"`
+	// Enumerated, RejectedUpper and Blocker describe a KindExhausted visit:
+	// candidates considered, upper-bound rejections, and the node whose
+	// upper bound rejected the most candidates (−1 when no upper-bound
+	// rejection occurred).
+	Enumerated    int `json:"enumerated,omitempty"`
+	RejectedUpper int `json:"rejected_upper,omitempty"`
+	Blocker       int `json:"blocker,omitempty"`
 	// Members is the size of a learned conflict set, set for live KindNogood
 	// events (0 on batched replays).
 	Members int `json:"members,omitempty"`

@@ -1,8 +1,10 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 
 	"diva/internal/constraint"
@@ -259,6 +261,72 @@ func DenseConflictInstance(rng *rand.Rand, id, rows int) Instance {
 			0, 0))
 	}
 	return inst
+}
+
+// DenseCensusSigma builds the dense-conflict Σ over a census sample (see
+// dataset.Census) at privacy parameter k: an infeasible three-constraint
+// core — REGION[r] capped at 2k−2 preserved occurrences while (REGION[r],
+// SEX[Male]) and (REGION[r], SEX[Female]) each demand a cluster of ≥ k, so
+// any coloring preserving both clusters puts ≥ 2k visible REGION[r] cells
+// over the cap — padded with up to padders cluster-forcing EDUCATION
+// constraints whose pools miss the core's conflict. The core's pools
+// overlap pairwise, so cf(Σ) is high, and chronological search can prove
+// the instance infeasible only by exhausting the padders' candidate
+// products. ok is false when no REGION value has more than k rows of each
+// sex.
+func DenseCensusSigma(rel *relation.Relation, k, padders int) (sigma constraint.Set, ok bool) {
+	occ := func(c constraint.Constraint) int {
+		b, err := c.Bound(rel)
+		if err != nil {
+			return 0
+		}
+		return b.CountIn(rel)
+	}
+	for _, r := range valuesWithSupport(rel, "REGION", 3*k-2, 6*k) {
+		male := constraint.NewMulti([]string{"REGION", "SEX"}, []string{r, "Male"}, k, rel.Len())
+		female := constraint.NewMulti([]string{"REGION", "SEX"}, []string{r, "Female"}, k, rel.Len())
+		if occ(male) > k && occ(female) > k {
+			sigma, ok = constraint.Set{constraint.New("REGION", r, 0, 2*k-2), male, female}, true
+			break
+		}
+	}
+	if !ok {
+		return nil, false
+	}
+	pads := valuesWithSupport(rel, "EDUCATION", k+1, 8*k)
+	for _, e := range pads[:min(len(pads), padders)] {
+		c := constraint.New("EDUCATION", e, 0, 0)
+		c.Lower, c.Upper = k, occ(c)
+		sigma = append(sigma, c)
+	}
+	return sigma, true
+}
+
+// valuesWithSupport lists attr's values occurring between lo and hi times,
+// most frequent first, ties by value.
+func valuesWithSupport(rel *relation.Relation, attr string, lo, hi int) []string {
+	idx, ok := rel.Schema().Index(attr)
+	if !ok {
+		return nil
+	}
+	type vf struct {
+		v string
+		n int
+	}
+	var vs []vf
+	for code, n := range rel.ValueFrequencies(idx) {
+		if code != relation.StarCode && n >= lo && n <= hi {
+			vs = append(vs, vf{rel.Dict(idx).Value(code), n})
+		}
+	}
+	slices.SortFunc(vs, func(x, y vf) int {
+		return cmp.Or(cmp.Compare(y.n, x.n), cmp.Compare(x.v, y.v))
+	})
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.v
+	}
+	return out
 }
 
 // bindingPool returns c's QI-side target pool when c is binding: searchable

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"diva/internal/constraint"
+	"diva/internal/dataset"
 	"diva/internal/privacy"
 	"diva/internal/relation"
 )
@@ -204,5 +205,33 @@ func TestValidateOutputCollectsAllViolations(t *testing.T) {
 	}
 	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "6 invariant violation(s)") {
 		t.Fatalf("Err() = %v, want a 6-violation summary", err)
+	}
+}
+
+// TestDenseCensusSigmaShape checks the dense-conflict Σ's shape: the
+// REGION core's bounds, the padders' cluster-forcing bounds and the padder
+// budget, and that a relation without the census attributes yields none.
+func TestDenseCensusSigmaShape(t *testing.T) {
+	const k = 10
+	var sigma constraint.Set
+	for seed := uint64(1); sigma == nil; seed++ {
+		if seed > 50 {
+			t.Fatal("no census sample of 400 rows has a REGION core")
+		}
+		sigma, _ = DenseCensusSigma(dataset.CensusSized(400).Generate(400, seed), k, 2)
+	}
+	if len(sigma) < 3 || len(sigma) > 5 {
+		t.Fatalf("|Σ| = %d, want the 3-constraint core plus at most 2 padders", len(sigma))
+	}
+	if c := sigma[0]; c.Lower != 0 || c.Upper != 2*k-2 {
+		t.Errorf("REGION cap %v, want bounds [0, %d]", c, 2*k-2)
+	}
+	for _, c := range sigma[1:] {
+		if c.Lower != k || c.Upper < k {
+			t.Errorf("%v does not force a cluster of ≥ %d", c, k)
+		}
+	}
+	if _, ok := DenseCensusSigma(demoRel([3]string{"M", "Vancouver", "flu"}), k, 2); ok {
+		t.Error("a relation without REGION yielded a dense Σ")
 	}
 }
