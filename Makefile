@@ -8,7 +8,7 @@ GO ?= go
 BENCH_OLD ?= /tmp/bench_old.txt
 BENCH_NEW ?= /tmp/bench_new.txt
 
-.PHONY: all build fmt-check vet test race bench-check bench bench-color bench-rest bench-store bench-compare bench-baseline baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke nogood-smoke verify fuzz-smoke ci
+.PHONY: all build fmt-check vet test race bench-check bench bench-color bench-rest bench-store bench-compare baseline-smoke shard-smoke obs-smoke live-smoke profile-smoke history-smoke dense-smoke verify fuzz-smoke ci
 
 # Minimum statement coverage for the verification subsystem itself — the
 # checker that everything else leans on must stay tested.
@@ -91,15 +91,6 @@ bench-compare:
 	@command -v benchstat >/dev/null 2>&1 || { \
 		echo "benchstat not found; install golang.org/x/perf/cmd/benchstat"; exit 1; }
 	benchstat $(BENCH_OLD) $(BENCH_NEW)
-
-# bench-baseline regenerates BENCH_baseline.json: the baseline-partitioner
-# comparison (parallel/sequential Mondrian, k-member on the signature index)
-# at scale 0.5 on the census profile, every output gated through the
-# invariant checker. The checker's R ⊑ R′ matching dominates the wall time
-# (about 9 minutes on 2 vCPUs). Commit the refreshed snapshot when
-# baseline-phase performance changes.
-bench-baseline:
-	$(GO) run ./cmd/divabench -exp baseline -scale 0.5 -bench-out BENCH_baseline.json
 
 # baseline-smoke runs cmd/diva end to end at scale 0.05 under -verify with
 # both the sequential and the parallel default partitioner settings, and
@@ -274,7 +265,7 @@ live-smoke:
 	curl -sf "http://$$addr/debug/diva/runs" >$$tmp/runs.json || { \
 		echo "live-smoke: /debug/diva/runs unavailable"; exit 1; }; \
 	steps=$$(awk '/"id": 1,/ { f = 1 } f && /"steps":/ { gsub(/[^0-9]/, ""); print; exit }' $$tmp/runs.json); \
-	row=$$(awk '$$1 == 1 { print $$4, $$8 }' $$tmp/top.txt); \
+	row=$$(awk '$$1 == 1 { print $$4, $$7 }' $$tmp/top.txt); \
 	if [ -z "$$steps" ] || [ "$$row" != "$$steps ok" ]; then \
 		echo "live-smoke: divatop's run 1 row reads \"$$row\", want \"$$steps ok\" (steps from /debug/diva/runs):"; \
 		cat $$tmp/top.txt $$tmp/runs.json; exit 1; fi; \
@@ -390,46 +381,39 @@ history-smoke:
 		cat $$tmp/gate-bench.txt; exit 1; }; \
 	echo "history-smoke: ok (2 ledgered runs, diff noise-clean, gate trips on inflated color phase, baseline-only run ledgered, bench snapshot gates clean)"
 
-# nogood-smoke exercises conflict-driven nogood learning at the CLI level: a
-# dense-conflict census fixture (testdata/census-dense.sigma — four
-# overlapping cluster-forcing constraints at the densest satisfiable k) run
-# twice with -nogoods -verify -explain. The explainer must cite the learned
-# nogoods, -verify must accept the published relation, and the two
-# invocations must be byte-identical on stdout AND on stderr modulo wall
-# times — learning keyed on assignment fingerprints may not perturb replay
-# determinism.
-nogood-smoke:
+# dense-smoke runs the CLI on a dense-conflict census fixture
+# (testdata/census-dense.sigma — four overlapping cluster-forcing
+# constraints at the densest satisfiable k) twice with -verify -explain.
+# -verify must accept the published relation, and the two invocations must
+# be byte-identical on stdout AND on stderr modulo wall times: the
+# backtracking search over mutually blocking constraints must replay
+# deterministically.
+dense-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/diva ./cmd/diva; \
 	$(GO) build -o $$tmp/datagen ./cmd/datagen; \
 	$$tmp/datagen -profile census -rows 200 -seed 7 >$$tmp/census.csv; \
 	$$tmp/diva -in $$tmp/census.csv -constraints testdata/census-dense.sigma \
-		-k 39 -seed 7 -nogoods -verify -explain \
+		-k 39 -seed 7 -verify -explain \
 		>$$tmp/run1.csv 2>$$tmp/run1.log \
-		|| { echo "nogood-smoke: learning run failed"; cat $$tmp/run1.log; exit 1; }; \
+		|| { echo "dense-smoke: run failed"; cat $$tmp/run1.log; exit 1; }; \
 	$$tmp/diva -in $$tmp/census.csv -constraints testdata/census-dense.sigma \
-		-k 39 -seed 7 -nogoods -verify -explain \
+		-k 39 -seed 7 -verify -explain \
 		>$$tmp/run2.csv 2>$$tmp/run2.log \
-		|| { echo "nogood-smoke: learning rerun failed"; cat $$tmp/run2.log; exit 1; }; \
-	grep -q 'learned nogoods' $$tmp/run1.log || { \
-		echo "nogood-smoke: explain output does not cite learned nogoods:"; \
-		cat $$tmp/run1.log; exit 1; }; \
-	grep -Eq 'learning: [1-9][0-9]* learned nogoods' $$tmp/run1.log || { \
-		echo "nogood-smoke: learner recorded zero nogoods on the dense fixture:"; \
-		cat $$tmp/run1.log; exit 1; }; \
+		|| { echo "dense-smoke: rerun failed"; cat $$tmp/run2.log; exit 1; }; \
 	grep -q 'verify ok' $$tmp/run1.log || { \
-		echo "nogood-smoke: -verify did not accept the learning run's output:"; \
+		echo "dense-smoke: -verify did not accept the run's output:"; \
 		cat $$tmp/run1.log; exit 1; }; \
 	cmp -s $$tmp/run1.csv $$tmp/run2.csv || { \
-		echo "nogood-smoke: learning runs published different relations"; exit 1; }; \
+		echo "dense-smoke: runs published different relations"; exit 1; }; \
 	sed 's/ wall=[^ ]*//' $$tmp/run1.log >$$tmp/run1.norm; \
 	sed 's/ wall=[^ ]*//' $$tmp/run2.log >$$tmp/run2.norm; \
 	cmp -s $$tmp/run1.norm $$tmp/run2.norm || { \
-		echo "nogood-smoke: learning runs diverged on stderr (explain/stats)"; \
+		echo "dense-smoke: runs diverged on stderr (explain)"; \
 		diff $$tmp/run1.log $$tmp/run2.log || true; exit 1; }; \
-	[ -s $$tmp/run1.csv ] || { echo "nogood-smoke: empty output"; exit 1; }; \
-	echo "nogood-smoke: ok (nogoods cited in explain, -verify clean, both invocations byte-identical)"
+	[ -s $$tmp/run1.csv ] || { echo "dense-smoke: empty output"; exit 1; }; \
+	echo "dense-smoke: ok (-verify clean, both invocations byte-identical)"
 
 # verify runs the differential-verification subsystem as its own gate: the
 # invariant checker and brute-force oracle unit tests, the differential and
@@ -457,4 +441,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVLoaderMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/relation/
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolsAndCounts$$' -fuzztime $(FUZZTIME) ./internal/constraint/
 
-ci: fmt-check vet build test race bench-check verify obs-smoke live-smoke profile-smoke baseline-smoke shard-smoke history-smoke nogood-smoke
+ci: fmt-check vet build test race bench-check verify obs-smoke live-smoke profile-smoke baseline-smoke shard-smoke history-smoke dense-smoke

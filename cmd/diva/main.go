@@ -7,16 +7,7 @@
 //	     [-seed 1] [-baseline mondrian] [-parallelism 4] [-verify] [-stats]
 //	     [-timeout 30s] [-trace] [-metrics] [-profile out.json] [-explain]
 //	     [-listen 127.0.0.1:9090] [-hold 30s] [-log-format text|json]
-//	     [-history-dir .diva-history] [-nogoods]
-//
-// -nogoods enables conflict-driven nogood learning in the coloring search:
-// exhausted nodes become learned conflict sets, the search backjumps to the
-// deepest assignment actually involved in the conflict, and previously
-// refuted partial colorings are pruned without re-exploration. The verdict
-// and ★ accounting match the chronological search; on dense-conflict
-// constraint sets the search visits far fewer nodes. Learned-nogood and
-// backjump counters appear in -stats, -metrics, -explain, the profile, and
-// the history ledger.
+//	     [-history-dir .diva-history]
 //
 // -history-dir appends one self-describing record per run — config and
 // dataset fingerprints, outcome, per-phase wall times — to the durable run
@@ -95,7 +86,6 @@ func main() {
 		stats       = flag.Bool("stats", false, "print metrics to stderr")
 		ldiv        = flag.Int("ldiversity", 0, "additionally require distinct l-diversity with this l (0 = off)")
 		parallel    = flag.Int("parallel", 0, "run this many concurrent coloring searches (0 = sequential)")
-		nogoods     = flag.Bool("nogoods", false, "learn nogoods from exhausted search nodes and backjump over assignments outside the conflict set (same verdicts, fewer visits on dense-conflict Σ)")
 		shards      = flag.Int("shards", 0, "component-wise engine: decompose constraints into independent components colored concurrently (0 = off, -1 = auto, any value ≥ 2 = on)")
 		reportFmt   = flag.String("report", "", "write a run report to stderr: text, markdown or json")
 		timeout     = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
@@ -200,7 +190,6 @@ func main() {
 		Baseline:    bl,
 		LDiversity:  *ldiv,
 		Parallel:    *parallel,
-		Nogoods:     *nogoods,
 		Shards:      *shards,
 		Parallelism: *parallelism,
 		Hierarchies: hs,
@@ -278,10 +267,6 @@ func main() {
 	if *stats {
 		fmt.Fprintf(os.Stderr, "coloring: %d steps, %d backtracks; integrate repaired %d cells\n",
 			res.Stats.Steps, res.Stats.Backtracks, res.RepairedCells)
-		if *nogoods {
-			fmt.Fprintf(os.Stderr, "learning: %d nogoods learned, %d hits, %d backjumps (max %d levels)\n",
-				res.Stats.NogoodsLearned, res.Stats.NogoodHits, res.Stats.Backjumps, res.Stats.MaxBackjump)
-		}
 		fmt.Fprintln(os.Stderr, metrics.Summarize(out, *k))
 	}
 	if *reportFmt != "" {

@@ -1,7 +1,7 @@
 // Command divatop is a terminal follower for live DIVA runs: it polls an ops
 // server's run registry (/debug/diva/runs) and renders one line per run —
-// current phase, coloring depth, search steps, backtracks, learned nogoods,
-// heartbeats, state — updating in place like top(1). Every column is a
+// current phase, coloring depth, search steps, backtracks, heartbeats,
+// state — updating in place like top(1). Every column is a
 // field of the server's obs.RunInfo; divatop keeps no run state of its own.
 //
 // Usage:
@@ -112,15 +112,15 @@ func poll(url string, id uint64) ([]obs.RunInfo, error) {
 // run is live.
 func render(runs []obs.RunInfo) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-5s %-10s %6s %9s %9s %8s %5s %-9s %s\n",
-		"RUN", "PHASE", "DEPTH", "STEPS", "BKTRACKS", "NOGOODS", "HB", "STATE", "ELAPSED")
+	fmt.Fprintf(&sb, "%-5s %-10s %6s %9s %9s %5s %-9s %s\n",
+		"RUN", "PHASE", "DEPTH", "STEPS", "BKTRACKS", "HB", "STATE", "ELAPSED")
 	for _, r := range runs {
 		elapsed := ""
 		if r.State != obs.StateRunning {
 			elapsed = r.Elapsed.Round(time.Millisecond).String()
 		}
-		fmt.Fprintf(&sb, "%-5d %-10s %6d %9d %9d %8d %5d %-9s %s\n",
-			r.ID, r.Phase, r.Depth, r.Steps, r.Backtracks, r.Nogoods, r.Heartbeats, r.State, elapsed)
+		fmt.Fprintf(&sb, "%-5d %-10s %6d %9d %9d %5d %-9s %s\n",
+			r.ID, r.Phase, r.Depth, r.Steps, r.Backtracks, r.Heartbeats, r.State, elapsed)
 	}
 	return sb.String()
 }

@@ -25,13 +25,13 @@ func TestOnceRendersRegistry(t *testing.T) {
 	run1, run2 := reg.Begin(), reg.Begin()
 	defer run2.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok"})
 	run2.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
-	run2.Trace(trace.Event{Kind: trace.KindProgress, Steps: 1234, Depth: 9, Backtracks: 3, Nogoods: 2, Worker: -1})
+	run2.Trace(trace.Event{Kind: trace.KindProgress, Steps: 1234, Depth: 9, Backtracks: 3, Worker: -1})
 	run1.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseBind})
 	run1.Trace(trace.Event{Kind: trace.KindProgress, Steps: 9000, Backtracks: 800, Worker: 1})
 	// The run-end metrics are authoritative over a portfolio loser's larger
 	// heartbeat counts.
 	run1.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: 42 * time.Millisecond,
-		Metrics: &trace.RunMetrics{Total: 42 * time.Millisecond, Steps: 4321, Backtracks: 765, NogoodsLearned: 17}})
+		Metrics: &trace.RunMetrics{Total: 42 * time.Millisecond, Steps: 4321, Backtracks: 765}})
 	srv, addr := serve(t, obs.NewMux(obs.Metrics, reg))
 	defer srv.Close()
 
@@ -47,10 +47,10 @@ func TestOnceRendersRegistry(t *testing.T) {
 		t.Fatalf("missing header: %q", lines[0])
 	}
 	// Runs render in ID order: run 1 (finished) before run 2 (live).
-	if f := strings.Fields(lines[1]); len(f) != 9 || f[3] != "4321" || f[4] != "765" || f[5] != "17" || f[7] != "ok" || f[8] != "42ms" {
-		t.Fatalf("run 1 line = %q, want 4321 steps, 765 backtracks, 17 nogoods, outcome ok, elapsed 42ms", lines[1])
+	if f := strings.Fields(lines[1]); len(f) != 8 || f[3] != "4321" || f[4] != "765" || f[6] != "ok" || f[7] != "42ms" {
+		t.Fatalf("run 1 line = %q, want 4321 steps, 765 backtracks, outcome ok, elapsed 42ms", lines[1])
 	}
-	if f := strings.Fields(lines[2]); len(f) != 8 || f[1] != "color" || f[3] != "1234" || f[7] != "running" {
+	if f := strings.Fields(lines[2]); len(f) != 7 || f[1] != "color" || f[3] != "1234" || f[6] != "running" {
 		t.Fatalf("run 2 line = %q, want phase color, 1234 steps, running, no elapsed", lines[2])
 	}
 }
@@ -82,7 +82,7 @@ func TestFollowerEndsWhenServerGoes(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("follower after a successful poll: %v", err)
 	}
-	if f := strings.Fields(strings.Split(out.String(), "\n")[1]); len(f) != 8 || f[3] != "55" || f[7] != "running" {
+	if f := strings.Fields(strings.Split(out.String(), "\n")[1]); len(f) != 7 || f[3] != "55" || f[6] != "running" {
 		t.Fatalf("last snapshot = %q, want the live run with 55 steps", out.String())
 	}
 

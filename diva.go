@@ -198,15 +198,6 @@ const (
 	// size, Depth its constraint count). Emitted sequentially by the
 	// coordinator; see Options.Shards.
 	KindShard = trace.KindShard
-	// KindNogood reports one learned nogood (Options.Nogoods): Node is the
-	// node whose visit exhausted, Members the conflict-set size, Depth the
-	// coloring depth. Replayed as batched per-node counts (N) after
-	// portfolio and sharded searches.
-	KindNogood = trace.KindNogood
-	// KindBackjump reports one conflict-directed backjump: Node is the
-	// landing node, Skipped the levels jumped over (each still emits its
-	// KindBacktrack), Depth the coloring depth at the landing.
-	KindBackjump = trace.KindBackjump
 	// KindRunEnd is every run's last event: Metrics carries Result.Metrics,
 	// Label the outcome (RunOutcome), Elapsed the wall time and Err a failed
 	// run's error text.
@@ -439,15 +430,6 @@ type Options struct {
 	// Parallel, when > 0, runs that many concurrent coloring searches (a
 	// strategy portfolio) and takes the first result.
 	Parallel int
-	// Nogoods enables conflict-driven nogood learning in the coloring
-	// search: exhausted nodes become learned conflict sets, the search
-	// backjumps to the deepest assignment actually in the conflict, and
-	// previously refuted partial colorings are pruned in O(1). Verdicts and
-	// ★ accounting match the chronological search (enforced by the
-	// differential suite in internal/verify); search effort on
-	// dense-conflict Σ drops. Portfolio workers share one store; sharded
-	// runs learn per component.
-	Nogoods bool
 	// Shards enables the component-wise engine for large relations: the
 	// constraint set is decomposed into independent connected components
 	// colored concurrently, Parallelism bounding the fan-out. The remaining
@@ -549,7 +531,6 @@ func AnonymizeContext(ctx context.Context, rel *Relation, sigma Constraints, opt
 		Parallelism: opts.Parallelism,
 		Criterion:   crit,
 		Parallel:    opts.Parallel,
-		Nogoods:     opts.Nogoods,
 		Shards:      opts.Shards,
 		Hierarchies: opts.Hierarchies,
 		Tracer:      opts.Tracer,

@@ -219,10 +219,8 @@ func Experiments() []Experiment {
 		{ID: "fig5b", Title: "Runtime vs k (Credit)", Run: Fig5b},
 		{ID: "fig5c", Title: "Accuracy vs |R| (Census)", Run: Fig5c},
 		{ID: "fig5d", Title: "Runtime vs |R| (Census)", Run: Fig5d},
-		{ID: "baseline", Title: "Baseline partitioner comparison", Run: BaselineBench},
 		{ID: "ablation-cap", Title: "DIVA vs candidate budget", Run: AblationCandidateCap},
 		{ID: "ablation-parallel", Title: "Sequential vs portfolio coloring", Run: AblationParallel},
-		{ID: "nogood", Title: "Nogood learning vs chronological backtracking", Run: NogoodBench},
 	}
 }
 

@@ -36,9 +36,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	wantIDs := []string{
 		"table4", "table5", "fig4a", "fig4b", "fig4c", "fig4d",
 		"fig5a", "fig5b", "fig5c", "fig5d",
-		"baseline",
 		"ablation-cap", "ablation-parallel",
-		"nogood",
 	}
 	if len(exps) != len(wantIDs) {
 		t.Fatalf("%d experiments", len(exps))
@@ -175,26 +173,6 @@ func TestTable4Profiles(t *testing.T) {
 	for _, row := range table.Rows {
 		if row.Values[0] != wantRows[row.X] {
 			t.Errorf("%s |R| = %v, want %v", row.X, row.Values[0], wantRows[row.X])
-		}
-	}
-}
-
-func TestBaselineBenchSmoke(t *testing.T) {
-	table, err := BaselineBench(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != len(baselineSizes) {
-		t.Fatalf("%d rows", len(table.Rows))
-	}
-	for _, row := range table.Rows {
-		if len(row.Values) != 3 {
-			t.Fatalf("row %s has %d values", row.X, len(row.Values))
-		}
-		for i, v := range row.Values {
-			if v < 0 {
-				t.Errorf("negative runtime %v for %s", v, table.Columns[i])
-			}
 		}
 	}
 }

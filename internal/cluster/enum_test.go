@@ -191,7 +191,7 @@ func TestEnumeratorMatchesReference(t *testing.T) {
 }
 
 // TestEnumeratorTargetSet pins the enumerator's pool and its match-flag
-// target set — what BuildGraph and the learning path read instead of
+// target set — what BuildGraph and the search read instead of
 // rescanning the relation — to the bound's own TargetQIRows and TargetSet,
 // for random bounds including mixed, sensitive-only and unseen targets.
 func TestEnumeratorTargetSet(t *testing.T) {
@@ -217,8 +217,8 @@ var raceEnabled bool
 
 // TestCandidatesAllocateExactlyTheResult pins the enumeration's allocation
 // contract: once a warm-up call has filled the pooled scratch, a Candidates
-// call allocates windowSizes' size list and the three exactly sized arrays
-// of its result (rows, cluster headers, clusterings), and every cluster is
+// call allocates only the three exactly sized arrays of its result (rows,
+// cluster headers, clusterings), and every cluster is
 // capped at its length. No pooled buffer is reachable from a result: a
 // later call over other rows leaves it intact, and overwriting it leaves
 // the next call equal to the reference. The cases cover pairwise
@@ -256,8 +256,8 @@ func TestCandidatesAllocateExactlyTheResult(t *testing.T) {
 			t.Fatalf("crit=%v: %d candidates, %d pairwise; the case no longer exercises compositions", crit, len(got), pairs)
 		}
 		if crit == nil && !raceEnabled {
-			if avg := testing.AllocsPerRun(20, func() { e.Candidates(nil, nil) }); avg > 4 {
-				t.Errorf("crit=%v: Candidates allocates %.0f times per call, want at most 4", crit, avg)
+			if avg := testing.AllocsPerRun(20, func() { e.Candidates(nil, nil) }); avg > 3 {
+				t.Errorf("crit=%v: Candidates allocates %.0f times per call, want at most 3", crit, avg)
 			}
 		}
 		e.Candidates(nil, nil)

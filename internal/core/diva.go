@@ -109,16 +109,6 @@ type Options struct {
 	// ignore Parallel: the portfolio races whole searches, whereas the
 	// decomposition splits one search into independent components.
 	Shards int
-	// Nogoods enables conflict-driven learning in the coloring search: every
-	// exhausted node contributes a learned nogood (derived from blocker
-	// attribution), the search backjumps to the deepest assignment in the
-	// conflict set, and learned nogoods prune previously refuted partial
-	// colorings. Portfolio workers (Parallel) share one store, exchanging
-	// conflict proofs across strategies; sharded runs learn per component.
-	// Verdicts and ★ accounting are unchanged by learning (DESIGN.md §13 and
-	// the internal/verify differential suite); what changes is search effort
-	// on dense-conflict Σ.
-	Nogoods bool
 	// Hierarchies, when non-nil, renders clusters by generalization
 	// instead of suppression: a QI attribute a cluster disagrees on lifts
 	// to the least common ancestor of its values (★ only when no finer
@@ -417,10 +407,6 @@ func (e *runEnv) runMetrics(runID uint64, total time.Duration, out *relation.Rel
 		CandidatesTried:      s.CandidatesTried,
 		CandidateCacheHits:   s.CacheHits,
 		CandidateCacheMisses: s.CacheMisses,
-		NogoodsLearned:       s.NogoodsLearned,
-		NogoodHits:           s.NogoodHits,
-		Backjumps:            s.Backjumps,
-		MaxBackjump:          s.MaxBackjump,
 		SigmaComponents:      e.components,
 		PortfolioWorkers:     e.opts.Parallel,
 		WinnerWorker:         s.WinnerWorker,
@@ -478,9 +464,6 @@ func (e *runEnv) colorJoint(ctx context.Context, graph *search.Graph) (cluster.C
 		Ctx:      ctx,
 		Tracer:   e.tr,
 		Accept:   e.acceptRest,
-	}
-	if opts.Nogoods {
-		searchOpts.Nogoods = search.NewNogoodStore(search.DefaultNogoodCapacity)
 	}
 	var sigmaClustering cluster.Clustering
 	var found bool

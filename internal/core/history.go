@@ -23,7 +23,6 @@ func historyConfig(sigma constraint.Set, opts Options) history.Config {
 		Parallelism: opts.Parallelism,
 		Parallel:    opts.Parallel,
 		MaxSteps:    opts.MaxSteps,
-		Nogoods:     opts.Nogoods,
 		Constraints: len(sigma),
 		SigmaHash:   history.FingerprintConstraints(sigma),
 	}

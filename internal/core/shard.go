@@ -77,20 +77,13 @@ func (e *runEnv) colorComponents(ctx context.Context, comps []constraint.Compone
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			sopts := search.Options{
+			clusterings[ci], compStats[ci], found[ci] = graphs[ci].Color(search.Options{
 				Strategy: opts.Strategy,
 				Rng:      rand.New(rand.NewPCG(seeds[ci], seeds[ci]^0x6c62272e07bb0142)),
 				MaxSteps: opts.MaxSteps,
 				Ctx:      ctx,
 				Tracer:   wtr,
-			}
-			if opts.Nogoods {
-				// Per-component store: node indexes and fingerprints are
-				// component-local, so sharing across components would only
-				// produce dead buckets.
-				sopts.Nogoods = search.NewNogoodStore(search.DefaultNogoodCapacity)
-			}
-			clusterings[ci], compStats[ci], found[ci] = graphs[ci].Color(sopts)
+			})
 		}()
 	}
 	wg.Wait()

@@ -74,9 +74,11 @@ type Config struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	Parallel    int `json:"parallel,omitempty"`
 	MaxSteps    int `json:"max_steps,omitempty"`
-	// Nogoods reports whether conflict-driven nogood learning was on. A
-	// learning run is a different experiment from a chronological one —
-	// verdicts agree but search effort does not, so the hashes must differ.
+	// Nogoods is decode-only: the engine once had an optional
+	// conflict-driven learning search, and only records written by it set
+	// this field. Keys are recomputed on read (Record.Key), so keeping it in
+	// the hash stops such an old record, a different experiment, from
+	// joining the chronological runs in diff and gate. New runs never set it.
 	Nogoods bool `json:"nogoods,omitempty"`
 	// MaxCandidates is the per-constraint candidate budget, zero when it is
 	// the engine default: a different budget enumerates different
@@ -107,8 +109,8 @@ func (c Config) Hash() string {
 		addString(c.SigmaHash).
 		addString(c.Bench)
 	if c.Nogoods {
-		// Folded in only when set so hashes of pre-learning records are
-		// unchanged and cross-run comparison against old ledgers still joins.
+		// Folded in only when set, so chronological records hash as if the
+		// field did not exist.
 		fp.addString("nogoods")
 	}
 	if c.MaxCandidates != 0 {

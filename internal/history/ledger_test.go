@@ -322,3 +322,25 @@ func ids(recs []*Record) []string {
 	}
 	return out
 }
+
+// TestLoadKeepsRecordWithUnknownEventKind: a record whose flight tail holds
+// an event kind this build does not know (one an older build emitted)
+// loads without its tail instead of being skipped.
+func TestLoadKeepsRecordWithUnknownEventKind(t *testing.T) {
+	dir := t.TempDir()
+	line := `{"id":"old-1","run_id":7,"outcome":"infeasible","config":{"k":2},"dataset":{"rows":10},` +
+		`"events":[{"seq":1,"at_ns":1,"kind":"retired-kind","node":0,"n":0,"depth":0,"worker":0}]}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "ledger.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Records) != 1 || got.Skipped != 0 {
+		t.Fatalf("Load: %d records, %d skipped; want 1, 0", len(got.Records), got.Skipped)
+	}
+	if rec := got.Records[0]; rec.ID != "old-1" || rec.RunID != 7 || rec.Outcome != "infeasible" || rec.Config.K != 2 || rec.Events != nil {
+		t.Fatalf("record = %+v, want old-1 (run 7, infeasible, k 2) without events", rec)
+	}
+}

@@ -58,7 +58,19 @@ func loadFile(path string, out *Loaded) error {
 		// A record must at least round-trip and carry an ID; anything else
 		// (torn tail, stray text) is skipped, not fatal — durability of the
 		// prefix is the contract, not integrity of every line.
-		if err := json.Unmarshal(line, rec); err != nil || rec.ID == "" {
+		if err := json.Unmarshal(line, rec); err != nil {
+			// An older build's flight tail may hold event kinds this build
+			// no longer has; keep the run and drop only its tail.
+			rec = &Record{}
+			bare := struct {
+				*Record
+				Events json.RawMessage `json:"events"`
+			}{Record: rec}
+			if json.Unmarshal(line, &bare) != nil {
+				rec.ID = ""
+			}
+		}
+		if rec.ID == "" {
 			out.Skipped++
 			continue
 		}

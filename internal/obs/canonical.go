@@ -51,7 +51,6 @@ func LogRun(rec *history.Record) {
 		slog.Int("parallel", cfg.Parallel),
 		slog.Int("parallelism", cfg.Parallelism),
 		slog.Int("max_steps", cfg.MaxSteps),
-		slog.Bool("nogoods", cfg.Nogoods),
 		slog.Int("constraints", cfg.Constraints),
 		slog.String("sigma_hash", cfg.SigmaHash),
 	}
@@ -77,11 +76,7 @@ func LogRun(rec *history.Record) {
 				slog.Int("backtracks", m.Backtracks),
 				slog.Int("candidates", m.CandidatesTried),
 				slog.Int("cache_hits", m.CandidateCacheHits),
-				slog.Int("cache_misses", m.CandidateCacheMisses),
-				slog.Int("nogoods", m.NogoodsLearned),
-				slog.Int("nogood_hits", m.NogoodHits),
-				slog.Int("backjumps", m.Backjumps),
-				slog.Int("max_backjump", m.MaxBackjump)))
+				slog.Int("cache_misses", m.CandidateCacheMisses)))
 		if m.Accuracy >= 0 {
 			attrs = append(attrs,
 				slog.Int("suppressed_cells", m.SuppressedCells),

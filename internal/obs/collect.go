@@ -40,14 +40,6 @@ var (
 		"Runs that colored Σ component-wise.")
 	mSigmaComponents = Metrics.NewHistogram("diva_sigma_components",
 		"Σ connected components per component-wise run.", ExpBuckets(1, 2, 12))
-	mNogoods = Metrics.NewCounter("diva_nogoods_learned_total",
-		"Learned nogoods recorded by conflict-driven searches across runs.")
-	mNogoodHits = Metrics.NewCounter("diva_nogood_hits_total",
-		"Search visits and candidates pruned by learned nogoods across runs.")
-	mBackjumps = Metrics.NewCounter("diva_backjumps_total",
-		"Conflict-directed backjumps taken by learning searches across runs.")
-	mMaxBackjump = Metrics.NewHistogram("diva_max_backjump_levels",
-		"Deepest single backjump (levels skipped) per learning run.", ExpBuckets(1, 2, 12))
 )
 
 func init() {
@@ -89,14 +81,6 @@ func Collect(m *trace.RunMetrics, outcome string) {
 	if m.Accuracy >= 0 {
 		mSuppressed.Observe(float64(m.SuppressedCells))
 		mAccuracy.Observe(m.Accuracy)
-	}
-	if m.NogoodsLearned > 0 || m.NogoodHits > 0 || m.Backjumps > 0 {
-		mNogoods.Add(int64(m.NogoodsLearned))
-		mNogoodHits.Add(int64(m.NogoodHits))
-		mBackjumps.Add(int64(m.Backjumps))
-		if m.MaxBackjump > 0 {
-			mMaxBackjump.Observe(float64(m.MaxBackjump))
-		}
 	}
 	if m.SigmaComponents > 0 {
 		mShardedRuns.Inc()

@@ -196,7 +196,6 @@ func TestCallerRecorderMatchesEngine(t *testing.T) {
 		{"portfolio", nil, nil, paperSigma(), diva.Options{K: 2, Parallel: 3}, "ok"},
 		{"sharded", nil, nil, paperSigma(), diva.Options{K: 2, Shards: 2}, "ok"},
 		{"fallback", nil, fbRel, fbSigma, diva.Options{K: 2, Shards: 2, Strategy: diva.MinChoice}, "ok"},
-		{"nogoods", nil, nil, paperSigma(), diva.Options{K: 2, Nogoods: true}, "ok"},
 		{"baseline-only", nil, nil, nil, diva.Options{K: 2, Baseline: diva.KMember}, "ok"},
 		{"baseline-only-canceled", canceled, nil, nil, diva.Options{K: 2}, "canceled"},
 		{"infeasible", nil, nil, infeasible, diva.Options{K: 2}, "infeasible"},

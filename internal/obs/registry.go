@@ -34,14 +34,13 @@ type RunInfo struct {
 	// Steps, Depth and Worker mirror the run's last KindProgress heartbeat:
 	// the search's step count (the max over portfolio workers), its current
 	// coloring depth, and which worker sent the last heartbeat (−1
-	// sequential). Backtracks and Nogoods are the last heartbeat's counts. A
-	// completed run's Steps, Backtracks and Nogoods are its run-end
-	// Metrics' Steps, Backtracks and NogoodsLearned.
+	// sequential). Backtracks is the last heartbeat's count. A completed
+	// run's Steps and Backtracks are its run-end Metrics' Steps and
+	// Backtracks.
 	Steps      int `json:"steps"`
 	Depth      int `json:"depth"`
 	Worker     int `json:"worker"`
 	Backtracks int `json:"backtracks"`
-	Nogoods    int `json:"nogoods"`
 	// Heartbeats counts KindProgress events received, across all workers.
 	Heartbeats int64 `json:"heartbeats"`
 	// Stalled is set while the watchdog considers the run stalled (heartbeat
@@ -229,7 +228,7 @@ func (run *Run) Trace(ev trace.Event) {
 		info.Heartbeats++
 		info.Steps = max(info.Steps, ev.Steps)
 		info.Depth, info.Worker = ev.Depth, ev.Worker
-		info.Backtracks, info.Nogoods = ev.Backtracks, ev.Nogoods
+		info.Backtracks = ev.Backtracks
 		run.mu.Unlock()
 	}
 	run.reg.bus.Publish(RunEvent{RunID: run.info.ID, Entry: entry})
@@ -272,7 +271,7 @@ func (run *Run) end(ev trace.Event) {
 	entry := run.flight.Record(ev)
 	info.State, info.Elapsed, info.Err, info.Metrics = ev.Label, ev.Elapsed, ev.Err, ev.Metrics
 	if m := ev.Metrics; m != nil {
-		info.Steps, info.Backtracks, info.Nogoods = m.Steps, m.Backtracks, m.NogoodsLearned
+		info.Steps, info.Backtracks = m.Steps, m.Backtracks
 	}
 	info.flight, info.flightSeen = run.flight.Snapshot(), run.flight.Seen()
 	if run.prof != nil {

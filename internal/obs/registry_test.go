@@ -21,10 +21,10 @@ func TestRunLifecycle(t *testing.T) {
 		t.Fatalf("LiveCount = %d, want 1", reg.LiveCount())
 	}
 	run.Trace(trace.Event{Kind: trace.KindPhaseStart, Phase: trace.PhaseColor})
-	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 100, Depth: 7, Worker: 2, Backtracks: 40, Nogoods: 4})
+	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 100, Depth: 7, Worker: 2, Backtracks: 40})
 	// A slower worker's stale heartbeat must not regress the step count;
-	// backtracks and nogoods are the last heartbeat's.
-	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 50, Depth: 3, Worker: 0, Backtracks: 30, Nogoods: 3})
+	// backtracks are the last heartbeat's.
+	run.Trace(trace.Event{Kind: trace.KindProgress, Steps: 50, Depth: 3, Worker: 0, Backtracks: 30})
 
 	info := run.Info()
 	if info.State != "running" || info.Phase != string(trace.PhaseColor) {
@@ -33,9 +33,9 @@ func TestRunLifecycle(t *testing.T) {
 	if info.Steps != 100 || info.Heartbeats != 2 {
 		t.Fatalf("steps/heartbeats = %d/%d, want 100/2", info.Steps, info.Heartbeats)
 	}
-	if info.Backtracks != 30 || info.Nogoods != 3 || info.Depth != 3 || info.Worker != 0 {
-		t.Fatalf("backtracks/nogoods/depth/worker = %d/%d/%d/%d, want the last heartbeat's 30/3/3/0",
-			info.Backtracks, info.Nogoods, info.Depth, info.Worker)
+	if info.Backtracks != 30 || info.Depth != 3 || info.Worker != 0 {
+		t.Fatalf("backtracks/depth/worker = %d/%d/%d, want the last heartbeat's 30/3/0",
+			info.Backtracks, info.Depth, info.Worker)
 	}
 
 	live, completed := reg.Snapshot()
@@ -45,7 +45,7 @@ func TestRunLifecycle(t *testing.T) {
 
 	// The run-end metrics are authoritative: a portfolio loser may have
 	// heartbeated more steps than the winner the run reports.
-	m := &trace.RunMetrics{Total: 5 * time.Millisecond, Steps: 50, Backtracks: 45, NogoodsLearned: 6}
+	m := &trace.RunMetrics{Total: 5 * time.Millisecond, Steps: 50, Backtracks: 45}
 	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "ok", Elapsed: m.Total, Metrics: m})
 	run.Trace(trace.Event{Kind: trace.KindRunEnd, Label: "error", Err: "a second run-end must be ignored"})
 	if reg.LiveCount() != 0 {
@@ -65,9 +65,9 @@ func TestRunLifecycle(t *testing.T) {
 	if done.Elapsed != m.Total {
 		t.Fatalf("Elapsed = %v, want metrics total %v", done.Elapsed, m.Total)
 	}
-	if done.Steps != 50 || done.Backtracks != 45 || done.Nogoods != 6 {
-		t.Fatalf("steps/backtracks/nogoods = %d/%d/%d, want run-end metrics values 50/45/6",
-			done.Steps, done.Backtracks, done.Nogoods)
+	if done.Steps != 50 || done.Backtracks != 45 {
+		t.Fatalf("steps/backtracks = %d/%d, want run-end metrics values 50/45",
+			done.Steps, done.Backtracks)
 	}
 	if done.Metrics != m {
 		t.Fatal("completed info must carry the run's metrics")

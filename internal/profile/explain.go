@@ -54,27 +54,6 @@ type Explanation struct {
 	Steps      int           `json:"steps"`
 	Backtracks int           `json:"backtracks"`
 	Wall       time.Duration `json:"wall_ns"`
-
-	// Nogood-learning totals (zero unless learning was on). A learning run's
-	// exhaustion verdicts carry the same meaning — learned nogoods only prune
-	// subtrees already proven unextendable — but the explanation cites them
-	// so "fewer steps than last run" is attributable.
-	Nogoods     int `json:"nogoods,omitempty"`
-	NogoodHits  int `json:"nogood_hits,omitempty"`
-	Backjumps   int `json:"backjumps,omitempty"`
-	MaxBackjump int `json:"max_backjump,omitempty"`
-	// NogoodOwners lists the constraints whose exhausted visits derived
-	// learned nogoods, heaviest first.
-	NogoodOwners []NogoodOwner `json:"nogood_owners,omitempty"`
-}
-
-// NogoodOwner is one constraint-graph node's learning activity: conflicts
-// learned at its exhausted visits and backjumps that landed on it.
-type NogoodOwner struct {
-	Node      int    `json:"node"`
-	Label     string `json:"label,omitempty"`
-	Nogoods   int    `json:"nogoods"`
-	Backjumps int    `json:"backjumps,omitempty"`
 }
 
 // Explain derives an infeasibility explanation from a finished profile. It
@@ -84,34 +63,11 @@ type NogoodOwner struct {
 func (p *Profile) Explain() *Explanation {
 	m := p.runMetrics()
 	ex := &Explanation{
-		RunID:       m.RunID,
-		Outcome:     p.Outcome,
-		Steps:       m.Steps,
-		Backtracks:  m.Backtracks,
-		Wall:        p.Duration,
-		Nogoods:     m.NogoodsLearned,
-		NogoodHits:  m.NogoodHits,
-		Backjumps:   m.Backjumps,
-		MaxBackjump: m.MaxBackjump,
-	}
-	for i := range p.Nodes {
-		ns := &p.Nodes[i]
-		if ns.Nogoods == 0 && ns.Backjumps == 0 {
-			continue
-		}
-		ex.NogoodOwners = append(ex.NogoodOwners, NogoodOwner{
-			Node: ns.Node, Label: ns.Label, Nogoods: ns.Nogoods, Backjumps: ns.Backjumps,
-		})
-	}
-	sort.SliceStable(ex.NogoodOwners, func(a, b int) bool {
-		oa, ob := &ex.NogoodOwners[a], &ex.NogoodOwners[b]
-		if oa.Nogoods != ob.Nogoods {
-			return oa.Nogoods > ob.Nogoods
-		}
-		return oa.Node < ob.Node
-	})
-	if len(ex.NogoodOwners) > 8 {
-		ex.NogoodOwners = ex.NogoodOwners[:8]
+		RunID:      m.RunID,
+		Outcome:    p.Outcome,
+		Steps:      m.Steps,
+		Backtracks: m.Backtracks,
+		Wall:       p.Duration,
 	}
 	if p.LastExhaustion != nil {
 		last := *p.LastExhaustion
@@ -206,22 +162,6 @@ func (e *Explanation) String() string {
 		fmt.Fprintf(&b, ": outcome=%s", e.Outcome)
 	}
 	fmt.Fprintf(&b, " steps=%d backtracks=%d wall=%s\n", e.Steps, e.Backtracks, e.Wall.Round(time.Microsecond))
-	if e.Nogoods > 0 || e.NogoodHits > 0 || e.Backjumps > 0 {
-		fmt.Fprintf(&b, "learning: %d learned nogoods, %d store hits pruned refuted colorings, %d backjumps (deepest %d levels)\n",
-			e.Nogoods, e.NogoodHits, e.Backjumps, e.MaxBackjump)
-		if len(e.NogoodOwners) > 0 {
-			b.WriteString("learned nogoods by owner:")
-			for i := range e.NogoodOwners {
-				o := &e.NogoodOwners[i]
-				name := fmt.Sprintf("σ%d", o.Node)
-				if o.Label != "" {
-					name = fmt.Sprintf("σ%d %s", o.Node, o.Label)
-				}
-				fmt.Fprintf(&b, " %s=%d", name, o.Nogoods)
-			}
-			b.WriteString("\n")
-		}
-	}
 
 	switch e.Verdict {
 	case "":

@@ -51,9 +51,7 @@ func (p *Profile) spanName(node int) string {
 // timestamps. Component-wise runs additionally carry a "shard plan" instant
 // event (cat "shard") with the KindShard decomposition aggregates, runs that
 // invoked the baseline partitioner a "baseline cuts" instant event (cat
-// "split") with the KindSplit aggregates, and learning runs a "nogood
-// learning" instant event (cat "nogood") with the learned-clause and
-// backjump totals, each anchored at its phase start.
+// "split") with the KindSplit aggregates, each anchored at its phase start.
 func (p *Profile) WriteChromeTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
@@ -76,14 +74,6 @@ func (p *Profile) WriteChromeTrace(w io.Writer) error {
 		enc.emit(chromeEvent{Name: "shard plan", Ph: "i", Ts: p.phaseStart("build-graph"), Pid: 1, Tid: chromeTidPhases, Cat: "shard", Args: map[string]any{
 			"components":     ss.Components,
 			"component_rows": ss.ComponentRows,
-		}})
-	}
-	if m.NogoodsLearned > 0 || m.NogoodHits > 0 || m.Backjumps > 0 {
-		enc.emit(chromeEvent{Name: "nogood learning", Ph: "i", Ts: p.phaseStart("color"), Pid: 1, Tid: chromeTidSearch, Cat: "nogood", Args: map[string]any{
-			"nogoods":      m.NogoodsLearned,
-			"nogood_hits":  m.NogoodHits,
-			"backjumps":    m.Backjumps,
-			"max_backjump": m.MaxBackjump,
 		}})
 	}
 	if bs := p.Baseline; bs != nil {
@@ -235,10 +225,6 @@ func (p *Profile) WriteSummary(w io.Writer) error {
 	}
 	fmt.Fprintf(bw, "search: steps=%d backtracks=%d candidates=%d cache-hit-ratio=%.2f max-depth=%d spans=%d\n",
 		m.Steps, m.Backtracks, m.CandidatesTried, hitRatio, p.MaxDepth, p.SpanCount)
-	if m.NogoodsLearned > 0 || m.NogoodHits > 0 || m.Backjumps > 0 {
-		fmt.Fprintf(bw, "learning: nogoods=%d hits=%d backjumps=%d max-backjump=%d\n",
-			m.NogoodsLearned, m.NogoodHits, m.Backjumps, m.MaxBackjump)
-	}
 	if p.Flat {
 		fmt.Fprintln(bw, "note: portfolio run — per-node aggregates only, no span tree")
 	}

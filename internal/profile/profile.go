@@ -124,11 +124,6 @@ type NodeStat struct {
 	// rejections across all visits attributed to THIS node's upper bound.
 	BlockedBy map[int]int `json:"blocked_by,omitempty"`
 	Blamed    int         `json:"blamed"`
-	// Nogoods counts learned nogoods whose deriving visit exhausted at this
-	// node; Backjumps counts conflict-directed backjumps that landed here
-	// (both zero unless nogood learning was on).
-	Nogoods   int `json:"nogoods,omitempty"`
-	Backjumps int `json:"backjumps,omitempty"`
 	// SelfWall and SubtreeWall sum the corresponding span times over this
 	// node's spans (zero when the tree is unavailable). Spans of one node
 	// never nest within each other — a node is colored at most once per
@@ -421,13 +416,6 @@ func (p *Profiler) Trace(ev trace.Event) {
 			RejectedUpper: ev.RejectedUpper,
 			Blocker:       ev.Blocker,
 		}
-	case trace.KindNogood:
-		// One learned nogood (or a replayed batch of ev.N) derived at an
-		// exhausted visit to ev.Node. The conflict-set size (Members) is not
-		// aggregated per node — the totals and ledger carry the counts.
-		p.node(ev.Node).Nogoods += batch(ev.N)
-	case trace.KindBackjump:
-		p.node(ev.Node).Backjumps += batch(ev.N)
 	case trace.KindProgress:
 		if ev.Depth > p.prof.MaxDepth {
 			p.prof.MaxDepth = ev.Depth

@@ -58,7 +58,6 @@ func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.
 		stop    atomic.Bool
 		mu      sync.Mutex
 		best    *outcome
-		learn   Stats // every worker's learning activity against the shared store
 		wg      sync.WaitGroup
 		fullRot = []Strategy{MinChoice, MaxFanOut, Basic}
 	)
@@ -75,15 +74,6 @@ func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.
 			sigma, stats, found := g.Color(wopts)
 			mu.Lock()
 			defer mu.Unlock()
-			// Learning counters aggregate across ALL workers — the nogood
-			// store is shared, so losers' learned conflicts pruned work for
-			// everyone and belong in the run's totals.
-			learn.NogoodsLearned += stats.NogoodsLearned
-			learn.NogoodHits += stats.NogoodHits
-			learn.Backjumps += stats.Backjumps
-			if stats.MaxBackjump > learn.MaxBackjump {
-				learn.MaxBackjump = stats.MaxBackjump
-			}
 			if found && best == nil {
 				best = &outcome{sigma: sigma, stats: stats, worker: w, strat: wopts.Strategy}
 				stop.Store(true)
@@ -91,21 +81,13 @@ func (g *Graph) ColorPortfolio(opts Options, workers int, seed uint64) (cluster.
 		}()
 	}
 	wg.Wait()
-	stampLearning := func(s *Stats) {
-		s.NogoodsLearned = learn.NogoodsLearned
-		s.NogoodHits = learn.NogoodHits
-		s.Backjumps = learn.Backjumps
-		s.MaxBackjump = learn.MaxBackjump
-	}
 	if best == nil {
 		var stats Stats
-		stampLearning(&stats)
 		if opts.Ctx != nil {
 			stats.Err = opts.Ctx.Err() // nil unless canceled
 		}
 		return nil, stats, false
 	}
-	stampLearning(&best.stats)
 	best.stats.WinnerWorker, best.stats.WinnerStrategy = best.worker, best.strat.String()
 	if tr != nil {
 		// Replay the winner's per-node search activity (suppressed while the

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"diva/internal/cluster"
@@ -101,29 +100,6 @@ type Graph struct {
 	// whose pool is its full target set shares targets[i]; the pools of
 	// targets with sensitive components share one backing array.
 	pools []*rowset.Set
-	// poolNbrs is the pool-intersection relation: j is a pool neighbor of i
-	// when pools[i] and pools[j] overlap. It is a superset of the Neighbors
-	// relation, which intersects the narrower full-target sets, and it is
-	// the dependency closure conflict-driven learning blames: a node's
-	// candidate list, and every preserved-occurrence count, is a function of
-	// its pool neighbors' assignments alone. Only learning reads it, so the
-	// first learning search computes it (poolOnce).
-	poolNbrs [][]int
-	poolOnce sync.Once
-}
-
-// buildPoolNeighbors computes the pool-intersection relation (see
-// Graph.poolNbrs).
-func (g *Graph) buildPoolNeighbors() {
-	g.poolNbrs = make([][]int, len(g.Nodes))
-	for i := range g.Nodes {
-		for j := i + 1; j < len(g.Nodes); j++ {
-			if g.pools[i].Intersects(g.pools[j]) {
-				g.poolNbrs[i] = append(g.poolNbrs[i], j)
-				g.poolNbrs[j] = append(g.poolNbrs[j], i)
-			}
-		}
-	}
 }
 
 // BuildGraph constructs the constraint graph for the bound constraints over
@@ -217,16 +193,6 @@ type Stats struct {
 	// from cache too).
 	CacheHits   int
 	CacheMisses int
-	// NogoodsLearned, NogoodHits, Backjumps and MaxBackjump report the
-	// conflict-driven search (Options.Nogoods): conflict sets recorded into
-	// the learned-nogood store, visits or candidates pruned because a
-	// learned nogood refuted them, conflict-directed backjumps taken, and
-	// the deepest single backjump in skipped chronological levels. All zero
-	// when learning is disabled.
-	NogoodsLearned int
-	NogoodHits     int
-	Backjumps      int
-	MaxBackjump    int
 	// WinnerWorker and WinnerStrategy identify the portfolio worker whose
 	// coloring ColorPortfolio returned; both are zero for a single search.
 	WinnerWorker   int
@@ -241,11 +207,6 @@ type Stats struct {
 	// per-step events are suppressed while the portfolio races).
 	nodeAssigns    []int
 	nodeBacktracks []int
-	// nodeNogoods and nodeBackjumps count learning activity per node: the
-	// nogoods each exhausted visit derived and the backjumps that landed on
-	// each node's visit. Nil when learning is disabled.
-	nodeNogoods   []int
-	nodeBackjumps []int
 }
 
 // Merge folds another search's scalar counters into s. The sharded engine
@@ -258,12 +219,6 @@ func (s *Stats) Merge(o Stats) {
 	s.CandidatesTried += o.CandidatesTried
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
-	s.NogoodsLearned += o.NogoodsLearned
-	s.NogoodHits += o.NogoodHits
-	s.Backjumps += o.Backjumps
-	if o.MaxBackjump > s.MaxBackjump {
-		s.MaxBackjump = o.MaxBackjump
-	}
 	if s.Err == nil {
 		s.Err = o.Err
 	}
@@ -293,8 +248,6 @@ func (s Stats) ReplayInto(tr trace.Tracer, index []int) {
 	}
 	emit(trace.KindAssign, s.nodeAssigns)
 	emit(trace.KindBacktrack, s.nodeBacktracks)
-	emit(trace.KindNogood, s.nodeNogoods)
-	emit(trace.KindBackjump, s.nodeBackjumps)
 }
 
 // Options configures the coloring search.
@@ -327,17 +280,6 @@ type Options struct {
 	// means the default of 256 steps. The final heartbeat at search end is
 	// emitted regardless.
 	HeartbeatEvery int
-	// Nogoods, when non-nil, enables conflict-driven search (CDCL-style
-	// nogood learning with conflict-directed backjumping): every exhausted
-	// visit derives a conflict set from the blocker constraints' pool
-	// dependencies, records it in the store, and the search retreats
-	// directly to the deepest assignment the conflict involves instead of
-	// unwinding chronologically. The store is consulted before every visit
-	// and candidate expansion, pruning partial colorings already refuted.
-	// One store serves one coloring problem; ColorPortfolio shares it across
-	// its workers so the strategies exchange conflict proofs. Nil runs the
-	// classic chronological search.
-	Nogoods *NogoodStore
 	// cancel, when non-nil and set, aborts the search; used by
 	// ColorPortfolio to stop losing workers.
 	cancel *atomic.Bool
@@ -389,21 +331,8 @@ func (g *Graph) newState(opts Options) state {
 	st.stats.nodeAssigns = make([]int, len(g.Nodes))
 	st.stats.nodeBacktracks = make([]int, len(g.Nodes))
 	if opts.Rng != nil && opts.Strategy == Basic {
-		// One salt draw keeps Basic's node choice a pure function of the
-		// search state (see nextNode): learned-nogood pruning then preserves
-		// the visit order of the surviving tree, so conflict-driven and
-		// chronological runs find the same first accepted coloring.
+		// One salt draw per search seeds Basic's node choice (see nextNode).
 		st.salt = opts.Rng.Uint64()
-	}
-	if opts.Nogoods != nil {
-		st.learn = opts.Nogoods
-		st.assignedFp = make([]uint64, len(g.Nodes))
-		st.depthOf = make([]int, len(g.Nodes))
-		st.conflAt = make([][]bool, len(g.Nodes)+1)
-		st.failCS = make([]bool, len(g.Nodes))
-		st.stats.nodeNogoods = make([]int, len(g.Nodes))
-		st.stats.nodeBackjumps = make([]int, len(g.Nodes))
-		g.poolOnce.Do(g.buildPoolNeighbors)
 	}
 	if opts.Ctx != nil {
 		st.done = opts.Ctx.Done()
@@ -482,28 +411,6 @@ type state struct {
 	spanStack []uint64
 	// salt seeds Basic's state-pure node choice, drawn once per search.
 	salt uint64
-	// learn is the learned-nogood store (nil when learning is disabled); the
-	// fields below exist only while it is non-nil.
-	learn *NogoodStore
-	// assignFp is the incremental Zobrist fingerprint of the partial
-	// assignment: XOR over colored nodes of mixAssign(node, clustering
-	// fingerprint). Order-independent, so equivalent partial colorings
-	// reached in different orders (by different portfolio strategies) key
-	// the same exhausted-visit records.
-	assignFp uint64
-	// assignedFp and depthOf record, per colored node, its clustering
-	// fingerprint and assignment order.
-	assignedFp []uint64
-	depthOf    []int
-	// conflAt reuses one conflict-set buffer per visit depth; failCS carries
-	// a failed subtree's conflict set to the enclosing frame, and passLevels
-	// counts the frames a backjump has skipped so far.
-	conflAt    [][]bool
-	failCS     []bool
-	passLevels int
-	// pendingFp stages the candidate clustering fingerprint computed during
-	// the store probe so assign reuses it.
-	pendingFp uint64
 	// done is the context's cancellation channel (nil when no context).
 	done    <-chan struct{}
 	opts    Options
@@ -598,8 +505,7 @@ type candidates struct {
 func (c candidates) len() int { return len(c.shared) + len(c.pass) }
 
 // at returns candidate n, materializing an enumerated window's rows: only
-// the candidates the search assigns (or fingerprints, under learning) are
-// ever copied out of the key table.
+// the candidates the search assigns are ever copied out of the key table.
 func (c candidates) at(n int) cluster.Clustering {
 	if n < len(c.shared) {
 		return c.shared[n]
@@ -619,13 +525,10 @@ func (st *state) candidatesFor(v int) (candidates, visit) {
 	node := st.g.Nodes[v]
 	cs := candidates{shared: st.sharedCandidates(node), w: st.rawCandidates(v)}
 	vs.enumerated = len(cs.shared) + cs.w.Len()
-	// Blocker attribution feeds the KindExhausted event and, under learning,
-	// the conflict-set derivation (conflFor reads st.blockCount right after
-	// this visit's enumeration); the scratch bookkeeping is skipped when
-	// neither consumer is attached.
+	// Blocker attribution feeds the KindExhausted event; the scratch
+	// bookkeeping is skipped when no tracer is attached.
 	traced := st.opts.Tracer != nil
-	attrib := traced || st.learn != nil
-	if attrib {
+	if traced {
 		clear(st.blockCount)
 	}
 	pass := st.passAt[st.nColored][:0]
@@ -635,7 +538,7 @@ func (st *state) candidatesFor(v int) (candidates, visit) {
 			pass = append(pass, i)
 		} else {
 			vs.rejUpper++
-			if attrib {
+			if traced {
 				st.blockCount[blocker]++
 			}
 		}
@@ -699,67 +602,22 @@ func (st *state) sharedCandidates(node *Node) []cluster.Clustering {
 	return out
 }
 
-// color is the recursive Coloring routine (Algorithm 4), extended with
-// conflict-driven nogood learning and backjumping when Options.Nogoods is
-// set. Every failing frame leaves its conflict set in st.failCS; a frame
-// whose assignment the conflict does not involve skips its remaining
-// candidates and passes the set through unchanged (a backjump), while a
-// frame the conflict does involve absorbs it and continues. DESIGN.md §13
-// documents the soundness argument.
+// color is the recursive Coloring routine (Algorithm 4): chronological
+// backtracking over each visited node's candidates, in order.
 func (st *state) color() bool {
 	if st.nColored == len(st.g.Nodes) {
 		// All nodes colored; lower bounds hold by construction (each node's
 		// own clustering preserves ≥ λl occurrences) and upper bounds were
 		// enforced on every assignment.
-		if st.opts.Accept == nil || st.opts.Accept(st.used.Len()) {
-			return true
-		}
-		if st.learn != nil {
-			// The Accept hook judges the total used-row count, so every
-			// assignment participates in its rejection: blame the full
-			// trail, and unwinding stays chronological.
-			copy(st.failCS, st.colored)
-		}
-		return false
+		return st.opts.Accept == nil || st.opts.Accept(st.used.Len())
 	}
 	if st.canceled() {
 		return false
 	}
 	v := st.nextNode()
-	if st.learn != nil {
-		if ng := st.learn.probeVisit(v, st.assignFp); ng != nil {
-			// This visit, under an equivalent partial assignment, was
-			// already proven to exhaust — prune it in O(1) and fail with the
-			// recorded conflict set.
-			st.stats.NogoodHits++
-			st.failFromMembers(ng)
-			return false
-		}
-	}
 	cands, vs := st.candidatesFor(v)
-	var confl []bool
-	if st.learn != nil {
-		confl = st.conflFor(st.nColored, v)
-	}
 	descended := 0
 	for n := 0; n < cands.len(); n++ {
-		cand := cands.at(n)
-		if st.learn != nil {
-			fp := clusteringFingerprint(cand)
-			if ng := st.learn.probeCandidate(v, fp, st.colored, st.assignedFp); ng != nil {
-				// Assigning this candidate would complete a learned nogood:
-				// the subtree is already refuted. Its other members blame
-				// v's exhaustion.
-				st.stats.NogoodHits++
-				for _, m := range ng.members {
-					if m.node != v {
-						confl[m.node] = true
-					}
-				}
-				continue
-			}
-			st.pendingFp = fp
-		}
 		st.stats.Steps++
 		if st.stats.Steps > st.opts.MaxSteps {
 			st.aborted = true
@@ -772,6 +630,7 @@ func (st *state) color() bool {
 			return false
 		}
 		descended++
+		cand := cands.at(n)
 		st.assign(v, cand)
 		st.stats.nodeAssigns[v]++
 		if st.opts.Tracer != nil {
@@ -782,23 +641,6 @@ func (st *state) color() bool {
 		}
 		if st.color() {
 			return true
-		}
-		jumping := false
-		if st.learn != nil && !st.aborted {
-			if st.failCS[v] {
-				// The conflict below involves v's assignment: absorb it
-				// (minus v) and try v's next candidate.
-				for j, in := range st.failCS {
-					if in && j != v {
-						confl[j] = true
-					}
-				}
-			} else {
-				// v's assignment is irrelevant to the conflict: re-coloring
-				// v cannot repair it, so skip the remaining candidates and
-				// keep unwinding. st.failCS passes through unchanged.
-				jumping = true
-			}
 		}
 		st.unassign(v, cand)
 		st.stats.Backtracks++
@@ -811,25 +653,6 @@ func (st *state) color() bool {
 		if st.aborted {
 			return false
 		}
-		if jumping {
-			st.passLevels++
-			return false
-		}
-		if st.learn != nil && st.passLevels > 0 {
-			// A backjump initiated below just landed on this visit.
-			st.stats.Backjumps++
-			if st.passLevels > st.stats.MaxBackjump {
-				st.stats.MaxBackjump = st.passLevels
-			}
-			st.stats.nodeBackjumps[v]++
-			if st.opts.Tracer != nil {
-				st.opts.Tracer.Trace(trace.Event{Kind: trace.KindBackjump, Node: v, Skipped: st.passLevels, Parent: st.topSpan(), Depth: st.nColored})
-			}
-			st.passLevels = 0
-		}
-	}
-	if st.learn != nil && !st.aborted {
-		st.learnFrom(v, confl)
 	}
 	// The visit ran out of candidates: every one was rejected up front or
 	// descended into and backtracked out of. Report why, so profilers can
@@ -847,96 +670,6 @@ func (st *state) color() bool {
 		})
 	}
 	return false
-}
-
-// conflFor clears and returns the conflict-set buffer for a visit of v at
-// the given depth, seeded with the assignments v's exhaustion depends on
-// up front: v's assigned pool neighbors (they determine the rows candidate
-// enumeration draws from and the clusters available for sharing) and, for
-// every node whose upper bound rejected a candidate this visit, that
-// blocker's preserved-occurrence dependencies — its assigned pool
-// neighbors and itself. Callers must invoke it immediately after
-// candidatesFor, while st.blockCount still describes this visit.
-func (st *state) conflFor(depth, v int) []bool {
-	confl := st.conflAt[depth]
-	if confl == nil {
-		confl = make([]bool, len(st.g.Nodes))
-		st.conflAt[depth] = confl
-	} else {
-		clear(confl)
-	}
-	for _, j := range st.g.poolNbrs[v] {
-		if st.colored[j] {
-			confl[j] = true
-		}
-	}
-	for j, c := range st.blockCount {
-		if c == 0 {
-			continue
-		}
-		if st.colored[j] {
-			confl[j] = true
-		}
-		for _, a := range st.g.poolNbrs[j] {
-			if st.colored[a] {
-				confl[a] = true
-			}
-		}
-	}
-	return confl
-}
-
-// failFromMembers publishes a recorded nogood's members as the current
-// failure's conflict set.
-func (st *state) failFromMembers(ng *nogood) {
-	clear(st.failCS)
-	for _, m := range ng.members {
-		if st.colored[m.node] {
-			st.failCS[m.node] = true
-		}
-	}
-}
-
-// learnFrom records v's exhausted visit: the accumulated conflict set
-// becomes a learned nogood keyed by (v, assignment fingerprint), and is
-// published in st.failCS for the enclosing frame to direct its retreat.
-func (st *state) learnFrom(v int, confl []bool) {
-	n := 0
-	for _, in := range confl {
-		if in {
-			n++
-		}
-	}
-	members := make([]nogoodMember, 0, n)
-	for j, in := range confl {
-		if in {
-			members = append(members, nogoodMember{node: j, fp: st.assignedFp[j], depth: st.depthOf[j]})
-		}
-	}
-	st.learn.learn(v, st.assignFp, members)
-	st.stats.NogoodsLearned++
-	st.stats.nodeNogoods[v]++
-	if st.opts.Tracer != nil {
-		st.opts.Tracer.Trace(trace.Event{Kind: trace.KindNogood, Node: v, Members: len(members), Parent: st.topSpan(), Depth: st.nColored})
-	}
-	copy(st.failCS, confl)
-}
-
-// clusteringFingerprint is the order-independent fingerprint of one
-// candidate clustering: XOR of its clusters' row-set fingerprints over a
-// nonzero base (so the empty clustering still marks its node as assigned).
-func clusteringFingerprint(cand cluster.Clustering) uint64 {
-	fp := uint64(0x9e3779b97f4a7c15)
-	for _, c := range cand {
-		fp ^= cluster.Fingerprint(c)
-	}
-	return fp
-}
-
-// mixAssign hashes one (node, clustering fingerprint) assignment for the
-// XOR-combined partial-assignment fingerprint.
-func mixAssign(node int, fp uint64) uint64 {
-	return mix64(uint64(node)*0x9e3779b97f4a7c15 ^ fp)
 }
 
 // mix64 is the SplitMix64 finalizer.
@@ -971,10 +704,6 @@ func (st *state) emitProgress() {
 		Candidates:  s.CandidatesTried,
 		CacheHits:   s.CacheHits,
 		CacheMisses: s.CacheMisses,
-		Nogoods:     s.NogoodsLearned,
-		NogoodHits:  s.NogoodHits,
-		Backjumps:   s.Backjumps,
-		MaxBackjump: s.MaxBackjump,
 		Depth:       st.nColored,
 		Worker:      st.opts.worker - 1,
 	})
@@ -1023,10 +752,8 @@ func (st *state) nextNode() int {
 			// State-pure random choice: hash the per-search salt with the
 			// current used-row fingerprint and depth instead of consuming
 			// the Rng stream per visit. The choice stays pseudorandom across
-			// salts but is a pure function of the search state, so pruning
-			// solution-free subtrees (Options.Nogoods) cannot desynchronize
-			// the visit order of the surviving tree — conflict-driven and
-			// chronological searches find the same first accepted coloring.
+			// salts and is a pure function of the search state. Every pinned
+			// Basic output depends on this exact hash, so it stays as is.
 			h := mix64(st.salt ^ st.used.Fingerprint() ^ uint64(st.nColored)<<32 ^ uint64(len(uncolored)))
 			return uncolored[h%uint64(len(uncolored))]
 		}
@@ -1055,11 +782,6 @@ func (st *state) assign(v int, cand cluster.Clustering) {
 	st.assigned[v] = cand
 	st.colored[v] = true
 	st.nColored++
-	if st.learn != nil {
-		st.assignedFp[v] = st.pendingFp
-		st.depthOf[v] = st.nColored - 1
-		st.assignFp ^= mixAssign(v, st.pendingFp)
-	}
 	for _, c := range cand {
 		fp := cluster.Fingerprint(c)
 		if ac, ok := st.active[fp]; ok {
@@ -1083,10 +805,6 @@ func (st *state) unassign(v int, cand cluster.Clustering) {
 	st.assigned[v] = nil
 	st.colored[v] = false
 	st.nColored--
-	if st.learn != nil {
-		st.assignFp ^= mixAssign(v, st.assignedFp[v])
-		st.assignedFp[v] = 0
-	}
 	for _, c := range cand {
 		fp := cluster.Fingerprint(c)
 		ac := st.active[fp]

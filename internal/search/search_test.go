@@ -358,3 +358,48 @@ func TestColorInvariantProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestBasicStateSelectionIsStatePure: Basic's node choice is a pure
+// function of the search state (the per-search salt, the used rows and the
+// depth), not of how many visits came before, so returning to a state
+// picks the same node again. Two runs from the same seed agree exactly.
+func TestBasicStateSelectionIsStatePure(t *testing.T) {
+	rel := paperRelation(t)
+	g := BuildGraph(rel, paperBounds(t, rel), cluster.Options{K: 2})
+	st := g.newState(Options{Strategy: Basic, Rng: rand.New(rand.NewPCG(7, 3))})
+	first := st.nextNode()
+	cands, _ := st.candidatesFor(first)
+	if cands.len() == 0 {
+		t.Fatalf("node %d has no candidates on the paper instance", first)
+	}
+	cand := cands.at(0)
+	st.assign(first, cand)
+	st.nextNode()
+	st.unassign(first, cand)
+	if again := st.nextNode(); again != first {
+		t.Fatalf("back at the root state Basic picked node %d, first picked %d", again, first)
+	}
+
+	run := func() (cluster.Clustering, Stats, bool) {
+		g := BuildGraph(rel, paperBounds(t, rel), cluster.Options{K: 2})
+		return g.Color(Options{Strategy: Basic, Rng: rand.New(rand.NewPCG(7, 3))})
+	}
+	s1, st1, ok1 := run()
+	s2, st2, ok2 := run()
+	if ok1 != ok2 || st1.Steps != st2.Steps {
+		t.Fatalf("runs diverged: ok %v/%v steps %d/%d", ok1, ok2, st1.Steps, st2.Steps)
+	}
+	if len(s1) != len(s2) {
+		t.Fatalf("clusterings diverged: %v vs %v", s1, s2)
+	}
+	for i := range s1 {
+		if len(s1[i]) != len(s2[i]) {
+			t.Fatalf("cluster %d diverged: %v vs %v", i, s1[i], s2[i])
+		}
+		for j := range s1[i] {
+			if s1[i][j] != s2[i][j] {
+				t.Fatalf("cluster %d diverged: %v vs %v", i, s1[i], s2[i])
+			}
+		}
+	}
+}

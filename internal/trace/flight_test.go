@@ -108,16 +108,15 @@ func TestFlightEntryJSONRoundTrip(t *testing.T) {
 		{Seq: 3, At: 3 * time.Millisecond, Event: Event{
 			Kind: KindProgress, Steps: 100, Backtracks: 9, Candidates: 42,
 			CacheHits: 5, CacheMisses: 6, Depth: 8, Worker: -1,
-			Nogoods: 2, NogoodHits: 3, Backjumps: 1, MaxBackjump: 4,
 		}},
-		{Seq: 4, At: 4 * time.Millisecond, Event: Event{Kind: KindNogood, Node: 2, Members: 3, Depth: 5}},
+		{Seq: 4, At: 4 * time.Millisecond, Event: Event{Kind: KindCacheHit, Node: 2, N: 3, Depth: 5}},
 		{Seq: 5, At: 5 * time.Millisecond, Event: Event{Kind: KindRunEnd, Label: "error", Elapsed: time.Second,
 			Err: "boom", Metrics: &RunMetrics{
 				RunID: 3, Total: time.Second, Steps: 7, WinnerStrategy: "Basic", Accuracy: -1,
 				Phases: []PhaseTiming{{Phase: PhaseBind, Duration: time.Millisecond}},
 			}}},
 		{Seq: 6, At: 6 * time.Millisecond, Event: Event{Kind: KindEdge, Node: 1, N: 2, Conflict: 0.25,
-			Strategy: "s", Span: 9, Parent: 8, Skipped: 3, Label: "l"}},
+			Strategy: "s", Span: 9, Parent: 8, Label: "l"}},
 	}
 	data, err := json.Marshal(entries)
 	if err != nil {
@@ -127,11 +126,11 @@ func TestFlightEntryJSONRoundTrip(t *testing.T) {
 	// order, omitted zero fields and the always-present node/n/depth/worker.
 	const want = `[{"seq":1,"at_ns":1000000,"kind":"phase-start","phase":"color","node":0,"n":0,"depth":0,"worker":0},` +
 		`{"seq":2,"at_ns":2000000,"kind":"exhausted","node":3,"n":4,"depth":2,"worker":0,"enumerated":7,"rejected_upper":2,"blocker":5},` +
-		`{"seq":3,"at_ns":3000000,"kind":"progress","node":0,"n":0,"depth":8,"worker":-1,"steps":100,"backtracks":9,"candidates":42,"cache_hits":5,"cache_misses":6,"nogoods":2,"nogood_hits":3,"backjumps":1,"max_backjump":4},` +
-		`{"seq":4,"at_ns":4000000,"kind":"nogood","node":2,"n":0,"depth":5,"worker":0,"members":3},` +
+		`{"seq":3,"at_ns":3000000,"kind":"progress","node":0,"n":0,"depth":8,"worker":-1,"steps":100,"backtracks":9,"candidates":42,"cache_hits":5,"cache_misses":6},` +
+		`{"seq":4,"at_ns":4000000,"kind":"cache-hit","node":2,"n":3,"depth":5,"worker":0},` +
 		`{"seq":5,"at_ns":5000000,"kind":"run-end","elapsed_ns":1000000000,"node":0,"n":0,"depth":0,"worker":0,"label":"error",` +
 		`"metrics":{"run_id":3,"total_ns":1000000000,"phases":[{"phase":"bind","duration_ns":1000000}],"steps":7,"backtracks":0,"candidates_tried":0,"candidate_cache_hits":0,"candidate_cache_misses":0,"winner_strategy":"Basic","canceled":false,"accuracy":-1},"error":"boom"},` +
-		`{"seq":6,"at_ns":6000000,"kind":"edge","node":1,"n":2,"depth":0,"worker":0,"strategy":"s","label":"l","conflict":0.25,"span":9,"parent":8,"skipped":3}]`
+		`{"seq":6,"at_ns":6000000,"kind":"edge","node":1,"n":2,"depth":0,"worker":0,"strategy":"s","label":"l","conflict":0.25,"span":9,"parent":8}]`
 	if string(data) != want {
 		t.Fatalf("wire bytes changed:\n got %s\nwant %s", data, want)
 	}

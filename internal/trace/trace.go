@@ -116,20 +116,6 @@ const (
 	// count. It is emitted by the coordinating goroutine before any parallel
 	// work starts, so tracers see it sequentially.
 	KindShard
-	// KindNogood reports that the coloring search learned a nogood: node
-	// Event.Node's visit exhausted and the conflict set blamed for it —
-	// Event.Members assignments — was recorded in the learned-nogood store so
-	// equivalent partial colorings are refuted without re-exploration.
-	// Event.N is a replay batch size when a portfolio winner replays its
-	// per-node counts (0 means 1; batched replays carry no Members).
-	KindNogood
-	// KindBackjump reports a conflict-directed backjump: after node
-	// Event.Node's subtree exhausted, the search retreated directly to the
-	// deepest assignment in the conflict set, skipping Event.Skipped
-	// chronological backtrack levels whose assignments the conflict did not
-	// involve. Event.Node is the node the jump landed on and Event.Depth the
-	// colored depth there. Event.N is a replay batch size, as for KindNogood.
-	KindBackjump
 	// KindRunEnd is the terminal event of every run: core.Anonymize emits it
 	// exactly once, last, through the run's whole tracer tee (a caller's
 	// Options.Tracer and the run registry, which forwards it to the run's
@@ -173,10 +159,6 @@ func (k EventKind) String() string {
 		return "split"
 	case KindShard:
 		return "shard"
-	case KindNogood:
-		return "nogood"
-	case KindBackjump:
-		return "backjump"
 	case KindRunEnd:
 		return "run-end"
 	default:
@@ -242,14 +224,6 @@ type Event struct {
 	Candidates  int `json:"candidates,omitempty"`
 	CacheHits   int `json:"cache_hits,omitempty"`
 	CacheMisses int `json:"cache_misses,omitempty"`
-	// Nogoods, NogoodHits, Backjumps and MaxBackjump are the emitting
-	// search's cumulative nogood-learning counters, set for KindProgress:
-	// conflict sets learned, candidates pruned by a store hit, backjumps
-	// taken, and the deepest single backjump (in skipped levels).
-	Nogoods     int `json:"nogoods,omitempty"`
-	NogoodHits  int `json:"nogood_hits,omitempty"`
-	Backjumps   int `json:"backjumps,omitempty"`
-	MaxBackjump int `json:"max_backjump,omitempty"`
 	// Span identifies the search-tree node-visit a KindAssign opens and the
 	// matching KindBacktrack closes. Span IDs are unique and monotone within
 	// one search; 0 means "no span" (batched portfolio replays carry no
@@ -267,12 +241,6 @@ type Event struct {
 	Enumerated    int `json:"enumerated,omitempty"`
 	RejectedUpper int `json:"rejected_upper,omitempty"`
 	Blocker       int `json:"blocker,omitempty"`
-	// Members is the size of a learned conflict set, set for live KindNogood
-	// events (0 on batched replays).
-	Members int `json:"members,omitempty"`
-	// Skipped counts the chronological backtrack levels a backjump leapt
-	// over, set for live KindBackjump events (0 on batched replays).
-	Skipped int `json:"skipped,omitempty"`
 	// Metrics and Err are set on KindRunEnd only: the run's RunMetrics and,
 	// for a failed run, its error text.
 	Metrics *RunMetrics `json:"metrics,omitempty"`
@@ -352,17 +320,6 @@ type RunMetrics struct {
 	// per-generation candidate cache effectiveness.
 	CandidateCacheHits   int `json:"candidate_cache_hits"`
 	CandidateCacheMisses int `json:"candidate_cache_misses"`
-	// NogoodsLearned, NogoodHits, Backjumps and MaxBackjump describe the
-	// conflict-driven search (Options.Nogoods): conflict sets recorded in the
-	// learned-nogood store, candidates pruned because a learned nogood
-	// refuted them, conflict-directed backjumps taken, and the deepest single
-	// backjump in skipped chronological levels. All zero when learning is
-	// off. In portfolio mode they aggregate every worker's learning activity
-	// against the shared store, not just the winner's.
-	NogoodsLearned int `json:"nogoods_learned,omitempty"`
-	NogoodHits     int `json:"nogood_hits,omitempty"`
-	Backjumps      int `json:"backjumps,omitempty"`
-	MaxBackjump    int `json:"max_backjump,omitempty"`
 	// SigmaComponents counts the independent constraint-graph components a
 	// component-wise run (Options.Shards) colored separately; it is zero on
 	// joint runs. A run whose component-wise coloring was rejected and redone

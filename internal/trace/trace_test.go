@@ -201,15 +201,14 @@ func TestRunMetricsStringGolden(t *testing.T) {
 // and a later run's run-end replaces an earlier one's.
 func TestRecorderSearchCounters(t *testing.T) {
 	r := NewRecorder()
-	r.Trace(Event{Kind: KindProgress, Steps: 40, Backtracks: 5, MaxBackjump: 3})
+	r.Trace(Event{Kind: KindProgress, Steps: 40, Backtracks: 5})
 	r.Trace(Event{Kind: KindAssign, Node: 2, N: 7})
 	r.Trace(Event{Kind: KindCandidates, Node: 1, N: 5})
 	if m := r.Snapshot(); !reflect.DeepEqual(*m, RunMetrics{}) {
 		t.Fatalf("recorder before run-end = %+v, want zero", *m)
 	}
 	want := RunMetrics{Steps: 100, Backtracks: 20, CandidatesTried: 400,
-		CandidateCacheHits: 30, CandidateCacheMisses: 10,
-		NogoodsLearned: 4, NogoodHits: 6, Backjumps: 2, MaxBackjump: 2}
+		CandidateCacheHits: 30, CandidateCacheMisses: 10}
 	r.Trace(Event{Kind: KindRunEnd, Label: "infeasible", Metrics: &RunMetrics{Steps: 1}})
 	r.Trace(Event{Kind: KindRunEnd, Label: "ok", Metrics: &want})
 	r.Trace(Event{Kind: KindProgress, Steps: 500})

@@ -40,11 +40,9 @@ func parseFuzzInstance(t *testing.T, csvText, sigmaText string, k int) (*diva.Re
 // the engine to its output contract: any error is a legitimate verdict, but
 // a published relation must pass the independent invariant checker, and on
 // oracle-sized inputs must also respect the exact solver's verdict and
-// optimum. Every input additionally runs twice — chronological and with
-// nogood learning — and the two runs must agree on the verdict, with the
-// learning run suppressing no more cells; the checked-in seed corpus under
-// testdata/fuzz includes dense-conflict instances from DenseConflictInstance
-// so the coverage-guided search starts where learning actually fires.
+// optimum. The checked-in seed corpus under testdata/fuzz includes
+// dense-conflict instances from DenseConflictInstance, so the
+// coverage-guided search starts where the coloring backtracks most.
 func FuzzAnonymizeEndToEnd(f *testing.F) {
 	f.Add("GEN:qi,CTY:qi,DIAG:sensitive\nM,Vancouver,flu\nM,Vancouver,cold\nF,Toronto,flu\nF,Toronto,cold\n",
 		"CTY[Vancouver], 1, 2\n", 2, uint64(1))
@@ -56,35 +54,21 @@ func FuzzAnonymizeEndToEnd(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, csvText, sigmaText string, k int, seed uint64) {
 		rel, sigma := parseFuzzInstance(t, csvText, sigmaText, k)
-		run := func(nogoods bool) (*diva.Result, error) {
-			return diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{
-				K:        k,
-				Strategy: allStrategies[seed%3],
-				Seed:     seed,
-				MaxSteps: 200_000,
-				Nogoods:  nogoods,
-			})
-		}
-		res, err := run(false)
-		cdclRes, cdclErr := run(true)
-		if (err == nil) != (cdclErr == nil) {
-			t.Fatalf("nogood learning changed the verdict: chronological err=%v, CDCL err=%v", err, cdclErr)
-		}
+		res, err := diva.AnonymizeContext(context.Background(), rel, sigma, diva.Options{
+			K:        k,
+			Strategy: allStrategies[seed%3],
+			Seed:     seed,
+			MaxSteps: 200_000,
+		})
 		if err != nil {
 			return // an error verdict is fine; panics and bad outputs are the bugs
 		}
-		if cdclRes.Metrics.SuppressedCells > res.Metrics.SuppressedCells {
-			t.Fatalf("CDCL suppressed %d cells, chronological %d — learning degraded ★",
-				cdclRes.Metrics.SuppressedCells, res.Metrics.SuppressedCells)
-		}
-		for _, r := range []*diva.Result{res, cdclRes} {
-			rep := verify.ValidateOutput(rel, r.Output, sigma, k, verify.Options{
-				CheckStars: true,
-				Stars:      r.Metrics.SuppressedCells,
-			})
-			if !rep.OK() {
-				t.Fatalf("published output violates invariants: %v", rep.Err())
-			}
+		rep := verify.ValidateOutput(rel, res.Output, sigma, k, verify.Options{
+			CheckStars: true,
+			Stars:      res.Metrics.SuppressedCells,
+		})
+		if !rep.OK() {
+			t.Fatalf("published output violates invariants: %v", rep.Err())
 		}
 		if rel.Len() <= 8 {
 			oracle, oerr := verify.BruteForce(rel, sigma, k, verify.BruteForceOptions{})
@@ -94,10 +78,8 @@ func FuzzAnonymizeEndToEnd(f *testing.F) {
 			if !oracle.Feasible {
 				t.Fatal("engine published output for a proven-infeasible instance")
 			}
-			for _, r := range []*diva.Result{res, cdclRes} {
-				if r.Metrics.SuppressedCells < oracle.Stars {
-					t.Fatalf("engine claims %d stars, below the proven optimum %d", r.Metrics.SuppressedCells, oracle.Stars)
-				}
+			if res.Metrics.SuppressedCells < oracle.Stars {
+				t.Fatalf("engine claims %d stars, below the proven optimum %d", res.Metrics.SuppressedCells, oracle.Stars)
 			}
 		}
 	})

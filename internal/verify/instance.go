@@ -184,17 +184,16 @@ func randomInstance(rng *rand.Rand, id int, withCriterion, disjointPools bool) I
 // DenseConflictInstance deterministically generates the id-th dense-conflict
 // micro-instance: every constraint targets the same tiny QI neighborhood
 // (two cities, two genders, and their combinations), so the constraints'
-// target pools overlap pairwise and the conflict rate cf(Σ) is high. These
-// are the instances conflict-driven nogood learning exists for — chronological
-// search thrashes between mutually blocking constraints, while a learner
-// backjumps over the assignments that are not actually in the conflict.
+// target pools overlap pairwise and the conflict rate cf(Σ) is high. On these
+// instances the chronological search backtracks most: it thrashes between
+// mutually blocking constraints.
 //
 // rows > 0 fixes the relation size (the caller owns staying under oracle or
 // fuzz caps); rows ≤ 0 draws an oracle-scale size in [2k, DefaultMaxRows].
 // Dense instances deliberately violate the disjoint-pool completeness
 // envelope (see RandomInstance), so harnesses must hold them to the
-// one-sided oracle contract — but chronological-vs-CDCL verdict equality is
-// asserted unconditionally: learning must not change what the engine finds.
+// one-sided oracle contract: no success on a proven-infeasible instance and
+// no claim below the proven optimum.
 func DenseConflictInstance(rng *rand.Rand, id, rows int) Instance {
 	k := 2 + rng.IntN(2)
 	n := rows
@@ -233,7 +232,7 @@ func DenseConflictInstance(rng *rand.Rand, id, rows int) Instance {
 		// occurrence count, or an upper bound forcing suppression outright.
 		// Tight uppers are what make the pools compete — a cluster accepted
 		// for one constraint preserves rows that push a neighbor over its
-		// bound, which is the thrashing nogood learning exists to cut.
+		// bound, so the search thrashes between them.
 		switch {
 		case o >= k && rng.IntN(4) > 0:
 			c.Lower = k
