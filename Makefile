@@ -387,7 +387,12 @@ history-smoke:
 # -verify must accept the published relation, and the two invocations must
 # be byte-identical on stdout AND on stderr modulo wall times: the
 # backtracking search over mutually blocking constraints must replay
-# deterministically.
+# deterministically. It then runs the refuted fixture
+# (testdata/census-refuted.sigma — the dense-conflict REGION core, which the
+# bind phase proves infeasible by counting) twice with -explain: each run
+# must exit non-zero with the no-diverse-relation error and the explainer's
+# refuted verdict, and the two runs' stderr must be byte-identical modulo
+# wall times.
 dense-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -413,7 +418,20 @@ dense-smoke:
 		echo "dense-smoke: runs diverged on stderr (explain)"; \
 		diff $$tmp/run1.log $$tmp/run2.log || true; exit 1; }; \
 	[ -s $$tmp/run1.csv ] || { echo "dense-smoke: empty output"; exit 1; }; \
-	echo "dense-smoke: ok (-verify clean, both invocations byte-identical)"
+	for i in 1 2; do \
+		if $$tmp/diva -in $$tmp/census.csv -constraints testdata/census-refuted.sigma \
+			-k 10 -seed 7 -explain >/dev/null 2>$$tmp/ref$$i.log; then \
+			echo "dense-smoke: refuted fixture run $$i unexpectedly succeeded"; exit 1; fi; \
+		grep -q 'no diverse k-anonymous relation exists' $$tmp/ref$$i.log && \
+		grep -q 'verdict: REFUTED' $$tmp/ref$$i.log || { \
+			echo "dense-smoke: refuted fixture run $$i lacks the infeasibility error or the refuted verdict:"; \
+			cat $$tmp/ref$$i.log; exit 1; }; \
+		sed 's/ wall=[^ ]*//' $$tmp/ref$$i.log >$$tmp/ref$$i.norm; \
+	done; \
+	cmp -s $$tmp/ref1.norm $$tmp/ref2.norm || { \
+		echo "dense-smoke: refuted runs diverged on stderr (explain)"; \
+		diff $$tmp/ref1.log $$tmp/ref2.log || true; exit 1; }; \
+	echo "dense-smoke: ok (-verify clean, both invocations byte-identical; refuted fixture proven infeasible before search, twice identically)"
 
 # verify runs the differential-verification subsystem as its own gate: the
 # invariant checker and brute-force oracle unit tests, the differential and

@@ -24,9 +24,11 @@
 // chrome://tracing. -explain prints a search explanation on stderr — the
 // culprit constraints, the dominant backtrack frontier, and, when the run
 // fails, whether the last candidates were rejected by true candidate
-// exhaustion or by the engine's conservative upper-bound consistency check;
-// it prints before the nonzero exit, so it is most useful on infeasible
-// instances.
+// exhaustion or by the engine's conservative upper-bound consistency check.
+// A run proved infeasible before any search (a counting proof over Σ, a
+// non-QI constraint out of bounds in R, or fewer than k tuples) gets the
+// verdict "refuted" and the proof itself. It prints before the nonzero exit,
+// so it is most useful on infeasible instances.
 //
 // -listen starts the ops HTTP server for the life of the process: /metrics
 // (Prometheus text exposition), /debug/vars (expvar), /debug/pprof/*, and
@@ -92,7 +94,7 @@ func main() {
 		traceFlag   = flag.Bool("trace", false, "stream phase boundaries and portfolio outcomes to stderr")
 		metricsDump = flag.Bool("metrics", false, "dump the run's aggregated metrics as JSON on stderr")
 		profileOut  = flag.String("profile", "", "write the run's search profile as Chrome trace-event JSON (Perfetto-loadable) to this file")
-		explain     = flag.Bool("explain", false, "print a search explanation on stderr: culprit constraints, backtrack frontier, and — on failure — whether upper-bound pruning or true candidate exhaustion rejected the last candidates")
+		explain     = flag.Bool("explain", false, "print a search explanation on stderr: culprit constraints, backtrack frontier, and — on failure — whether upper-bound pruning or true candidate exhaustion rejected the last candidates, or, for a run proved infeasible before any search, the refuted verdict and its proof")
 		listen      = flag.String("listen", "", "serve ops endpoints (/metrics, /debug/vars, /debug/pprof, /debug/diva/runs, /debug/diva/events, /debug/diva/incidents, /debug/diva/profile) on this address (\":0\" = ephemeral port)")
 		hold        = flag.Duration("hold", 0, "keep the process (and its -listen ops server) alive this long after the run (0 = exit when done; SIGINT/SIGTERM end the hold early)")
 		stallAfter  = flag.Duration("stall-after", obs.DefaultStallThreshold, "with -listen: flag a run stalled (goroutine dump + flight-recorder snapshot at /debug/diva/incidents) when its heartbeat is older than this")

@@ -259,6 +259,11 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 				return fmt.Errorf("diva: constraint (%s) targets only non-QI attributes and R has %d occurrences: %w", b, n, ErrNoDiverseClustering)
 			}
 		}
+		// A counting proof over Σ alone ends the run here: no graph, no
+		// search (DESIGN.md §4, "Refutation by counting").
+		if ref := constraint.Refute(bounds, schema, opts.K); ref != nil {
+			return fmt.Errorf("diva: %w: %w", ref, ErrNoDiverseClustering)
+		}
 		return nil
 	})
 	if err != nil {

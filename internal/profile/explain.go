@@ -2,9 +2,12 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
+
+	"diva/internal/trace"
 )
 
 // Culprit is one constraint implicated in a coloring failure, ranked by how
@@ -41,11 +44,16 @@ type FrontierNode struct {
 //     is *not* a proof of true infeasibility.
 //   - "subtree-exhausted": every enumerated candidate was assigned and its
 //     subtree failed — the cause lies deeper; the culprit ranking names it.
+//   - "refuted": the run ended infeasible before any search (no color
+//     phase, 0 steps) — a true infeasibility certificate: the bind phase's
+//     counting proof over Σ, a non-QI constraint already out of bounds in
+//     R, or fewer than k tuples. Proof holds the run's error text.
 //   - "" when the run did not fail (no exhaustion was recorded).
 type Explanation struct {
 	RunID    uint64         `json:"run_id,omitempty"`
 	Outcome  string         `json:"outcome,omitempty"`
 	Verdict  string         `json:"verdict,omitempty"`
+	Proof    string         `json:"proof,omitempty"`
 	Last     *Exhaustion    `json:"last_exhaustion,omitempty"`
 	Culprits []Culprit      `json:"culprits,omitempty"`
 	Frontier []FrontierNode `json:"frontier,omitempty"`
@@ -69,7 +77,10 @@ func (p *Profile) Explain() *Explanation {
 		Backtracks: m.Backtracks,
 		Wall:       p.Duration,
 	}
-	if p.LastExhaustion != nil {
+	colored := slices.ContainsFunc(p.Phases, func(s PhaseSpan) bool { return s.Phase == string(trace.PhaseColor) })
+	if p.Outcome == "infeasible" && !colored && m.Steps == 0 {
+		ex.Verdict, ex.Proof = "refuted", p.Err
+	} else if p.LastExhaustion != nil {
 		last := *p.LastExhaustion
 		ex.Last = &last
 		switch {
@@ -166,6 +177,9 @@ func (e *Explanation) String() string {
 	switch e.Verdict {
 	case "":
 		b.WriteString("no candidate exhaustion recorded — the search never ran dry.\n")
+		return b.String()
+	case "refuted":
+		fmt.Fprintf(&b, "verdict: REFUTED — the run proved the instance infeasible before any search; this is a true infeasibility certificate, not a search verdict.\nproof: %s\n", e.Proof)
 		return b.String()
 	case "exhausted":
 		fmt.Fprintf(&b, "verdict: CANDIDATE EXHAUSTION — the last failing constraint enumerated zero candidate clusterings; the instance is infeasible for the engine's candidate generation.\n")

@@ -200,3 +200,27 @@ func TestExplainUpperBoundPruned(t *testing.T) {
 	}
 	checkGolden(t, "explain_pruned.golden.txt", []byte(ex.String()))
 }
+
+// TestGoldenExplainRefuted pins the rendering of a run proved infeasible
+// before any search. Vancouver's two rows of each sex each demand a kept
+// occurrence, hence a QI-group of ≥ k = 2 rows, and the two targets are
+// disjoint, so together they need 4 > 3 occurrences of CTY[Vancouver]. The
+// same verdict covers the other pre-search proof, fewer than k tuples.
+func TestGoldenExplainRefuted(t *testing.T) {
+	sigma := diva.Constraints{
+		diva.NewConstraint("CTY", "Vancouver", 0, 3),
+		diva.NewMultiConstraint([]string{"CTY", "GEN"}, []string{"Vancouver", "Female"}, 1, 4),
+		diva.NewMultiConstraint([]string{"CTY", "GEN"}, []string{"Vancouver", "Male"}, 1, 4),
+	}
+	p := seededProfile(t, sigma, 2)
+	ex := p.Explain()
+	if p.Outcome != "infeasible" || ex.Verdict != "refuted" || ex.Proof != p.Err || len(ex.Culprits) != 0 {
+		t.Fatalf("outcome %q verdict %q proof %q culprits %v; want infeasible, refuted by the run's error, no culprits",
+			p.Outcome, ex.Verdict, ex.Proof, ex.Culprits)
+	}
+	checkGolden(t, "explain_refuted.golden.txt", []byte(ex.String()))
+
+	if ex := seededProfile(t, paperSigma(), 11).Explain(); ex.Verdict != "refuted" {
+		t.Errorf("k = 11 over 10 tuples: verdict %q, want refuted", ex.Verdict)
+	}
+}

@@ -135,7 +135,9 @@ func denseGraphs(tb testing.TB, n int) []*Graph {
 // family (denseGraphs) per op under MinChoice, each from a fresh candidate
 // cache as a run does. It is the one Go benchmark whose searches backtrack
 // through thousands of candidates; enums/op counts the candidate
-// enumerations (cache misses) the 16 searches make.
+// enumerations (cache misses) the 16 searches make. core.Anonymize refutes
+// this family by counting in its bind phase and never searches it, so this
+// benchmark is where search speed on it is measured.
 func BenchmarkColoringDense(b *testing.B) {
 	graphs := denseGraphs(b, 16)
 	b.ReportAllocs()

@@ -37,13 +37,16 @@ func TestDifferentialDenseConflict(t *testing.T) {
 	insts, nRandom := denseSuiteInstances(t)
 	rng := testutil.Rng(t)
 	rng.Uint64() // decouple the seed stream from the instance stream
-	runs, denseMatched, denseRuns := 0, 0, 0
+	runs, denseMatched, denseRuns, denseRefuted := 0, 0, 0, 0
 	for idx, inst := range insts {
 		oracle, err := verify.BruteForce(inst.Rel, inst.Sigma, inst.K, verify.BruteForceOptions{})
 		if err != nil {
 			t.Fatalf("%s: BruteForce: %v", inst, err)
 		}
 		envelope := idx < nRandom
+		if !envelope && refutes(t, inst) {
+			denseRefuted++
+		}
 		for _, strat := range allStrategies {
 			for _, shards := range []int{1, 2, 4} {
 				runs++
@@ -74,7 +77,8 @@ func TestDifferentialDenseConflict(t *testing.T) {
 	if runs < 240 {
 		t.Fatalf("harness ran %d runs, want ≥ 240", runs)
 	}
-	t.Logf("%d runs, no unsound success; %d/%d dense runs match the oracle's verdict", runs, denseMatched, denseRuns)
+	t.Logf("%d runs, no unsound success; %d/%d dense runs match the oracle's verdict; the counting rule refutes %d of %d dense instances",
+		runs, denseMatched, denseRuns, denseRefuted, len(insts)-nRandom)
 }
 
 // TestDenseConflictGeneratorIsDense pins the generator's reason to exist:
@@ -123,13 +127,16 @@ func TestSearchOrderMetamorphic(t *testing.T) {
 	for id := 0; id < 13; id++ {
 		insts = append(insts, verify.DenseConflictInstance(rng, id, 0))
 	}
-	checked := 0
+	checked, denseRefuted := 0, 0
 	for idx, inst := range insts {
 		oracle, err := verify.BruteForce(inst.Rel, inst.Sigma, inst.K, verify.BruteForceOptions{})
 		if err != nil {
 			t.Fatalf("%s: BruteForce: %v", inst, err)
 		}
 		envelope := idx < nRandom
+		if !envelope && refutes(t, inst) {
+			denseRefuted++
+		}
 		variants := []verify.Instance{
 			inst,
 			verify.ReorderConstraints(inst, rng.Perm(len(inst.Sigma))),
@@ -156,5 +163,6 @@ func TestSearchOrderMetamorphic(t *testing.T) {
 			t.FailNow()
 		}
 	}
-	t.Logf("%d transformed runs, no unsound success, envelope verdicts invariant", checked)
+	t.Logf("%d transformed runs, no unsound success, envelope verdicts invariant; the counting rule refutes %d of %d dense instances",
+		checked, denseRefuted, len(insts)-nRandom)
 }
