@@ -309,9 +309,15 @@ func runCleanup() {
 	}
 }
 
+// fatal prints err and exits 1. Engine errors already begin with "diva: ",
+// so the prefix is added only to messages that lack it.
 func fatal(err error) {
 	runCleanup()
-	fmt.Fprintln(os.Stderr, "diva:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "diva: ") {
+		msg = "diva: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }
 

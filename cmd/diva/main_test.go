@@ -134,3 +134,30 @@ func TestBaselineOnlyRunIsARun(t *testing.T) {
 		t.Fatalf("ledger holds %d records (%+v), want one ok record of a run with no constraints", len(recs), recs)
 	}
 }
+
+// TestInfeasibleRunNamesThePackageOnce: an engine error already begins with
+// "diva: ", so the CLI must not prefix it again, and the wrapped sentinel
+// must not repeat it either.
+func TestInfeasibleRunNamesThePackageOnce(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe,
+		"-in", "../../testdata/patients.csv",
+		"-constraints", "../../testdata/patients.sigma",
+		"-k", "50")
+	cmd.Env = append(os.Environ(), "DIVA_RUN_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("a 50-anonymization of 10 rows succeeded")
+	}
+	msg := stderr.String()
+	if !strings.HasPrefix(msg, "diva: ") || strings.Count(msg, "diva: ") != 1 {
+		t.Fatalf("stderr must name the package once, as its prefix:\n%s", msg)
+	}
+	if !strings.Contains(msg, "no diverse k-anonymous relation exists") {
+		t.Fatalf("stderr lacks the infeasibility text:\n%s", msg)
+	}
+}

@@ -28,8 +28,11 @@ import (
 
 // ErrNoDiverseClustering is returned when no k-anonymous relation
 // satisfying the diversity constraints exists (or none was found within the
-// search budget) — the paper's "relation does not exist" outcome.
-var ErrNoDiverseClustering = errors.New("diva: no diverse k-anonymous relation exists")
+// search budget) — the paper's "relation does not exist" outcome. It is
+// always returned wrapped in an error that begins "diva: " and names the
+// cause, so its own text carries no prefix and a message names the package
+// once.
+var ErrNoDiverseClustering = errors.New("no diverse k-anonymous relation exists")
 
 // ErrCanceled is returned when a run was aborted by context cancellation or
 // deadline expiry. Errors on this path also wrap the context's own error, so
@@ -198,7 +201,8 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	// ErrCanceled, and reports the run, classified once: to the Prometheus
 	// collector, then as the terminal run-end event to every tracer (the
 	// caller's and the run registry, which completes the run), then to the
-	// history ledger.
+	// history ledger, and last releases the run so the registry may recycle
+	// its flight ring.
 	finish := func(res *Result, err error) (*Result, error) {
 		if err != nil && !errors.Is(err, ErrCanceled) &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -214,6 +218,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 		obs.Collect(m, end.Label)
 		tr.Trace(end)
 		depositHistory(rel, sigma, opts, m, end.Label, err, run)
+		run.Release()
 		return res, err
 	}
 

@@ -42,8 +42,9 @@ func historyConfig(sigma constraint.Set, opts Options) history.Config {
 // RunOutcome(runErr)), emits the canonical wide-event log line when a
 // canonical logger is installed (obs.LogRun), and appends the record to the history ledger when one is configured
 // (Options.HistoryDir, falling back to DIVA_HISTORY_DIR). On error and
-// infeasible outcomes the record carries the run's flight-recorder tail, so
-// the trail into the failure outlives the process. It is called on every
+// infeasible outcomes the record carries a copy of the run's sealed
+// flight-recorder window, so the trail into the failure outlives the
+// process; the caller releases the run only after this copy. It is called on every
 // outcome and never fails the run: ledger errors are logged and counted on
 // the Ledger, nothing more.
 func depositHistory(rel *relation.Relation, sigma constraint.Set, opts Options, m *trace.RunMetrics, outcome string, runErr error, run *obs.Run) {

@@ -52,35 +52,45 @@ type RunInfo struct {
 	// running).
 	Metrics *trace.RunMetrics `json:"metrics,omitempty"`
 
-	// flight and flightSeen carry a completed run's flight-recorder snapshot
-	// through the registry's done ring, and profile its finished search
-	// profile (nil when profiling was off). Unexported so /debug/diva/runs
-	// stays compact; /debug/diva/runs/{id}/events and
-	// /debug/diva/profile/{id} serve them.
-	flight     []trace.FlightEntry
-	flightSeen uint64
-	profile    *profile.Profile
+	// run is the completed run's handle, whose sealed flight recorder rides
+	// the registry's done ring, and profile its finished search profile (nil
+	// when profiling was off). Unexported so /debug/diva/runs stays compact;
+	// /debug/diva/runs/{id}/events and /debug/diva/profile/{id} serve them.
+	run     *Run
+	profile *profile.Profile
 }
 
 // StateRunning is RunInfo.State until the run-end event names the outcome.
 const StateRunning = "running"
 
 // RunRegistry is the one store of per-run state: every in-flight engine
-// run, a ring of the last K completed ones (each carrying its flight
-// snapshot and, with profiling on, its search profile), and a ring of the
-// newest stall incidents. It is goroutine-safe: runs register, heartbeat and
-// finish concurrently. Runs is the process-wide default used by the engine.
+// run, a fixed ring of the last K completed ones (each carrying its sealed
+// flight recorder and, with profiling on, its search profile), and a ring
+// of the newest stall incidents. It owns its runs' flight rings: a run's
+// ring is recycled to a later run once the run has left the completed ring
+// and its owner has called Run.Release, so in steady state a run allocates
+// no ring; readers get copies. It is goroutine-safe: runs register,
+// heartbeat and finish concurrently. Runs is the process-wide default used
+// by the engine.
 type RunRegistry struct {
 	bus       *Broadcaster
 	mu        sync.Mutex
 	nextID    uint64
 	live      map[uint64]*Run
-	done      []RunInfo // completed runs, oldest first, capped at keep
-	keep      int
-	evicted   int64      // completed runs dropped from the ring to honor keep
-	incidents []Incident // newest DefaultIncidentCap stall incidents, oldest first
-	stalls    int64      // incidents ever recorded, evicted included
+	done      []RunInfo // ring of keep completed-run slots; the oldest is done[head]
+	head      int
+	ndone     int                   // occupied slots of done
+	free      [][]trace.FlightEntry // recycled flight rings, at most freeRings
+	evicted   int64                 // completed runs dropped from the ring to honor keep
+	incidents []Incident            // newest DefaultIncidentCap stall incidents, oldest first
+	stalls    int64                 // incidents ever recorded, evicted included
 }
+
+// freeRings bounds the registry's free list of recycled flight rings. A
+// sequential caller needs one (each finish frees the ring the next Begin
+// takes); the bound caps what a burst of evictions keeps alive at about
+// 0.5 MB.
+const freeRings = 8
 
 // Runs is the process-wide run registry; core.Anonymize registers every run
 // here and the ops server exposes it at /debug/diva/runs.
@@ -92,7 +102,12 @@ func NewRunRegistry(keep int) *RunRegistry {
 	if keep <= 0 {
 		keep = DefaultCompletedRuns
 	}
-	return &RunRegistry{bus: NewBroadcaster(), live: make(map[uint64]*Run), keep: keep}
+	return &RunRegistry{
+		bus:  NewBroadcaster(),
+		live: make(map[uint64]*Run),
+		done: make([]RunInfo, keep),
+		free: make([][]trace.FlightEntry, 0, freeRings),
+	}
 }
 
 // Events returns the registry's event broadcaster: every trace event any
@@ -108,9 +123,15 @@ func (r *RunRegistry) Begin() *Run {
 	defer r.mu.Unlock()
 	r.nextID++
 	now := time.Now()
+	var ring []trace.FlightEntry
+	if n := len(r.free); n > 0 {
+		ring, r.free[n-1] = r.free[n-1], nil
+		r.free = r.free[:n-1]
+	}
 	run := &Run{
 		reg:    r,
-		flight: trace.NewFlightRecorder(trace.DefaultFlightCapacity),
+		flight: trace.NewFlightRecorderFrom(ring, trace.DefaultFlightCapacity, now),
+		claims: 2,
 		info:   RunInfo{ID: r.nextID, Start: now, State: StateRunning, Worker: -1},
 	}
 	if ProfilingEnabled() {
@@ -136,9 +157,9 @@ func (r *RunRegistry) Snapshot() (live, completed []RunInfo) {
 	for _, run := range r.live {
 		liveRuns = append(liveRuns, run)
 	}
-	completed = make([]RunInfo, len(r.done))
-	for i := range r.done {
-		completed[len(r.done)-1-i] = r.done[i]
+	completed = make([]RunInfo, r.ndone)
+	for i := range completed {
+		completed[r.ndone-1-i] = *r.doneAt(i)
 	}
 	r.mu.Unlock()
 	live = make([]RunInfo, len(liveRuns))
@@ -152,7 +173,7 @@ func (r *RunRegistry) Snapshot() (live, completed []RunInfo) {
 
 // Keep returns the completed-ring capacity the registry was constructed
 // with.
-func (r *RunRegistry) Keep() int { return r.keep }
+func (r *RunRegistry) Keep() int { return len(r.done) }
 
 // Evicted returns how many completed runs have been dropped from the ring to
 // honor Keep. The process-wide registry exposes it as
@@ -163,14 +184,39 @@ func (r *RunRegistry) Evicted() int64 {
 	return r.evicted
 }
 
+// doneAt returns the i-th retained completed run, oldest first. The caller
+// holds r.mu.
+func (r *RunRegistry) doneAt(i int) *RunInfo { return &r.done[(r.head+i)%len(r.done)] }
+
+// finish moves a completed run from the live set into the done ring. A full
+// ring overwrites its oldest slot, which releases that run's claim on its
+// flight ring.
 func (r *RunRegistry) finish(info RunInfo) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.live, info.ID)
-	r.done = append(r.done, info)
-	if drop := len(r.done) - r.keep; drop > 0 {
-		r.done = r.done[drop:]
-		r.evicted += int64(drop)
+	slot := r.doneAt(r.ndone)
+	if r.ndone == len(r.done) {
+		r.release(slot.run)
+		r.head = (r.head + 1) % len(r.done)
+		r.evicted++
+	} else {
+		r.ndone++
+	}
+	*slot = info
+}
+
+// release drops one of the two claims on run's flight ring, the done
+// ring's (on eviction) or the owner's (Run.Release), and recycles the ring
+// once both are gone: Release clears it under the recorder's own lock, so a
+// late reader of the evicted run sees an empty window, never a later run's
+// events. The caller holds r.mu.
+func (r *RunRegistry) release(run *Run) {
+	if run.claims--; run.claims > 0 {
+		return
+	}
+	if ring := run.flight.Release(); cap(ring) > 0 && len(r.free) < freeRings {
+		r.free = append(r.free, ring)
 	}
 }
 
@@ -183,6 +229,12 @@ type Run struct {
 	reg    *RunRegistry
 	flight *trace.FlightRecorder
 	prof   *profile.Profiler // nil unless profiling was on at Begin
+
+	// claims counts who still holds the flight ring, guarded by reg.mu: the
+	// owner until Release, and the registry until the run leaves the done
+	// ring. released makes Release idempotent.
+	claims   int
+	released bool
 
 	// lastEvent is the wall-clock UnixNano of the run's most recent trace
 	// event — the watchdog's staleness signal. stalled latches once the
@@ -201,10 +253,12 @@ type Run struct {
 // ID returns the registry-assigned run identifier.
 func (run *Run) ID() uint64 { return run.info.ID }
 
-// Trace implements trace.Tracer. Every event — not just phase changes and
-// heartbeats — lands in the run's flight recorder (and profiler, if any) and
-// is published to the registry's broadcaster, so the run is observable even
-// when the caller set no tracer of its own.
+// Trace implements trace.Tracer. Every event up to the run-end — not just
+// phase changes and heartbeats — lands in the run's flight recorder (and
+// profiler, if any) and is published to the registry's broadcaster, so the
+// run is observable even when the caller set no tracer of its own. The
+// entry's offset also stamps the watchdog's heartbeat, so an event reads
+// the clock once. Events after the run-end are dropped.
 func (run *Run) Trace(ev trace.Event) {
 	if run.prof != nil {
 		run.prof.Trace(ev)
@@ -214,7 +268,10 @@ func (run *Run) Trace(ev trace.Event) {
 		return
 	}
 	entry := run.flight.Record(ev)
-	run.lastEvent.Store(time.Now().UnixNano())
+	if entry.Seq == 0 {
+		return // the run has ended: its recorder is sealed
+	}
+	run.lastEvent.Store(run.info.Start.UnixNano() + int64(entry.At))
 	run.stalled.Store(false)
 	switch ev.Kind {
 	case trace.KindPhaseStart:
@@ -234,8 +291,26 @@ func (run *Run) Trace(ev trace.Event) {
 	run.reg.bus.Publish(RunEvent{RunID: run.info.ID, Entry: entry})
 }
 
-// Flight returns the run's flight recorder.
+// Flight returns the run's flight recorder. Once the run has ended the
+// recorder is sealed; it keeps the run's window until the run has both left
+// the completed ring and been released, and is empty afterwards.
 func (run *Run) Flight() *trace.FlightRecorder { return run.flight }
+
+// Release declares that the run's owner will read its flight recorder no
+// more, so the registry may recycle the ring once the run has also left the
+// completed ring. core.Anonymize releases its run after depositing the
+// run's history record, which copies a failed run's window; an unreleased
+// run keeps its window and its ring goes to the garbage collector.
+// Release is idempotent.
+func (run *Run) Release() {
+	r := run.reg
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !run.released {
+		run.released = true
+		r.release(run)
+	}
+}
 
 // HeartbeatAge returns how long ago the run's last trace event arrived.
 func (run *Run) HeartbeatAge(now time.Time) time.Duration {
@@ -255,12 +330,12 @@ func (run *Run) Info() RunInfo {
 	return info
 }
 
-// end handles the run's KindRunEnd event: it seals the flight recorder with
-// the event, completes the run's visible state from it (outcome as State,
-// its metrics as the final counters), finalizes the profile, and moves the
-// run from the live set into the completed ring — all before the run-end is
-// published, so a subscriber that sees it finds the run's artifacts already
-// served. Only the first run-end event takes effect.
+// end handles the run's KindRunEnd event: it records the event and seals
+// the flight recorder in place, completes the run's visible state from it
+// (outcome as State, its metrics as the final counters), finalizes the
+// profile, and moves the run from the live set into the completed ring —
+// all before the run-end is published, so a subscriber that sees it finds
+// the run's artifacts already served. Only the first run-end event takes effect.
 func (run *Run) end(ev trace.Event) {
 	run.mu.Lock()
 	info := &run.info
@@ -273,7 +348,8 @@ func (run *Run) end(ev trace.Event) {
 	if m := ev.Metrics; m != nil {
 		info.Steps, info.Backtracks = m.Steps, m.Backtracks
 	}
-	info.flight, info.flightSeen = run.flight.Snapshot(), run.flight.Seen()
+	run.flight.Seal()
+	info.run = run
 	if run.prof != nil {
 		info.profile = run.prof.Profile()
 	}
@@ -283,9 +359,11 @@ func (run *Run) end(ev trace.Event) {
 	run.reg.bus.Publish(RunEvent{RunID: done.ID, Entry: entry})
 }
 
-// RunEvents returns the flight-recorder snapshot for run id — live or
-// retained-completed — plus the total events the run has seen (evicted
-// included). ok is false when the registry doesn't know the run.
+// RunEvents returns a copy of the flight-recorder window for run id — live
+// or retained-completed — plus the total events the run has seen (evicted
+// included). A completed run's window is copied under the registry lock,
+// so eviction cannot recycle it mid-copy. ok is false when the registry
+// doesn't know the run.
 func (r *RunRegistry) RunEvents(id uint64) (events []trace.FlightEntry, seen uint64, ok bool) {
 	r.mu.Lock()
 	if run, live := r.live[id]; live {
@@ -294,7 +372,7 @@ func (r *RunRegistry) RunEvents(id uint64) (events []trace.FlightEntry, seen uin
 	}
 	defer r.mu.Unlock()
 	if info := r.completed(id); info != nil {
-		return info.flight, info.flightSeen, true
+		return info.run.flight.Snapshot(), info.run.flight.Seen(), true
 	}
 	return nil, 0, false
 }
@@ -302,9 +380,9 @@ func (r *RunRegistry) RunEvents(id uint64) (events []trace.FlightEntry, seen uin
 // completed returns retained completed run id's record, or nil. The caller
 // holds r.mu.
 func (r *RunRegistry) completed(id uint64) *RunInfo {
-	for i := len(r.done) - 1; i >= 0; i-- {
-		if r.done[i].ID == id {
-			return &r.done[i]
+	for i := r.ndone - 1; i >= 0; i-- {
+		if info := r.doneAt(i); info.ID == id {
+			return info
 		}
 	}
 	return nil
@@ -328,8 +406,8 @@ func (r *RunRegistry) ProfileIDs() []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ids := []uint64{}
-	for _, info := range r.done {
-		if info.profile != nil {
+	for i := range r.ndone {
+		if info := r.doneAt(i); info.profile != nil {
 			ids = append(ids, info.ID)
 		}
 	}
@@ -338,37 +416,28 @@ func (r *RunRegistry) ProfileIDs() []uint64 {
 
 // ReplayEvents returns the recorded history for runID (0 = every run the
 // registry knows), ordered by run ID then sequence — what the SSE endpoint
-// writes to a fresh subscriber before streaming live.
+// writes to a fresh subscriber before streaming live. The windows are
+// copied outside the registry lock, so a completed run evicted meanwhile
+// contributes its whole window or nothing.
 func (r *RunRegistry) ReplayEvents(runID uint64) []RunEvent {
 	r.mu.Lock()
-	type source struct {
-		id      uint64
-		run     *Run // live; nil means use entries
-		entries []trace.FlightEntry
-	}
-	sources := make([]source, 0, len(r.done)+len(r.live))
-	for _, info := range r.done {
-		if runID == 0 || info.ID == runID {
-			sources = append(sources, source{id: info.ID, entries: info.flight})
+	runs := make([]*Run, 0, r.ndone+len(r.live))
+	for i := range r.ndone {
+		if info := r.doneAt(i); runID == 0 || info.ID == runID {
+			runs = append(runs, info.run)
 		}
 	}
 	for id, run := range r.live {
 		if runID == 0 || id == runID {
-			sources = append(sources, source{id: id, run: run})
+			runs = append(runs, run)
 		}
 	}
 	r.mu.Unlock()
-	// Snapshot live rings outside the registry lock; order by run ID.
-	for i := range sources {
-		if sources[i].run != nil {
-			sources[i].entries = sources[i].run.flight.Snapshot()
-		}
-	}
-	slices.SortFunc(sources, func(a, b source) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(runs, func(a, b *Run) int { return cmp.Compare(a.ID(), b.ID()) })
 	var out []RunEvent
-	for _, s := range sources {
-		for _, e := range s.entries {
-			out = append(out, RunEvent{RunID: s.id, Entry: e})
+	for _, run := range runs {
+		for _, e := range run.flight.Snapshot() {
+			out = append(out, RunEvent{RunID: run.ID(), Entry: e})
 		}
 	}
 	return out

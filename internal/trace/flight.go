@@ -8,8 +8,9 @@ import (
 // DefaultFlightCapacity is the per-run flight-recorder ring size. 256 events
 // cover the tail of any search — the last heartbeat plus the per-node
 // activity leading up to a stall or failure — while bounding a registered
-// run's recorder at a few tens of kilobytes. The ring grows to that bound
-// only as events arrive, so a short run pays for the events it records.
+// run's ring at 57 KB. The obs run registry recycles its runs' rings,
+// so in steady state a registered run records into a ring an earlier run
+// already grew and allocates none of it.
 const DefaultFlightCapacity = 256
 
 // FlightEntry is one recorded event with its recorder-local sequence number
@@ -28,27 +29,39 @@ type FlightEntry struct {
 
 // FlightRecorder is a bounded, allocation-light ring of the most recent
 // trace events — a per-run "black box". Recording copies the event into a
-// ring slot under a mutex. The ring starts empty and doubles as it fills,
-// up to its capacity, so a fill allocates at most ⌈log₂ capacity⌉+1 times
-// and a full ring never allocates: the recorder can ride the search hot
-// path of every registered run. Snapshot copies the retained window out
-// oldest-first. It is goroutine-safe (portfolio workers heartbeat
-// concurrently) and implements Tracer.
+// ring slot under a mutex. The ring starts empty (or in storage handed over
+// by NewFlightRecorderFrom) and doubles as it fills, up to its capacity, so
+// a fill allocates at most ⌈log₂ capacity⌉+1 times and a full ring never
+// allocates: the recorder can ride the search hot path of every registered
+// run. Snapshot copies the retained window out oldest-first. Seal ends
+// recording and keeps the window in place, and Release hands the ring's
+// storage back to its owner for reuse. It is goroutine-safe (portfolio
+// workers heartbeat concurrently) and implements Tracer.
 type FlightRecorder struct {
 	mu       sync.Mutex
 	start    time.Time
 	capacity int
 	buf      []FlightEntry // ring storage, never longer than capacity
 	seq      uint64        // total events recorded; buf[(seq-1)%len] is newest
+	sealed   bool          // Seal or Release ran: Record stores nothing
 }
 
 // NewFlightRecorder returns a recorder retaining the last capacity events
 // (capacity ≤ 0 selects DefaultFlightCapacity).
 func NewFlightRecorder(capacity int) *FlightRecorder {
+	return NewFlightRecorderFrom(nil, capacity, time.Now())
+}
+
+// NewFlightRecorderFrom is NewFlightRecorder with the ring's first storage
+// and the clock's origin supplied by the caller: the ring fills buf's
+// backing array (whatever buf held is ignored) before it grows, and entry
+// offsets count from start. An owner that recycles rings (see Release)
+// starts a recorder with it without allocating a ring.
+func NewFlightRecorderFrom(buf []FlightEntry, capacity int, start time.Time) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{start: time.Now(), capacity: capacity}
+	return &FlightRecorder{start: start, capacity: capacity, buf: buf[:0]}
 }
 
 // Trace implements Tracer: the event lands in the ring, evicting the oldest
@@ -57,10 +70,15 @@ func (f *FlightRecorder) Trace(ev Event) { f.Record(ev) }
 
 // Record stores ev and returns the stored entry — sequence-stamped and
 // timestamped — so callers that also publish the event elsewhere (the obs
-// broadcaster) reuse the ring's numbering instead of keeping their own.
+// broadcaster) reuse the ring's numbering and clock instead of keeping their
+// own. After Seal it stores nothing and returns an entry with Seq 0.
 func (f *FlightRecorder) Record(ev Event) FlightEntry {
 	at := time.Since(f.start)
 	f.mu.Lock()
+	if f.sealed {
+		f.mu.Unlock()
+		return FlightEntry{At: at, Event: ev}
+	}
 	f.seq++
 	e := FlightEntry{Seq: f.seq, At: at, Event: ev}
 	if n := len(f.buf); n < f.capacity {
@@ -84,7 +102,8 @@ func (f *FlightRecorder) Seen() uint64 {
 }
 
 // Snapshot returns a copy of the retained window, oldest first. The copy is
-// safe to retain and marshal while the recorder keeps recording.
+// safe to retain and marshal while the recorder keeps recording, and after
+// the ring is released.
 func (f *FlightRecorder) Snapshot() []FlightEntry {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -94,4 +113,28 @@ func (f *FlightRecorder) Snapshot() []FlightEntry {
 		out = append(out, f.buf[(f.seq-n+i)%n])
 	}
 	return out
+}
+
+// Seal ends recording: every later Record stores nothing, so the retained
+// window and Seen stay as they are, in place. Readers copy the window out
+// with Snapshot, which unrolls the ring as it copies.
+func (f *FlightRecorder) Seal() {
+	f.mu.Lock()
+	f.sealed = true
+	f.mu.Unlock()
+}
+
+// Release seals the recorder and hands its ring storage to the caller for
+// reuse: the entries are zeroed, so no event's metrics or strings stay
+// reachable through the storage, and the returned slice is empty with the
+// ring's capacity. Afterwards Snapshot returns an empty window; Seen is
+// unchanged. The caller must be the ring's only owner: Release transfers
+// the storage, it does not copy it.
+func (f *FlightRecorder) Release() []FlightEntry {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	buf := f.buf
+	clear(buf)
+	f.buf, f.sealed = nil, true
+	return buf[:0]
 }
