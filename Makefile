@@ -95,9 +95,14 @@ bench-compare:
 # baseline-smoke runs cmd/diva end to end at scale 0.05 under -verify with
 # both the sequential and the parallel default partitioner settings, and
 # checks the two outputs are byte-identical (the parallel Mondrian
-# determinism contract at the CLI level). It then runs the k-member baseline
-# twice on the same sample, requiring byte-identical outputs, and once more
-# under distinct 2-diversity, all under -verify.
+# determinism contract at the CLI level). The same comparison runs on a
+# 40,000-row sample, above the split grain of the engine's row passes
+# (internal/par), once baseline-only and once with
+# testdata/census-shard.sigma, so the rendering, pool, count and enumerator
+# splits run too; these skip -verify, whose R ⊑ R′ matching is quadratic.
+# It then runs the k-member baseline twice on the 15,000-row sample,
+# requiring byte-identical outputs, and once more under distinct
+# 2-diversity, all under -verify.
 baseline-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -111,6 +116,16 @@ baseline-smoke:
 	cmp -s $$tmp/seq.csv $$tmp/par.csv || { \
 		echo "baseline-smoke: parallel output differs from sequential"; exit 1; }; \
 	[ -s $$tmp/seq.csv ] || { echo "baseline-smoke: empty output"; exit 1; }; \
+	$$tmp/datagen -profile census -rows 40000 -seed 7 >$$tmp/census40k.csv; \
+	for sigma in "" "-constraints testdata/census-shard.sigma"; do \
+		$$tmp/diva -in $$tmp/census40k.csv $$sigma -k 10 -seed 7 -parallelism 1 \
+			>$$tmp/seq40k.csv || { echo "baseline-smoke: sequential 40k run $$sigma failed"; exit 1; }; \
+		$$tmp/diva -in $$tmp/census40k.csv $$sigma -k 10 -seed 7 \
+			>$$tmp/par40k.csv || { echo "baseline-smoke: parallel 40k run $$sigma failed"; exit 1; }; \
+		cmp -s $$tmp/seq40k.csv $$tmp/par40k.csv || { \
+			echo "baseline-smoke: parallel 40k output $$sigma differs from sequential"; exit 1; }; \
+		[ -s $$tmp/seq40k.csv ] || { echo "baseline-smoke: empty 40k output $$sigma"; exit 1; }; \
+	done; \
 	for i in 1 2; do \
 		$$tmp/diva -in $$tmp/census.csv -k 10 -seed 7 -baseline k-member -verify \
 			>$$tmp/km$$i.csv || { echo "baseline-smoke: k-member run $$i failed"; exit 1; }; \
@@ -120,7 +135,7 @@ baseline-smoke:
 	[ -s $$tmp/km1.csv ] || { echo "baseline-smoke: empty k-member output"; exit 1; }; \
 	$$tmp/diva -in $$tmp/census.csv -k 10 -seed 7 -baseline k-member -ldiversity 2 -verify \
 		>$$tmp/kml2.csv || { echo "baseline-smoke: k-member -ldiversity 2 run failed"; exit 1; }; \
-	echo "baseline-smoke: ok (sequential and parallel outputs identical, k-member deterministic, -verify clean)"
+	echo "baseline-smoke: ok (sequential and parallel outputs identical at 15k and 40k rows, k-member deterministic, -verify clean)"
 
 # shard-smoke runs the component-wise engine end to end at the CLI level:
 # a census sample with a Σ that decomposes into three components

@@ -83,7 +83,7 @@ func main() {
 		strategy    = flag.String("strategy", "MaxFanOut", "node-selection strategy: Basic, MinChoice or MaxFanOut")
 		seed        = flag.Uint64("seed", 1, "random seed for reproducible runs")
 		baseline    = flag.String("baseline", "mondrian", "off-the-shelf anonymizer: mondrian, k-member or oka")
-		parallelism = flag.Int("parallelism", 0, "worker goroutines for the mondrian baseline partitioner (0 = GOMAXPROCS)")
+		parallelism = flag.Int("parallelism", 0, "worker goroutines for every data-parallel pass: the mondrian baseline, the -shards fan-out and the engine's row passes (0 = GOMAXPROCS, 1 = one goroutine; output is identical at every value)")
 		verifyFlag  = flag.Bool("verify", false, "re-check every published relation (k-anonymity, R ⊑ R', Σ, l-diversity, ★ accounting) before printing")
 		stats       = flag.Bool("stats", false, "print metrics to stderr")
 		ldiv        = flag.Int("ldiversity", 0, "additionally require distinct l-diversity with this l (0 = off)")

@@ -418,8 +418,12 @@ type Options struct {
 	// do not reach it. Partitioners implementing the anon package's
 	// TraceSink receive the run's tracer before the baseline phase.
 	Anonymizer Partitioner
-	// Parallelism bounds the Mondrian baseline's worker goroutines: 0 means
-	// GOMAXPROCS, 1 forces sequential partitioning. The partition is
+	// Parallelism bounds the worker goroutines of every data-parallel pass
+	// of a run: the Mondrian baseline, the component fan-out (Shards), and
+	// the engine's row passes (rendering the output, building candidate
+	// enumerators, scanning R for every constraint's pool and count), which
+	// split into row ranges once they are large enough. 0 means GOMAXPROCS,
+	// 1 runs everything on the calling goroutine. The output is
 	// byte-identical at every setting. It has no effect on the other
 	// baselines or on a caller-supplied Anonymizer.
 	Parallelism int

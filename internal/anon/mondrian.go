@@ -5,10 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"time"
 
+	"diva/internal/par"
 	"diva/internal/privacy"
 	"diva/internal/relation"
 	"diva/internal/trace"
@@ -34,9 +34,9 @@ type Mondrian struct {
 	// The whole input must satisfy the criterion or partitioning fails.
 	Criterion privacy.Criterion
 	// Parallelism bounds the worker goroutines partitioning independent
-	// halves concurrently: 0 means GOMAXPROCS, 1 forces sequential
-	// execution, and values above GOMAXPROCS are clamped to it. The output
-	// is byte-identical at every setting.
+	// halves concurrently (par.Procs): 0 means GOMAXPROCS, 1 forces
+	// sequential execution, and values above GOMAXPROCS are clamped to it.
+	// The output is byte-identical at every setting.
 	Parallelism int
 	// Tracer, when non-nil, receives one trace.KindSplit event per cut made
 	// (Label = cut attribute, N = partition size, Depth = recursion depth,
@@ -88,16 +88,10 @@ func (m *Mondrian) Partition(ctx context.Context, rel *relation.Relation, rows [
 		copy(part, rows)
 		return [][]int{part}, nil
 	}
-	r, s := newMondrianRun(ctx, m.Criterion, rel, rows, k)
+	r, s := newMondrianRun(ctx, m.Criterion, rel, rows, k, m.Parallelism)
 	r.tr = tr
 
-	workers := m.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
+	workers := par.Procs(m.Parallelism)
 	// The calling goroutine is worker zero; idle holds the extra capacity,
 	// one slot per spare worker, each carrying that worker's scratch once it
 	// has been allocated (nil before, and after a failed subtree left it
@@ -166,8 +160,12 @@ type mondrianAttr struct {
 }
 
 // newMondrianRun also returns worker zero's scratch, holding the root's
-// histograms: they are counted while the code table is filled.
-func newMondrianRun(ctx context.Context, crit privacy.Criterion, rel *relation.Relation, rows []int, k int) (*mondrianRun, *mondrianScratch) {
+// histograms: they are counted while the code table is filled. Above
+// 2·par.Grain rows the fill splits into position ranges on up to
+// parallelism workers; each counts into histograms of its own, merged into
+// the root's in range order, so every distinct list keeps the order in
+// which its codes first appear, as one worker's fill leaves it.
+func newMondrianRun(ctx context.Context, crit privacy.Criterion, rel *relation.Relation, rows []int, k, parallelism int) (*mondrianRun, *mondrianScratch) {
 	schema := rel.Schema()
 	r := &mondrianRun{ctx: ctx, crit: crit, rel: rel, rows: rows, k: k, qi: schema.QIIndexes()}
 	r.attrs = make([]mondrianAttr, len(r.qi))
@@ -177,18 +175,29 @@ func newMondrianRun(ctx context.Context, crit privacy.Criterion, rel *relation.R
 		at.cardm1 = float64(max(rel.Dict(a).Cardinality()-1, 1))
 	}
 	n := len(rows)
-	r.codes = make([]uint32, 0, n*len(r.qi))
+	r.codes = make([]uint32, n*len(r.qi))
 	bufs := make([]int, 2*n)
 	r.bufs = [2][]int{bufs[:n:n], bufs[n:]}
 	root := r.newScratch()
-	for p, row := range rows {
-		codes := rel.Row(row)
-		for ai, a := range r.qi {
-			c := codes[a]
-			r.codes = append(r.codes, c)
-			root.sets[0].add(ai, c, 1)
+	if w := par.Workers(parallelism, n); w > 1 {
+		hs := make([]histSet, w)
+		par.Do(w, func(i int) {
+			h := &root.sets[0]
+			if i > 0 {
+				hs[i] = r.newHistSet()
+				h = &hs[i]
+			}
+			r.fill(h, i*n/w, (i+1)*n/w)
+		})
+		for _, h := range hs[1:] {
+			for ai, d := range h.distinct {
+				for _, c := range d {
+					root.sets[0].add(ai, c, h.hist[ai][c])
+				}
+			}
 		}
-		r.bufs[0][p] = p
+	} else {
+		r.fill(&root.sets[0], 0, n)
 	}
 	for i, a := range r.qi {
 		if schema.Attr(a).Kind == relation.Numeric {
@@ -197,6 +206,21 @@ func newMondrianRun(ctx context.Context, crit privacy.Criterion, rel *relation.R
 	}
 	r.leafStart = make([]bool, n)
 	return r, root
+}
+
+// fill copies the QI codes of the rows at positions [lo, hi) into the
+// code table and counts them into h.
+func (r *mondrianRun) fill(h *histSet, lo, hi int) {
+	q := len(r.qi)
+	for p := lo; p < hi; p++ {
+		codes := r.rel.Row(r.rows[p])
+		for ai, a := range r.qi {
+			c := codes[a]
+			r.codes[p*q+ai] = c
+			h.add(ai, c, 1)
+		}
+		r.bufs[0][p] = p
+	}
 }
 
 // rankValues builds the rank table of numeric attribute a and its value
@@ -288,6 +312,16 @@ func (r *mondrianRun) newScratch() *mondrianScratch {
 	}
 	s.off = make([]int, most)
 	return s
+}
+
+// newHistSet returns an empty histogram set with storage of its own.
+func (r *mondrianRun) newHistSet() histSet {
+	h := histSet{hist: make([][]int32, len(r.attrs)), distinct: make([][]uint32, len(r.attrs))}
+	for ai, at := range r.attrs {
+		h.hist[ai] = make([]int32, at.codes)
+		h.distinct[ai] = make([]uint32, 0, min(at.codes, len(r.rows)))
+	}
+	return h
 }
 
 // add counts n more rows holding code c of attribute ai.

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 
+	"diva/internal/par"
 	"diva/internal/privacy"
 	"diva/internal/relation"
 	"diva/internal/trace"
@@ -318,6 +319,33 @@ func TestMondrianHandoffMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d k=%d run %d: parallel partition diverged from the reference", seed, k, run)
 				}
 			}
+		}
+	}
+}
+
+// TestMondrianSplitFillMatchesReference partitions inputs of 4·par.Grain
+// rows at Parallelism 4 with GOMAXPROCS raised to match, so the root's
+// code table and histograms are filled by four workers and merged, and
+// requires the reference partition: the merged distinct lists must leave
+// every cut as one worker's fill would.
+func TestMondrianSplitFillMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for seed := uint64(0); seed < 2; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0xf111))
+		var rel *relation.Relation
+		if seed%2 == 0 {
+			rel = diffRelation(rng, 4*par.Grain)
+		} else {
+			rel = skewedRelation(rng, 4*par.Grain)
+		}
+		rows := allRows(rel)
+		want := referenceMondrian(nil, rel, rows, 10)
+		got, err := (&Mondrian{Parallelism: 4}).Partition(context.Background(), rel, rows, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: partition with a split fill diverged from the reference", seed)
 		}
 	}
 }

@@ -92,7 +92,8 @@ func BenchmarkCandidatesWithExclusions(b *testing.B) {
 // BenchmarkNewEnumerator prepares the enumerators of a census-scale graph —
 // 60,000 rows, proportional Σ with |Σ| = 8, k = 10, as BenchmarkColoringCensus
 // in package search — so each iteration gathers and sorts eight candidate
-// pools, thousands of rows each.
+// pools, thousands of rows each, in one NewEnumerators call: on one worker
+// and on all cores.
 func BenchmarkNewEnumerator(b *testing.B) {
 	const rows, k = 60000, 10
 	rel := dataset.CensusSized(rows).Generate(rows, 5)
@@ -109,13 +110,19 @@ func BenchmarkNewEnumerator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bound := range bounds {
-			if NewEnumerator(rel, bound, Options{K: k}).TargetSize() == 0 {
-				b.Fatal("empty pool")
+	for _, w := range []struct {
+		name        string
+		parallelism int
+	}{{"1", 1}, {"all", 0}} {
+		b.Run("workers="+w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, e := range NewEnumerators(rel, bounds, Options{K: k, Parallelism: w.parallelism}) {
+					if e.TargetSize() == 0 {
+						b.Fatal("empty pool")
+					}
+				}
 			}
-		}
+		})
 	}
 }

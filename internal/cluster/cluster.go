@@ -37,8 +37,10 @@ import (
 	"context"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"diva/internal/constraint"
+	"diva/internal/par"
 	"diva/internal/privacy"
 	"diva/internal/relation"
 	"diva/internal/rowset"
@@ -106,6 +108,11 @@ type Options struct {
 	// candidate cluster must satisfy (e.g. distinct l-diversity); see the
 	// privacy package.
 	Criterion privacy.Criterion
+	// Parallelism bounds the workers NewEnumerators builds on, its Pools
+	// pass included: 0 means GOMAXPROCS, 1 builds on the caller. Passes
+	// below the split grain (par.Grain) build on the caller regardless.
+	// The enumerators are the same at every setting.
+	Parallelism int
 }
 
 func (o Options) withDefaults() Options {
@@ -160,10 +167,12 @@ func NewEnumerator(rel *relation.Relation, b *constraint.Bound, opts Options) *E
 
 // NewEnumerators prepares candidate enumeration for every bound over rel.
 // The pools come from one constraint.Pools pass over rel, not one scan per
-// bound; each enumerator then reads only its own pool rows.
+// bound; each enumerator then reads only its own pool rows. When the pools
+// hold at least 2·par.Grain rows in all, the enumerators are built on up
+// to opts.Parallelism workers, each taking the next unbuilt bound; an
+// enumerator depends only on its own bound and pool.
 func NewEnumerators(rel *relation.Relation, bounds []*constraint.Bound, opts Options) []*Enumerator {
 	qi := rel.Schema().QIIndexes()
-	q, w := len(qi), len(qi)+1
 	opts = opts.withDefaults()
 	col := make([]int, rel.Schema().Len())
 	for a := range col {
@@ -173,32 +182,53 @@ func NewEnumerators(rel *relation.Relation, bounds []*constraint.Bound, opts Opt
 		col[a] = ai
 	}
 	es := make([]*Enumerator, len(bounds))
-	for i, pool := range constraint.Pools(rel, bounds) {
-		b := bounds[i]
-		e := &Enumerator{
-			rel:   rel,
-			b:     b,
-			opts:  opts,
-			q:     q,
-			col:   col,
-			pool:  pool,
-			keys:  make([]uint32, len(pool)*w),
-			order: make([]int32, len(pool)),
-		}
-		for p, row := range pool {
-			codes, key := rel.Row(row), e.keys[p*w:(p+1)*w]
-			for ai, a := range qi {
-				key[ai] = codes[a]
+	pools := constraint.Pools(rel, bounds, opts.Parallelism)
+	rows := 0
+	for _, pool := range pools {
+		rows += len(pool)
+	}
+	if w := min(par.Workers(opts.Parallelism, rows), len(bounds)); w > 1 {
+		var next atomic.Int64
+		par.Do(w, func(int) {
+			for i := int(next.Add(1) - 1); i < len(bounds); i = int(next.Add(1) - 1) {
+				es[i] = newEnumerator(rel, bounds[i], pools[i], opts, qi, col)
 			}
-			if b.Matches(codes) {
-				key[q] = 1
-			}
-			e.order[p] = int32(p)
-		}
-		e.sortPool(rel, qi)
-		es[i] = e
+		})
+		return es
+	}
+	for i, pool := range pools {
+		es[i] = newEnumerator(rel, bounds[i], pool, opts, qi, col)
 	}
 	return es
+}
+
+// newEnumerator builds b's enumerator over its pool: the key table, then
+// the QI-similarity order. qi is the schema's QI attributes and col their
+// key-table columns by schema attribute.
+func newEnumerator(rel *relation.Relation, b *constraint.Bound, pool []int, opts Options, qi, col []int) *Enumerator {
+	q, w := len(qi), len(qi)+1
+	e := &Enumerator{
+		rel:   rel,
+		b:     b,
+		opts:  opts,
+		q:     q,
+		col:   col,
+		pool:  pool,
+		keys:  make([]uint32, len(pool)*w),
+		order: make([]int32, len(pool)),
+	}
+	for p, row := range pool {
+		codes, key := rel.Row(row), e.keys[p*w:(p+1)*w]
+		for ai, a := range qi {
+			key[ai] = codes[a]
+		}
+		if b.Matches(codes) {
+			key[q] = 1
+		}
+		e.order[p] = int32(p)
+	}
+	e.sortPool(rel, qi)
+	return e
 }
 
 // radixScratch is sortPool's working memory: the second buffer of the

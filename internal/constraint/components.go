@@ -35,11 +35,19 @@ type Component struct {
 // The decomposition is deterministic: components are ordered by their
 // smallest member index, and member lists ascend. Every constraint appears
 // in exactly one component, and pools — hence cluster row footprints — are
-// pairwise disjoint across components.
+// pairwise disjoint across components. Its Pools pass runs on up to
+// GOMAXPROCS workers; ComponentsParallel bounds them.
 func Components(rel *relation.Relation, bounds []*Bound) []Component {
+	return ComponentsParallel(rel, bounds, 0)
+}
+
+// ComponentsParallel is Components with its Pools pass on up to parallelism
+// workers (0 means GOMAXPROCS, 1 runs it on the caller). The components are
+// the same at every setting.
+func ComponentsParallel(rel *relation.Relation, bounds []*Bound, parallelism int) []Component {
 	n := rel.Len()
 	pools := make([]*rowset.Set, len(bounds))
-	for i, rows := range Pools(rel, bounds) {
+	for i, rows := range Pools(rel, bounds, parallelism) {
 		pools[i] = rowset.FromSlice(n, rows)
 	}
 	// Union-find with path compression; union by smaller root so component

@@ -214,9 +214,10 @@ func (b *Bound) TargetSetInto(rel *relation.Relation, s *rowset.Set) {
 // not TargetRows, is the pool candidate clusters draw from. For targets
 // without sensitive components the two coincide; a target without QI
 // components matches every row, and one whose QI part holds a value rel
-// never held matches none. It is the one-bound case of Pools.
+// never held matches none. It is the one-bound case of Pools, on up to
+// GOMAXPROCS workers.
 func (b *Bound) TargetQIRows(rel *relation.Relation) []int {
-	return Pools(rel, []*Bound{b})[0]
+	return Pools(rel, []*Bound{b}, 0)[0]
 }
 
 // Set is an ordered set of diversity constraints Σ.

@@ -3,6 +3,7 @@ package constraint
 import (
 	"sync"
 
+	"diva/internal/par"
 	"diva/internal/relation"
 )
 
@@ -11,19 +12,18 @@ import (
 // pool in row order, nil when it is empty. The pass collects the rows in
 // recycled chunks, and the pools are then copied into one backing array of
 // exactly their total size; bounds repeating one single-attribute target
-// share one pool.
-func Pools(rel *relation.Relation, bounds []*Bound) [][]int {
+// share one pool. The pass splits into contiguous row ranges on up to
+// parallelism workers (par.Workers: 0 means GOMAXPROCS, 1 runs it on the
+// caller), and each range's rows are copied after the rows of the ranges
+// before it, so the pools are the same at every setting.
+func Pools(rel *relation.Relation, bounds []*Bound, parallelism int) [][]int {
 	schema := rel.Schema()
 	targets := make([]target, len(bounds))
 	for i, b := range bounds {
 		targets[i] = b.qiTarget(schema)
 	}
 	x := newTargetIndex(targets)
-	rc := rowChunks{
-		full: make([][]*[chunkRows]int, len(targets)),
-		last: make([]*[chunkRows]int, len(targets)),
-	}
-	n := x.scan(rel, &rc)
+	n, head := x.scan(rel, parallelism, true)
 	total := 0
 	for i, t := range targets {
 		switch {
@@ -47,7 +47,10 @@ func Pools(rel *relation.Relation, bounds []*Bound) [][]int {
 			}
 			continue
 		}
-		rc.drain(i, n[i], pools[i])
+		dst := pools[i]
+		for p := &head; p != nil; p = p.next {
+			dst = dst[p.drain(i, dst):]
+		}
 	}
 	for i := range pools {
 		pools[i] = pools[x.filler(i)]
@@ -61,46 +64,77 @@ const chunkRows = 1024
 // chunkPool recycles the scratch chunks across Pools calls.
 var chunkPool = sync.Pool{New: func() any { return new([chunkRows]int) }}
 
-// rowChunks collects each target's matching rows, in row order, in chunks
-// from chunkPool: one pass gathers pools of sizes it learns only at its end,
-// without a counting pass first or a growing slice per target.
-type rowChunks struct {
-	// full[t] is target t's filled chunks, last[t] the one being filled.
+// pass is what one worker's scan of a row range gathers. A collecting pass
+// keeps each target's matching rows, in row order, in chunks from
+// chunkPool: it gathers pools of sizes it learns only at its end, without a
+// counting pass first or a growing slice per target.
+type pass struct {
+	// n[t] counts target t's matching rows in the range; a counting pass
+	// tallies the single-attribute targets in hist instead.
+	n []int
+	// hist holds a counting pass's key-table histograms: slot c of table
+	// k is hist[keys[k].hist+c].
+	hist []int
+	// full[t] is a collecting pass's filled chunks of target t, last[t]
+	// the one being filled.
 	full [][]*[chunkRows]int
 	last []*[chunkRows]int
+	// next is the pass over the following row range of a split scan, nil
+	// after the last.
+	next *pass
 }
 
-// add appends row as target t's n-th match.
-func (rc *rowChunks) add(t int32, n, row int) {
-	k := n % chunkRows
-	if k == 0 {
-		if rc.last[t] != nil {
-			rc.full[t] = append(rc.full[t], rc.last[t])
-		}
-		rc.last[t] = chunkPool.Get().(*[chunkRows]int)
+// newPass returns an empty pass over x's targets, collecting or counting.
+func (x *targetIndex) newPass(collect bool) pass {
+	p := pass{n: make([]int, len(x.targets))}
+	if collect {
+		p.full = make([][]*[chunkRows]int, len(x.targets))
+		p.last = make([]*[chunkRows]int, len(x.targets))
+	} else {
+		p.hist = make([]int, x.hists)
 	}
-	rc.last[t][k] = row
+	return p
 }
 
-// drain copies target t's n rows into dst and recycles its chunks.
-func (rc *rowChunks) drain(t, n int, dst []int) {
-	for _, c := range rc.full[t] {
+// add stores row as target t's m-th match.
+func (p *pass) add(t int32, m, row int) {
+	k := m % chunkRows
+	if k == 0 {
+		if p.last[t] != nil {
+			p.full[t] = append(p.full[t], p.last[t])
+		}
+		p.last[t] = chunkPool.Get().(*[chunkRows]int)
+	}
+	p.last[t][k] = row
+}
+
+// drain copies target t's rows into dst, recycles their chunks and returns
+// the number of rows copied.
+func (p *pass) drain(t int, dst []int) int {
+	m := p.n[t]
+	if m == 0 {
+		return 0
+	}
+	for _, c := range p.full[t] {
 		dst = dst[copy(dst, c[:]):]
 		chunkPool.Put(c)
 	}
-	copy(dst, rc.last[t][:n-len(rc.full[t])*chunkRows])
-	chunkPool.Put(rc.last[t])
+	copy(dst, p.last[t][:m-len(p.full[t])*chunkRows])
+	chunkPool.Put(p.last[t])
+	return m
 }
 
 // Counts returns every bound's CountIn over rel, from one indexed pass over
-// rel's rows instead of one scan per bound.
-func Counts(rel *relation.Relation, bounds []*Bound) []int {
+// rel's rows instead of one scan per bound. The pass splits as Pools's
+// does, and the ranges' tallies are summed.
+func Counts(rel *relation.Relation, bounds []*Bound, parallelism int) []int {
 	targets := make([]target, len(bounds))
 	for i, b := range bounds {
 		targets[i] = target{attrs: b.Attrs, codes: b.Codes}
 	}
 	x := newTargetIndex(targets)
-	return x.scan(rel, nil)
+	n, _ := x.scan(rel, parallelism, false)
+	return n
 }
 
 // target is the condition one bound contributes to a Σ-wide pass: a row
@@ -150,6 +184,9 @@ func (b *Bound) qiTarget(schema *relation.Schema) target {
 type targetIndex struct {
 	targets []target
 	keys    []keyTable
+	// hists is the total size of the key tables' histograms, which a
+	// counting pass holds in one array.
+	hists int
 	// key[i] is the position in keys of target i's table, -1 when target i
 	// is not indexed.
 	key []int32
@@ -160,15 +197,17 @@ type targetIndex struct {
 
 // keyTable indexes the targets whose first attribute is attr. A
 // single-attribute target matches exactly the rows a counting pass tallies
-// in hist at its code, so counting needs no per-target branch; only
-// multi-attribute targets are checked in full per row.
+// in the table's histogram at its code, so counting needs no per-target
+// branch; only multi-attribute targets are checked in full per row.
 type keyTable struct {
 	attr int
 	// last is one past the largest keyed code; every code from last up
 	// falls into slot last, which no target is keyed on.
 	last int
-	// hist[c] counts the rows holding code c (slot last: any code ≥ last).
-	hist []int
+	// hist is the offset of the table's histogram in a counting pass's
+	// hist: slot hist+c counts the rows holding code c (slot hist+last:
+	// any code ≥ last).
+	hist int
 	// simple[c] is the first single-attribute target keyed on code c, or
 	// -1; a collecting pass gathers code c's rows for it.
 	simple []int32
@@ -179,8 +218,8 @@ type keyTable struct {
 }
 
 // newTargetIndex builds the index in a fixed number of allocations, however
-// many key tables it holds: the tables' histograms share one array, and
-// their int32 columns share another with key and next.
+// many key tables it holds: the tables' int32 columns share one array with
+// key and next.
 func newTargetIndex(targets []target) targetIndex {
 	// One table per distinct first attribute, spanning its keyed codes.
 	key := make([]int, len(targets))
@@ -210,15 +249,16 @@ func newTargetIndex(targets []target) targetIndex {
 			multi[k] = multi[k] || len(t.attrs) > 1
 		}
 	}
-	hists, cols := 0, 2*len(targets)
+	cols := 2 * len(targets)
 	for k, kt := range x.keys {
-		hists += kt.last + 1
+		x.keys[k].hist = x.hists
+		x.hists += kt.last + 1
 		cols += kt.last + 1
 		if multi[k] {
 			cols += kt.last + 1
 		}
 	}
-	hist, col := make([]int, hists), make([]int32, cols)
+	col := make([]int32, cols)
 	for i := range col {
 		col[i] = -1
 	}
@@ -230,7 +270,6 @@ func newTargetIndex(targets []target) targetIndex {
 	x.key, x.next = carve(len(targets)), carve(len(targets))
 	for k := range x.keys {
 		kt := &x.keys[k]
-		kt.hist, hist = hist[:kt.last+1:kt.last+1], hist[kt.last+1:]
 		kt.simple = carve(kt.last + 1)
 		if multi[k] {
 			kt.multi = carve(kt.last + 1)
@@ -264,24 +303,75 @@ func (x *targetIndex) filler(i int) int {
 }
 
 // scan visits every row of rel once and returns each target's number of
-// matching rows, zero for the targets not indexed. Without rc it tallies
-// the single-attribute targets in the key tables' histograms, so an index
-// counts once; with rc it also collects each indexed target's matching
-// rows into rc, under filler(t), in row order.
-func (x *targetIndex) scan(rel *relation.Relation, rc *rowChunks) []int {
-	n := make([]int, len(x.targets))
+// matching rows, zero for the targets not indexed, and the pass holding
+// what it gathered. A counting pass tallies the single-attribute targets
+// in the key tables' histograms, so an index counts once; a collecting pass
+// also gathers each indexed target's matching rows, under filler(t), in
+// row order. Above 2·par.Grain rows the scan splits into contiguous row
+// ranges on up to parallelism workers: the returned pass covers the first
+// range and links the others in range order through next, and the counts
+// are summed over them.
+func (x *targetIndex) scan(rel *relation.Relation, parallelism int, collect bool) (n []int, head pass) {
+	rows := rel.Len()
 	if len(x.keys) == 0 {
-		return n
+		return make([]int, len(x.targets)), pass{}
 	}
-	for i, rows := 0, rel.Len(); i < rows; i++ {
+	if w := par.Workers(parallelism, rows); w > 1 {
+		// The workers read a copy of the index, so the caller's index
+		// stays on its stack.
+		ps, ix := make([]pass, w), *x
+		par.Do(w, func(i int) {
+			ps[i] = ix.newPass(collect)
+			ix.scanRange(rel, i*rows/w, (i+1)*rows/w, &ps[i])
+		})
+		for i := 1; i < w; i++ {
+			ps[i-1].next = &ps[i]
+		}
+		head = ps[0]
+	} else {
+		head = x.newPass(collect)
+		x.scanRange(rel, 0, rows, &head)
+	}
+	n = head.n
+	if collect {
+		if head.next != nil {
+			n = make([]int, len(x.targets))
+			for p := &head; p != nil; p = p.next {
+				for t, m := range p.n {
+					n[t] += m
+				}
+			}
+		}
+		return n, head
+	}
+	for p := head.next; p != nil; p = p.next {
+		for t, m := range p.n {
+			n[t] += m
+		}
+		for c, m := range p.hist {
+			head.hist[c] += m
+		}
+	}
+	for i, t := range x.targets {
+		if k := x.key[i]; k >= 0 && len(t.attrs) == 1 {
+			n[i] = head.hist[x.keys[k].hist+int(t.codes[0])]
+		}
+	}
+	return n, head
+}
+
+// scanRange is scan over the rows [lo, hi), into p.
+func (x *targetIndex) scanRange(rel *relation.Relation, lo, hi int, p *pass) {
+	n, hist := p.n, p.hist
+	for i := lo; i < hi; i++ {
 		row := rel.Row(i)
 		for k := range x.keys {
 			kt := &x.keys[k]
 			c := min(int(row[kt.attr]), kt.last)
-			if rc == nil {
-				kt.hist[c]++
+			if hist != nil {
+				hist[kt.hist+c]++
 			} else if t := kt.simple[c]; t >= 0 {
-				rc.add(t, n[t], i)
+				p.add(t, n[t], i)
 				n[t]++
 			}
 			if kt.multi == nil {
@@ -295,19 +385,11 @@ func (x *targetIndex) scan(rel *relation.Relation, rc *rowChunks) []int {
 						continue multi
 					}
 				}
-				if rc != nil {
-					rc.add(id, n[id], i)
+				if hist == nil {
+					p.add(id, n[id], i)
 				}
 				n[id]++
 			}
 		}
 	}
-	if rc == nil {
-		for i, t := range x.targets {
-			if k := x.key[i]; k >= 0 && len(t.attrs) == 1 {
-				n[i] = x.keys[k].hist[t.codes[0]]
-			}
-		}
-	}
-	return n
 }

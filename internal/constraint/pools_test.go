@@ -2,6 +2,7 @@ package constraint_test
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -140,7 +141,7 @@ func FuzzPoolsAndCounts(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, cells, sigma []byte, shape byte) {
 		rel, bounds := poolsInstance(t, cells, sigma, shape)
-		pools, counts := constraint.Pools(rel, bounds), constraint.Counts(rel, bounds)
+		pools, counts := constraint.Pools(rel, bounds, 1), constraint.Counts(rel, bounds, 1)
 		if len(pools) != len(bounds) || len(counts) != len(bounds) {
 			t.Fatalf("%d bounds: %d pools, %d counts", len(bounds), len(pools), len(counts))
 		}
@@ -185,7 +186,7 @@ func TestPoolsSpanChunks(t *testing.T) {
 		}
 		bounds = append(bounds, b)
 	}
-	pools, counts := constraint.Pools(rel, bounds), constraint.Counts(rel, bounds)
+	pools, counts := constraint.Pools(rel, bounds, 1), constraint.Counts(rel, bounds, 1)
 	for i, b := range bounds {
 		if want := referencePool(rel, b); !slices.Equal(pools[i], want) {
 			t.Fatalf("bound %d (%s): Pools has %d rows, reference %d", i, b, len(pools[i]), len(want))
@@ -199,6 +200,67 @@ func TestPoolsSpanChunks(t *testing.T) {
 	}
 }
 
+// censusSplitInstance is a census sample above the split grain with the
+// bench's proportional Σ (k=10, UpperFrac 0.9), plus a multi-attribute
+// QI target and a mixed QI–sensitive target built from its first row, so
+// a split scan also runs the full-target checks.
+func censusSplitInstance(t *testing.T) (*relation.Relation, []*constraint.Bound) {
+	t.Helper()
+	rel := dataset.CensusSized(40000).Generate(40000, 20210323)
+	sigma, err := constraint.Proportional(rel, constraint.GenOptions{
+		Count:     8,
+		K:         10,
+		Rng:       rand.New(rand.NewPCG(0x51a3, 0x51a3)),
+		UpperFrac: 0.9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := rel.Schema()
+	qi := schema.QIIndexes()
+	name := func(a int) string { return schema.Attr(a).Name }
+	sigma = append(sigma, constraint.NewMulti(
+		[]string{name(qi[0]), name(qi[1])}, []string{rel.Value(0, qi[0]), rel.Value(0, qi[1])}, 0, rel.Len()))
+	for a := 0; a < schema.Len(); a++ {
+		if schema.Attr(a).Role == relation.Sensitive {
+			sigma = append(sigma, constraint.NewMulti(
+				[]string{name(qi[0]), name(a)}, []string{rel.Value(0, qi[0]), rel.Value(0, a)}, 0, rel.Len()))
+			break
+		}
+	}
+	bounds, err := sigma.Bind(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel, bounds
+}
+
+// TestSplitScansMatchOneWorker holds Pools and Counts split across 2 and 4
+// workers, and across GOMAXPROCS (raised to 4), to their one-worker
+// results on a 40,000-row census sample, where every range fills chunks of
+// its own.
+func TestSplitScansMatchOneWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rel, bounds := censusSplitInstance(t)
+	wantPools, wantCounts := constraint.Pools(rel, bounds, 1), constraint.Counts(rel, bounds, 1)
+	for i, b := range bounds {
+		if want := referencePool(rel, b); !slices.Equal(wantPools[i], want) {
+			t.Fatalf("bound %d (%s): one-worker pool has %d rows, reference %d", i, b, len(wantPools[i]), len(want))
+		}
+	}
+	for _, p := range []int{2, 4, 0} {
+		pools, counts := constraint.Pools(rel, bounds, p), constraint.Counts(rel, bounds, p)
+		for i, b := range bounds {
+			if !slices.Equal(pools[i], wantPools[i]) || cap(pools[i]) != len(pools[i]) {
+				t.Fatalf("parallelism %d, bound %d (%s): split pool differs from one worker's", p, i, b)
+			}
+		}
+		if !slices.Equal(counts, wantCounts) {
+			t.Fatalf("parallelism %d: split counts %v, one worker %v", p, counts, wantCounts)
+		}
+	}
+}
+
 // Benchmark sinks keep the measured calls from being optimized away.
 var (
 	poolSink   []int
@@ -207,11 +269,19 @@ var (
 	countsSink []int
 )
 
+// splitWorkers are the settings the split passes are benchmarked at: one
+// worker, on the caller, and all of GOMAXPROCS.
+var splitWorkers = []struct {
+	name        string
+	parallelism int
+}{{"1", 1}, {"all", 0}}
+
 // BenchmarkPools measures the Σ-wide pass against one scan per bound on a
 // census-300k-shaped relation with the bench's proportional Σ of 8
 // constraints: pools (TargetQIRows, or a plain MatchingRows scan, per bound
 // vs Pools) and occurrence counts (CountIn per bound vs Counts). The
 // targets are QI-only, so MatchingRows on the full target is the pool.
+// Pools and Counts run on one worker and on all cores.
 func BenchmarkPools(b *testing.B) {
 	rel := dataset.CensusSized(dataset.CensusRows).Generate(dataset.CensusRows, 20210323)
 	sigma, err := constraint.Proportional(rel, constraint.GenOptions{
@@ -243,12 +313,14 @@ func BenchmarkPools(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Pools", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			poolsSink = constraint.Pools(rel, bounds)
-		}
-	})
+	for _, w := range splitWorkers {
+		b.Run("Pools/workers="+w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				poolsSink = constraint.Pools(rel, bounds, w.parallelism)
+			}
+		})
+	}
 	b.Run("CountIn", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -257,10 +329,12 @@ func BenchmarkPools(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Counts", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			countsSink = constraint.Counts(rel, bounds)
-		}
-	})
+	for _, w := range splitWorkers {
+		b.Run("Counts/workers="+w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				countsSink = constraint.Counts(rel, bounds, w.parallelism)
+			}
+		})
+	}
 }

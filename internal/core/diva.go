@@ -82,10 +82,15 @@ type Options struct {
 	// run's tracer before the baseline phase, so their split events land in
 	// the same stream as the coloring search.
 	Anonymizer anon.Partitioner
-	// Parallelism bounds the worker goroutines of the default baseline
-	// partitioner: 0 means GOMAXPROCS, 1 forces sequential partitioning.
-	// It has no effect on an explicitly supplied Anonymizer (configure that
-	// partitioner directly) or on the coloring search (see Parallel).
+	// Parallelism bounds the worker goroutines of every data-parallel pass
+	// of the run: the default baseline partitioner, the component fan-out
+	// (Shards), and the row passes split by range — rendering R′, building
+	// the enumerators and the Σ-wide pool and count scans (internal/par).
+	// 0 means GOMAXPROCS, 1 runs everything on the calling goroutine; a
+	// row pass below the split grain runs there at any setting. The output
+	// is byte-identical at every setting. It has no effect on an
+	// explicitly supplied Anonymizer (configure that partitioner directly)
+	// or on the coloring search (see Parallel).
 	Parallelism int
 	// Criterion, when non-nil, is an additional privacy requirement on
 	// every QI-group of the output (e.g. privacy.DistinctLDiversity) — the
@@ -259,7 +264,7 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 				fixed = append(fixed, b)
 			}
 		}
-		for i, n := range constraint.Counts(rel, fixed) {
+		for i, n := range constraint.Counts(rel, fixed, opts.Parallelism) {
 			if b := fixed[i]; n < b.Lower || n > b.Upper {
 				return fmt.Errorf("diva: constraint (%s) targets only non-QI attributes and R has %d occurrences: %w", b, n, ErrNoDiverseClustering)
 			}
@@ -291,12 +296,13 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 		var graphs []*search.Graph
 		err = env.phase(trace.PhaseBuildGraph, func(context.Context) error {
 			if !joint {
-				comps = constraint.Components(rel, searchable)
+				comps = constraint.ComponentsParallel(rel, searchable, opts.Parallelism)
 				env.components = len(comps)
 			}
 			copts := opts.Cluster
 			copts.K = opts.K
 			copts.Criterion = opts.Criterion
+			copts.Parallelism = opts.Parallelism
 			graphs = make([]*search.Graph, len(comps))
 			for ci, comp := range comps {
 				if !joint {
@@ -338,12 +344,12 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 	}
 
 	// Suppress (Algorithm 2) on SΣ gives RΣ (generalized rendering when
-	// hierarchies are supplied), the first rows of R′.
+	// hierarchies are supplied), the first d rows of R′.
 	out, rest, err := env.suppressPhase(sigmaClustering)
 	if err != nil {
 		return finish(nil, err)
 	}
-	d := out.Len()
+	d := rel.Len() - len(rest)
 
 	// Anonymize the remaining tuples with the off-the-shelf algorithm, in one
 	// call over every rest row in index order, in both modes; their
@@ -353,7 +359,11 @@ func Anonymize(ctx context.Context, rel *relation.Relation, sigma constraint.Set
 		if err != nil {
 			return fmt.Errorf("diva: anonymizing %d remaining tuples: %w", len(rest), err)
 		}
-		env.stars += suppressInto(out, rel, parts, opts.Hierarchies)
+		// Rk fills the rows of R′ after RΣ exactly.
+		if got := cluster.Clustering(parts).Tuples(); got != len(rest) {
+			return fmt.Errorf("diva: %s partitioned %d of %d remaining tuples", opts.Anonymizer.Name(), got, len(rest))
+		}
+		env.stars += suppressInto(out, d, rel, parts, opts.Hierarchies, opts.Parallelism)
 		return nil
 	})
 	if err != nil {
@@ -492,16 +502,17 @@ func (e *runEnv) colorJoint(ctx context.Context, graph *search.Graph) (cluster.C
 }
 
 // suppressPhase runs the suppress phase: render RΣ from the diverse
-// clustering into out, a relation presized for all of R′ (the baseline phase
-// appends Rk to it), and compute the complement row set Rk will anonymize.
+// clustering into the first rows of out, a relation extended to all of R′
+// (the baseline phase renders Rk into the rest), and compute the complement
+// row set Rk will anonymize.
 func (e *runEnv) suppressPhase(sigmaClustering cluster.Clustering) (*relation.Relation, []int, error) {
 	var out *relation.Relation
 	var rest []int
 	n := e.rel.Len()
 	err := e.phase(trace.PhaseSuppress, func(context.Context) error {
 		out = e.rel.Derive()
-		out.Grow(n)
-		e.stars += suppressInto(out, e.rel, sigmaClustering, e.opts.Hierarchies)
+		out.Extend(n)
+		e.stars += suppressInto(out, 0, e.rel, sigmaClustering, e.opts.Hierarchies, e.opts.Parallelism)
 		used := sigmaClustering.RowSet(n)
 		rest = make([]int, 0, n-used.Len())
 		for i := 0; i < n; i++ {
@@ -523,7 +534,7 @@ func (e *runEnv) integrateVerify(out *relation.Relation, d int, sigmaClustering 
 	var repaired int
 	err := e.phase(trace.PhaseIntegrate, func(context.Context) error {
 		var err error
-		repaired, err = integrate(out, restRel, e.bounds, e.schema)
+		repaired, err = integrate(out, restRel, e.bounds, e.schema, e.opts.Parallelism)
 		e.stars += repaired
 		return err
 	})
@@ -579,9 +590,9 @@ func Suppress(rel *relation.Relation, clusters [][]int) *relation.Relation {
 // counts every constraint's occurrences, and after each repairing
 // constraint one more pass recounts the constraints after it, so every
 // constraint sees the earlier repairs.
-func integrate(out, rest *relation.Relation, bounds []*constraint.Bound, schema *relation.Schema) (int, error) {
+func integrate(out, rest *relation.Relation, bounds []*constraint.Bound, schema *relation.Schema, parallelism int) (int, error) {
 	repaired := 0
-	total := constraint.Counts(out, bounds)
+	total := constraint.Counts(out, bounds, parallelism)
 	for i, b := range bounds {
 		if total[i] <= b.Upper {
 			continue
@@ -639,7 +650,7 @@ func integrate(out, rest *relation.Relation, bounds []*constraint.Bound, schema 
 		if excess > 0 {
 			return repaired, fmt.Errorf("diva: integrate: could not repair upper bound of (%s): %w", b, ErrNoDiverseClustering)
 		}
-		copy(total[i+1:], constraint.Counts(out, bounds[i+1:]))
+		copy(total[i+1:], constraint.Counts(out, bounds[i+1:], parallelism))
 	}
 	return repaired, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"diva/internal/cluster"
 	"diva/internal/constraint"
+	"diva/internal/par"
 	"diva/internal/search"
 	"diva/internal/trace"
 )
@@ -35,15 +36,6 @@ func sharded(want, n int) bool {
 	return want >= 2
 }
 
-// shardWorkers bounds the component fan-out from Options.Parallelism (0 means
-// GOMAXPROCS, same as the baseline partitioner's convention).
-func shardWorkers(parallelism int) int {
-	if parallelism > 0 {
-		return parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // colorComponents colors every component of Σ concurrently (bounded by
 // Options.Parallelism), each with a deterministic per-component seed drawn
 // from the run Rng up front in component order, so the outcome does not
@@ -68,7 +60,7 @@ func (e *runEnv) colorComponents(ctx context.Context, comps []constraint.Compone
 	compStats := make([]search.Stats, len(comps))
 	found := make([]bool, len(comps))
 	wtr := trace.ProgressOnly(trace.Synchronized(e.tr))
-	sem := make(chan struct{}, shardWorkers(opts.Parallelism))
+	sem := make(chan struct{}, par.Procs(opts.Parallelism))
 	var wg sync.WaitGroup
 	for ci := range comps {
 		ci := ci

@@ -201,14 +201,14 @@ func (r *Relation) Clone() *Relation {
 	return nr
 }
 
-// AppendRowsFrom appends copies of the given rows (by index) of src, which
-// must share dictionaries with r (i.e. one must derive from the other).
-func (r *Relation) AppendRowsFrom(src *Relation, rows []int) {
-	r.Grow(len(rows))
-	for _, i := range rows {
-		r.codes = append(r.codes, src.Row(i)...)
-	}
-	r.n += len(rows)
+// Extend appends rows tuples with every cell ★ and returns the index of
+// the first. Their cells are then set through Row or SetCode: each tuple
+// is its own slice of the storage, so goroutines may fill disjoint tuples
+// concurrently, as long as none appends meanwhile.
+func (r *Relation) Extend(rows int) int {
+	r.codes = append(r.codes, make([]uint32, rows*r.width)...)
+	r.n += rows
+	return r.n - rows
 }
 
 // NumericValue returns the numeric interpretation of code for a numeric

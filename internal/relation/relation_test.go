@@ -229,12 +229,25 @@ func TestNumericValueConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestAppendRowsFrom(t *testing.T) {
+// TestExtend appends ★ tuples after a Truncate, whose retained capacity
+// still holds the old codes, and fills one through Row.
+func TestExtend(t *testing.T) {
 	r := testRelation(t)
-	d := r.Derive()
-	d.AppendRowsFrom(r, []int{4, 0})
-	if d.Len() != 2 || d.Value(0, 3) != "Cold" || d.Value(1, 3) != "Flu" {
-		t.Fatalf("AppendRowsFrom produced %v / %v", d.Values(0), d.Values(1))
+	n := r.Len()
+	d := r.Clone()
+	d.Truncate()
+	d.AppendCodes(r.Row(1))
+	if first := d.Extend(2); first != 1 || d.Len() != 3 {
+		t.Fatalf("Extend(2) = %d, Len = %d; want 1, 3", first, d.Len())
+	}
+	for a := range d.Row(2) {
+		if !d.IsSuppressed(2, a) {
+			t.Fatalf("extended tuple holds %v, want ★ everywhere", d.Values(2))
+		}
+	}
+	copy(d.Row(1), r.Row(n-1))
+	if !slices.Equal(d.Values(1), r.Values(n-1)) || !slices.Equal(d.Values(0), r.Values(1)) {
+		t.Fatalf("filled tuples %v, %v", d.Values(0), d.Values(1))
 	}
 }
 
@@ -645,10 +658,8 @@ func TestZeroAttributeSchemaCountsRows(t *testing.T) {
 	if r.Clone().Len() != 3 || r.Slice(1, 3).Len() != 2 {
 		t.Fatal("Clone or Slice lost the row count")
 	}
-	d := r.Derive()
-	d.AppendRowsFrom(r, []int{0, 2})
-	if d.Len() != 2 {
-		t.Fatalf("AppendRowsFrom: Len = %d, want 2", d.Len())
+	if d := r.Derive(); d.Extend(2) != 0 || d.Len() != 2 {
+		t.Fatalf("Extend: Len = %d, want 2", d.Len())
 	}
 }
 
