@@ -66,8 +66,9 @@ bench-color:
 	$(GO) test -bench 'BenchmarkNewEnumerator|BenchmarkCandidates' -count 5 -run '^$$' ./internal/cluster/
 
 # bench-rest runs the baseline phase's partitioner benchmarks: Mondrian
-# (parallel and sequential) up to the full 299,285-row census, with enough
-# repetitions for benchstat.
+# (parallel and sequential) up to the full 299,285-row census, and on
+# Pantheon and pop-syn, whose rows compress into distinct QI vectors far
+# less, with enough repetitions for benchstat.
 bench-rest:
 	$(GO) test -bench 'BenchmarkPartitioners/Mondrian' -count 5 -run '^$$' ./internal/anon/
 

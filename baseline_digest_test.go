@@ -71,3 +71,38 @@ func TestBaselineOnlyOutputDigest(t *testing.T) {
 		}
 	}
 }
+
+// scaleDigests pins baseline-only Mondrian runs on a 40,000-row census
+// sample: above 2·par.Grain rows, so the split row passes and Mondrian's
+// parallel recursion run, where TestBaselineOnlyOutputDigest's 2,000 rows
+// never reach them. Recorded from the row-level Mondrian, before it
+// partitioned distinct QI vectors.
+var scaleDigests = map[string]string{
+	"mondrian":    "2371ae648b24bdecc09950d244b2909706d9bac4bfe78c5d16e2136b27d23187",
+	"mondrian/l2": "6b4fd8ea72603c2b509bfcad99322411f73c6c4428ce9d6895c992c040533ef7",
+}
+
+// TestBaselineOnlyDigestAtScale compares the published relation of each
+// scaleDigests run, at Parallelism 1 and at all cores, with the pinned
+// digest.
+func TestBaselineOnlyDigestAtScale(t *testing.T) {
+	const rows, k = 40000, 10
+	rel := dataset.CensusSized(rows).Generate(rows, 42)
+	for name, want := range scaleDigests {
+		for _, par := range []int{1, 0} {
+			t.Run(fmt.Sprintf("%s/parallelism=%d", name, par), func(t *testing.T) {
+				opts := diva.Options{K: k, Seed: 3, Baseline: diva.Mondrian, Parallelism: par}
+				if strings.HasSuffix(name, "/l2") {
+					opts.LDiversity = 2
+				}
+				res, err := diva.AnonymizeContext(context.Background(), rel, nil, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := digestRelation(res.Output); got != want {
+					t.Errorf("output digest %s differs from the pinned %s", got, want)
+				}
+			})
+		}
+	}
+}

@@ -22,9 +22,12 @@ import (
 // order (the standard adaptation for domains without user-supplied
 // hierarchies).
 //
-// The recursion is embarrassingly parallel: the two halves of a cut share no
-// state, so they are partitioned by independent worker goroutines when
-// Parallelism permits. The output is deterministic regardless of scheduling —
+// A cut depends only on the multiset of the rows' QI vectors (LeFevre et
+// al.'s frequency-set view), so the recursion partitions the distinct QI
+// vectors, each weighted by the rows holding it, and places rows only at
+// the leaves. The recursion is embarrassingly parallel: the two halves of a
+// cut share no state, so they are partitioned by independent worker
+// goroutines when Parallelism permits. The output is deterministic regardless of scheduling —
 // each split concatenates its left half's clusters before its right half's,
 // so the cluster order is the sequential depth-first order.
 type Mondrian struct {
@@ -33,10 +36,11 @@ type Mondrian struct {
 	// non-monotone criteria such as t-closeness, checked per partition).
 	// The whole input must satisfy the criterion or partitioning fails.
 	Criterion privacy.Criterion
-	// Parallelism bounds the worker goroutines partitioning independent
-	// halves concurrently (par.Procs): 0 means GOMAXPROCS, 1 forces
-	// sequential execution, and values above GOMAXPROCS are clamped to it.
-	// The output is byte-identical at every setting.
+	// Parallelism bounds the worker goroutines grouping the rows into
+	// vectors and partitioning independent halves concurrently (par.Procs):
+	// 0 means GOMAXPROCS, 1 forces sequential execution, and values above
+	// GOMAXPROCS are clamped to it. The output is byte-identical at every
+	// setting.
 	Parallelism int
 	// Tracer, when non-nil, receives one trace.KindSplit event per cut made
 	// (Label = cut attribute, N = partition size, Depth = recursion depth,
@@ -46,9 +50,10 @@ type Mondrian struct {
 	Tracer trace.Tracer
 }
 
-// spawnGrain is the minimum partition size worth handing to a worker
-// goroutine; smaller partitions recurse inline to keep scheduling overhead
-// below the cost of the work itself.
+// spawnGrain is the minimum partition size, in distinct QI vectors, worth
+// handing to a worker goroutine: a node's cost is linear in its vectors, so
+// smaller partitions recurse inline to keep scheduling overhead below the
+// cost of the work itself.
 const spawnGrain = 512
 
 // Name returns "Mondrian".
@@ -95,16 +100,16 @@ func (m *Mondrian) Partition(ctx context.Context, rel *relation.Relation, rows [
 	// The calling goroutine is worker zero; idle holds the extra capacity,
 	// one slot per spare worker, each carrying that worker's scratch once it
 	// has been allocated (nil before, and after a failed subtree left it
-	// dirty). A nil idle channel (Parallelism 1, or too few rows for a
+	// dirty). A nil idle channel (Parallelism 1, or too few vectors for a
 	// spawnGrain half) never admits a spawn, which reduces split to plain
 	// sequential recursion.
-	if workers > 1 && len(rows) > spawnGrain {
+	if workers > 1 && r.vecs.Len() > spawnGrain {
 		r.idle = make(chan *mondrianScratch, workers-1)
 		for i := 0; i < workers-1; i++ {
 			r.idle <- nil
 		}
 	}
-	if err := r.split(s, 0, len(rows), 0); err != nil {
+	if err := r.split(s, 0, r.vecs.Len(), 0, len(rows), 0); err != nil {
 		return nil, err
 	}
 	return r.clusters(), nil
@@ -112,16 +117,19 @@ func (m *Mondrian) Partition(ctx context.Context, rel *relation.Relation, rows [
 
 // mondrianRun is the state of one Partition call.
 //
-// The recursion works on input positions — indexes into rows — whose QI
-// codes sit in one compact row-major table, so a node reads len(qi) packed
-// codes per row instead of chasing each relation row.
+// The recursion partitions the distinct QI vectors of the input rows, read
+// once from the relation by its group-by kernel (relation.Distinct): each
+// vector's codes, its weight and its input positions (indexes into rows).
+// A node is a set of vectors and its size is their total weight; a cut
+// never separates the rows of one vector, which agree on every attribute.
 //
-// Positions live in a ping-pong buffer pair: the node covering [lo, hi) at
-// depth d holds its positions in bufs[d%2][lo:hi] and sorts them into
+// Vector ids live in a ping-pong buffer pair: the node covering [lo, hi) at
+// depth d holds its vectors in bufs[d%2][lo:hi] and sorts them into
 // bufs[1-d%2][lo:hi], where its children find them with the roles swapped.
-// Sibling subtrees own disjoint ranges, so workers never share an index,
-// and a cut allocates nothing. A leaf marks its start in leafStart and ends
-// up in bufs[0], so the clusters are consecutive runs of bufs[0] in
+// A node also owns a range of out, its rows' places in the final
+// permutation, which a leaf fills and marks in leafStart. Sibling subtrees
+// own disjoint ranges of both, so workers never share an index, a cut
+// allocates nothing, and the clusters are consecutive runs of out in
 // depth-first order.
 type mondrianRun struct {
 	ctx       context.Context
@@ -130,9 +138,10 @@ type mondrianRun struct {
 	rows      []int
 	k         int
 	qi        []int
-	attrs     []mondrianAttr // parallel to qi
-	codes     []uint32       // codes[p*len(qi)+ai]: QI attribute ai of rows[p]
+	attrs     []mondrianAttr    // parallel to qi
+	vecs      relation.Distinct // the input rows' QI vectors
 	bufs      [2][]int
+	out       []int
 	leafStart []bool
 	idle      chan *mondrianScratch
 	tr        trace.Tracer
@@ -160,11 +169,14 @@ type mondrianAttr struct {
 }
 
 // newMondrianRun also returns worker zero's scratch, holding the root's
-// histograms: they are counted while the code table is filled. Above
-// 2·par.Grain rows the fill splits into position ranges on up to
-// parallelism workers; each counts into histograms of its own, merged into
-// the root's in range order, so every distinct list keeps the order in
-// which its codes first appear, as one worker's fill leaves it.
+// histograms, counted from the vectors.
+//
+// Where two codes present in the rows share the rank of a numeric
+// attribute (★ or an unparsable value beside a literal 0, "7" beside "07",
+// two spellings of NaN), a cut on it orders their rows by position inside
+// one rank bucket, interleaving the codes, and may fall between two rows
+// of one vector. The run then makes every input position a vector of its
+// own, of weight 1, and the same recursion cuts rows.
 func newMondrianRun(ctx context.Context, crit privacy.Criterion, rel *relation.Relation, rows []int, k, parallelism int) (*mondrianRun, *mondrianScratch) {
 	schema := rel.Schema()
 	r := &mondrianRun{ctx: ctx, crit: crit, rel: rel, rows: rows, k: k, qi: schema.QIIndexes()}
@@ -174,61 +186,54 @@ func newMondrianRun(ctx context.Context, crit privacy.Criterion, rel *relation.R
 		at.codes = rel.Dict(a).Len()
 		at.cardm1 = float64(max(rel.Dict(a).Cardinality()-1, 1))
 	}
-	n := len(rows)
-	r.codes = make([]uint32, n*len(r.qi))
-	bufs := make([]int, 2*n)
-	r.bufs = [2][]int{bufs[:n:n], bufs[n:]}
+	r.vecs = rel.Distinct(r.qi, rows, parallelism)
 	root := r.newScratch()
-	if w := par.Workers(parallelism, n); w > 1 {
-		hs := make([]histSet, w)
-		par.Do(w, func(i int) {
-			h := &root.sets[0]
-			if i > 0 {
-				hs[i] = r.newHistSet()
-				h = &hs[i]
-			}
-			r.fill(h, i*n/w, (i+1)*n/w)
-		})
-		for _, h := range hs[1:] {
-			for ai, d := range h.distinct {
-				for _, c := range d {
-					root.sets[0].add(ai, c, h.hist[ai][c])
-				}
-			}
-		}
-	} else {
-		r.fill(&root.sets[0], 0, n)
+	for v := range r.vecs.Len() {
+		root.sets[0].addVector(r, v)
 	}
+	shared := false
 	for i, a := range r.qi {
 		if schema.Attr(a).Kind == relation.Numeric {
-			r.attrs[i].rankValues(rel, a, root.sets[0].distinct[i])
+			shared = r.attrs[i].rankValues(rel, a, root.sets[0].distinct[i]) || shared
 		}
+	}
+	if shared {
+		r.vecs = eachPosition(rel, r.qi, rows)
+	}
+	n, g := len(rows), r.vecs.Len()
+	blk := make([]int, n+2*g)
+	r.out, r.bufs = blk[:n:n], [2][]int{blk[n : n+g : n+g], blk[n+g:]}
+	for v := range r.bufs[0] {
+		r.bufs[0][v] = v
 	}
 	r.leafStart = make([]bool, n)
 	return r, root
 }
 
-// fill copies the QI codes of the rows at positions [lo, hi) into the
-// code table and counts them into h.
-func (r *mondrianRun) fill(h *histSet, lo, hi int) {
-	q := len(r.qi)
-	for p := lo; p < hi; p++ {
-		codes := r.rel.Row(r.rows[p])
-		for ai, a := range r.qi {
-			c := codes[a]
-			r.codes[p*q+ai] = c
-			h.add(ai, c, 1)
+// eachPosition returns the vector table in which every input position is a
+// vector of its own, holding its row's QI codes.
+func eachPosition(rel *relation.Relation, qi, rows []int) relation.Distinct {
+	n, q := len(rows), len(qi)
+	blk := make([]uint32, n*q+2*n+1)
+	d := relation.Distinct{Width: q, Codes: blk[: n*q : n*q], Start: blk[n*q : n*q+n+1 : n*q+n+1], Pos: blk[n*q+n+1:]}
+	for p, row := range rows {
+		codes := rel.Row(row)
+		for ai, a := range qi {
+			d.Codes[p*q+ai] = codes[a]
 		}
-		r.bufs[0][p] = p
+		d.Start[p], d.Pos[p] = uint32(p), uint32(p)
 	}
+	d.Start[n] = uint32(n)
+	return d
 }
 
 // rankValues builds the rank table of numeric attribute a and its value
-// range over the codes present in the input. It also parses the attribute's
-// whole dictionary into the relation's numeric cache before any worker reads
-// it. The attribute stays categorical (rank nil) when the input holds no
+// range over the codes present in the input, and reports whether two of
+// those codes share a rank. It also parses the attribute's whole
+// dictionary into the relation's numeric cache before any worker reads it.
+// The attribute stays categorical (rank nil) when the input holds no
 // positive value range.
-func (at *mondrianAttr) rankValues(rel *relation.Relation, a int, present []uint32) {
+func (at *mondrianAttr) rankValues(rel *relation.Relation, a int, present []uint32) (shared bool) {
 	vals := make([]float64, at.codes)
 	inRange := make([]bool, at.codes)
 	byVal := make([]uint32, at.codes)
@@ -253,28 +258,39 @@ func (at *mondrianAttr) rankValues(rel *relation.Relation, a int, present []uint
 		}
 	}
 	if hi < 0 || rankVal[hi]-rankVal[lo] <= 0 {
-		return
+		return false
 	}
 	at.rank, at.rankVal, at.inRange, at.span = rank, rankVal, inRange, rankVal[hi]-rankVal[lo]
+	// A distinct list's order is immaterial (cut sorts it), so sort it to
+	// find codes sharing a rank side by side.
+	slices.SortFunc(present, func(x, y uint32) int { return cmp.Compare(rank[x], rank[y]) })
+	for i := 1; i < len(present); i++ {
+		if rank[present[i]] == rank[present[i-1]] {
+			return true
+		}
+	}
+	return false
 }
 
 // mondrianScratch is one worker goroutine's working memory, allocated once
 // per worker.
 //
-// Histograms are derived, not recounted: a node's histograms sit in
-// sets[0]; after its cut the smaller half is counted into sets[1] and the
-// larger half's histograms are the node's minus the smaller's, computed in
-// place over the node's distinct lists. A half below 2k rows is a leaf and
-// keeps none. While the left subtree runs, the right half's histograms wait
-// on the pending stack in sparse form. Pending halves cover disjoint row
-// ranges, so the stack never holds more than |rows|·|QI| entries, and the
-// two dense sets are all the per-domain memory a worker needs at any depth.
-// Between nodes both sets are zero and the pending stack is empty.
+// Histograms count rows (vector weights), and are derived, not recounted:
+// a node's histograms sit in sets[0]; after its cut the half with fewer
+// vectors is counted into sets[1] and the other half's histograms are the
+// node's minus those, computed in place over the node's distinct lists. A
+// half below 2k rows is a leaf and keeps none, whichever half it is. While
+// the left subtree runs, the right half's histograms wait on the pending
+// stack in sparse form. Pending halves hold disjoint vectors, so the stack
+// never holds more than |vectors|·|QI| entries, and the two dense sets are
+// all the per-domain memory a worker needs at any depth. Between nodes both
+// sets are zero and the pending stack is empty.
 type mondrianScratch struct {
 	sets    [2]histSet
 	pending []codeCount // sparse histograms of right halves, a stack
 	lens    []int       // per pushed half and QI attribute: its entries in pending
 	off     []int       // counting-sort bucket cursors, by rank or code
+	onPath  []int       // per QI attribute: the cuts on it above the current node
 	order   []attrWidth // QI attributes by descending width
 	group   []int       // row indexes of a candidate half, for the criterion
 }
@@ -291,7 +307,8 @@ type codeCount struct {
 }
 
 func (r *mondrianRun) newScratch() *mondrianScratch {
-	s := &mondrianScratch{order: make([]attrWidth, len(r.attrs))}
+	q := len(r.attrs)
+	s := &mondrianScratch{order: make([]attrWidth, q)}
 	// A node holds at most min(codes, rows) distinct codes of an attribute,
 	// so capped subslices of one block never reallocate.
 	total, most, distinct := 0, 0, 0
@@ -301,27 +318,19 @@ func (r *mondrianRun) newScratch() *mondrianScratch {
 		distinct += min(at.codes, len(r.rows))
 	}
 	hist, ds := make([]int32, 2*total), make([]uint32, 2*distinct)
+	hists, dists := make([][]int32, 2*q), make([][]uint32, 2*q)
 	for i := range s.sets {
 		h := &s.sets[i]
-		h.hist, h.distinct = make([][]int32, len(r.attrs)), make([][]uint32, len(r.attrs))
+		h.hist, h.distinct = hists[i*q:(i+1)*q:(i+1)*q], dists[i*q:(i+1)*q:(i+1)*q]
 		for ai, at := range r.attrs {
 			h.hist[ai], hist = hist[:at.codes:at.codes], hist[at.codes:]
 			d := min(at.codes, len(r.rows))
 			h.distinct[ai], ds = ds[:0:d], ds[d:]
 		}
 	}
-	s.off = make([]int, most)
+	off := make([]int, most+q)
+	s.off, s.onPath = off[:most:most], off[most:]
 	return s
-}
-
-// newHistSet returns an empty histogram set with storage of its own.
-func (r *mondrianRun) newHistSet() histSet {
-	h := histSet{hist: make([][]int32, len(r.attrs)), distinct: make([][]uint32, len(r.attrs))}
-	for ai, at := range r.attrs {
-		h.hist[ai] = make([]int32, at.codes)
-		h.distinct[ai] = make([]uint32, 0, min(at.codes, len(r.rows)))
-	}
-	return h
 }
 
 // add counts n more rows holding code c of attribute ai.
@@ -332,14 +341,11 @@ func (h *histSet) add(ai int, c uint32, n int32) {
 	h.hist[ai][c] += n
 }
 
-// count fills the histograms of the rows at positions part in one
-// row-major pass.
-func (h *histSet) count(r *mondrianRun, part []int) {
-	q := len(r.qi)
-	for _, p := range part {
-		for ai, c := range r.codes[p*q : p*q+q] {
-			h.add(ai, c, 1)
-		}
+// addVector counts the rows of vector v.
+func (h *histSet) addVector(r *mondrianRun, v int) {
+	q, n := len(r.qi), int32(r.vecs.Weight(v))
+	for ai, c := range r.vecs.Codes[v*q : v*q+q] {
+		h.add(ai, c, n)
 	}
 }
 
@@ -369,26 +375,32 @@ func (h *histSet) reset() {
 	}
 }
 
-// halves turns the histograms of a node just cut at position cut of dst
-// into its halves': the left half's in sets[0], the right half's in
-// sets[1], each empty when that half is below 2k rows. Only the smaller
-// half's rows are read.
-func (s *mondrianScratch) halves(r *mondrianRun, dst []int, cut int) {
-	left, right := dst[:cut], dst[cut:]
-	if len(left) < 2*r.k && len(right) < 2*r.k {
+// halves turns the histograms of a node of n rows, just cut before vector
+// vcut of dst and row rcut, into its halves': the left half's in sets[0],
+// the right half's in sets[1], each empty when that half is below 2k rows.
+// Only the vectors of the half with fewer of them are read.
+func (s *mondrianScratch) halves(r *mondrianRun, dst []int, vcut, rcut, n int) {
+	left, right := rcut, n-rcut
+	if left < 2*r.k && right < 2*r.k {
 		s.sets[0].reset()
 		return
 	}
-	small := left
-	if len(right) < len(left) {
-		small = right
+	countLeft := vcut <= len(dst)-vcut
+	counted, derived := dst[vcut:], left
+	if countLeft {
+		counted, derived = dst[:vcut], right
 	}
-	s.sets[1].count(r, small)
+	for _, v := range counted {
+		s.sets[1].addVector(r, v)
+	}
 	s.sets[0].subtract(&s.sets[1])
-	if len(small) < 2*r.k {
+	if n-derived < 2*r.k {
 		s.sets[1].reset()
 	}
-	if len(small) == len(left) {
+	if derived < 2*r.k {
+		s.sets[0].reset()
+	}
+	if countLeft {
 		s.sets[0], s.sets[1] = s.sets[1], s.sets[0]
 	}
 }
@@ -424,29 +436,35 @@ func (s *mondrianScratch) pop() {
 	s.pending, s.lens = s.pending[:at], s.lens[:len(s.lens)-len(lens)]
 }
 
-// split partitions the node covering positions [lo, hi) at the given depth.
-// A node of at least 2k rows finds its histograms in s.sets[0] and returns
-// with both sets zero; a smaller node is a leaf and reads neither. When the
-// idle channel has a spare worker and the left half is large enough to
-// amortize a goroutine, the left half is partitioned concurrently with the
-// right, by a worker that takes over the left half's histograms.
-func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
+// split partitions the node of n rows whose vectors cover [lo, hi) at the
+// given depth and whose rows go to out[at:at+n]. A node of at least 2k
+// rows finds its histograms in s.sets[0] and returns with both sets zero;
+// a smaller node is a leaf and reads neither. When the idle channel has a
+// spare worker and the left half has enough vectors to amortize a
+// goroutine, the left half is partitioned concurrently with the right, by
+// a worker that takes over the left half's histograms.
+func (r *mondrianRun) split(s *mondrianScratch, lo, hi, at, n, depth int) error {
 	if err := ctxErr(r.ctx); err != nil {
 		return err
 	}
 	src, dst := r.bufs[depth%2][lo:hi], r.bufs[1-depth%2][lo:hi]
-	if len(src) >= 2*r.k {
-		start := time.Now()
-		cut, ai := r.findCut(s, src, dst)
-		if cut == 0 {
+	if n >= 2*r.k {
+		var start time.Time
+		if r.tr != nil {
+			start = time.Now()
+		}
+		vcut, rcut, ai := r.findCut(s, src, dst, n)
+		if vcut == 0 {
 			s.sets[0].reset()
 		} else {
-			s.halves(r, dst, cut)
+			s.halves(r, dst, vcut, rcut, n)
 			if r.tr != nil {
-				r.tr.Trace(trace.Event{Kind: trace.KindSplit, Label: r.rel.Schema().Attr(r.qi[ai]).Name, N: len(src), Depth: depth, Elapsed: time.Since(start)})
+				r.tr.Trace(trace.Event{Kind: trace.KindSplit, Label: r.rel.Schema().Attr(r.qi[ai]).Name, N: n, Depth: depth, Elapsed: time.Since(start)})
 			}
-			mid := lo + cut
-			if r.idle != nil && cut >= spawnGrain {
+			mid := lo + vcut
+			s.onPath[ai]++
+			defer func() { s.onPath[ai]-- }()
+			if r.idle != nil && vcut >= spawnGrain {
 				select {
 				case ws := <-r.idle:
 					if ws == nil {
@@ -455,18 +473,19 @@ func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
 					// The worker takes the left half's histogram set and
 					// leaves its own zero set in exchange.
 					ws.sets[0], s.sets[0], s.sets[1] = s.sets[0], s.sets[1], ws.sets[0]
+					copy(ws.onPath, s.onPath)
 					var (
 						lErr error
 						done = make(chan struct{})
 					)
 					go func() {
 						defer close(done)
-						if lErr = r.split(ws, lo, mid, depth+1); lErr != nil {
+						if lErr = r.split(ws, lo, mid, at, rcut, depth+1); lErr != nil {
 							ws = nil
 						}
 						r.idle <- ws
 					}()
-					rErr := r.split(s, mid, hi, depth+1)
+					rErr := r.split(s, mid, hi, at+rcut, n-rcut, depth+1)
 					<-done
 					if lErr != nil {
 						return lErr
@@ -476,47 +495,90 @@ func (r *mondrianRun) split(s *mondrianScratch, lo, hi, depth int) error {
 				}
 			}
 			s.push()
-			if err := r.split(s, lo, mid, depth+1); err != nil {
+			if err := r.split(s, lo, mid, at, rcut, depth+1); err != nil {
 				return err
 			}
 			s.pop()
-			return r.split(s, mid, hi, depth+1)
+			return r.split(s, mid, hi, at+rcut, n-rcut, depth+1)
 		}
 	}
-	if depth%2 == 1 {
-		copy(dst, src)
-	}
-	r.leafStart[lo] = true
+	r.leaf(s, src, at)
 	if r.tr != nil {
-		r.tr.Trace(trace.Event{Kind: trace.KindSplit, N: len(src), Depth: depth})
+		r.tr.Trace(trace.Event{Kind: trace.KindSplit, N: n, Depth: depth})
 	}
 	return nil
 }
 
-// findCut tries the QI attributes in descending width order until one
-// admits an allowable cut. It returns the cut position within the node,
-// with dst holding the node's positions ordered on attribute qi[ai], or cut 0
-// when no attribute admits one.
-func (r *mondrianRun) findCut(s *mondrianScratch, src, dst []int) (cut, ai int) {
-	for _, w := range s.byWidth(r) {
-		c := s.cut(r, src, dst, w.ai)
-		if c < r.k || len(dst)-c < r.k {
-			continue
+// leaf writes the rows of the leaf whose vectors are src into out from at
+// on, in the order a row-level recursion leaves them: by the parent's cut
+// key, then each ancestor's up to the root's, then input position. Each
+// cut is a stable sort of the node's vectors, which start in
+// first-appearance order, so the vectors already sit in that key order.
+// Only consecutive vectors agreeing on every attribute cut above the leaf
+// tie on every key; each such run's rows are merged by input position.
+func (r *mondrianRun) leaf(s *mondrianScratch, src []int, at int) {
+	i, q, codes := at, len(r.qi), r.vecs.Codes
+	for j := 0; j < len(src); {
+		first, v := i, src[j]
+		for _, p := range r.vecs.Positions(v) {
+			r.out[i] = int(p)
+			i++
 		}
-		if r.crit != nil && (!r.holds(s, dst[:c]) || !r.holds(s, dst[c:])) {
-			continue
+		merge := false
+		for j++; j < len(src) && s.sameCuts(codes[v*q:v*q+q], codes[src[j]*q:src[j]*q+q]); j++ {
+			for _, p := range r.vecs.Positions(src[j]) {
+				r.out[i] = int(p)
+				i++
+			}
+			merge = true
 		}
-		return c, w.ai
+		if merge {
+			slices.Sort(r.out[first:i])
+		}
 	}
-	return 0, -1
+	for x := at; x < i; x++ {
+		r.out[x] = r.rows[r.out[x]]
+	}
+	r.leafStart[at] = true
 }
 
-// holds reports whether the rows at the given positions satisfy the
+// sameCuts reports whether two vectors' codes agree on every attribute cut
+// above the current node.
+func (s *mondrianScratch) sameCuts(u, v []uint32) bool {
+	for ai, cuts := range s.onPath {
+		if cuts > 0 && u[ai] != v[ai] {
+			return false
+		}
+	}
+	return true
+}
+
+// findCut tries the QI attributes in descending width order until one
+// admits an allowable cut. It returns the cut within the node of n rows —
+// before vector vcut of dst, which holds the node's vectors ordered on
+// attribute qi[ai], and row rcut — or vcut 0 when no attribute admits one.
+func (r *mondrianRun) findCut(s *mondrianScratch, src, dst []int, n int) (vcut, rcut, ai int) {
+	for _, w := range s.byWidth(r) {
+		vc, rc := s.cut(r, src, dst, w.ai, n)
+		if rc < r.k || n-rc < r.k {
+			continue
+		}
+		if r.crit != nil && (!r.holds(s, dst[:vc]) || !r.holds(s, dst[vc:])) {
+			continue
+		}
+		return vc, rc, w.ai
+	}
+	return 0, 0, -1
+}
+
+// holds reports whether the rows of the given vectors satisfy the
 // criterion.
 func (r *mondrianRun) holds(s *mondrianScratch, part []int) bool {
 	s.group = s.group[:0]
-	for _, p := range part {
-		s.group = append(s.group, r.rows[p])
+	for _, v := range part {
+		for _, p := range r.vecs.Positions(v) {
+			s.group = append(s.group, r.rows[p])
+		}
 	}
 	return r.crit.Holds(r.rel, s.group)
 }
@@ -562,31 +624,23 @@ func (s *mondrianScratch) byWidth(r *mondrianRun) []attrWidth {
 	return s.order
 }
 
-// cut stably counting-sorts src into dst on attribute qi[ai] — numeric
-// attributes by value rank, categorical ones by descending frequency in the
-// node, then code — and returns the median cut that keeps equal codes on one
-// side, or 0 when the node holds a single code. Bucket starts come from the
-// node's d distinct codes sorted by key, so a cut costs O(n + d log d)
-// whatever the domain size.
-func (s *mondrianScratch) cut(r *mondrianRun, src, dst []int, ai int) int {
+// cut stably counting-sorts the vectors src into dst on attribute qi[ai] —
+// numeric attributes by value rank, categorical ones by descending row
+// frequency in the node, then code — and returns the median cut of the
+// node's n rows that keeps equal codes on one side: before vector vcut of
+// dst and row rcut, the first code boundary whose prefix weight reaches
+// n/2, else the last one before it. It returns 0, 0 when the node holds a
+// single code. Bucket starts come from the node's d distinct codes sorted
+// by key, so a cut costs O(v + d log d) for the node's v vectors, whatever
+// the domain size.
+func (s *mondrianScratch) cut(r *mondrianRun, src, dst []int, ai, n int) (vcut, rcut int) {
 	h, ds := s.sets[0].hist[ai], s.sets[0].distinct[ai]
 	if len(ds) < 2 {
-		return 0
+		return 0, 0
 	}
-	q, pos := len(r.qi), 0
-	if rank := r.attrs[ai].rank; rank != nil {
+	q, codes, rank := len(r.qi), r.vecs.Codes, r.attrs[ai].rank
+	if rank != nil {
 		slices.SortFunc(ds, func(x, y uint32) int { return cmp.Compare(rank[x], rank[y]) })
-		for i, c := range ds {
-			if i == 0 || rank[c] != rank[ds[i-1]] {
-				s.off[rank[c]] = pos
-			}
-			pos += int(h[c])
-		}
-		for _, p := range src {
-			b := rank[r.codes[p*q+ai]]
-			dst[s.off[b]] = p
-			s.off[b]++
-		}
 	} else {
 		slices.SortFunc(ds, func(x, y uint32) int {
 			if h[x] != h[y] {
@@ -594,49 +648,78 @@ func (s *mondrianScratch) cut(r *mondrianRun, src, dst []int, ai int) int {
 			}
 			return cmp.Compare(x, y)
 		})
-		for _, c := range ds {
-			s.off[c] = pos
-			pos += int(h[c])
+	}
+	// A code's bucket is its rank, or the code itself when cut
+	// categorically. s.off first counts each bucket's vectors, then holds
+	// its cursor, which ends at the bucket's end.
+	bucket := func(c uint32) int {
+		if rank != nil {
+			return int(rank[c])
 		}
-		for _, p := range src {
-			c := r.codes[p*q+ai]
-			dst[s.off[c]] = p
-			s.off[c]++
+		return int(c)
+	}
+	for _, c := range ds {
+		s.off[bucket(c)] = 0
+	}
+	for _, v := range src {
+		s.off[bucket(codes[v*q+ai])]++
+	}
+	pos := 0
+	for i, c := range ds {
+		if b := bucket(c); i == 0 || b != bucket(ds[i-1]) {
+			s.off[b], pos = pos, pos+s.off[b]
 		}
+	}
+	for _, v := range src {
+		b := bucket(codes[v*q+ai])
+		dst[s.off[b]] = v
+		s.off[b]++
 	}
 	// Median cut that respects value boundaries: all records with the same
-	// value stay on the same side. Prefer the boundary at or after the
-	// median; fall back to the one before it.
-	code := func(i int) uint32 { return r.codes[dst[i]*q+ai] }
-	mid := len(dst) / 2
-	for i := mid; i < len(dst); i++ {
-		if code(i) != code(i-1) {
-			return i
+	// value stay on the same side. Prefer the first boundary at or after
+	// the median row; fall back to the last one before it. Boundaries are
+	// the bucket starts and, inside a bucket of several codes (a shared
+	// rank, so every vector is one row), every change of code.
+	mid, rows, at := n/2, 0, 0 // rows and vectors before bucket ds[i:j]
+	for i, j := 0, 0; i < len(ds); i = j {
+		b, w := bucket(ds[i]), int32(0)
+		for j = i; j < len(ds) && bucket(ds[j]) == b; j++ {
+			w += h[ds[j]]
 		}
-	}
-	for i := mid; i >= 1; i-- {
-		if code(i) != code(i-1) {
-			return i
+		if i > 0 {
+			if rows >= mid {
+				return at, rows
+			}
+			vcut, rcut = at, rows
 		}
+		if j-i > 1 {
+			for x, p := at+1, rows+r.vecs.Weight(dst[at]); x < s.off[b]; x++ {
+				if codes[dst[x]*q+ai] != codes[dst[x-1]*q+ai] {
+					if p >= mid {
+						return x, p
+					}
+					vcut, rcut = x, p
+				}
+				p += r.vecs.Weight(dst[x])
+			}
+		}
+		rows, at = rows+int(w), s.off[b]
 	}
-	return 0
+	return vcut, rcut
 }
 
-// clusters maps bufs[0] back to row indexes and cuts it at the recorded
-// leaf starts.
+// clusters cuts out at the recorded leaf starts.
 func (r *mondrianRun) clusters() [][]int {
-	rows, n := r.bufs[0], 0
-	for i, p := range rows {
-		rows[i] = r.rows[p]
-		if r.leafStart[i] {
+	n := 0
+	for _, start := range r.leafStart {
+		if start {
 			n++
 		}
 	}
-	out := make([][]int, 0, n)
-	lo := 0
-	for hi := 1; hi <= len(rows); hi++ {
-		if hi == len(rows) || r.leafStart[hi] {
-			out = append(out, rows[lo:hi:hi])
+	out, lo := make([][]int, 0, n), 0
+	for hi := 1; hi <= len(r.out); hi++ {
+		if hi == len(r.out) || r.leafStart[hi] {
+			out = append(out, r.out[lo:hi:hi])
 			lo = hi
 		}
 	}

@@ -113,6 +113,110 @@ func TestMondrianMatchesReference(t *testing.T) {
 	}
 }
 
+// compressibleRelation draws a relation whose rows repeat a few hundred QI
+// vectors at most, so Mondrian partitions far fewer vectors than rows:
+// small numeric and categorical domains, ★ cells in every QI column, and a
+// sensitive column for l-diversity. Numeric values never parse as 0, so
+// ★ holds a rank of its own, unless shared is set: then one numeric
+// column also holds two codes of one rank — "7" beside "07", a literal 0
+// beside ★ and an unparsable value, or "35" beside "3.5e1" — and the run
+// must fall back to one vector per row. (NaN, which has no place in the
+// reference's < order, is TestMondrianNaNColumn's.)
+func compressibleRelation(rng *rand.Rand, n int, shared bool) *relation.Relation {
+	rel := relation.New(relation.MustSchema(
+		relation.Attribute{Name: "SEX", Role: relation.QI},
+		relation.Attribute{Name: "AGE", Role: relation.QI, Kind: relation.Numeric},
+		relation.Attribute{Name: "ZIP", Role: relation.QI, Kind: relation.Numeric},
+		relation.Attribute{Name: "CITY", Role: relation.QI},
+		relation.Attribute{Name: "DIAG", Role: relation.Sensitive},
+	))
+	ages, zips, cities := 2+rng.IntN(12), 1+rng.IntN(8), 1+rng.IntN(6)
+	pair := [][2]string{{"7", "07"}, {"0", "unknown"}, {"35", "3.5e1"}}[rng.IntN(3)]
+	for i := 0; i < n; i++ {
+		age := strconv.Itoa(20 + 5*rng.IntN(ages))
+		if shared && rng.IntN(6) == 0 {
+			age = pair[rng.IntN(2)]
+		}
+		rel.MustAppendValues(
+			[]string{"M", "F"}[rng.IntN(2)],
+			age,
+			strconv.Itoa(1000+rng.IntN(zips)),
+			"C"+strconv.Itoa(rng.IntN(cities)),
+			"D"+strconv.Itoa(rng.IntN(3)),
+		)
+		for a := 0; a < 4; a++ {
+			if rng.IntN(30) == 0 {
+				rel.Suppress(i, a)
+			}
+		}
+	}
+	return rel
+}
+
+// TestMondrianGroupedMatchesReference is the differential wall for the
+// recursion over weighted vectors: on compressible relations, over row
+// subsets in shuffled order, k ∈ {1, 2, 3, 10}, no criterion and distinct
+// 2-diversity, and Parallelism 1, 0 and 4, Mondrian must return the
+// reference's clusters in the reference's order. A fifth of the trials
+// hold codes of a shared rank; one trial has 4·par.Grain rows, so the
+// group-by kernel splits. Most runs must really group: partition fewer
+// vectors than rows.
+func TestMondrianGroupedMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	runs, grouped := 0, 0
+	for trial := 0; trial < 120; trial++ {
+		rng := rand.New(rand.NewPCG(uint64(trial), 0xc0de))
+		n, ks := 8+rng.IntN(400), []int{1, 2, 3, 10}
+		switch {
+		case trial == 0:
+			n, ks = 4*par.Grain, []int{10}
+		case trial%20 == 1:
+			// Enough vectors for parallel workers to take subtrees.
+			n = 8 * spawnGrain
+		}
+		rel := compressibleRelation(rng, n, trial%5 == 4)
+		rows := allRows(rel)
+		if trial%2 == 1 {
+			rows = rows[:0:0]
+			for r := 0; r < n; r++ {
+				if rng.IntN(4) > 0 {
+					rows = append(rows, r)
+				}
+			}
+		}
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		for _, k := range ks {
+			if len(rows) < 2*k {
+				continue
+			}
+			if r, _ := newMondrianRun(context.Background(), nil, rel, rows, k, 1); r.vecs.Len() < len(rows) {
+				grouped++
+			}
+			runs++
+			for _, crit := range []privacy.Criterion{nil, privacy.DistinctLDiversity{L: 2}} {
+				if crit != nil && !crit.Holds(rel, rows) {
+					continue
+				}
+				want := referenceMondrian(crit, rel, rows, k)
+				for _, par := range []int{1, 0, 4} {
+					got, err := (&Mondrian{Criterion: crit, Parallelism: par}).Partition(context.Background(), rel, rows, k)
+					if err != nil {
+						t.Fatalf("trial %d k=%d crit=%v par=%d: %v", trial, k, crit, par, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d n=%d k=%d crit=%v par=%d: partition diverged from the reference",
+							trial, len(rows), k, crit, par)
+					}
+				}
+			}
+		}
+	}
+	if grouped*3 < runs*2 {
+		t.Fatalf("only %d of %d runs partitioned fewer vectors than rows", grouped, runs)
+	}
+	t.Logf("%d of %d runs grouped rows into vectors", grouped, runs)
+}
+
 // TestMondrianClustersDoNotAlias: clusters share one backing array, so each
 // must be capped at its own length — appending to one may not write into the
 // next cluster or into the caller's rows.
@@ -324,10 +428,9 @@ func TestMondrianHandoffMatchesReference(t *testing.T) {
 }
 
 // TestMondrianSplitFillMatchesReference partitions inputs of 4·par.Grain
-// rows at Parallelism 4 with GOMAXPROCS raised to match, so the root's
-// code table and histograms are filled by four workers and merged, and
-// requires the reference partition: the merged distinct lists must leave
-// every cut as one worker's fill would.
+// rows at Parallelism 4 with GOMAXPROCS raised to match, so the group-by
+// kernel hashes the rows into vectors on four workers and merges their
+// tables, and requires the reference partition.
 func TestMondrianSplitFillMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for seed := uint64(0); seed < 2; seed++ {
@@ -345,7 +448,7 @@ func TestMondrianSplitFillMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: partition with a split fill diverged from the reference", seed)
+			t.Fatalf("seed %d: partition with a split group-by diverged from the reference", seed)
 		}
 	}
 }

@@ -145,7 +145,7 @@ func render(out, rel *relation.Relation, clusters [][]int, dst int, hs hierarchy
 					}
 				}
 				if lca != relation.Star {
-					code = out.Dict(a).Code(lca)
+					code = out.Dict(a).Ancestor(lca)
 				}
 			}
 			if code == relation.StarCode {

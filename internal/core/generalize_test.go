@@ -1,12 +1,18 @@
 package core_test
 
 import (
+	"context"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"diva/internal/constraint"
 	"diva/internal/core"
+	"diva/internal/dataset"
 	"diva/internal/hierarchy"
 	"diva/internal/metrics"
 	"diva/internal/relation"
+	"diva/internal/search"
 )
 
 func geoSchemaRelation(t testing.TB) *relation.Relation {
@@ -133,5 +139,70 @@ func TestSuppressGeneralizeUniformClusterLossless(t *testing.T) {
 	out := core.SuppressGeneralize(rel, [][]int{{0, 1}}, geoHierarchies(t))
 	if out.Value(0, 0) != "Vancouver" {
 		t.Fatal("uniform cluster was generalized")
+	}
+}
+
+// raceHierarchy generalizes the census RACE attribute: the four non-white
+// values to Nonwhite, and Nonwhite and White to ★.
+func raceHierarchy(t testing.TB) *hierarchy.Hierarchy {
+	t.Helper()
+	race, err := hierarchy.NewBuilder("RACE").
+		Add(relation.Star, "White", "Nonwhite").
+		Add("Nonwhite", "Black", "Asian-Pac-Islander", "Amer-Indian", "Other").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return race
+}
+
+// TestGeneralizedRunKeepsCardinality: a generalized run renders LCA values
+// such as Nonwhite into dictionaries it shares with its input, and
+// Mondrian's categorical widths read their Cardinality. Those values must
+// not count, so the input's cardinalities are the same after the run, and
+// a second identical run over the same relation publishes the same
+// relation as the first.
+func TestGeneralizedRunKeepsCardinality(t *testing.T) {
+	const rows, k = 3000, 10
+	rel := dataset.CensusSized(rows).Generate(rows, 20210323)
+	sigma, err := constraint.Proportional(rel, constraint.GenOptions{
+		Count: 8,
+		K:     k,
+		Rng:   rand.New(rand.NewPCG(0x51a3, 0x51a3)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	card := func() []int {
+		out := make([]int, rel.Schema().Len())
+		for a := range out {
+			out[a] = rel.Dict(a).Cardinality()
+		}
+		return out
+	}
+	before := card()
+	run := func() *core.Result {
+		res, err := core.Anonymize(context.Background(), rel, sigma, core.Options{
+			K:           k,
+			Strategy:    search.MinChoice,
+			Rng:         rand.New(rand.NewPCG(7, 7)),
+			Hierarchies: hierarchy.Set{"RACE": raceHierarchy(t)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := run()
+	race, _ := rel.Schema().Index("RACE")
+	nonwhite, ok := rel.Dict(race).Lookup("Nonwhite")
+	if !ok || first.Output.Count(race, nonwhite) == 0 {
+		t.Fatal("the run rendered no Nonwhite cell: nothing was generalized")
+	}
+	if after := card(); !slices.Equal(after, before) {
+		t.Fatalf("dictionary cardinalities %v after a generalized run, %v before", after, before)
+	}
+	if !sameRelation(run().Output, first.Output) {
+		t.Fatal("a second identical generalized run published a different relation")
 	}
 }

@@ -1,13 +1,14 @@
 // Package par holds the engine's rule for its Parallelism setting (Procs),
 // which bounds Mondrian's recursion, the Σ-component fan-out and the
 // data-parallel row passes — rendering R′, building enumerators, the
-// Σ-wide pool and count scans, Mondrian's root table fill. A row pass
-// resolves its worker count with Workers, from the setting and its size in
-// rows, and runs inline on its caller when that count is 1, so a small
-// pass starts no goroutine and allocates nothing for the split. Each
-// worker owns a disjoint, precomputed share of the pass, and the caller
-// combines the shares in worker order, so the result does not depend on
-// the worker count or on scheduling.
+// Σ-wide pool and count scans, and the group-by kernel
+// (relation.Distinct), which builds the distinct QI vectors Mondrian
+// partitions. A row pass resolves its worker count with Workers, from the
+// setting and its size in rows, and runs inline on its caller when that
+// count is 1, so a small pass starts no goroutine and allocates nothing
+// for the split. Each worker owns a disjoint, precomputed share of the
+// pass, and the caller combines the shares in worker order, so the result
+// does not depend on the worker count or on scheduling.
 package par
 
 import (

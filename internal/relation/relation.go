@@ -353,110 +353,6 @@ func rowMatches(row []uint32, attrs []int, codes []uint32) bool {
 	return true
 }
 
-// rowAt returns the row at input position p of rows (all rows if nil).
-func rowAt(rows []int, p int) int {
-	if rows == nil {
-		return p
-	}
-	return rows[p]
-}
-
-// sortPositions is the group-by kernel. It reads the m selected rows once
-// into a column table, cols[j*m+p] holding attribute attrs[j] of input
-// position p, and returns the positions in stable lexicographic order: an
-// LSD radix sort, one counting sort per attribute from last to first over
-// its dictionary's codes, with no hashing and no comparisons.
-func (r *Relation) sortPositions(attrs, rows []int) (ord []int, cols []uint32) {
-	m := len(rows)
-	if rows == nil {
-		m = r.n
-	}
-	cols = make([]uint32, len(attrs)*m)
-	ord, dst := make([]int, m), make([]int, m)
-	for p := range ord {
-		ord[p] = p
-		row := r.Row(rowAt(rows, p))
-		for j, a := range attrs {
-			cols[j*m+p] = row[a]
-		}
-	}
-	var count []int
-	for j := len(attrs) - 1; j >= 0; j-- {
-		col := cols[j*m : (j+1)*m]
-		count = append(count[:0], make([]int, r.dicts[attrs[j]].Len())...)
-		for _, c := range col {
-			count[c]++
-		}
-		at := 0
-		for c, n := range count {
-			count[c], at = at, at+n
-		}
-		for _, p := range ord {
-			dst[count[col[p]]] = p
-			count[col[p]]++
-		}
-		ord, dst = dst, ord
-	}
-	return ord, cols
-}
-
-// runs returns where each run of equal code vectors starts in ord, then
-// len(ord).
-func runs(ord []int, cols []uint32) []int {
-	var bounds []int
-	for i, p := range ord {
-		same := i > 0
-		for j := p; same && j < len(cols); j += len(ord) {
-			same = cols[j] == cols[j-p+ord[i-1]]
-		}
-		if !same {
-			bounds = append(bounds, i)
-		}
-	}
-	return append(bounds, len(ord))
-}
-
-// GroupBy partitions the given rows (all rows if rows is nil) by their
-// values on attrs, returning the groups as slices of row indexes. Groups
-// come in order of first appearance in rows, each listing its rows in input
-// order. The groups are capped subslices (s[lo:hi:hi]) of one backing
-// array, so appending to one copies it rather than overwrite the next.
-func (r *Relation) GroupBy(attrs []int, rows []int) [][]int {
-	ord, cols := r.sortPositions(attrs, rows)
-	bounds := runs(ord, cols)
-	// The sort is stable, so a run starts at its smallest input position:
-	// visiting run starts in position order emits first-appearance order.
-	runAt := make([]int, len(ord)) // 1 + the run starting at a position, or 0
-	for g := range len(bounds) - 1 {
-		runAt[ord[bounds[g]]] = g + 1
-	}
-	groups, out := make([][]int, 0, len(bounds)-1), make([]int, 0, len(ord))
-	for _, g := range runAt {
-		if g == 0 {
-			continue
-		}
-		lo := len(out)
-		for _, p := range ord[bounds[g-1]:bounds[g]] {
-			out = append(out, rowAt(rows, p))
-		}
-		groups = append(groups, out[lo:len(out):len(out)])
-	}
-	return groups
-}
-
-// QIGroups partitions all tuples by their QI attribute values, as GroupBy
-// does. Every returned group is a QI-group in the sense of Definition 2.1.
-func (r *Relation) QIGroups() [][]int {
-	return r.GroupBy(r.schema.QIIndexes(), nil)
-}
-
-// DistinctCount returns |Π_attrs(R)|: the number of distinct value
-// combinations over the given attributes.
-func (r *Relation) DistinctCount(attrs []int) int {
-	ord, cols := r.sortPositions(attrs, nil)
-	return len(runs(ord, cols)) - 1
-}
-
 // ValueFrequencies returns, for attribute attr, a map from code to the
 // number of tuples holding that code (the suppression marker included if
 // present).

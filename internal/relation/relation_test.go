@@ -2,16 +2,18 @@ package relation
 
 import (
 	"bytes"
-	"cmp"
-	"diva/internal/testutil"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"diva/internal/par"
+	"diva/internal/testutil"
 )
 
 func testSchema() *Schema {
@@ -76,6 +78,41 @@ func TestDictionaryClone(t *testing.T) {
 	}
 	if got, ok := c.Lookup("x"); !ok || got != 1 {
 		t.Fatal("clone lost original contents")
+	}
+}
+
+// TestDictionaryAncestors: a value only Ancestor interned has a code but
+// counts in neither Cardinality nor Values, in the dictionary or its
+// clone, until Code or a loader interns it as a value of the data.
+func TestDictionaryAncestors(t *testing.T) {
+	d := NewDictionary()
+	d.Code("Black")
+	d.Code("White")
+	nonwhite := d.Ancestor("Nonwhite")
+	if got := d.Ancestor("Nonwhite"); got != nonwhite || d.Value(nonwhite) != "Nonwhite" {
+		t.Fatalf("Ancestor(Nonwhite) = %d then %d (%q)", nonwhite, got, d.Value(got))
+	}
+	if got := d.Ancestor("White"); got != 2 {
+		t.Fatalf("Ancestor(White) = %d, want White's code 2", got)
+	}
+	c := d.Clone()
+	for name, dict := range map[string]*Dictionary{"dictionary": d, "clone": c} {
+		if dict.Len() != 4 || dict.Cardinality() != 2 || !reflect.DeepEqual(dict.Values(), []string{"Black", "White"}) {
+			t.Fatalf("%s: Len %d, Cardinality %d, Values %v; want 4, 2, [Black White]",
+				name, dict.Len(), dict.Cardinality(), dict.Values())
+		}
+	}
+	if got := d.Code("Nonwhite"); got != nonwhite {
+		t.Fatalf("Code(Nonwhite) = %d, want %d", got, nonwhite)
+	}
+	if d.Cardinality() != 3 || c.Cardinality() != 2 {
+		t.Fatalf("after Code: Cardinality %d (clone %d), want 3 (clone 2)", d.Cardinality(), c.Cardinality())
+	}
+	if got := c.codeBytes([]byte("Nonwhite")); got != nonwhite || c.Cardinality() != 3 {
+		t.Fatalf("after codeBytes: code %d, Cardinality %d; want %d, 3", got, c.Cardinality(), nonwhite)
+	}
+	if got := d.Values(); !reflect.DeepEqual(got, []string{"Black", "White", "Nonwhite"}) {
+		t.Fatalf("Values = %v", got)
 	}
 }
 
@@ -401,7 +438,7 @@ func TestGroupByPartitionProperty(t *testing.T) {
 	}
 }
 
-// referenceGroupBy is the map-based group-by that the radix kernel
+// referenceGroupBy is the map-based group-by that the kernel
 // replaced: it keys each row by its packed codes on attrs and appends rows
 // to groups in input order, opening groups in order of first appearance.
 func referenceGroupBy(r *Relation, attrs, rows []int) [][]int {
@@ -471,15 +508,54 @@ func randomGroupingRelation(rng *rand.Rand) *Relation {
 	return r
 }
 
-// TestGroupByMatchesReference checks the radix group-by against the
+// TestGroupByMatchesReference checks the hash group-by against the
 // map-based one: the same groups, in the same order, with the same rows in
-// the same order, for every row selection and attribute list. It also holds
-// the kernel's own row order, sortPositions, to a stable comparison sort.
+// the same order, for every row selection (ascending and shuffled subsets,
+// with ★ cells) and attribute list (the empty one included). The kernel's
+// own table must hold each group's codes, weight and positions, and be the
+// same at every worker count. Beyond the random trials it covers code
+// vectors wider than 64 bits, tables that grow past their first size, and
+// selections above 2·par.Grain rows split among 1, 2 and 4 workers.
 func TestGroupByMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := testutil.Rng(t)
-	for trial := 0; trial < 100; trial++ {
-		r := randomGroupingRelation(rng)
-		qi := r.Schema().QIIndexes()
+	check := func(what string, r *Relation, attrs, rows []int) {
+		t.Helper()
+		got, want := r.GroupBy(attrs, rows), referenceGroupBy(r, attrs, rows)
+		if len(want) == 0 {
+			if len(got) != 0 {
+				t.Fatalf("%s attrs %v: GroupBy = %v, want no groups", what, attrs, got)
+			}
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s attrs %v rows %v:\n GroupBy = %v\nreference = %v", what, attrs, rows, got, want)
+		}
+		if rows == nil {
+			if got := r.DistinctCount(attrs); got != len(want) {
+				t.Fatalf("%s attrs %v: DistinctCount = %d, want %d", what, attrs, got, len(want))
+			}
+		}
+		one := r.Distinct(attrs, rows, 1)
+		if one.Len() != len(want) || one.Width != len(attrs) || len(one.Codes) != len(want)*len(attrs) {
+			t.Fatalf("%s attrs %v: %d vectors of width %d in %d codes, want %d of width %d",
+				what, attrs, one.Len(), one.Width, len(one.Codes), len(want), len(attrs))
+		}
+		for g, group := range want {
+			if one.Weight(g) != len(group) {
+				t.Fatalf("%s attrs %v: vector %d weighs %d, its group has %d rows", what, attrs, g, one.Weight(g), len(group))
+			}
+			for j, a := range attrs {
+				if c := one.Codes[g*len(attrs)+j]; c != r.Code(group[0], a) {
+					t.Fatalf("%s attrs %v: vector %d holds code %d on attribute %d, its rows %d", what, attrs, g, c, a, r.Code(group[0], a))
+				}
+			}
+		}
+		for _, w := range []int{2, 4, 0} {
+			if split := r.Distinct(attrs, rows, w); !reflect.DeepEqual(split, one) {
+				t.Fatalf("%s attrs %v: the table at parallelism %d differs from one worker's", what, attrs, w)
+			}
+		}
+	}
+	subsets := func(r *Relation) [][]int {
 		ascending := []int{}
 		for i := 0; i < r.Len(); i++ {
 			if rng.IntN(2) == 0 {
@@ -488,47 +564,55 @@ func TestGroupByMatchesReference(t *testing.T) {
 		}
 		shuffled := slices.Clone(ascending)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		for _, attrs := range [][]int{{}, {rng.IntN(5)}, qi} {
-			for _, rows := range [][]int{nil, ascending, shuffled} {
-				got, want := r.GroupBy(attrs, rows), referenceGroupBy(r, attrs, rows)
-				if len(want) == 0 {
-					if len(got) != 0 {
-						t.Fatalf("trial %d attrs %v rows %v: GroupBy = %v, want no groups", trial, attrs, rows, got)
-					}
-				} else if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d attrs %v rows %v:\n GroupBy = %v\nreference = %v", trial, attrs, rows, got, want)
-				}
-				if rows == nil {
-					if got := r.DistinctCount(attrs); got != len(want) {
-						t.Fatalf("trial %d attrs %v: DistinctCount = %d, want %d", trial, attrs, got, len(want))
-					}
-				}
-
-				all := rows
-				if all == nil {
-					all = make([]int, r.Len())
-					for i := range all {
-						all[i] = i
-					}
-				}
-				wantOrder := slices.Clone(all)
-				slices.SortStableFunc(wantOrder, func(i, j int) int {
-					for _, a := range attrs {
-						if c := cmp.Compare(r.Code(i, a), r.Code(j, a)); c != 0 {
-							return c
-						}
-					}
-					return 0
-				})
-				pos, _ := r.sortPositions(attrs, rows)
-				gotOrder := make([]int, len(pos))
-				for i, p := range pos {
-					gotOrder[i] = rowAt(rows, p)
-				}
-				if !slices.Equal(gotOrder, wantOrder) {
-					t.Fatalf("trial %d attrs %v rows %v:\nsortPositions = %v\n  stable sort = %v", trial, attrs, rows, gotOrder, wantOrder)
+		return [][]int{nil, ascending, shuffled}
+	}
+	for trial := 0; trial < 100; trial++ {
+		r := randomGroupingRelation(rng)
+		for _, attrs := range [][]int{{}, {rng.IntN(5)}, r.Schema().QIIndexes()} {
+			for _, rows := range subsets(r) {
+				check(fmt.Sprintf("trial %d", trial), r, attrs, rows)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name             string
+		attrs, domain, n int
+		star             bool
+	}{
+		// 12 attributes of 2,048 codes: 132 bits a vector.
+		{"wide", 12, 2048, 3000, false},
+		// Almost every row distinct: the first table grows several times.
+		{"growth", 3, 60, 5000, true},
+		// Above 2·par.Grain rows: the pass splits among workers.
+		{"split", 4, 12, 4*par.Grain + 321, true},
+	} {
+		attrs := make([]Attribute, c.attrs)
+		for a := range attrs {
+			attrs[a] = Attribute{Name: "A" + strconv.Itoa(a), Role: QI}
+		}
+		r := New(MustSchema(attrs...))
+		for a := range attrs {
+			for v := 0; v < c.domain; v++ {
+				r.Dict(a).Code(strconv.Itoa(v))
+			}
+		}
+		vals := make([]string, c.attrs)
+		for i := 0; i < c.n; i++ {
+			for a := range vals {
+				vals[a] = strconv.Itoa(rng.IntN(c.domain))
+				if c.star && rng.IntN(20) == 0 {
+					vals[a] = Star
 				}
 			}
+			r.MustAppendValues(vals...)
+		}
+		all := r.Schema().QIIndexes()
+		if d := r.Distinct(all, nil, 1); c.name != "split" && d.Len() <= 2*firstVectors {
+			t.Fatalf("%s: only %d distinct vectors, the table never grows", c.name, d.Len())
+		}
+		for _, rows := range subsets(r) {
+			check(c.name, r, all, rows)
+			check(c.name, r, all[:1], rows)
 		}
 	}
 }
